@@ -182,12 +182,3 @@ def composite_gauss_nodes(lo, hi, panels, order):
         xs.append(0.5 * (b - a) * nodes + 0.5 * (a + b))
         ws.append(0.5 * (b - a) * weights)
     return np.concatenate(xs), np.concatenate(ws)
-
-
-def panels_for_mode(basis, lo, hi, max_mode=None):
-    """Panel count so each panel spans at most half a wavelength of the
-    highest mode involved (wavelength of 1-based mode m is 2*ell/m)."""
-    ell = basis.domain.length
-    m = basis.n_modes if max_mode is None else max_mode
-    half_wave = ell / m
-    return max(1, int(np.ceil((hi - lo) / half_wave)))

@@ -7,7 +7,7 @@ echo written next to the results re-parses to the byte-identical file.
 """
 
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -277,8 +277,3 @@ def format_config(cfg):
             continue
         lines.append(f"{key} = {_render(kind, val)}")
     return "\n".join(lines) + "\n"
-
-
-def with_overrides(cfg, **kwargs):
-    """Typed-field variant of override application (library-side use)."""
-    return replace(cfg, **kwargs)

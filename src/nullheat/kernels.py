@@ -35,7 +35,13 @@ DEFAULT_SYMMETRY_TOL = 1e-10
 
 
 class KernelSpec:
-    """Base class; concrete kernels implement evaluate(x, xi, length)."""
+    """Base class; concrete kernels implement evaluate(x, xi, length).
+
+    evaluate returns k on np.broadcast_shapes(x.shape, xi.shape).  Inputs are
+    taken as given, never broadcast against each other first, so a tensor
+    grid passes its open axes x[:, None], xi[None, :]: per-axis work then
+    costs O(n), and no intermediate is larger than the output.
+    """
 
     def evaluate(self, x, xi, length):
         raise NotImplementedError
@@ -44,8 +50,7 @@ class KernelSpec:
 @dataclass(frozen=True)
 class ZeroKernel(KernelSpec):
     def evaluate(self, x, xi, length):
-        x, xi = np.broadcast_arrays(np.asarray(x, float), np.asarray(xi, float))
-        return np.zeros_like(x)
+        return np.zeros(np.broadcast_shapes(np.shape(x), np.shape(xi)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -66,17 +71,23 @@ class SeparableKernel(KernelSpec):
         object.__setattr__(self, "h_coeffs", h)
 
     def _factor(self, coeffs, x, length):
+        # one matrix-vector product over the flattened points, so a value
+        # does not depend on the shape of the array it sits in
+        x = np.asarray(x, float)
         m = np.arange(1, coeffs.size + 1)
-        modes = np.sqrt(2.0 / length) * np.sin(np.multiply.outer(np.asarray(x, float), m) * np.pi / length)
-        return modes @ coeffs
+        modes = np.sqrt(2.0 / length) * np.sin(np.multiply.outer(x.ravel(), m) * np.pi / length)
+        return (modes @ coeffs).reshape(x.shape)
 
     def evaluate(self, x, xi, length):
-        x, xi = np.broadcast_arrays(np.asarray(x, float), np.asarray(xi, float))
         g_x = self._factor(self.g_coeffs, x, length)
         g_xi = self._factor(self.g_coeffs, xi, length)
         h_x = self._factor(self.h_coeffs, x, length)
         h_xi = self._factor(self.h_coeffs, xi, length)
-        return 0.5 * (g_x * h_xi + h_x * g_xi)
+        # 0.5 * (g_x * h_xi + h_x * g_xi), accumulated in one output array
+        out = g_x * h_xi
+        out += h_x * g_xi
+        out *= 0.5
+        return out
 
 
 @dataclass(frozen=True)
@@ -123,28 +134,28 @@ class GridKernel(KernelSpec):
 
     def evaluate(self, x, xi, length=None):
         # clamping to the midpoint hull realises the nearest-value extension
-        x, xi = np.broadcast_arrays(np.asarray(x, float), np.asarray(xi, float))
         mids = self.midpoints
         h = self.length / self.n
 
         def locate(z):
-            zc = np.clip(z, mids[0], mids[-1])
+            zc = np.clip(np.asarray(z, float), mids[0], mids[-1])
             idx = np.clip(((zc - mids[0]) / h).astype(int), 0, self.n - 2)
             frac = (zc - mids[idx]) / h
             return idx, np.clip(frac, 0.0, 1.0)
 
         ix, fx = locate(x)
         iy, fy = locate(xi)
+        gx, gy = 1 - fx, 1 - fy
         s = self.samples
         # single-multiply weights and cross terms grouped first keep the
-        # evaluation bitwise invariant under (x, xi) swap for symmetric tables
-        w00 = (1 - fx) * (1 - fy)
-        w11 = fx * fy
-        w10 = fx * (1 - fy)
-        w01 = (1 - fx) * fy
-        diag = s[ix, iy] * w00 + s[ix + 1, iy + 1] * w11
-        cross = s[ix + 1, iy] * w10 + s[ix, iy + 1] * w01
-        return diag + cross
+        # evaluation bitwise invariant under (x, xi) swap for symmetric tables;
+        # the in-place sums keep that order with two output-sized arrays
+        diag = s[ix, iy] * (gx * gy)
+        diag += s[ix + 1, iy + 1] * (fx * fy)
+        cross = s[ix + 1, iy] * (fx * gy)
+        cross += s[ix, iy + 1] * (gx * fy)
+        diag += cross
+        return diag
 
 
 @dataclass(frozen=True, eq=False)
@@ -331,8 +342,7 @@ def check_symmetry(spec, basis, tol=0.0):
         return 0.0
     ell = spec.length if isinstance(spec, GridKernel) else basis.domain.length
     grid = np.linspace(0.0, ell, SYMMETRY_LATTICE)
-    X, Y = np.meshgrid(grid, grid, indexing="ij")
-    vals = spec.evaluate(X, Y, ell)
+    vals = spec.evaluate(grid[:, None], grid[None, :], ell)
     return float(np.max(np.abs(vals - vals.T)))
 
 

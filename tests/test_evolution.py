@@ -106,6 +106,22 @@ class TestPropagate:
             rel = np.linalg.norm(exact - cn) / np.linalg.norm(exact)
             assert rel <= 1e-6, name
 
+    def test_crank_nicolson_matches_lu_solve_loop(self, domain, rng):
+        # the oracle is the plain Crank-Nicolson scheme, bit for bit
+        import scipy.linalg as sla
+        basis, kmat, _ = _dec(domain, GaussianKernel(20.0, 0.15), 8)
+        lmat = assemble_generator(basis, kmat).lmat
+        v = rng.standard_normal(8)
+        t, steps = 0.1, 200
+        dt = t / steps
+        lu = sla.lu_factor(np.eye(8) - 0.5 * dt * lmat)
+        b_half = np.eye(8) + 0.5 * dt * lmat
+        u = v.copy()
+        for _ in range(steps):
+            u = sla.lu_solve(lu, b_half @ u)
+        cn = oracles.crank_nicolson_propagate(lmat, v, t, steps=steps)
+        assert np.array_equal(cn, u)
+
     def test_semigroup_law(self, domain, rng):
         _, _, dec = _dec(domain, GaussianKernel(5.0, 0.2), 16)
         v = rng.standard_normal(16)

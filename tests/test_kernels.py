@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,7 @@ from nullheat import (ArgumentError, GaussianKernel, GridKernel,
                       build_basis, check_symmetry, hs_norm, load_kernel,
                       project_kernel, read_grid_kernel, write_grid_kernel)
 from nullheat import oracles
-from nullheat.bundled import bundled_kernels
+from nullheat.bundled import bundled_kernels, grid_demo_kernel
 
 
 @pytest.fixture
@@ -168,6 +170,55 @@ class TestProjectKernel:
         k = write_grid_kernel(path, lambda x, xi: x + xi, n=8, length=2.0)
         with pytest.raises(ArgumentError, match="length"):
             project_kernel(k, basis)
+
+
+class TestOpenAxes:
+    """evaluate on x[:, None], xi[None, :] works per axis, then combines."""
+
+    n = 1024
+
+    def test_separable_is_the_outer_combination_of_axis_factors(self):
+        k = SeparableKernel(np.array([1.0, 0.0, -0.5]), np.array([0.25, 1.5]))
+        x = np.linspace(0.0, 1.0, self.n)
+        xi = (np.arange(self.n) + 0.5) / self.n
+        vals = k.evaluate(x[:, None], xi[None, :], 1.0)
+        gx, hx = k._factor(k.g_coeffs, x, 1.0), k._factor(k.h_coeffs, x, 1.0)
+        gxi, hxi = k._factor(k.g_coeffs, xi, 1.0), k._factor(k.h_coeffs, xi, 1.0)
+        expected = 0.5 * (gx[:, None] * hxi[None, :] + hx[:, None] * gxi[None, :])
+        assert np.array_equal(vals, expected)
+        X, Y = np.meshgrid(x, xi, indexing="ij")
+        assert np.max(np.abs(vals - k.evaluate(X, Y, 1.0))) <= 1e-15
+
+    def test_grid_open_axes_equal_meshgrid(self):
+        k = grid_demo_kernel()
+        # reaches into both half-cell margins, where values are clamped
+        x = np.linspace(0.0, k.length, self.n)
+        xi = x[::-1] ** 2 / k.length
+        X, Y = np.meshgrid(x, xi, indexing="ij")
+        assert np.array_equal(k.evaluate(x[:, None], xi[None, :]), k.evaluate(X, Y))
+
+    @pytest.mark.parametrize("name, cap", [("separable", 3.0), ("grid", 8.0)])
+    def test_peak_memory_is_a_few_outputs(self, name, cap):
+        k = {"separable": SeparableKernel(np.array([1.0, 0.0, -0.5]),
+                                          np.array([0.25, 1.5])),
+             "grid": grid_demo_kernel()}[name]
+        x = (np.arange(self.n) + 0.5) / self.n
+        tracemalloc.start()
+        try:
+            vals = k.evaluate(x[:, None], x[None, :], 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert vals.shape == (self.n, self.n)
+        assert peak <= cap * vals.nbytes
+
+    def test_zero_and_scalar_shapes(self):
+        x = np.linspace(0.0, 1.0, 5)
+        assert np.array_equal(ZeroKernel().evaluate(x[:, None], x[None, :], 1.0),
+                              np.zeros((5, 5)))
+        k = grid_demo_kernel()
+        assert np.shape(k.evaluate(0.3, 0.7)) == ()
+        assert k.evaluate(0.3, 0.7) == k.evaluate(np.array([[0.3]]), np.array([[0.7]]))[0, 0]
 
 
 class TestHsNorm:
