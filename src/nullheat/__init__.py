@@ -34,6 +34,7 @@ from .observability import (COUPLING_FIXED, COUPLING_RESOLVENT, CostReport,
                             CostSweep, ObsReport, SpecObsSweep, cost_sweep,
                             observability_cost, observability_gramian,
                             proof_chain_report, spectral_obs_constant,
+                            spectral_obs_constants,
                             specobs_sweep_and_fit, truncation_for_horizon,
                             witness_identity_residual)
 
@@ -53,6 +54,6 @@ __all__ = [
     "parse_config", "proof_chain_report", "project_kernel", "propagate",
     "propagate_backward", "read_grid_kernel", "restricted_mass_matrix",
     "semigroup_norm", "simulate_controlled", "spectral_obs_constant",
-    "specobs_sweep_and_fit", "truncation_for_horizon",
+    "spectral_obs_constants", "specobs_sweep_and_fit", "truncation_for_horizon",
     "witness_identity_residual", "write_grid_kernel",
 ]

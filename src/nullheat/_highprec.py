@@ -1,99 +1,145 @@
-"""Extended-precision helpers (mpmath) for quantities below the float64 floor.
+"""Extended-precision (mpmath) eigenpairs below the float64 floor.
 
-Two such quantities arise: the smallest eigenvalue of the restricted Gram
-matrix (decays like exp(-c n) and crosses 1e-16 near n ~ 20) and the
-left-inverse constant zeta(t) (decays like exp(-lambda_N t)).  Both are
-well-defined positive numbers that double precision cannot resolve through
-the eps * ||A|| cancellation floor, so they are computed here at adaptive
-working precision from closed-form or float-exact inputs.
+The packet constant and the left-inverse constant zeta(t) rest on eigenvalues
+that decay like exp(-c n) and exp(-lambda_N t), below double precision's
+eps * ||A|| cancellation floor.  Each is the smallest eigenvalue of an SPD
+pencil A v = theta B v, found by one primitive, _min_pencil_eigpair: inverse
+iteration v <- A^{-1} B v with triangular solves on mp Cholesky (and LU)
+factors.  The pencils:
+
+* packet constant: (M, I), M a leading block of the restricted Gram matrix.
+  A Cholesky factor's leading rows factor its leading blocks, so one factor
+  serves a sweep of cutoffs.
+* zeta(t)^2: (E M E, M), E = Q diag(e^{mu t}) Q^T from the float64
+  eigendecomposition taken as exact; A^{-1} B = E^{-1} M^{-1} E^{-1} M with
+  E^{-1} = Q^{-T} diag(e^{-mu t}) Q^{-1} from an mp LU of Q.  Not
+  Q diag(e^{-mu t}) Q^T: the float Q is orthogonal only to rounding, which
+  e^{-mu_N t} magnifies past theta itself.
+* kappa_T, later: 1 / theta_min of (G_T, e^{2LT}).
 """
 
 import numpy as np
 import mpmath as mp
+import scipy.linalg as sla
 
+from .basis import gram_closed_form, positive_sign
 from .errors import NumericError
+
+_mp_sin = np.frompyfunc(mp.sin, 1, 1)
 
 
 def mass_matrix_mp(n, lo, hi, ell, dps=50):
-    """Restricted Gram matrix with entries evaluated in mp arithmetic."""
+    """Restricted Gram matrix as an n x n object array of mpf."""
     with mp.workdps(dps):
-        lo_ = mp.mpf(lo)
-        hi_ = mp.mpf(hi)
-        l_ = mp.mpf(ell)
-        M = mp.matrix(n, n)
-        for i in range(n):
-            m = i + 1
-            M[i, i] = (hi_ - lo_) / l_ - (
-                mp.sin(2 * m * mp.pi * hi_ / l_) - mp.sin(2 * m * mp.pi * lo_ / l_)
-            ) / (2 * m * mp.pi)
-            for j in range(i + 1, n):
-                nn = j + 1
-                val = (
-                    (mp.sin((m - nn) * mp.pi * hi_ / l_) - mp.sin((m - nn) * mp.pi * lo_ / l_)) / (m - nn)
-                    - (mp.sin((m + nn) * mp.pi * hi_ / l_) - mp.sin((m + nn) * mp.pi * lo_ / l_)) / (m + nn)
-                ) / mp.pi
-                M[i, j] = val
-                M[j, i] = val
-        return M
+        return gram_closed_form(n, mp.mpf(lo), mp.mpf(hi), mp.mpf(ell),
+                                sin=_mp_sin, pi=+mp.pi, dtype=object)
 
 
-def _solve_lower(L, b):
-    n = L.rows
-    y = mp.matrix(n, 1)
-    for i in range(n):
-        s = b[i]
-        for k in range(i):
-            s -= L[i, k] * y[k]
-        y[i] = s / L[i, i]
-    return y
+def _rows(A):
+    # an mp.matrix, an object array of mpf, or already a list of rows
+    return A.tolist() if hasattr(A, "tolist") else A
 
 
-def _solve_upper_t(L, y):
-    # solves L^T x = y with L lower triangular
-    n = L.rows
-    x = mp.matrix(n, 1)
-    for i in range(n - 1, -1, -1):
-        s = y[i]
-        for k in range(i + 1, n):
-            s -= L[k, i] * x[k]
-        x[i] = s / L[i, i]
+def _matvec(rows, v):
+    return [mp.fdot(row, v) for row in rows]
+
+
+def _solve_lower(rows, b):
+    # T x = b for lower-triangular T by rows (row i holds T[i][:i+1]);
+    # mp.fdot pairs row i with the i entries solved so far
+    x = []
+    for row, bi in zip(rows, b):
+        x.append((bi - mp.fdot(row, x)) / row[-1])
     return x
 
 
-def smallest_eigenpair_mp(M, dps=50, max_iter=200, start=None):
-    """Smallest eigenpair of an SPD mp matrix by Cholesky + inverse iteration.
+def _flip(rows):
+    # J T^T J (J reverses the order) by rows: lower triangular again
+    n = len(rows)
+    return [[rows[r][c] for r in range(n - 1, c - 1, -1)] for c in range(n - 1, -1, -1)]
 
-    Converges geometrically at the ratio of the two smallest eigenvalues,
-    which for the restricted Gram blocks is ~0.13 per sweep.  Returns
-    (eigenvalue as mpf, eigenvector as unit float64 array).
+
+def _solve_pair(A, B_flip, b):
+    # (A B^T) x = b for lower-triangular A and B, B given as _flip(B)
+    return _solve_lower(B_flip, _solve_lower(A, b)[::-1])[::-1]
+
+
+def cholesky_mp(A, dps=50):
+    """Rows of the Cholesky factor of A's longest positive-definite leading block.
+
+    mp.cholesky's arithmetic entry for entry, but row by row: row j reads
+    only entries of index <= j, so the first k rows factor A's leading k x k
+    block.  Stops before the first pivot below the working epsilon.
+    """
+    L = []
+    with mp.workdps(dps):
+        for j, a in enumerate(_rows(A)):
+            row = []
+            for i, piv in enumerate(L):
+                row.append((a[i] - mp.fdot(row, piv)) / piv[i])
+            s = a[j] - mp.fsum(row, absolute=True, squared=True)
+            if s < mp.eps:
+                break
+            row.append((a[j] - mp.fdot(row, row)) / mp.sqrt(s))
+            L.append(row)
+    return L
+
+
+def _lu_mp(A):
+    # A = L U without pivoting, as the rows of L (unit diagonal) and of U^T
+    L, Ut = [], [[] for _ in A]
+    for i, a in enumerate(A):
+        row = []
+        for j in range(i):
+            row.append((a[j] - mp.fdot(row, Ut[j])) / Ut[j][j])
+        L.append(row + [mp.mpf(1)])
+        for j in range(i, len(A)):
+            Ut[j].append(a[j] - mp.fdot(L[i], Ut[j]))
+    return L, Ut
+
+
+def _min_pencil_eigpair(step, rayleigh, start, dps, max_iter=200):
+    """Smallest eigenpair of an SPD pencil A v = theta B v by inverse iteration.
+
+    step(v) applies A^{-1} B, rayleigh(v) = v^T A v / v^T B v.  The iterate
+    keeps unit Euclidean norm; the iteration stops once the quotient moves
+    by at most 10^(12 - dps) relative.  Returns (theta, list of mpf).
+    """
+    v = start
+    lam_old = None
+    for _ in range(max_iter):
+        x = step(v)
+        nrm = mp.sqrt(mp.fsum(x, absolute=True, squared=True))
+        v = [xi / nrm for xi in x]
+        lam = rayleigh(v)
+        if lam_old is not None and abs(lam - lam_old) <= mp.mpf(10) ** (-dps + 12) * abs(lam):
+            return lam, v
+        lam_old = lam
+    raise NumericError(f"inverse iteration: no convergence in {max_iter} steps at dps={dps}")
+
+
+def smallest_eigenpair_mp(M, dps=50, max_iter=200, start=None, factor=None):
+    """Smallest eigenpair (mpf, unit float64 array) of an SPD mp matrix.
+
+    The pencil (M, I); factor may pass the rows of M's Cholesky factor, e.g.
+    the leading rows of a larger matrix's.  Converges at the ratio of the two
+    smallest eigenvalues, ~0.13 per sweep for the restricted Gram blocks.
     """
     with mp.workdps(dps):
-        n = M.rows
-        try:
-            C = mp.cholesky(M)
-        except ValueError as exc:
-            raise NumericError(f"smallest_eigenpair_mp: Cholesky failed ({exc})") from exc
-        if start is not None and np.all(np.isfinite(start)):
-            v = mp.matrix([mp.mpf(float(s)) for s in start])
-        else:
-            v = mp.matrix([mp.mpf(1) for _ in range(n)])
-        v /= mp.norm(v)
-        lam_old = None
-        lam = None
-        for _ in range(max_iter):
-            y = _solve_lower(C, v)
-            x = _solve_upper_t(C, y)
-            v = x / mp.norm(x)
-            lam = (v.T * (M * v))[0]
-            if lam_old is not None and abs(lam - lam_old) <= mp.mpf(10) ** (-dps + 12) * abs(lam):
-                break
-            lam_old = lam
-        vec = np.array([float(v[i]) for i in range(n)])
-        # deterministic sign: largest-magnitude entry positive
-        k = int(np.argmax(np.abs(vec)))
-        if vec[k] < 0:
-            vec = -vec
-        return lam, vec
+        rows = _rows(M)
+        n = len(rows)
+        L = cholesky_mp(M, dps) if factor is None else factor
+        if len(L) < n:
+            raise NumericError(
+                "smallest_eigenpair_mp: Cholesky failed (matrix is not positive-definite)")
+        L_flip = _flip(L)
+        v = [mp.mpf(float(s)) for s in start] if (
+            start is not None and np.all(np.isfinite(start))) else [mp.mpf(1)] * n
+        nrm = mp.sqrt(mp.fsum(v, absolute=True, squared=True))
+        lam, v = _min_pencil_eigpair(lambda u: _solve_pair(L, L_flip, u),
+                                     lambda u: mp.fdot(u, _matvec(rows, u)),
+                                     [vi / nrm for vi in v], dps, max_iter)
+        return lam, positive_sign(np.array([float(vi) for vi in v]))
 
 
 def rayleigh_quotient_mp(n, lo, hi, ell, coeffs, dps=50):
@@ -103,11 +149,9 @@ def rayleigh_quotient_mp(n, lo, hi, ell, coeffs, dps=50):
     quadratic-form rounding floor.
     """
     with mp.workdps(dps):
-        M = mass_matrix_mp(n, lo, hi, ell, dps=dps)
-        c = mp.matrix([mp.mpf(float(x)) for x in coeffs])
-        num = (c.T * (M * c))[0]
-        den = (c.T * c)[0]
-        return num / den
+        rows = _rows(mass_matrix_mp(n, lo, hi, ell, dps=dps))
+        c = [mp.mpf(float(x)) for x in coeffs]
+        return mp.fdot(c, _matvec(rows, c)) / mp.fdot(c, c)
 
 
 def generalized_min_eig_mp(mus, modes, m_omega, t, dps=None):
@@ -116,49 +160,47 @@ def generalized_min_eig_mp(mus, modes, m_omega, t, dps=None):
     mus and modes are the float64 eigendecomposition of the generator,
     treated as exact; m_omega must be SPD at float64 entry precision.
     Working precision adapts to the dynamic range 2 t (mu_max - mu_min).
-    Returns (log(theta)/2 as float, theta as mpf context-free string-safe).
+    Returns (log(theta)/2 as float, unit float64 minimizer).
     """
     spread = 2.0 * t * float(mus[0] - mus[-1])
     if dps is None:
         dps = int(max(40, spread / np.log(10.0) + 30))
     n = len(mus)
+    modes = np.asarray(modes, dtype=float)
+    perm = np.arange(n)  # row order of float64 partial pivoting
+    for i, p in enumerate(sla.lu_factor(modes, check_finite=False)[1]):
+        perm[[i, p]] = perm[[p, i]]
     with mp.workdps(dps):
-        Q = mp.matrix(n, n)
-        M = mp.matrix(n, n)
-        for i in range(n):
-            for j in range(n):
-                Q[i, j] = mp.mpf(float(modes[i, j]))
-                M[i, j] = mp.mpf(float(m_omega[i, j]))
-        D = mp.diag([mp.e ** (mp.mpf(float(mus[i])) * mp.mpf(t)) for i in range(n)])
-        E = Q * D * Q.T
-        A = E * M * E
-        try:
-            C = mp.cholesky(M)
-        except ValueError as exc:
+        Q, Qt, M = ([[mp.mpf(float(x)) for x in row] for row in a]
+                    for a in (modes, modes.T, m_omega))
+        C = cholesky_mp(M, dps)
+        if len(C) < n:
             raise NumericError(
                 "generalized_min_eig_mp: subdomain mass matrix not positive-definite "
-                f"at working precision ({exc})"
-            ) from exc
-        Ci = C ** -1
-        S = Ci * A * Ci.T
-        S = (S + S.T) / 2
-        w, V = mp.eigsy(S)
-        kmin = min(range(n), key=lambda i: w[i])
-        theta = w[kmin]
+                f"at working precision (dps={dps})")
+        L, Ut = _lu_mp([Q[p] for p in perm])  # Q[perm] = L U
+        C_flip, L_flip, Ut_flip = _flip(C), _flip(L), _flip(Ut)
+        e = [mp.e ** (mp.mpf(float(mu)) * mp.mpf(t)) for mu in mus]
+        inv_perm = np.argsort(perm)
+
+        def apply_e_inv(v):
+            y = _solve_pair(L, Ut_flip, [v[p] for p in perm])  # Q^{-1} v
+            z = _solve_pair(Ut, L_flip, [yi / ei for ei, yi in zip(e, y)])
+            return [z[p] for p in inv_perm]  # Q^{-T} z
+
+        def rayleigh(v):
+            ev = _matvec(Q, [ei * yi for ei, yi in zip(e, _matvec(Qt, v))])
+            return mp.fdot(ev, _matvec(M, ev)) / mp.fdot(v, _matvec(M, v))
+
+        theta, v = _min_pencil_eigpair(
+            lambda v: apply_e_inv(_solve_pair(C, C_flip, apply_e_inv(_matvec(M, v)))),
+            rayleigh, [mp.mpf(1)] * n, dps)
         if theta <= 0:
             raise NumericError(
                 "generalized_min_eig_mp: nonpositive eigenvalue at working precision; "
-                f"increase dps (got {float(theta):.3e} at dps={dps})"
-            )
-        log_zeta = float(mp.log(theta) / 2)
-        # witness in original coordinates: v = C^{-T} y
-        y = mp.matrix([V[i, kmin] for i in range(n)])
-        v = _solve_upper_t(C, y)
-        vec = np.array([float(v[i]) for i in range(n)])
-        nrm = np.linalg.norm(vec)
-        if nrm > 0 and np.isfinite(nrm):
-            vec = vec / nrm
-        k = int(np.argmax(np.abs(vec)))
-        if vec[k] < 0:
-            vec = -vec
-        return log_zeta, vec
+                f"increase dps (got {float(theta):.3e} at dps={dps})")
+        # rounded to float64 at unit omega-norm, then normalised in float64
+        nrm = mp.sqrt(mp.fdot(v, _matvec(M, v)))
+        vec = np.array([float(vi / nrm) for vi in v])
+        vec = vec / np.linalg.norm(vec)
+        return float(mp.log(theta) / 2), positive_sign(vec)

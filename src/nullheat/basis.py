@@ -105,6 +105,15 @@ def eval_mode(basis, j, x):
     return float(out) if out.ndim == 0 else out
 
 
+def positive_sign(v):
+    """v, or each column of a 2-D v, flipped so that its largest-magnitude
+    entry (the first on ties) is positive: the one sign convention of every
+    eigenvector and witness the library returns."""
+    v = np.asarray(v)
+    k = np.expand_dims(np.argmax(np.abs(v), axis=0), 0)
+    return np.where(np.take_along_axis(v, k, axis=0) < 0, -v, v)
+
+
 def restricted_mass_matrix(basis, lo, hi):
     """Gram matrix M[i, j] = int_lo^hi psi_i psi_j dx, by closed form.
 
@@ -125,22 +134,26 @@ def restricted_mass_matrix(basis, lo, hi):
         raise ArgumentError(
             f"restricted_mass_matrix: need 0 <= lo < hi <= {ell}, got ({lo}, {hi})"
         )
-    n = basis.n_modes
-    M = np.empty((n, n))
-    for i in range(n):
-        m = i + 1
-        # diagonal
-        M[i, i] = (hi - lo) / ell - (
-            np.sin(2 * m * np.pi * hi / ell) - np.sin(2 * m * np.pi * lo / ell)
-        ) / (2 * m * np.pi)
-        for j in range(i + 1, n):
-            nn = j + 1
-            val = (
-                (np.sin((m - nn) * np.pi * hi / ell) - np.sin((m - nn) * np.pi * lo / ell)) / (m - nn)
-                - (np.sin((m + nn) * np.pi * hi / ell) - np.sin((m + nn) * np.pi * lo / ell)) / (m + nn)
-            ) / np.pi
-            M[i, j] = val
-            M[j, i] = val
+    return gram_closed_form(basis.n_modes, lo, hi, ell)
+
+
+def gram_closed_form(n, lo, hi, ell, sin=np.sin, pi=np.pi, dtype=float):
+    """restricted_mass_matrix's closed form from tables of 2n sines.
+
+    sh[k], sl[k] = sin(k pi hi / ell), sin(k pi lo / ell) for k = 1..2n.  An
+    upper-triangle entry's m - n = -k term is (sl[k] - sh[k]) / -k by the
+    exact odd symmetry of sine, so even zero entries keep their sign.  Float64
+    by default; dtype=object, sin = np.frompyfunc(mp.sin, 1, 1), pi = +mp.pi
+    and mpf endpoints evaluate the same closed form in mp.
+    """
+    k = np.arange(1, 2 * n + 1).astype(dtype)
+    sh, sl = sin(k * pi * hi / ell), sin(k * pi * lo / ell)  # index k - 1
+    up, dn = (sl - sh) / -k, (sh - sl) / k  # the m - n = -k and m + n = k terms
+    m = np.arange(1, n + 1)
+    d = np.abs(m[:, None] - m[None, :])
+    np.fill_diagonal(d, 1)  # placeholder; the diagonal is set below
+    M = (up[d - 1] - dn[m[:, None] + m[None, :] - 1]) / pi
+    M[np.diag_indices(n)] = (hi - lo) / ell - (sh[2 * m - 1] - sl[2 * m - 1]) / (k[2 * m - 1] * pi)
     return M
 
 

@@ -19,8 +19,8 @@ from .kernels import GaussianKernel, SeparableKernel, ZeroKernel, project_kernel
 from . import oracles
 from .observability import (COUPLING_RESOLVENT, cost_sweep, observability_cost,
                             observability_gramian, proof_chain_report,
-                            spectral_obs_constant, specobs_sweep_and_fit,
-                            witness_identity_residual)
+                            spectral_obs_constant, spectral_obs_constants,
+                            specobs_sweep_and_fit, witness_identity_residual)
 
 DEFAULT_DOMAIN = Domain(length=1.0, omega_lo=0.3, omega_hi=0.8)
 _KAPPA_SCALAR = lambda T: 2 * np.pi ** 2 * np.exp(-2 * np.pi ** 2 * T) / (
@@ -258,8 +258,8 @@ def check_packet_constants(rng):
     full = build_basis(Domain(1.0, 0.0, 1.0), 8)
     rep_full = spectral_obs_constant(full, (0.0, 1.0), 200.0)
     ok = abs(rep_full.c_min - 1.0) <= 1e-12
-    reports = [spectral_obs_constant(basis, (0.3, 0.8), ((n + 0.5) * np.pi) ** 2)
-               for n in range(2, 25)]
+    reports = spectral_obs_constants(basis, (0.3, 0.8),
+                                     [((n + 0.5) * np.pi) ** 2 for n in range(2, 25)])
     cs = np.array([rep.c_min for rep in reports])
     ok = ok and bool(np.all(cs > 0.0)) and bool(np.all(np.diff(cs) < 0.0))
     y = -np.log(cs)

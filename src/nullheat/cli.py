@@ -21,7 +21,8 @@ from .errors import ArgumentError, ConfigError, KernelFormatError, NumericError
 from .evolution import assemble_generator, decompose, left_inverse_constant, propagate
 from .kernels import project_kernel
 from .observability import (_phi, cost_sweep, observability_cost,
-                            observability_gramian, spectral_obs_constant)
+                            observability_gramian, spectral_obs_constant,
+                            spectral_obs_constants)
 
 VERBS = ("basis", "kernel-project", "evolve", "zeta", "obs-constant", "obs-sweep",
          "gramian", "cost", "cost-sweep", "control-hum", "control-lr", "certify-all")
@@ -132,8 +133,7 @@ def run_command(verb, cfg, out_dir=None):
 
     elif verb == "obs-sweep":
         _, basis, _, _, _ = _pipeline(cfg)
-        reports = [spectral_obs_constant(basis, cfg.domain().omega, r)
-                   for r in _default_r_list(cfg)]
+        reports = spectral_obs_constants(basis, cfg.domain().omega, _default_r_list(cfg))
         emit("obs-sweep.csv", ["r", "n_modes", "c_min", "specobs_constant"],
              [(rep.r, rep.n_modes, rep.c_min, rep.specobs_constant)
               for rep in reports])

@@ -7,7 +7,7 @@ echo written next to the results re-parses to the byte-identical file.
 """
 
 import re
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
@@ -20,34 +20,12 @@ _KEY_RE = re.compile(r"^[a-z_]+\.[a-zA-Z0-9_]+$")
 
 _FLOAT, _INT, _STR, _FLOAT_LIST = "float", "int", "str", "float_list"
 
-# key -> (type, default); None default means required, "" means unset-allowed
-_SCHEMA = {
-    "domain.length": (_FLOAT, None),
-    "domain.omega_lo": (_FLOAT, None),
-    "domain.omega_hi": (_FLOAT, None),
-    "kernel.variant": (_STR, None),
-    "kernel.amplitude": (_FLOAT, ""),
-    "kernel.width": (_FLOAT, ""),
-    "kernel.g_coeffs": (_FLOAT_LIST, ""),
-    "kernel.h_coeffs": (_FLOAT_LIST, ""),
-    "kernel.file": (_STR, ""),
-    "truncation.n": (_INT, None),
-    "truncation.coupling": (_STR, "fixed"),
-    "truncation.margin": (_INT, 8),
-    "time.horizon": (_FLOAT, ""),
-    "time.horizon_list": (_FLOAT_LIST, ""),
-    "time.nt": (_INT, 64),
-    "time.nt_fine": (_INT, 0),
-    "tolerances.symmetry": (_FLOAT, 1e-10),
-    "tolerances.gate": (_FLOAT, 1e-14),
-    "tolerances.ridge": (_FLOAT, 0.0),
-    "control.u0": (_FLOAT_LIST, (1.0,)),
-    "control.stages": (_INT, 4),
-    "control.r0": (_FLOAT, 0.0),
-    "sweep.r_list": (_FLOAT_LIST, ""),
-    "seeds.oracle": (_INT, 20260809),
-    "output.dir": (_STR, "out"),
-}
+
+def _key(key, kind, default=MISSING):
+    # one config key as a field of ExperimentConfig: without a default it is
+    # required in a file; a default of None or () lets it stay unset
+    return field(default=default, metadata={"key": key, "kind": kind})
+
 
 _VARIANTS = {"zero", "separable", "gaussian", "grid"}
 _COUPLINGS = {"fixed", "r-equals-1-over-T"}
@@ -79,33 +57,36 @@ def _convert(key, kind, raw, line=None):
         raise ConfigError(f"parse_config: key {key} expects {kind}, got {raw!r}", line=line)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, kw_only=True)
 class ExperimentConfig:
-    length: float
-    omega_lo: float
-    omega_hi: float
-    kernel_variant: str
-    amplitude: float = None
-    width: float = None
-    g_coeffs: tuple = None
-    h_coeffs: tuple = None
-    kernel_file: str = None
-    n_modes: int = 16
-    coupling: str = "fixed"
-    margin: int = 8
-    horizon: float = None
-    horizon_list: tuple = ()
-    nt: int = 64
-    nt_fine: int = 0
-    symmetry_tol: float = 1e-10
-    gate: float = 1e-14
-    ridge: float = 0.0
-    u0: tuple = (1.0,)
-    stages: int = 4
-    r0: float = 0.0
-    r_list: tuple = ()
-    seed: int = 20260809
-    output_dir: str = "out"
+    """The one table of config keys: parse_config and format_config both
+    follow these fields, in this order."""
+
+    length: float = _key("domain.length", _FLOAT)
+    omega_lo: float = _key("domain.omega_lo", _FLOAT)
+    omega_hi: float = _key("domain.omega_hi", _FLOAT)
+    kernel_variant: str = _key("kernel.variant", _STR)
+    amplitude: float = _key("kernel.amplitude", _FLOAT, None)
+    width: float = _key("kernel.width", _FLOAT, None)
+    g_coeffs: tuple = _key("kernel.g_coeffs", _FLOAT_LIST, None)
+    h_coeffs: tuple = _key("kernel.h_coeffs", _FLOAT_LIST, None)
+    kernel_file: str = _key("kernel.file", _STR, None)
+    n_modes: int = _key("truncation.n", _INT)
+    coupling: str = _key("truncation.coupling", _STR, "fixed")
+    margin: int = _key("truncation.margin", _INT, 8)
+    horizon: float = _key("time.horizon", _FLOAT, None)
+    horizon_list: tuple = _key("time.horizon_list", _FLOAT_LIST, ())
+    nt: int = _key("time.nt", _INT, 64)
+    nt_fine: int = _key("time.nt_fine", _INT, 0)
+    symmetry_tol: float = _key("tolerances.symmetry", _FLOAT, 1e-10)
+    gate: float = _key("tolerances.gate", _FLOAT, 1e-14)
+    ridge: float = _key("tolerances.ridge", _FLOAT, 0.0)
+    u0: tuple = _key("control.u0", _FLOAT_LIST, (1.0,))
+    stages: int = _key("control.stages", _INT, 4)
+    r0: float = _key("control.r0", _FLOAT, 0.0)
+    r_list: tuple = _key("sweep.r_list", _FLOAT_LIST, ())
+    seed: int = _key("seeds.oracle", _INT, 20260809)
+    output_dir: str = _key("output.dir", _STR, "out")
 
     def domain(self):
         return Domain(length=self.length, omega_lo=self.omega_lo, omega_hi=self.omega_hi)
@@ -127,34 +108,18 @@ class ExperimentConfig:
         return spec
 
 
+_FIELDS = {f.metadata["key"]: f for f in fields(ExperimentConfig)}
+
+
+def _unset(f, val):
+    return val is None or (val == () and f.default == ())
+
+
 def _values_to_config(values):
-    cfg = ExperimentConfig(
-        length=values["domain.length"],
-        omega_lo=values["domain.omega_lo"],
-        omega_hi=values["domain.omega_hi"],
-        kernel_variant=values["kernel.variant"],
-        amplitude=values.get("kernel.amplitude") if values.get("kernel.amplitude") != "" else None,
-        width=values.get("kernel.width") if values.get("kernel.width") != "" else None,
-        g_coeffs=values.get("kernel.g_coeffs") if values.get("kernel.g_coeffs") != "" else None,
-        h_coeffs=values.get("kernel.h_coeffs") if values.get("kernel.h_coeffs") != "" else None,
-        kernel_file=values.get("kernel.file") if values.get("kernel.file") != "" else None,
-        n_modes=values["truncation.n"],
-        coupling=values["truncation.coupling"],
-        margin=values["truncation.margin"],
-        horizon=values.get("time.horizon") if values.get("time.horizon") != "" else None,
-        horizon_list=values.get("time.horizon_list") if values.get("time.horizon_list") != "" else (),
-        nt=values["time.nt"],
-        nt_fine=values["time.nt_fine"],
-        symmetry_tol=values["tolerances.symmetry"],
-        gate=values["tolerances.gate"],
-        ridge=values["tolerances.ridge"],
-        u0=values["control.u0"],
-        stages=values["control.stages"],
-        r0=values["control.r0"],
-        r_list=values.get("sweep.r_list") if values.get("sweep.r_list") != "" else (),
-        seed=values["seeds.oracle"],
-        output_dir=values["output.dir"],
-    )
+    # an empty string leaves an unsettable key at its unset default
+    cfg = ExperimentConfig(**{
+        f.name: f.default if values[key] == "" and _unset(f, f.default) else values[key]
+        for key, f in _FIELDS.items()})
     _validate(cfg)
     return cfg
 
@@ -211,23 +176,23 @@ def parse_config(path, overrides=None):
             key, _, rawval = line.partition("=")
             key = key.strip()
             rawval = rawval.strip()
-            if not _KEY_RE.match(key) or key not in _SCHEMA:
+            if not _KEY_RE.match(key) or key not in _FIELDS:
                 raise ConfigError(f"parse_config: unknown key {key!r}", line=lineno)
             if key in values:
                 raise ConfigError(
                     f"parse_config: duplicate key {key!r} (first seen on line "
                     f"{seen_lines[key]})", line=lineno)
-            values[key] = _convert(key, _SCHEMA[key][0], rawval, line=lineno)
+            values[key] = _convert(key, _FIELDS[key].metadata["kind"], rawval, line=lineno)
             seen_lines[key] = lineno
     for key, rawval in (overrides or {}).items():
-        if key not in _SCHEMA:
+        if key not in _FIELDS:
             raise ConfigError(f"parse_config: unknown override key {key!r}")
-        values[key] = _convert(key, _SCHEMA[key][0], str(rawval))
-    for key, (kind, default) in _SCHEMA.items():
+        values[key] = _convert(key, _FIELDS[key].metadata["kind"], str(rawval))
+    for key, f in _FIELDS.items():
         if key not in values:
-            if default is None:
+            if f.default is MISSING:
                 raise ConfigError(f"parse_config: missing required key {key}")
-            values[key] = default
+            values[key] = f.default
     return _values_to_config(values)
 
 
@@ -243,37 +208,5 @@ def _render(kind, val):
 
 def format_config(cfg):
     """Canonical serialization; parse(format(cfg)) == cfg byte-for-byte."""
-    values = {
-        "domain.length": cfg.length,
-        "domain.omega_lo": cfg.omega_lo,
-        "domain.omega_hi": cfg.omega_hi,
-        "kernel.variant": cfg.kernel_variant,
-        "kernel.amplitude": cfg.amplitude,
-        "kernel.width": cfg.width,
-        "kernel.g_coeffs": cfg.g_coeffs,
-        "kernel.h_coeffs": cfg.h_coeffs,
-        "kernel.file": cfg.kernel_file,
-        "truncation.n": cfg.n_modes,
-        "truncation.coupling": cfg.coupling,
-        "truncation.margin": cfg.margin,
-        "time.horizon": cfg.horizon,
-        "time.horizon_list": cfg.horizon_list or None,
-        "time.nt": cfg.nt,
-        "time.nt_fine": cfg.nt_fine,
-        "tolerances.symmetry": cfg.symmetry_tol,
-        "tolerances.gate": cfg.gate,
-        "tolerances.ridge": cfg.ridge,
-        "control.u0": cfg.u0,
-        "control.stages": cfg.stages,
-        "control.r0": cfg.r0,
-        "sweep.r_list": cfg.r_list or None,
-        "seeds.oracle": cfg.seed,
-        "output.dir": cfg.output_dir,
-    }
-    lines = []
-    for key, (kind, _) in _SCHEMA.items():
-        val = values[key]
-        if val is None:
-            continue
-        lines.append(f"{key} = {_render(kind, val)}")
-    return "\n".join(lines) + "\n"
+    return "".join(f"{key} = {_render(f.metadata['kind'], getattr(cfg, f.name))}\n"
+                   for key, f in _FIELDS.items() if not _unset(f, getattr(cfg, f.name)))

@@ -22,6 +22,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from . import _highprec
+from .basis import positive_sign
 from .errors import ArgumentError, IllConditionedError, NumericError, OverflowRefusalError
 
 CONDITIONING_GATE = 1e-14
@@ -75,10 +76,7 @@ def decompose(gen):
         raise NumericError(f"decompose: eigensolver failed ({exc})") from exc
     mus = mus[::-1].copy()
     modes = modes[:, ::-1].copy()
-    for col in range(modes.shape[1]):
-        k = int(np.argmax(np.abs(modes[:, col])))
-        if modes[k, col] < 0:
-            modes[:, col] = -modes[:, col]
+    modes = positive_sign(modes)
     dec = SpectralDecomposition(mus=mus, modes=modes)
     resid = np.max(np.abs(modes @ (mus[:, None] * modes.T) - gen.lmat))
     scale = 1.0 + np.max(np.abs(gen.lmat))
@@ -178,10 +176,7 @@ def left_inverse_constant(dec, m_omega, t, gate=CONDITIONING_GATE,
                     f"({theta[0]:.3e}); use method='mp'"
                 )
             zeta = float(np.sqrt(theta[0]))
-            witness = vecs[:, 0] / np.linalg.norm(vecs[:, 0])
-            k = int(np.argmax(np.abs(witness)))
-            if witness[k] < 0:
-                witness = -witness
+            witness = positive_sign(vecs[:, 0] / np.linalg.norm(vecs[:, 0]))
     if zeta is None:
         log_zeta, witness = _highprec.generalized_min_eig_mp(dec.mus, dec.modes, m_omega, t)
         if log_zeta < -745.0:

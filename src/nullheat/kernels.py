@@ -146,14 +146,16 @@ class GridKernel(KernelSpec):
         ix, fx = locate(x)
         iy, fy = locate(xi)
         gx, gy = 1 - fx, 1 - fy
-        s = self.samples
-        # single-multiply weights and cross terms grouped first keep the
+        # one flat index k of the (ix, iy) corners: the other three corners
+        # are the same gather from the flat table shifted by n + 1, n and 1.
+        # Single-multiply weights and cross terms grouped first keep the
         # evaluation bitwise invariant under (x, xi) swap for symmetric tables;
         # the in-place sums keep that order with two output-sized arrays
-        diag = s[ix, iy] * (gx * gy)
-        diag += s[ix + 1, iy + 1] * (fx * fy)
-        cross = s[ix + 1, iy] * (fx * gy)
-        cross += s[ix, iy + 1] * (gx * fy)
+        k, s, n = ix * self.n + iy, self.samples.ravel(), self.n
+        diag = s.take(k) * (gx * gy)
+        diag += s[n + 1:].take(k) * (fx * fy)
+        cross = s[n:].take(k) * (fx * gy)
+        cross += s[1:].take(k) * (gx * fy)
         diag += cross
         return diag
 

@@ -35,7 +35,7 @@ import scipy.linalg as sla
 from scipy.optimize import minimize_scalar
 
 from . import _highprec
-from .basis import build_basis, restricted_mass_matrix
+from .basis import build_basis, positive_sign, restricted_mass_matrix
 from .errors import ArgumentError, IllConditionedError, NumericError
 from .evolution import assemble_generator, decompose, left_inverse_constant
 from .kernels import project_kernel
@@ -98,38 +98,54 @@ def spectral_obs_constant(basis, omega, r):
     in the mode count and is recomputed at extended precision once it drops
     below the float64-trustable range.
     """
+    return _packet_reports(basis, omega, [r])[0]
+
+
+def spectral_obs_constants(basis, omega, r_list):
+    """spectral_obs_constant at every cutoff of r_list, in order, bit for bit,
+    from one float64 Gram matrix, one mp Gram matrix and one mp factor."""
+    return _packet_reports(basis, omega, r_list)
+
+
+def _packet_reports(basis, omega, r_list):
     if omega is None:
         omega = basis.domain.omega
     lo, hi = omega
-    if r < basis.lambdas[0]:
-        raise ArgumentError(
-            f"spectral_obs_constant: cutoff r = {r:g} is below the first eigenvalue "
-            f"{basis.lambdas[0]:g}; the packet is empty"
-        )
-    n = _count_modes(basis.domain, r)
-    if n > basis.n_modes:
-        raise ArgumentError(
-            f"spectral_obs_constant: cutoff r = {r:g} needs {n} modes but the basis "
-            f"holds {basis.n_modes}"
-        )
-    M = restricted_mass_matrix(basis, lo, hi)[:n, :n]
-    w, vecs = np.linalg.eigh(M)
-    c_min = float(w[0])
-    witness = vecs[:, 0]
-    if c_min < _MP_ESCALATION * max(float(w[-1]), 1e-300):
-        lam, witness = _highprec.smallest_eigenpair_mp(
-            _highprec.mass_matrix_mp(n, lo, hi, basis.domain.length),
-            start=witness if c_min > 0 else None,
-        )
-        c_min = float(lam)
-    else:
-        k = int(np.argmax(np.abs(witness)))
-        if witness[k] < 0:
-            witness = -witness.copy()
-    if not (np.isfinite(c_min) and c_min > 0.0):
-        raise NumericError(f"spectral_obs_constant: c_min not resolvable ({c_min})")
-    return ObsReport(r=float(r), n_modes=n, c_min=c_min,
-                     specobs_constant=1.0 / c_min, witness=witness)
+    M = restricted_mass_matrix(basis, lo, hi)
+    M_mp = factor = None
+    reports = []
+    for r in r_list:
+        if r < basis.lambdas[0]:
+            raise ArgumentError(
+                f"spectral_obs_constant: cutoff r = {r:g} is below the first eigenvalue "
+                f"{basis.lambdas[0]:g}; the packet is empty"
+            )
+        n = _count_modes(basis.domain, r)
+        if n > basis.n_modes:
+            raise ArgumentError(
+                f"spectral_obs_constant: cutoff r = {r:g} needs {n} modes but the basis "
+                f"holds {basis.n_modes}"
+            )
+        w, vecs = np.linalg.eigh(M[:n, :n])
+        c_min = float(w[0])
+        witness = vecs[:, 0]
+        if c_min < _MP_ESCALATION * max(float(w[-1]), 1e-300):
+            if M_mp is None:
+                # one mp Gram matrix and factor for the largest cutoff: the
+                # factor's leading rows factor every leading block
+                n_mp = min(basis.n_modes, max(_count_modes(basis.domain, q) for q in r_list))
+                M_mp = _highprec.mass_matrix_mp(n_mp, lo, hi, basis.domain.length)
+                factor = _highprec.cholesky_mp(M_mp)
+            lam, witness = _highprec.smallest_eigenpair_mp(
+                M_mp[:n, :n], start=witness if c_min > 0 else None, factor=factor[:n])
+            c_min = float(lam)
+        else:
+            witness = positive_sign(witness)
+        if not (np.isfinite(c_min) and c_min > 0.0):
+            raise NumericError(f"spectral_obs_constant: c_min not resolvable ({c_min})")
+        reports.append(ObsReport(r=float(r), n_modes=n, c_min=c_min,
+                                 specobs_constant=1.0 / c_min, witness=witness))
+    return reports
 
 
 def witness_identity_residual(basis, omega, report):
@@ -180,7 +196,7 @@ def specobs_sweep_and_fit(basis, omega, r_list):
         raise ArgumentError(
             "specobs_sweep_and_fit: cutoffs must span a factor of at least 16"
         )
-    reports = [spectral_obs_constant(basis, omega, r) for r in r_list]
+    reports = spectral_obs_constants(basis, omega, r_list)
     if len({rep.n_modes for rep in reports}) < 2:
         raise ArgumentError(
             "specobs_sweep_and_fit: fewer than 2 distinct mode counts; "
@@ -260,10 +276,7 @@ def observability_cost(dec, m_omega, T):
     kappa = float(theta[-1])
     w = vecs[:, -1]
     witness = dec.modes @ w
-    witness = witness / np.linalg.norm(witness)
-    k = int(np.argmax(np.abs(witness)))
-    if witness[k] < 0:
-        witness = -witness
+    witness = positive_sign(witness / np.linalg.norm(witness))
     return CostReport(T=float(T), n_used=dec.n_modes, kappa=kappa,
                       gramian_min_eig=gram_min, witness=witness)
 

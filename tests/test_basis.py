@@ -1,8 +1,35 @@
+import mpmath as mp
 import numpy as np
 import pytest
 
 from nullheat import (ArgumentError, Domain, build_basis, eval_mode,
                       gauss_quadrature, restricted_mass_matrix)
+from nullheat import _highprec
+from nullheat.basis import positive_sign
+
+
+def _gram_double_loop(n, lo, hi, ell, sin=np.sin, pi=np.pi):
+    # reference: the entrywise sine-product antiderivatives, one pair of
+    # sines per entry, upper triangle mirrored (float64 or mp arithmetic)
+    M = [[None] * n for _ in range(n)]
+    for i in range(n):
+        m = i + 1
+        M[i][i] = (hi - lo) / ell - (
+            sin(2 * m * pi * hi / ell) - sin(2 * m * pi * lo / ell)) / (2 * m * pi)
+        for j in range(i + 1, n):
+            nn = j + 1
+            M[i][j] = M[j][i] = (
+                (sin((m - nn) * pi * hi / ell) - sin((m - nn) * pi * lo / ell)) / (m - nn)
+                - (sin((m + nn) * pi * hi / ell) - sin((m + nn) * pi * lo / ell)) / (m + nn)
+            ) / pi
+    return M
+
+
+# interior, boundary-touching, narrow, and windows symmetric about a node of
+# some sine product (exact zero entries, whose sign must survive too)
+_WINDOWS = ((0.3, 0.8), (0.0, 1.0), (0.0, 0.5), (0.5, 1.0), (0.0, 1e-3),
+            (1.0 - 1e-3, 1.0), (0.45, 0.55), (0.4999, 0.5001), (0.25, 0.85),
+            (0.123, 0.789))
 
 
 class TestDomain:
@@ -133,6 +160,49 @@ class TestRestrictedMassMatrix:
             restricted_mass_matrix(basis, 0.5, 0.5)
         with pytest.raises(ArgumentError):
             restricted_mass_matrix(basis, 0.8, 0.3)
+
+    @pytest.mark.parametrize("n", [1, 2, 8, 16, 32, 128, 256])
+    def test_sine_table_equals_double_loop_bitwise(self, n):
+        basis = build_basis(Domain(1.0, 0.3, 0.8), n)
+        for lo, hi in _WINDOWS:
+            M = restricted_mass_matrix(basis, lo, hi)
+            ref = np.array(_gram_double_loop(n, lo, hi, 1.0))
+            # compare bit patterns, so that -0.0 != 0.0
+            assert np.array_equal(M.view(np.uint64), ref.view(np.uint64)), (lo, hi)
+
+    def test_other_length_bitwise(self):
+        basis = build_basis(Domain(2.7, 0.3, 0.8), 40)
+        for lo, hi in ((0.0, 2.7), (0.3, 1.9), (1.35, 1.36)):
+            ref = np.array(_gram_double_loop(40, lo, hi, 2.7))
+            assert np.array_equal(restricted_mass_matrix(basis, lo, hi).view(np.uint64),
+                                  ref.view(np.uint64))
+
+    @pytest.mark.parametrize("n", [1, 2, 8, 26])
+    def test_mp_sine_table_equals_mp_double_loop(self, n):
+        for lo, hi in _WINDOWS[:8]:
+            M = _highprec.mass_matrix_mp(n, lo, hi, 1.0)
+            with mp.workdps(50):
+                ref = _gram_double_loop(n, mp.mpf(lo), mp.mpf(hi), mp.mpf(1.0),
+                                        sin=mp.sin, pi=mp.pi)
+            assert all(M[i, j] == ref[i][j] for i in range(n) for j in range(n)), (lo, hi)
+
+    def test_mp_leading_blocks(self):
+        big = _highprec.mass_matrix_mp(20, 0.3, 0.8, 1.0)
+        small = _highprec.mass_matrix_mp(7, 0.3, 0.8, 1.0)
+        assert all(big[i, j] == small[i, j] for i in range(7) for j in range(7))
+
+
+class TestPositiveSign:
+    def test_vector_and_columns(self):
+        v = np.array([0.5, -2.0, 1.0])
+        assert np.array_equal(positive_sign(v), -v)
+        assert np.array_equal(positive_sign(-v), -v)
+        A = np.array([[1.0, 3.0], [-2.0, -1.0]])
+        assert np.array_equal(positive_sign(A), np.array([[-1.0, 3.0], [2.0, -1.0]]))
+
+    def test_first_index_wins_ties(self):
+        assert np.array_equal(positive_sign(np.array([-1.0, 1.0])), np.array([1.0, -1.0]))
+        assert np.array_equal(positive_sign(np.array([1.0, -1.0])), np.array([1.0, -1.0]))
 
 
 class TestGaussQuadrature:

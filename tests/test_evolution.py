@@ -1,3 +1,4 @@
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -6,7 +7,7 @@ from nullheat import (ArgumentError, Domain, GaussianKernel, IllConditionedError
                       ZeroKernel, assemble_generator, build_basis, decompose,
                       left_inverse_constant, project_kernel, propagate,
                       propagate_backward, restricted_mass_matrix, semigroup_norm)
-from nullheat import oracles
+from nullheat import _highprec, oracles
 from nullheat.bundled import bundled_kernels
 
 
@@ -252,3 +253,60 @@ class TestLeftInverseConstant:
             left_inverse_constant(dec, m_omega, 0.1)
         assert err.value.eigenvalue is not None
         assert err.value.eigenvalue < 1e-14
+
+
+def _zeta_eigsy_reference(mus, modes, m_omega, t, dps):
+    # reference: the full symmetric mp eigensolve of C^{-1} (E M E) C^{-T},
+    # M = C C^T, with E = Q diag(e^{mu t}) Q^T formed explicitly
+    n = len(mus)
+    with mp.workdps(dps):
+        Q = mp.matrix([[mp.mpf(float(x)) for x in row] for row in modes])
+        M = mp.matrix([[mp.mpf(float(x)) for x in row] for row in m_omega])
+        E = Q * mp.diag([mp.e ** (mp.mpf(float(mu)) * mp.mpf(t)) for mu in mus]) * Q.T
+        C = mp.cholesky(M)
+        Ci = C ** -1
+        S = Ci * (E * M * E) * Ci.T
+        w, V = mp.eigsy((S + S.T) / 2)
+        k = min(range(n), key=lambda i: w[i])
+        v = Ci.T * mp.matrix([V[i, k] for i in range(n)])
+        vec = np.array([float(v[i]) for i in range(n)])
+        return float(mp.log(w[k]) / 2), vec / np.linalg.norm(vec)
+
+
+def _mp_quotient(modes, mus, m_omega, t, vec, dps):
+    # ||E v||_omega^2 / ||v||_omega^2 in mp, with v taken as exact
+    with mp.workdps(dps):
+        Q = mp.matrix([[mp.mpf(float(x)) for x in row] for row in modes])
+        M = mp.matrix([[mp.mpf(float(x)) for x in row] for row in m_omega])
+        v = mp.matrix([mp.mpf(float(x)) for x in vec])
+        ev = Q * mp.diag([mp.e ** (mp.mpf(float(mu)) * mp.mpf(t)) for mu in mus]) * (Q.T * v)
+        return (ev.T * M * ev)[0] / (v.T * M * v)[0], float((v.T * M * v)[0])
+
+
+class TestExtendedPrecisionZeta:
+    """The mp pencil iteration for zeta against the full mp eigensolve."""
+
+    @pytest.mark.parametrize("kernel", [ZeroKernel(), GaussianKernel(5.0, 0.2)],
+                             ids=["zero", "gaussian"])
+    @pytest.mark.parametrize("n, t", [(8, 0.01), (8, 0.1), (16, 0.005), (16, 0.02),
+                                      (16, 0.4), (20, 0.05)])
+    def test_matches_eigsy_reference(self, domain, kernel, n, t):
+        _, _, dec = _dec(domain, kernel, n)
+        m_omega = restricted_mass_matrix(build_basis(domain, n), 0.3, 0.8)
+        dps = int(max(40, 2.0 * t * float(dec.mus[0] - dec.mus[-1]) / np.log(10.0) + 30))
+        log_zeta, witness = _highprec.generalized_min_eig_mp(dec.mus, dec.modes, m_omega, t)
+        ref_log, ref_vec = _zeta_eigsy_reference(dec.mus, dec.modes, m_omega, t, dps)
+        assert log_zeta == pytest.approx(ref_log, rel=1e-12, abs=0)
+        # both witnesses are float64 roundings of one minimizer
+        sign = 1.0 if ref_vec @ witness > 0 else -1.0
+        assert np.max(np.abs(witness - sign * ref_vec)) <= 1e-14
+        assert np.linalg.norm(witness) == pytest.approx(1.0, abs=1e-15)
+        # the witness attains equality up to its own float64 rounding: a
+        # perturbation d moves the quotient by at most ||E M E|| ||d||^2 over
+        # ||v||_omega^2, with ||E M E|| <= e^{2 mu_1 t} and ||d||^2 <= n eps^2
+        with mp.workdps(dps):
+            theta = mp.e ** (2 * mp.mpf(log_zeta))
+            q, wmw = _mp_quotient(dec.modes, dec.mus, m_omega, t, witness, dps)
+            floor = np.exp(2 * dec.mus[0] * t) * n * np.finfo(float).eps ** 2 / wmw
+            assert q >= theta * (1 - mp.mpf(1e-12))
+            assert q <= theta * (1 + mp.mpf(1e-12)) + floor

@@ -197,6 +197,22 @@ class TestOpenAxes:
         X, Y = np.meshgrid(x, xi, indexing="ij")
         assert np.array_equal(k.evaluate(x[:, None], xi[None, :]), k.evaluate(X, Y))
 
+    def test_grid_flat_gathers_equal_2d_gathers(self, rng):
+        # reference: bilinear interpolation with one 2-D fancy-index gather per
+        # corner, on an asymmetric table so that swapped corners would show
+        n = 9
+        k = GridKernel(n, 1.0, rng.standard_normal((n, n)))
+        mids, h = k.midpoints, 1.0 / n
+        x = np.linspace(-0.05, 1.05, 301)
+        xi = rng.uniform(0.0, 1.0, 7)
+        zc = [np.clip(z, mids[0], mids[-1]) for z in (x[:, None], xi[None, :])]
+        ix, iy = [np.clip(((z - mids[0]) / h).astype(int), 0, n - 2) for z in zc]
+        fx, fy = [np.clip((z - mids[i]) / h, 0.0, 1.0) for z, i in zip(zc, (ix, iy))]
+        s, gx, gy = k.samples, 1 - fx, 1 - fy
+        ref = s[ix, iy] * (gx * gy) + s[ix + 1, iy + 1] * (fx * fy) + (
+            s[ix + 1, iy] * (fx * gy) + s[ix, iy + 1] * (gx * fy))
+        assert np.array_equal(k.evaluate(x[:, None], xi[None, :]), ref)
+
     @pytest.mark.parametrize("name, cap", [("separable", 3.0), ("grid", 8.0)])
     def test_peak_memory_is_a_few_outputs(self, name, cap):
         k = {"separable": SeparableKernel(np.array([1.0, 0.0, -0.5]),

@@ -1,14 +1,15 @@
+import mpmath as mp
 import numpy as np
 import pytest
 
 from nullheat import (ArgumentError, COUPLING_FIXED, COUPLING_RESOLVENT, Domain,
-                      GaussianKernel, ZeroKernel, assemble_generator, build_basis,
+                      GaussianKernel, NumericError, ZeroKernel, assemble_generator, build_basis,
                       cost_sweep, decompose, observability_cost,
                       observability_gramian, project_kernel, proof_chain_report,
                       propagate, restricted_mass_matrix, spectral_obs_constant,
-                      specobs_sweep_and_fit, truncation_for_horizon,
+                      spectral_obs_constants, specobs_sweep_and_fit, truncation_for_horizon,
                       witness_identity_residual)
-from nullheat import oracles
+from nullheat import _highprec, oracles
 
 
 def kappa_scalar(T):
@@ -88,6 +89,67 @@ class TestSpectralObsConstant:
         lhs = np.einsum("ij,ij->i", C, C)
         rhs = rep.specobs_constant * np.einsum("ij,jk,ik->i", C, M, C)
         assert np.all(lhs <= rhs * (1 + 1e-10))
+
+
+class TestPacketPrimitive:
+    """One mp Gram matrix and one Cholesky factor for a sweep of cutoffs."""
+
+    def test_cholesky_matches_mpmath_bitwise(self):
+        M = _highprec.mass_matrix_mp(18, 0.3, 0.8, 1.0)
+        factor = _highprec.cholesky_mp(M)
+        with mp.workdps(50):
+            ref = mp.cholesky(mp.matrix(M.tolist()))
+        assert len(factor) == 18
+        assert all(factor[i][j] == ref[i, j] for i in range(18) for j in range(i + 1))
+
+    def test_leading_rows_factor_leading_blocks(self):
+        M = _highprec.mass_matrix_mp(24, 0.3, 0.8, 1.0)
+        big = _highprec.cholesky_mp(M)
+        for n in (1, 5, 13, 24):
+            assert big[:n] == _highprec.cholesky_mp(M[:n, :n])
+
+    def test_sweep_equals_per_cutoff_bitwise(self, domain):
+        basis = build_basis(domain, 26)
+        rs = [((n + 0.5) * np.pi) ** 2 for n in range(2, 25)]
+        sweep = spectral_obs_constants(basis, (0.3, 0.8), rs)
+        for r, rep in zip(rs, sweep):
+            alone = spectral_obs_constant(basis, (0.3, 0.8), r)
+            assert (rep.r, rep.n_modes, rep.c_min) == (alone.r, alone.n_modes, alone.c_min)
+            assert np.array_equal(rep.witness, alone.witness)
+        # each cutoff alone: its own mp Gram matrix and its own factor
+        M = restricted_mass_matrix(basis, 0.3, 0.8)
+        deep = 0
+        for rep in sweep:
+            n = rep.n_modes
+            w, vecs = np.linalg.eigh(M[:n, :n])
+            if w[0] >= 1e-6 * w[-1]:
+                continue
+            deep += 1
+            lam, vec = _highprec.smallest_eigenpair_mp(
+                _highprec.mass_matrix_mp(n, 0.3, 0.8, 1.0),
+                start=vecs[:, 0] if w[0] > 0 else None)
+            assert rep.c_min == float(lam)
+            assert np.array_equal(rep.witness, vec)
+        assert deep >= 10
+
+    def test_unfactorable_block_fails_only_its_cutoff(self):
+        # the factor stops at the first non-positive pivot: smaller blocks
+        # still get their eigenpair from its leading rows, larger ones an error
+        A = np.array([[mp.mpf(int(i == j)) for j in range(6)] for i in range(6)], dtype=object)
+        A[3, 3] = mp.mpf(-1)
+        factor = _highprec.cholesky_mp(A)
+        assert len(factor) == 3
+        lam, vec = _highprec.smallest_eigenpair_mp(A[:3, :3], factor=factor[:3])
+        assert abs(lam - 1) < mp.mpf(10) ** -40 and np.linalg.norm(vec) == pytest.approx(1.0)
+        with pytest.raises(NumericError):
+            _highprec.smallest_eigenpair_mp(A[:4, :4], factor=factor[:4])
+        with pytest.raises(NumericError):
+            _highprec.smallest_eigenpair_mp(A)
+
+    def test_nonconvergence_is_an_error(self):
+        M = _highprec.mass_matrix_mp(8, 0.3, 0.8, 1.0)
+        with pytest.raises(NumericError):
+            _highprec.smallest_eigenpair_mp(M, max_iter=2)
 
 
 class TestSpecObsSweep:
