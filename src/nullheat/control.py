@@ -32,7 +32,7 @@ from numpy.polynomial.legendre import leggauss
 
 from .basis import build_basis, restricted_mass_matrix
 from .errors import ArgumentError, IllConditionedError, NumericError
-from .evolution import assemble_generator, decompose
+from .evolution import assemble_generator, decompose, propagate
 from .kernels import project_kernel
 from .observability import _gramian_eigencoords, _validate_mass
 
@@ -234,10 +234,6 @@ def lr_staged_control(domain, kernel, u0, T, stages, r0, n_modes=None,
     u0_norm = float(np.linalg.norm(state))
     Q = dec.modes
     mus = dec.mus
-
-    def prop(v, dt):
-        return Q @ (np.exp(mus * dt) * (Q.T @ v))
-
     ts = np.linspace(0.0, T, nt)
     coeffs = np.zeros((nt, n))
     log = []
@@ -255,7 +251,7 @@ def lr_staged_control(domain, kernel, u0, T, stages, r0, n_modes=None,
         if t_end > T * (1 + 1e-12):
             raise NumericError("lr_staged_control: stage schedule overran the horizon")
         G = Q @ _gramian_eigencoords(dec, m_omega, tau) @ Q.T
-        b = prop(u, tau)
+        b = propagate(dec, u, tau)
         try:
             p_low = sla.solve(G[:n_low, :n_low], -b[:n_low], assume_a="pos")
         except (sla.LinAlgError, np.linalg.LinAlgError) as exc:
@@ -278,7 +274,7 @@ def lr_staged_control(domain, kernel, u0, T, stages, r0, n_modes=None,
             coeffs[in_active] = (np.exp(np.outer(tau - local, mus)) * p_e) @ Q.T
         res_active = float(np.linalg.norm(u_active))
         low_after = float(np.linalg.norm(u_active[:n_low]))
-        u = prop(u_active, slot - tau)
+        u = propagate(dec, u_active, slot - tau)
         res_passive = float(np.linalg.norm(u))
         log.append(StageLog(k=k, r_k=r_k, n_low=n_low, t_start=t_cursor,
                             t_mid=t_mid, t_end=t_end,
@@ -287,7 +283,7 @@ def lr_staged_control(domain, kernel, u0, T, stages, r0, n_modes=None,
                             lowmode_after_active=low_after, cost_sq=cost_k))
         t_cursor = t_end
     if T - t_cursor > 0:
-        u = prop(u, T - t_cursor)
+        u = propagate(dec, u, T - t_cursor)
     final_residual = float(np.linalg.norm(u)) / u0_norm if u0_norm > 0 else 0.0
     return ControlResult(T=float(T), nt=int(nt), multiplier=multipliers,
                          control_coeffs=coeffs, cost_sq=total_cost,

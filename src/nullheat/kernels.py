@@ -362,47 +362,18 @@ def _check_grid_against_basis(spec, basis, symmetry_tol, op):
         )
 
 
-def _grid_axis_nodes(spec, basis):
-    # panels aligned to the interpolation kinks (the sample midpoints),
-    # subdivided so no panel exceeds a half-wavelength of the highest mode
-    ell = basis.domain.length
-    max_width = ell / basis.n_modes
-    edges = np.concatenate(([0.0], spec.midpoints, [ell]))
-    xs = []
-    ws = []
-    for a, b in zip(edges[:-1], edges[1:]):
-        sub = max(1, int(np.ceil((b - a) / max_width)))
-        x, w = composite_gauss_nodes(a, b, sub, basis.quadrature_order)
-        xs.append(x)
-        ws.append(w)
-    return np.concatenate(xs), np.concatenate(ws)
-
-
-def _gaussian_axis_nodes(spec, basis):
-    ell = basis.domain.length
-    width = min(spec.width / 2.0, ell / basis.n_modes)
-    panels = max(1, int(np.ceil(ell / width)))
-    return composite_gauss_nodes(0.0, ell, panels, basis.quadrature_order)
-
-
-def _mode_values(basis, x):
-    ell = basis.domain.length
-    m = np.arange(1, basis.n_modes + 1)
-    return np.sqrt(2.0 / ell) * np.sin(np.outer(m, x) * np.pi / ell)
-
-
 def project_kernel(spec, basis, symmetry_tol=DEFAULT_SYMMETRY_TOL):
     """Project a kernel onto the sine basis, returning its KernelMatrix.
 
     Separable kernels use the exact outer-product closed form; Gaussian and
     grid kernels use tensor Gauss-Legendre quadrature with panels resolving
-    both the kernel scale and the highest-mode oscillation.  The result is
-    symmetrized by averaging with its transpose (exact for symmetric input).
+    both the kernel scale and the highest-mode oscillation, on one kernel
+    evaluation that also gives hs_of_k.  The result is symmetrized by
+    averaging with its transpose (exact for symmetric input).
     """
     n = basis.n_modes
-    hs = hs_norm(spec, basis)
     if isinstance(spec, ZeroKernel):
-        return KernelMatrix(n_modes=n, matrix=np.zeros((n, n)), hs_of_k=hs)
+        return KernelMatrix(n_modes=n, matrix=np.zeros((n, n)), hs_of_k=0.0)
     if isinstance(spec, SeparableKernel):
         g = np.zeros(n)
         h = np.zeros(n)
@@ -411,16 +382,12 @@ def project_kernel(spec, basis, symmetry_tol=DEFAULT_SYMMETRY_TOL):
         g[: gc.size] = gc
         h[: hc.size] = hc
         K = 0.5 * (np.outer(g, h) + np.outer(h, g))
-        return KernelMatrix(n_modes=n, matrix=(K + K.T) / 2, hs_of_k=hs)
-    if isinstance(spec, GaussianKernel):
-        x, w = _gaussian_axis_nodes(spec, basis)
-    elif isinstance(spec, GridKernel):
+        return KernelMatrix(n_modes=n, matrix=(K + K.T) / 2, hs_of_k=hs_norm(spec, basis))
+    x, w, vals, hs = _tensor_quadrature(spec, basis)
+    if isinstance(spec, GridKernel):
         _check_grid_against_basis(spec, basis, symmetry_tol, "project_kernel")
-        x, w = _grid_axis_nodes(spec, basis)
-    else:
-        raise ArgumentError(f"project_kernel: unsupported kernel {type(spec).__name__}")
-    vals = spec.evaluate(x[:, None], x[None, :], basis.domain.length)
-    psi_w = _mode_values(basis, x) * w
+    ell = basis.domain.length
+    psi_w = np.sqrt(2.0 / ell) * np.sin(np.outer(np.arange(1, n + 1), x) * np.pi / ell) * w
     K = psi_w @ vals @ psi_w.T
     if not np.all(np.isfinite(K)):
         bad = np.argwhere(~np.isfinite(K))[0]
@@ -428,6 +395,30 @@ def project_kernel(spec, basis, symmetry_tol=DEFAULT_SYMMETRY_TOL):
             f"project_kernel: non-finite entry at ({bad[0]}, {bad[1]})"
         )
     return KernelMatrix(n_modes=n, matrix=(K + K.T) / 2, hs_of_k=hs)
+
+
+def _tensor_quadrature(spec, basis):
+    """Axis nodes x and weights w of a Gaussian or grid kernel, its values on
+    the tensor grid x x x, and the L^2 norm those values give."""
+    ell, order = basis.domain.length, basis.quadrature_order
+    max_width = ell / basis.n_modes
+    if isinstance(spec, GaussianKernel):
+        panels = max(1, int(np.ceil(ell / min(spec.width / 2.0, max_width))))
+        x, w = composite_gauss_nodes(0.0, ell, panels, order)
+    elif isinstance(spec, GridKernel):
+        # panels aligned to the interpolation kinks (the sample midpoints),
+        # subdivided so no panel exceeds a half-wavelength of the highest mode
+        edges = np.concatenate(([0.0], spec.midpoints, [ell]))
+        rules = [composite_gauss_nodes(a, b, max(1, int(np.ceil((b - a) / max_width))), order)
+                 for a, b in zip(edges[:-1], edges[1:])]
+        x, w = (np.concatenate(parts) for parts in zip(*rules))
+    else:
+        raise ArgumentError(f"hs_norm: unsupported kernel {type(spec).__name__}")
+    vals = spec.evaluate(x[:, None], x[None, :], ell)
+    sq = float(w @ (vals ** 2) @ w)
+    if not np.isfinite(sq):
+        raise NumericError("hs_norm: quadrature produced a non-finite value")
+    return x, w, vals, float(np.sqrt(max(sq, 0.0)))
 
 
 def hs_norm(spec, basis):
@@ -448,14 +439,4 @@ def hs_norm(spec, basis):
         m = min(g.size, h.size)
         gh = float(g[:m] @ h[:m])
         return float(np.sqrt((g @ g) * (h @ h) / 2.0 + gh * gh / 2.0))
-    if isinstance(spec, GaussianKernel):
-        x, w = _gaussian_axis_nodes(spec, basis)
-    elif isinstance(spec, GridKernel):
-        x, w = _grid_axis_nodes(spec, basis)
-    else:
-        raise ArgumentError(f"hs_norm: unsupported kernel {type(spec).__name__}")
-    vals = spec.evaluate(x[:, None], x[None, :], basis.domain.length)
-    sq = float(w @ (vals ** 2) @ w)
-    if not np.isfinite(sq):
-        raise NumericError("hs_norm: quadrature produced a non-finite value")
-    return float(np.sqrt(max(sq, 0.0)))
+    return _tensor_quadrature(spec, basis)[3]

@@ -25,9 +25,7 @@ the frequency-coupled truncation N(T) = floor(sqrt(1/T) ell / pi) + margin,
 and fits log kappa_T against both 1/sqrt(T) and 1/T.
 """
 
-import os
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -338,7 +336,7 @@ def truncation_for_horizon(domain, T, margin=8):
 
 
 def cost_sweep(domain, kernel, T_list, coupling=COUPLING_FIXED, n_fixed=None,
-               margin=8, quadrature_order=8, workers=None):
+               margin=8, quadrature_order=8):
     """Cost reports across horizons with fixed or T-coupled truncation.
 
     coupling "fixed" uses n_fixed modes everywhere; coupling
@@ -365,26 +363,26 @@ def cost_sweep(domain, kernel, T_list, coupling=COUPLING_FIXED, n_fixed=None,
             f"(expected {COUPLING_FIXED!r} or {COUPLING_RESOLVENT!r})"
         )
 
-    def one_row(T):
-        n = n_of_T[T]
+    # one model per distinct truncation, or the error string that stopped its build
+    models = {}
+    for n in dict.fromkeys(n_of_T.values()):
         try:
             basis = build_basis(domain, n, quadrature_order)
             dec = decompose(assemble_generator(basis, project_kernel(kernel, basis)))
-            m_omega = restricted_mass_matrix(basis, domain.omega_lo, domain.omega_hi)
-            report = observability_cost(dec, m_omega, T)
-            return SweepRow(T=T, n_used=n, report=report)
-        except Exception as exc:  # recorded per row, never fatal to the sweep
-            return SweepRow(T=T, n_used=n, error=f"{type(exc).__name__}: {exc}")
+            models[n] = (dec, restricted_mass_matrix(basis, domain.omega_lo, domain.omega_hi))
+        except Exception as exc:  # recorded on every row of this truncation
+            models[n] = f"{type(exc).__name__}: {exc}"
 
-    order = sorted(range(len(T_list)), key=lambda i: -T_list[i])
-    if workers is None:
-        workers = int(os.environ.get("NULLHEAT_WORKERS", "0")) or (os.cpu_count() or 1)
-    if workers > 1 and len(T_list) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            computed = list(pool.map(one_row, T_list))
-    else:
-        computed = [one_row(T) for T in T_list]
-    rows = [computed[i] for i in order]  # merged deterministically, T descending
+    rows = []
+    for T in sorted(T_list, key=lambda T: -T):  # T descending, stable
+        n = n_of_T[T]
+        if isinstance(models[n], str):
+            rows.append(SweepRow(T=T, n_used=n, error=models[n]))
+            continue
+        try:
+            rows.append(SweepRow(T=T, n_used=n, report=observability_cost(*models[n], T)))
+        except Exception as exc:  # recorded per row, never fatal to the sweep
+            rows.append(SweepRow(T=T, n_used=n, error=f"{type(exc).__name__}: {exc}"))
 
     good = [row for row in rows if row.report is not None]
     if len(good) < 2:
@@ -395,13 +393,9 @@ def cost_sweep(domain, kernel, T_list, coupling=COUPLING_FIXED, n_fixed=None,
     fit_inv = _power_fit(Ts, ys, 1.0)
     fit_free = _free_power_fit(Ts, ys)
     preferred = "sqrt" if fit_sqrt.residual <= fit_inv.residual else "inv"
-    tagged = []
-    for row in rows:
-        if row.report is not None:
-            rep = replace(row.report, blowup_fit=(fit_free.coeff, fit_free.alpha))
-            tagged.append(SweepRow(T=row.T, n_used=row.n_used, report=rep))
-        else:
-            tagged.append(row)
+    fit = (fit_free.coeff, fit_free.alpha)
+    tagged = [row if row.report is None
+              else replace(row, report=replace(row.report, blowup_fit=fit)) for row in rows]
     return CostSweep(rows=tagged, fit_sqrt=fit_sqrt, fit_inv=fit_inv,
                      fit_free=fit_free, preferred=preferred)
 

@@ -4,7 +4,7 @@ import pytest
 
 from nullheat import (ArgumentError, Domain, build_basis, eval_mode,
                       gauss_quadrature, restricted_mass_matrix)
-from nullheat import _highprec
+from nullheat import _highprec, certify
 from nullheat.basis import positive_sign
 
 
@@ -220,3 +220,33 @@ class TestGaussQuadrature:
     def test_bad_interval(self):
         with pytest.raises(ArgumentError):
             gauss_quadrature(np.sin, 1.0, 0.0, 1, 4)
+
+
+class TestCertificateGramQuadrature:
+    """certify's array form of the mass-gram-consistency quadrature."""
+
+    @staticmethod
+    def _windows(rng):
+        # the windows check_mass_gram_consistency draws from its generator
+        for _ in range(10):
+            lo, hi = np.sort(rng.uniform(0.0, 1.0, size=2))
+            if hi - lo < 1e-3:
+                hi = min(1.0, lo + 1e-3)
+            yield lo, hi, max(1, int(np.ceil((hi - lo) * 16)))
+
+    @pytest.mark.parametrize("seed", [20260809, 31])
+    def test_equals_scalar_double_loop_bitwise(self, domain, seed):
+        basis = build_basis(domain, 16)
+        worst = 0.0
+        for lo, hi, panels in self._windows(np.random.default_rng(seed)):
+            Q = certify._gram_by_quadrature(basis, lo, hi, panels)
+            M = restricted_mass_matrix(basis, lo, hi)
+            for i in range(16):
+                for j in range(i, 16):
+                    q = gauss_quadrature(
+                        lambda x: eval_mode(basis, i, x) * eval_mode(basis, j, x),
+                        lo, hi, panels, 8)
+                    assert Q[i, j] == q, (lo, hi, i, j)
+                    worst = max(worst, abs(M[i, j] - q))
+        assert certify.check_mass_gram_consistency(np.random.default_rng(seed)) == (
+            worst <= 1e-10, f"max closed-form vs quadrature defect {worst:.2e}")

@@ -9,6 +9,7 @@ from nullheat import (ArgumentError, GaussianKernel, GridKernel,
                       project_kernel, read_grid_kernel, write_grid_kernel)
 from nullheat import oracles
 from nullheat.bundled import bundled_kernels, grid_demo_kernel
+from nullheat.kernels import SYMMETRY_LATTICE
 
 
 @pytest.fixture
@@ -170,6 +171,32 @@ class TestProjectKernel:
         k = write_grid_kernel(path, lambda x, xi: x + xi, n=8, length=2.0)
         with pytest.raises(ArgumentError, match="length"):
             project_kernel(k, basis)
+
+
+class TestOneKernelEvaluation:
+    @pytest.mark.parametrize("n", [4, 16, 64])
+    def test_hs_of_k_equals_hs_norm_bitwise(self, domain, n):
+        basis = build_basis(domain, n)
+        for name, kernel in bundled_kernels():
+            assert project_kernel(kernel, basis).hs_of_k == hs_norm(kernel, basis), name
+
+    @pytest.mark.parametrize("kernel", [GaussianKernel(5.0, 0.2), grid_demo_kernel()],
+                             ids=["gaussian", "grid"])
+    def test_quadrature_grid_evaluated_once(self, basis, kernel, monkeypatch):
+        shapes = []
+        evaluate = type(kernel).evaluate
+
+        def counted(self, x, xi, length=None):
+            out = evaluate(self, x, xi, length)
+            shapes.append(out.shape)
+            return out
+
+        monkeypatch.setattr(type(kernel), "evaluate", counted)
+        project_kernel(kernel, basis)
+        # the grid kernel's symmetry check adds one evaluation on its own lattice
+        lattice = (SYMMETRY_LATTICE, SYMMETRY_LATTICE)
+        assert len([s for s in shapes if s != lattice]) == 1
+        assert len(shapes) == (2 if isinstance(kernel, GridKernel) else 1)
 
 
 class TestOpenAxes:

@@ -1,6 +1,7 @@
 import mpmath as mp
 import numpy as np
 import pytest
+from numpy.polynomial.legendre import leggauss
 
 from nullheat import (ArgumentError, COUPLING_FIXED, COUPLING_RESOLVENT, Domain,
                       GaussianKernel, NumericError, ZeroKernel, assemble_generator, build_basis,
@@ -9,7 +10,7 @@ from nullheat import (ArgumentError, COUPLING_FIXED, COUPLING_RESOLVENT, Domain,
                       propagate, restricted_mass_matrix, spectral_obs_constant,
                       spectral_obs_constants, specobs_sweep_and_fit, truncation_for_horizon,
                       witness_identity_residual)
-from nullheat import _highprec, oracles
+from nullheat import _highprec, observability, oracles
 
 
 def kappa_scalar(T):
@@ -227,6 +228,13 @@ class TestGramian:
         rel = np.linalg.norm(G - G_quad) / np.linalg.norm(G)
         assert rel <= 1e-8
 
+    def test_time_quadrature_rule_is_numpys_leggauss_bitwise(self):
+        for n in (1, 2, 3, 5, 8, 16, 63, 64, 100, 257, 1000, 2000, 2500):
+            x, w = oracles._leggauss(n)
+            x_ref, w_ref = leggauss(n)
+            assert x.tobytes() == x_ref.tobytes(), n
+            assert w.tobytes() == w_ref.tobytes(), n
+
     def test_psd_and_symmetric(self, stable_pipeline):
         _, _, dec, m_omega = stable_pipeline
         G = observability_gramian(dec, m_omega, 0.4)
@@ -347,7 +355,7 @@ class TestCostSweep:
         with np.errstate(over="ignore"):
             sweep = cost_sweep(domain, GaussianKernel(20.0, 0.15),
                                [0.5, 0.25, 1000.0], coupling=COUPLING_FIXED,
-                               n_fixed=8, workers=1)
+                               n_fixed=8)
         good = [row for row in sweep.rows if row.report is not None]
         bad = [row for row in sweep.rows if row.error is not None]
         assert len(good) == 2 and len(bad) == 1
@@ -358,20 +366,69 @@ class TestCostSweep:
             cost_sweep(domain, ZeroKernel(), [0.5, -1.0], coupling=COUPLING_FIXED,
                        n_fixed=4)
 
-    def test_worker_pool_deterministic(self, domain, monkeypatch):
-        Ts = [0.4, 0.2, 0.1, 0.05]
-        serial = cost_sweep(domain, GaussianKernel(5.0, 0.2), Ts,
-                            coupling=COUPLING_FIXED, n_fixed=8, workers=1)
-        pooled = cost_sweep(domain, GaussianKernel(5.0, 0.2), Ts,
-                            coupling=COUPLING_FIXED, n_fixed=8, workers=4)
-        monkeypatch.setenv("NULLHEAT_WORKERS", "3")
-        env = cost_sweep(domain, GaussianKernel(5.0, 0.2), Ts,
-                         coupling=COUPLING_FIXED, n_fixed=8)
-        for other in (pooled, env):
-            assert [row.T for row in other.rows] == [row.T for row in serial.rows]
-            for a, b in zip(serial.rows, other.rows):
-                assert a.report.kappa == b.report.kappa
-            assert other.fit_free == serial.fit_free
+class TestSweepSharesModels:
+    """cost_sweep builds one model per distinct truncation."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        sizes = []
+
+        def counted(gen):
+            sizes.append(gen.lmat.shape[0])
+            return decompose(gen)
+
+        monkeypatch.setattr(observability, "decompose", counted)
+        return sizes
+
+    def test_fixed_sweep_builds_one_model(self, domain, built, monkeypatch):
+        projected = []
+
+        def counted_projection(spec, basis):
+            projected.append(basis.n_modes)
+            return project_kernel(spec, basis)
+
+        monkeypatch.setattr(observability, "project_kernel", counted_projection)
+        sweep = cost_sweep(domain, GaussianKernel(5.0, 0.2), [0.4, 0.2, 0.1],
+                           coupling=COUPLING_FIXED, n_fixed=8)
+        assert built == [8] and projected == [8]
+        assert all(row.report is not None for row in sweep.rows)
+
+    def test_resolvent_sweep_builds_one_model_per_truncation(self, domain, built):
+        cost_sweep(domain, ZeroKernel(), [0.4, 0.2, 0.1, 0.05, 0.025],
+                   coupling=COUPLING_RESOLVENT)
+        assert built == [8, 9, 10]
+
+    @pytest.mark.parametrize("kernel", [ZeroKernel(), GaussianKernel(5.0, 0.2),
+                                        GaussianKernel(20.0, 0.15)],
+                             ids=["zero", "stable", "unstable"])
+    def test_rows_equal_per_row_models_bitwise(self, domain, kernel):
+        Ts = [0.4, 0.2, 0.1, 0.05, 0.025, 0.01]
+        sweep = cost_sweep(domain, kernel, Ts, coupling=COUPLING_RESOLVENT)
+        assert [row.T for row in sweep.rows] == sorted(Ts, reverse=True)
+        for row in sweep.rows:
+            basis, dec = _dec(domain, kernel, row.n_used)
+            ref = observability_cost(
+                dec, restricted_mass_matrix(basis, domain.omega_lo, domain.omega_hi), row.T)
+            assert row.report.kappa == ref.kappa
+            assert row.report.gramian_min_eig == ref.gramian_min_eig
+            assert row.report.witness.tobytes() == ref.witness.tobytes()
+
+    def test_failed_model_marks_every_row_of_its_truncation(self, domain, monkeypatch):
+        def fail_at_nine(gen):
+            if gen.lmat.shape[0] == 9:
+                raise NumericError("forced failure at N = 9")
+            return decompose(gen)
+
+        monkeypatch.setattr(observability, "decompose", fail_at_nine)
+        sweep = cost_sweep(domain, ZeroKernel(), [0.4, 0.2, 0.1, 0.05, 0.025],
+                           coupling=COUPLING_RESOLVENT)
+        for row in sweep.rows:
+            if row.n_used == 9:
+                assert row.report is None
+                assert row.error == "NumericError: forced failure at N = 9"
+            else:
+                assert row.error is None and row.report.kappa > 0
+        assert [row.n_used for row in sweep.rows if row.error] == [9, 9]
 
 
 class TestProofChain:
