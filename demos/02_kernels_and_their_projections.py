@@ -9,8 +9,8 @@ import tempfile
 import numpy as np
 
 from nullheat import (Domain, GaussianKernel, SeparableKernel, ZeroKernel,
-                      build_basis, check_symmetry, load_kernel, project_kernel,
-                      write_grid_kernel)
+                      build_basis, check_symmetry, project_kernel,
+                      read_grid_kernel, write_grid_kernel)
 
 domain = Domain(1.0, 0.3, 0.8)
 basis = build_basis(domain, 16)
@@ -33,12 +33,8 @@ with tempfile.TemporaryDirectory() as tmp:
     path = os.path.join(tmp, "ridge.txt")
     write_grid_kernel(path, lambda x, xi: 2.0 * np.exp(-8.0 * (x - xi) ** 2),
                       n=48, length=1.0, comment="narrow symmetric ridge")
-    grid = load_kernel(path)
+    grid = read_grid_kernel(path)
     print(f"\ngrid kernel from file: {grid.n} x {grid.n} samples, "
           f"symmetry defect {check_symmetry(grid, basis):.1e}")
     kmat = project_kernel(grid, basis)
     print(f"projected: Frobenius {kmat.frobenius:.4f} <= ||k|| {kmat.hs_of_k:.4f}")
-
-# inline descriptions parse to the same objects the config file uses
-inline = load_kernel("gaussian amplitude=5 width=0.2")
-print("\ninline spec round-trip:", inline)

@@ -28,8 +28,7 @@ from .evolution import (Generator, SpectralDecomposition, assemble_generator,
                         propagate_backward, semigroup_norm)
 from .kernels import (GaussianKernel, GridKernel, KernelMatrix, KernelSpec,
                       SeparableKernel, ZeroKernel, check_symmetry, hs_norm,
-                      load_kernel, project_kernel, read_grid_kernel,
-                      write_grid_kernel)
+                      project_kernel, read_grid_kernel, write_grid_kernel)
 from .observability import (COUPLING_FIXED, COUPLING_RESOLVENT, CostReport,
                             CostSweep, ObsReport, SpecObsSweep, cost_sweep,
                             observability_cost, observability_gramian,
@@ -49,8 +48,8 @@ __all__ = [
     "StageLog", "ZeroKernel", "COUPLING_FIXED", "COUPLING_RESOLVENT",
     "assemble_generator", "build_basis", "check_symmetry", "control_cost",
     "cost_sweep", "decompose", "eval_mode", "format_config", "gauss_quadrature",
-    "hs_norm", "hum_control", "left_inverse_constant", "load_kernel",
-    "lr_staged_control", "observability_cost", "observability_gramian",
+    "hs_norm", "hum_control", "left_inverse_constant", "lr_staged_control",
+    "observability_cost", "observability_gramian",
     "parse_config", "proof_chain_report", "project_kernel", "propagate",
     "propagate_backward", "read_grid_kernel", "restricted_mass_matrix",
     "semigroup_norm", "simulate_controlled", "spectral_obs_constant",

@@ -27,9 +27,9 @@ def _key(key, kind, default=MISSING):
     return field(default=default, metadata={"key": key, "kind": kind})
 
 
-_VARIANTS = {"zero", "separable", "gaussian", "grid"}
 _COUPLINGS = {"fixed", "r-equals-1-over-T"}
 
+# the kernel variants and the kernel.* keys each one takes
 _VARIANT_KEYS = {
     "zero": set(),
     "gaussian": {"kernel.amplitude", "kernel.width"},
@@ -77,7 +77,6 @@ class ExperimentConfig:
     horizon: float = _key("time.horizon", _FLOAT, None)
     horizon_list: tuple = _key("time.horizon_list", _FLOAT_LIST, ())
     nt: int = _key("time.nt", _INT, 64)
-    nt_fine: int = _key("time.nt_fine", _INT, 0)
     symmetry_tol: float = _key("tolerances.symmetry", _FLOAT, 1e-10)
     gate: float = _key("tolerances.gate", _FLOAT, 1e-14)
     ridge: float = _key("tolerances.ridge", _FLOAT, 0.0)
@@ -109,6 +108,8 @@ class ExperimentConfig:
 
 
 _FIELDS = {f.metadata["key"]: f for f in fields(ExperimentConfig)}
+_KERNEL_PARAMS = {key: f.name for key, f in _FIELDS.items()
+                  if key in set().union(*_VARIANT_KEYS.values())}
 
 
 def _unset(f, val):
@@ -129,16 +130,12 @@ def _validate(cfg):
         cfg.domain()
     except ArgumentError as exc:
         raise ConfigError(f"parse_config: {exc}")
-    if cfg.kernel_variant not in _VARIANTS:
+    if cfg.kernel_variant not in _VARIANT_KEYS:
         raise ConfigError(
-            f"parse_config: kernel.variant must be one of {sorted(_VARIANTS)}, "
+            f"parse_config: kernel.variant must be one of {sorted(_VARIANT_KEYS)}, "
             f"got {cfg.kernel_variant!r}")
     needed = _VARIANT_KEYS[cfg.kernel_variant]
-    have = {
-        "kernel.amplitude": cfg.amplitude, "kernel.width": cfg.width,
-        "kernel.g_coeffs": cfg.g_coeffs, "kernel.h_coeffs": cfg.h_coeffs,
-        "kernel.file": cfg.kernel_file,
-    }
+    have = {key: getattr(cfg, name) for key, name in _KERNEL_PARAMS.items()}
     for key, val in have.items():
         if val is not None and key not in needed:
             raise ConfigError(

@@ -34,9 +34,7 @@ from .basis import build_basis, restricted_mass_matrix
 from .errors import ArgumentError, IllConditionedError, NumericError
 from .evolution import assemble_generator, decompose, propagate
 from .kernels import project_kernel
-from .observability import _gramian_eigencoords, _validate_mass
-
-_FALLBACK_RIDGE_SCALE = 1e-12
+from .observability import _FALLBACK_RIDGE_SCALE, _gramian_eigencoords, _validate_mass
 
 
 @dataclass(frozen=True, eq=False)

@@ -21,8 +21,6 @@ must pass check_symmetry and are rejected (not silently symmetrized) when
 they fail it at the caller's tolerance.
 """
 
-import os
-import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,22 +33,43 @@ DEFAULT_SYMMETRY_TOL = 1e-10
 
 
 class KernelSpec:
-    """Base class; concrete kernels implement evaluate(x, xi, length).
+    """Base class of the kernels; each variant supplies its own projection rules.
 
-    evaluate returns k on np.broadcast_shapes(x.shape, xi.shape).  Inputs are
-    taken as given, never broadcast against each other first, so a tensor
-    grid passes its open axes x[:, None], xi[None, :]: per-axis work then
-    costs O(n), and no intermediate is larger than the output.
+    evaluate(x, xi, length) returns k on np.broadcast_shapes(x.shape, xi.shape).
+    Inputs are taken as given, never broadcast against each other first, so a
+    tensor grid passes its open axes x[:, None], xi[None, :]: per-axis work
+    then costs O(n), and no intermediate is larger than the output.
+
+    project_kernel and hs_norm take the Galerkin matrix on n modes and ||k||
+    from closed_form(n), or, where that is None, from tensor quadrature on the
+    axis nodes and weights of axis_rule(basis).  symmetry_defect() and
+    check_basis(basis, symmetry_tol) default to a structurally symmetric
+    kernel that fits every basis.
     """
 
     def evaluate(self, x, xi, length):
         raise NotImplementedError
+
+    def closed_form(self, n):
+        return None
+
+    def axis_rule(self, basis):
+        raise ArgumentError(f"hs_norm: unsupported kernel {type(self).__name__}")
+
+    def symmetry_defect(self):
+        return 0.0
+
+    def check_basis(self, basis, symmetry_tol):
+        pass
 
 
 @dataclass(frozen=True)
 class ZeroKernel(KernelSpec):
     def evaluate(self, x, xi, length):
         return np.zeros(np.broadcast_shapes(np.shape(x), np.shape(xi)))
+
+    def closed_form(self, n):
+        return np.zeros((n, n)), 0.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -89,6 +108,18 @@ class SeparableKernel(KernelSpec):
         out *= 0.5
         return out
 
+    def closed_form(self, n):
+        # K = (g h^T + h g^T) / 2 on the first n coefficients; the norm takes
+        # all of them, ||k||^2 = (||g||^2 ||h||^2 + <g, h>^2) / 2
+        g, h = self.g_coeffs, self.h_coeffs
+        m = min(g.size, h.size)
+        gh = float(g[:m] @ h[:m])
+        hs = float(np.sqrt((g @ g) * (h @ h) / 2.0 + gh * gh / 2.0))
+        g_n, h_n = np.zeros(n), np.zeros(n)
+        g_n[: min(n, g.size)] = g[:n]
+        h_n[: min(n, h.size)] = h[:n]
+        return 0.5 * (np.outer(g_n, h_n) + np.outer(h_n, g_n)), hs
+
 
 @dataclass(frozen=True)
 class GaussianKernel(KernelSpec):
@@ -106,6 +137,11 @@ class GaussianKernel(KernelSpec):
         xi = np.asarray(xi, float)
         peak = self.amplitude / (self.width * np.sqrt(2.0 * np.pi))
         return peak * np.exp(-((x - xi) ** 2) / (2.0 * self.width ** 2))
+
+    def axis_rule(self, basis):
+        ell = basis.domain.length
+        panels = max(1, int(np.ceil(ell / min(self.width / 2.0, ell / basis.n_modes))))
+        return composite_gauss_nodes(0.0, ell, panels, basis.quadrature_order)
 
 
 @dataclass(frozen=True, eq=False)
@@ -158,6 +194,34 @@ class GridKernel(KernelSpec):
         cross += s[1:].take(k) * (gx * fy)
         diag += cross
         return diag
+
+    def axis_rule(self, basis):
+        # panels aligned to the interpolation kinks (the sample midpoints),
+        # subdivided so no panel exceeds a half-wavelength of the highest mode
+        ell, order = basis.domain.length, basis.quadrature_order
+        max_width = ell / basis.n_modes
+        edges = np.concatenate(([0.0], self.midpoints, [ell]))
+        rules = [composite_gauss_nodes(a, b, max(1, int(np.ceil((b - a) / max_width))), order)
+                 for a, b in zip(edges[:-1], edges[1:])]
+        return tuple(np.concatenate(parts) for parts in zip(*rules))
+
+    def symmetry_defect(self):
+        grid = np.linspace(0.0, self.length, SYMMETRY_LATTICE)
+        vals = self.evaluate(grid[:, None], grid[None, :], self.length)
+        return float(np.max(np.abs(vals - vals.T)))
+
+    def check_basis(self, basis, symmetry_tol):
+        if abs(self.length - basis.domain.length) > 1e-12 * max(1.0, basis.domain.length):
+            raise ArgumentError(
+                f"project_kernel: grid kernel declares length {self.length} but the basis domain "
+                f"has length {basis.domain.length}"
+            )
+        defect = self.symmetry_defect()
+        if defect > symmetry_tol:
+            raise ArgumentError(
+                f"project_kernel: grid kernel fails the symmetry check (defect {defect:.3e} > "
+                f"tol {symmetry_tol:.3e}); symmetrize the data or fix the file"
+            )
 
 
 @dataclass(frozen=True, eq=False)
@@ -254,83 +318,6 @@ def write_grid_kernel(path, kernel_fn, n, length, comment=None):
     return GridKernel(n=n, length=length, samples=samples)
 
 
-_INLINE_KV = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*)=(.*)$")
-
-
-def _parse_kv(tokens, op):
-    out = {}
-    for tok in tokens:
-        m = _INLINE_KV.match(tok)
-        if not m:
-            raise ArgumentError(f"{op}: expected key=value, got {tok!r}")
-        key, val = m.group(1), m.group(2)
-        if key in out:
-            raise ArgumentError(f"{op}: duplicate key {key!r}")
-        out[key] = val
-    return out
-
-
-def _parse_coeffs(text, op):
-    try:
-        return np.array([float(t) for t in text.split(",") if t != ""])
-    except ValueError:
-        raise ArgumentError(f"{op}: unparsable coefficient list {text!r}")
-
-
-def load_kernel(source):
-    """Build a KernelSpec from an inline description or a grid file path.
-
-    Inline forms: `zero`, `gaussian amplitude=<f> width=<f>`,
-    `separable g=<c,c,..> [h=<c,..>]`, `grid file=<path>`.
-    A bare string naming an existing file is read as a grid file.
-    """
-    if isinstance(source, KernelSpec):
-        return source
-    if isinstance(source, os.PathLike):
-        return read_grid_kernel(os.fspath(source))
-    if not isinstance(source, str):
-        raise ArgumentError(f"load_kernel: unsupported source {type(source).__name__}")
-    text = source.strip()
-    if not text:
-        raise ArgumentError("load_kernel: empty kernel description")
-    tokens = text.split()
-    variant = tokens[0].lower()
-    if variant == "zero":
-        if len(tokens) > 1:
-            raise ArgumentError("load_kernel: 'zero' takes no parameters")
-        return ZeroKernel()
-    if variant == "gaussian":
-        kv = _parse_kv(tokens[1:], "load_kernel[gaussian]")
-        missing = {"amplitude", "width"} - set(kv)
-        if missing:
-            raise ArgumentError(f"load_kernel[gaussian]: missing {sorted(missing)}")
-        extra = set(kv) - {"amplitude", "width"}
-        if extra:
-            raise ArgumentError(f"load_kernel[gaussian]: unknown keys {sorted(extra)}")
-        try:
-            return GaussianKernel(amplitude=float(kv["amplitude"]), width=float(kv["width"]))
-        except ValueError:
-            raise ArgumentError(f"load_kernel[gaussian]: unparsable parameters {kv}")
-    if variant == "separable":
-        kv = _parse_kv(tokens[1:], "load_kernel[separable]")
-        if "g" not in kv:
-            raise ArgumentError("load_kernel[separable]: missing g=")
-        extra = set(kv) - {"g", "h"}
-        if extra:
-            raise ArgumentError(f"load_kernel[separable]: unknown keys {sorted(extra)}")
-        g = _parse_coeffs(kv["g"], "load_kernel[separable]")
-        h = _parse_coeffs(kv["h"], "load_kernel[separable]") if "h" in kv else g.copy()
-        return SeparableKernel(g_coeffs=g, h_coeffs=h)
-    if variant == "grid":
-        kv = _parse_kv(tokens[1:], "load_kernel[grid]")
-        if set(kv) != {"file"}:
-            raise ArgumentError("load_kernel[grid]: expected exactly `grid file=<path>`")
-        return read_grid_kernel(kv["file"])
-    if os.path.exists(text):
-        return read_grid_kernel(text)
-    raise ArgumentError(f"load_kernel: unknown kernel description {source!r}")
-
-
 # ---------------------------------------------------------------------------
 # symmetry, projection, Hilbert-Schmidt norm
 
@@ -340,52 +327,25 @@ def check_symmetry(spec, basis, tol=0.0):
     Zero for the construction-symmetric variants.  The tolerance is the
     caller's acceptance threshold and does not change the returned defect.
     """
-    if isinstance(spec, (ZeroKernel, SeparableKernel, GaussianKernel)):
-        return 0.0
-    ell = spec.length if isinstance(spec, GridKernel) else basis.domain.length
-    grid = np.linspace(0.0, ell, SYMMETRY_LATTICE)
-    vals = spec.evaluate(grid[:, None], grid[None, :], ell)
-    return float(np.max(np.abs(vals - vals.T)))
-
-
-def _check_grid_against_basis(spec, basis, symmetry_tol, op):
-    if abs(spec.length - basis.domain.length) > 1e-12 * max(1.0, basis.domain.length):
-        raise ArgumentError(
-            f"{op}: grid kernel declares length {spec.length} but the basis domain "
-            f"has length {basis.domain.length}"
-        )
-    defect = check_symmetry(spec, basis)
-    if defect > symmetry_tol:
-        raise ArgumentError(
-            f"{op}: grid kernel fails the symmetry check (defect {defect:.3e} > "
-            f"tol {symmetry_tol:.3e}); symmetrize the data or fix the file"
-        )
+    return spec.symmetry_defect()
 
 
 def project_kernel(spec, basis, symmetry_tol=DEFAULT_SYMMETRY_TOL):
     """Project a kernel onto the sine basis, returning its KernelMatrix.
 
-    Separable kernels use the exact outer-product closed form; Gaussian and
-    grid kernels use tensor Gauss-Legendre quadrature with panels resolving
-    both the kernel scale and the highest-mode oscillation, on one kernel
+    Zero and separable kernels use their closed forms; Gaussian and grid
+    kernels use tensor Gauss-Legendre quadrature with panels resolving both
+    the kernel scale and the highest-mode oscillation, on one kernel
     evaluation that also gives hs_of_k.  The result is symmetrized by
     averaging with its transpose (exact for symmetric input).
     """
     n = basis.n_modes
-    if isinstance(spec, ZeroKernel):
-        return KernelMatrix(n_modes=n, matrix=np.zeros((n, n)), hs_of_k=0.0)
-    if isinstance(spec, SeparableKernel):
-        g = np.zeros(n)
-        h = np.zeros(n)
-        gc = spec.g_coeffs[:n]
-        hc = spec.h_coeffs[:n]
-        g[: gc.size] = gc
-        h[: hc.size] = hc
-        K = 0.5 * (np.outer(g, h) + np.outer(h, g))
-        return KernelMatrix(n_modes=n, matrix=(K + K.T) / 2, hs_of_k=hs_norm(spec, basis))
+    exact = spec.closed_form(n)
+    if exact is not None:
+        K, hs = exact
+        return KernelMatrix(n_modes=n, matrix=(K + K.T) / 2, hs_of_k=hs)
     x, w, vals, hs = _tensor_quadrature(spec, basis)
-    if isinstance(spec, GridKernel):
-        _check_grid_against_basis(spec, basis, symmetry_tol, "project_kernel")
+    spec.check_basis(basis, symmetry_tol)
     ell = basis.domain.length
     psi_w = np.sqrt(2.0 / ell) * np.sin(np.outer(np.arange(1, n + 1), x) * np.pi / ell) * w
     K = psi_w @ vals @ psi_w.T
@@ -398,23 +358,10 @@ def project_kernel(spec, basis, symmetry_tol=DEFAULT_SYMMETRY_TOL):
 
 
 def _tensor_quadrature(spec, basis):
-    """Axis nodes x and weights w of a Gaussian or grid kernel, its values on
-    the tensor grid x x x, and the L^2 norm those values give."""
-    ell, order = basis.domain.length, basis.quadrature_order
-    max_width = ell / basis.n_modes
-    if isinstance(spec, GaussianKernel):
-        panels = max(1, int(np.ceil(ell / min(spec.width / 2.0, max_width))))
-        x, w = composite_gauss_nodes(0.0, ell, panels, order)
-    elif isinstance(spec, GridKernel):
-        # panels aligned to the interpolation kinks (the sample midpoints),
-        # subdivided so no panel exceeds a half-wavelength of the highest mode
-        edges = np.concatenate(([0.0], spec.midpoints, [ell]))
-        rules = [composite_gauss_nodes(a, b, max(1, int(np.ceil((b - a) / max_width))), order)
-                 for a, b in zip(edges[:-1], edges[1:])]
-        x, w = (np.concatenate(parts) for parts in zip(*rules))
-    else:
-        raise ArgumentError(f"hs_norm: unsupported kernel {type(spec).__name__}")
-    vals = spec.evaluate(x[:, None], x[None, :], ell)
+    """Axis nodes x and weights w of the kernel's rule, its values on the
+    tensor grid x x x, and the L^2 norm those values give."""
+    x, w = spec.axis_rule(basis)
+    vals = spec.evaluate(x[:, None], x[None, :], basis.domain.length)
     sq = float(w @ (vals ** 2) @ w)
     if not np.isfinite(sq):
         raise NumericError("hs_norm: quadrature produced a non-finite value")
@@ -422,21 +369,7 @@ def _tensor_quadrature(spec, basis):
 
 
 def hs_norm(spec, basis):
-    """L^2(Omega x Omega) norm of the kernel.
-
-    Closed form for Zero and Separable; tensor quadrature otherwise.  For a
-    symmetrized separable kernel the closed form is
-
-        ||k||^2 = (||g||^2 ||h||^2 + <g, h>^2) / 2
-
-    in terms of the coefficient vectors.
-    """
-    if isinstance(spec, ZeroKernel):
-        return 0.0
-    if isinstance(spec, SeparableKernel):
-        g = spec.g_coeffs
-        h = spec.h_coeffs
-        m = min(g.size, h.size)
-        gh = float(g[:m] @ h[:m])
-        return float(np.sqrt((g @ g) * (h @ h) / 2.0 + gh * gh / 2.0))
-    return _tensor_quadrature(spec, basis)[3]
+    """L^2(Omega x Omega) norm of the kernel: its closed form where it has
+    one (zero, separable), tensor quadrature otherwise."""
+    exact = spec.closed_form(basis.n_modes)
+    return exact[1] if exact is not None else _tensor_quadrature(spec, basis)[3]

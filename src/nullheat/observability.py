@@ -252,7 +252,12 @@ def observability_cost(dec, m_omega, T):
     """
     if T <= 0:
         raise ArgumentError("observability_cost: T must be positive")
-    m_omega = _validate_mass(m_omega, dec.n_modes, "observability_cost")
+    return _cost(dec, _validate_mass(m_omega, dec.n_modes, "observability_cost"), T)
+
+
+def _cost(dec, m_omega, T):
+    # observability_cost on a mass matrix that _validate_mass has accepted;
+    # the ridge warning names the line that called observability_cost
     G = _gramian_eigencoords(dec, m_omega, T)
     gram_min = float(np.linalg.eigvalsh(G)[0])
     A = np.diag(np.exp(2.0 * dec.mus * T))
@@ -263,7 +268,7 @@ def observability_cost(dec, m_omega, T):
         warnings.warn(
             f"observability_cost: Gramian not factorizable at T={T:g}; "
             f"retrying with ridge {ridge:.3e}",
-            RuntimeWarning, stacklevel=2)
+            RuntimeWarning, stacklevel=3)
         try:
             theta, vecs = sla.eigh(A, G + ridge * np.eye(dec.n_modes))
         except (sla.LinAlgError, np.linalg.LinAlgError) as exc:
@@ -369,7 +374,8 @@ def cost_sweep(domain, kernel, T_list, coupling=COUPLING_FIXED, n_fixed=None,
         try:
             basis = build_basis(domain, n, quadrature_order)
             dec = decompose(assemble_generator(basis, project_kernel(kernel, basis)))
-            models[n] = (dec, restricted_mass_matrix(basis, domain.omega_lo, domain.omega_hi))
+            m_omega = restricted_mass_matrix(basis, domain.omega_lo, domain.omega_hi)
+            models[n] = (dec, _validate_mass(m_omega, n, "observability_cost"))
         except Exception as exc:  # recorded on every row of this truncation
             models[n] = f"{type(exc).__name__}: {exc}"
 
@@ -380,7 +386,7 @@ def cost_sweep(domain, kernel, T_list, coupling=COUPLING_FIXED, n_fixed=None,
             rows.append(SweepRow(T=T, n_used=n, error=models[n]))
             continue
         try:
-            rows.append(SweepRow(T=T, n_used=n, report=observability_cost(*models[n], T)))
+            rows.append(SweepRow(T=T, n_used=n, report=_cost(*models[n], T)))
         except Exception as exc:  # recorded per row, never fatal to the sweep
             rows.append(SweepRow(T=T, n_used=n, error=f"{type(exc).__name__}: {exc}"))
 

@@ -1,6 +1,14 @@
-import pytest
+import os
+import string
+import tempfile
 
-from nullheat import ConfigError, format_config, parse_config, write_grid_kernel
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings, strategies as st
+
+from nullheat import (ConfigError, ExperimentConfig, GaussianKernel, GridKernel,
+                      SeparableKernel, ZeroKernel, format_config, parse_config,
+                      write_grid_kernel)
 from nullheat import cli
 
 MINIMAL = """\
@@ -103,6 +111,52 @@ class TestParseConfig:
         text = "# leading comment\n\n" + MINIMAL + "\n# trailing\n"
         cfg = parse_config(write(tmp_path, text))
         assert cfg.n_modes == 4
+
+    def test_nt_fine_is_not_a_key(self, tmp_path):
+        path = write(tmp_path, MINIMAL + "time.nt_fine = 0\n")
+        with pytest.raises(ConfigError) as err:
+            parse_config(path)
+        assert "unknown key 'time.nt_fine'" in str(err.value)
+        assert err.value.line == 7
+
+
+class TestKernelConstructor:
+    """ExperimentConfig.kernel() is the one way a config becomes a kernel."""
+
+    @pytest.mark.parametrize("lines, cls, params", [
+        ("kernel.variant = zero\n", ZeroKernel, {}),
+        ("kernel.variant = gaussian\nkernel.amplitude = 5\nkernel.width = 0.2\n",
+         GaussianKernel, {"amplitude": 5.0, "width": 0.2}),
+        ("kernel.variant = separable\nkernel.g_coeffs = 1,0,2\nkernel.h_coeffs = 0,1\n",
+         SeparableKernel, {"g_coeffs": [1.0, 0.0, 2.0], "h_coeffs": [0.0, 1.0]}),
+        ("kernel.variant = separable\nkernel.g_coeffs = 1,2\n",
+         SeparableKernel, {"g_coeffs": [1.0, 2.0], "h_coeffs": [1.0, 2.0]}),
+        ("kernel.variant = grid\nkernel.file = {grid}\n", GridKernel, {"n": 8, "length": 1.0}),
+    ], ids=["zero", "gaussian", "separable", "separable-h-defaults-to-g", "grid"])
+    def test_variant(self, tmp_path, lines, cls, params):
+        grid = tmp_path / "grid.txt"
+        write_grid_kernel(grid, lambda x, xi: x + xi, n=8, length=1.0)
+        text = MINIMAL.replace("kernel.variant = zero\n", lines.format(grid=grid))
+        kernel = parse_config(write(tmp_path, text)).kernel()
+        assert type(kernel) is cls
+        for name, val in params.items():
+            assert np.array_equal(getattr(kernel, name), val), name
+
+    @pytest.mark.parametrize("lines", [
+        "kernel.variant = \n",
+        "kernel.variant = zero\nkernel.amplitude = 1\n",
+        "kernel.variant = gaussian\nkernel.amplitude = 5\n",
+        "kernel.variant = gaussian\nkernel.width = x\nkernel.amplitude = 1\n",
+        "kernel.variant = gaussian\nkernel.amplitude = 1\nkernel.width = 0.1\nkernel.shape = 2\n",
+        "kernel.variant = separable\nkernel.h_coeffs = 1\n",
+        "kernel.variant = grid\n",
+        "kernel.variant = wavelet\n",
+    ], ids=["empty", "zero-extra-key", "gaussian-missing-width", "gaussian-bad-width",
+            "gaussian-unknown-key", "separable-missing-g", "grid-missing-file",
+            "unknown-variant"])
+    def test_malformed(self, tmp_path, lines):
+        with pytest.raises(ConfigError):
+            parse_config(write(tmp_path, MINIMAL.replace("kernel.variant = zero\n", lines)))
 
 
 class TestRunCommand:
@@ -216,3 +270,46 @@ class TestDeterminism:
             assert rc == 0
             outs.append((out / "cost.csv").read_bytes())
         assert outs[0] == outs[1]
+
+
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+_lists = st.lists(_finite, max_size=4).map(tuple)
+_words = st.text(string.ascii_letters + string.digits + "._/-", min_size=1, max_size=12)
+_ints = st.integers(-10 ** 6, 10 ** 6)
+_KERNEL_CASES = {
+    "zero": {},
+    "gaussian": {"amplitude": _finite, "width": _finite},
+    "separable": {"g_coeffs": _lists, "h_coeffs": _lists},
+    "separable-h-defaults-to-g": {"g_coeffs": _lists},
+    "grid": {"kernel_file": _words},
+}
+
+
+@st.composite
+def _configs(draw, case):
+    length = draw(st.floats(1e-3, 1e3))
+    lo, hi = sorted(draw(st.lists(st.floats(0.0, 1.0), min_size=2, max_size=2)))
+    assume(lo * length < hi * length)
+    return ExperimentConfig(
+        length=length, omega_lo=lo * length, omega_hi=hi * length,
+        kernel_variant=case.split("-")[0],
+        **{name: draw(strategy) for name, strategy in _KERNEL_CASES[case].items()},
+        n_modes=draw(st.integers(1, 10 ** 6)),
+        coupling=draw(st.sampled_from(["fixed", "r-equals-1-over-T"])),
+        margin=draw(_ints), horizon=draw(st.none() | _finite), horizon_list=draw(_lists),
+        nt=draw(_ints), symmetry_tol=draw(_finite), gate=draw(_finite), ridge=draw(_finite),
+        u0=draw(_lists), stages=draw(_ints), r0=draw(_finite), r_list=draw(_lists),
+        seed=draw(_ints), output_dir=draw(_words))
+
+
+class TestConfigRoundTrip:
+    @pytest.mark.parametrize("case", sorted(_KERNEL_CASES))
+    @settings(derandomize=True, max_examples=20, deadline=None)
+    @given(data=st.data())
+    def test_format_parse_format_byte_identical(self, case, data):
+        text = format_config(data.draw(_configs(case)))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "exp.cfg")
+            with open(path, "w", encoding="ascii") as fh:
+                fh.write(text)
+            assert format_config(parse_config(path)) == text

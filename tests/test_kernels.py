@@ -1,11 +1,14 @@
+import os
+import tempfile
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nullheat import (ArgumentError, GaussianKernel, GridKernel,
-                      KernelFormatError, SeparableKernel, ZeroKernel,
-                      build_basis, check_symmetry, hs_norm, load_kernel,
+                      KernelFormatError, KernelSpec, SeparableKernel,
+                      ZeroKernel, build_basis, check_symmetry, hs_norm,
                       project_kernel, read_grid_kernel, write_grid_kernel)
 from nullheat import oracles
 from nullheat.bundled import bundled_kernels, grid_demo_kernel
@@ -15,43 +18,6 @@ from nullheat.kernels import SYMMETRY_LATTICE
 @pytest.fixture
 def basis(domain):
     return build_basis(domain, 16)
-
-
-class TestLoadKernel:
-    def test_zero(self):
-        assert isinstance(load_kernel("zero"), ZeroKernel)
-
-    def test_gaussian_roundtrip(self):
-        k = load_kernel("gaussian amplitude=5 width=0.2")
-        assert isinstance(k, GaussianKernel)
-        assert k.amplitude == 5.0
-        assert k.width == 0.2
-
-    def test_separable(self):
-        k = load_kernel("separable g=1,0,2 h=0,1")
-        assert isinstance(k, SeparableKernel)
-        assert np.array_equal(k.g_coeffs, [1.0, 0.0, 2.0])
-        assert np.array_equal(k.h_coeffs, [0.0, 1.0])
-
-    def test_separable_h_defaults_to_g(self):
-        k = load_kernel("separable g=1,2")
-        assert np.array_equal(k.g_coeffs, k.h_coeffs)
-
-    def test_grid_file(self, tmp_path):
-        path = tmp_path / "k.txt"
-        write_grid_kernel(path, lambda x, xi: x + xi, n=8, length=1.0)
-        k = load_kernel(str(path))
-        assert isinstance(k, GridKernel)
-        assert k.n == 8
-
-    @pytest.mark.parametrize("text", [
-        "", "zero extra=1", "gaussian amplitude=5", "gaussian width=x amplitude=1",
-        "gaussian amplitude=1 width=0.1 shape=2", "separable h=1",
-        "grid", "wavelet scale=2",
-    ])
-    def test_malformed(self, text):
-        with pytest.raises((ArgumentError, KernelFormatError)):
-            load_kernel(text)
 
 
 class TestGridFile:
@@ -99,6 +65,20 @@ class TestGridFile:
         path.write_text("1 1.0\n1.0\n")
         with pytest.raises(KernelFormatError):
             read_grid_kernel(path)
+
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(data=st.data(), n=st.integers(2, 6),
+           length=st.floats(1e-3, 1e3, allow_nan=False, allow_infinity=False))
+    def test_write_read_roundtrip_bitwise(self, data, n, length):
+        samples = np.array(data.draw(st.lists(
+            st.floats(allow_nan=False, allow_infinity=False), min_size=n * n,
+            max_size=n * n))).reshape(n, n)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "k.txt")
+            write_grid_kernel(path, lambda x, xi: samples, n=n, length=length)
+            k = read_grid_kernel(path)
+        assert k.n == n and k.length == length
+        assert k.samples.tobytes() == samples.tobytes()
 
 
 class TestCheckSymmetry:
@@ -171,6 +151,24 @@ class TestProjectKernel:
         k = write_grid_kernel(path, lambda x, xi: x + xi, n=8, length=2.0)
         with pytest.raises(ArgumentError, match="length"):
             project_kernel(k, basis)
+
+    def test_grid_length_checked_before_symmetry(self, tmp_path, basis):
+        path = tmp_path / "long_anti.txt"
+        k = write_grid_kernel(path, lambda x, xi: x - 2 * xi, n=8, length=2.0)
+        with pytest.raises(ArgumentError) as err:
+            project_kernel(k, basis)
+        assert str(err.value) == ("project_kernel: grid kernel declares length 2.0 "
+                                  "but the basis domain has length 1.0")
+
+    def test_evaluate_only_subclass_refused(self, basis):
+        class Bare(KernelSpec):
+            def evaluate(self, x, xi, length):
+                return np.zeros(np.broadcast_shapes(np.shape(x), np.shape(xi)))
+
+        for fn in (project_kernel, hs_norm):
+            with pytest.raises(ArgumentError) as err:
+                fn(Bare(), basis)
+            assert str(err.value) == "hs_norm: unsupported kernel Bare"
 
 
 class TestOneKernelEvaluation:

@@ -11,6 +11,7 @@ from nullheat import (ArgumentError, COUPLING_FIXED, COUPLING_RESOLVENT, Domain,
                       spectral_obs_constants, specobs_sweep_and_fit, truncation_for_horizon,
                       witness_identity_residual)
 from nullheat import _highprec, observability, oracles
+from nullheat.observability import _validate_mass
 
 
 def kappa_scalar(T):
@@ -391,6 +392,19 @@ class TestSweepSharesModels:
         sweep = cost_sweep(domain, GaussianKernel(5.0, 0.2), [0.4, 0.2, 0.1],
                            coupling=COUPLING_FIXED, n_fixed=8)
         assert built == [8] and projected == [8]
+        assert all(row.report is not None for row in sweep.rows)
+
+    def test_fixed_sweep_validates_its_mass_matrix_once(self, domain, monkeypatch):
+        validated = []
+
+        def counted(m_omega, n, op):
+            validated.append((n, op))
+            return _validate_mass(m_omega, n, op)
+
+        monkeypatch.setattr(observability, "_validate_mass", counted)
+        sweep = cost_sweep(domain, GaussianKernel(5.0, 0.2), [0.4, 0.2, 0.1],
+                           coupling=COUPLING_FIXED, n_fixed=8)
+        assert validated == [(8, "observability_cost")]
         assert all(row.report is not None for row in sweep.rows)
 
     def test_resolvent_sweep_builds_one_model_per_truncation(self, domain, built):
