@@ -9,8 +9,8 @@ import tempfile
 import numpy as np
 
 from nullheat import (Domain, GaussianKernel, SeparableKernel, ZeroKernel,
-                      build_basis, check_symmetry, project_kernel,
-                      read_grid_kernel, write_grid_kernel)
+                      build_basis, project_kernel, read_grid_kernel,
+                      write_grid_kernel)
 
 domain = Domain(1.0, 0.3, 0.8)
 basis = build_basis(domain, 16)
@@ -35,6 +35,6 @@ with tempfile.TemporaryDirectory() as tmp:
                       n=48, length=1.0, comment="narrow symmetric ridge")
     grid = read_grid_kernel(path)
     print(f"\ngrid kernel from file: {grid.n} x {grid.n} samples, "
-          f"symmetry defect {check_symmetry(grid, basis):.1e}")
+          f"symmetry defect {grid.symmetry_defect():.1e}")
     kmat = project_kernel(grid, basis)
     print(f"projected: Frobenius {kmat.frobenius:.4f} <= ||k|| {kmat.hs_of_k:.4f}")

@@ -27,8 +27,8 @@ from .evolution import (Generator, SpectralDecomposition, assemble_generator,
                         decompose, left_inverse_constant, propagate,
                         propagate_backward, semigroup_norm)
 from .kernels import (GaussianKernel, GridKernel, KernelMatrix, KernelSpec,
-                      SeparableKernel, ZeroKernel, check_symmetry, hs_norm,
-                      project_kernel, read_grid_kernel, write_grid_kernel)
+                      SeparableKernel, ZeroKernel, hs_norm, project_kernel,
+                      read_grid_kernel, write_grid_kernel)
 from .observability import (COUPLING_FIXED, COUPLING_RESOLVENT, CostReport,
                             CostSweep, ObsReport, SpecObsSweep, cost_sweep,
                             observability_cost, observability_gramian,
@@ -46,7 +46,7 @@ __all__ = [
     "NumericError", "ObsReport", "OverflowRefusalError", "SeparableKernel",
     "SimulationResult", "SpecObsSweep", "SpectralBasis", "SpectralDecomposition",
     "StageLog", "ZeroKernel", "COUPLING_FIXED", "COUPLING_RESOLVENT",
-    "assemble_generator", "build_basis", "check_symmetry", "control_cost",
+    "assemble_generator", "build_basis", "control_cost",
     "cost_sweep", "decompose", "eval_mode", "format_config", "gauss_quadrature",
     "hs_norm", "hum_control", "left_inverse_constant", "lr_staged_control",
     "observability_cost", "observability_gramian",

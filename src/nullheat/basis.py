@@ -172,11 +172,10 @@ def gauss_quadrature(f, lo, hi, panels, order):
         raise ArgumentError(f"gauss_quadrature: need lo < hi, got ({lo}, {hi})")
     if panels < 1:
         raise ArgumentError(f"gauss_quadrature: panels must be >= 1, got {panels}")
-    nodes, weights = _GL_NODES[order]
+    weights = _GL_NODES[order][1]
     edges = np.linspace(lo, hi, panels + 1)
     total = 0.0
-    for a, b in zip(edges[:-1], edges[1:]):
-        x = 0.5 * (b - a) * nodes + 0.5 * (a + b)
+    for a, b, x in zip(edges[:-1], edges[1:], gauss_rule(edges, order)[0].reshape(panels, order)):
         total += 0.5 * (b - a) * float(np.sum(weights * np.asarray(f(x), dtype=float)))
     return total
 
@@ -187,11 +186,13 @@ def composite_gauss_nodes(lo, hi, panels, order):
         raise ArgumentError(
             f"composite_gauss_nodes: order {order} not in {SUPPORTED_QUADRATURE_ORDERS}"
         )
+    return gauss_rule(np.linspace(lo, hi, panels + 1), order)
+
+
+def gauss_rule(edges, order):
+    """Nodes and weights of the order-point Gauss-Legendre rule on each panel
+    [edges[i], edges[i + 1]], concatenated across panels."""
     nodes, weights = _GL_NODES[order]
-    edges = np.linspace(lo, hi, panels + 1)
-    xs = []
-    ws = []
-    for a, b in zip(edges[:-1], edges[1:]):
-        xs.append(0.5 * (b - a) * nodes + 0.5 * (a + b))
-        ws.append(0.5 * (b - a) * weights)
-    return np.concatenate(xs), np.concatenate(ws)
+    edges = np.asarray(edges, dtype=float)
+    a, b = edges[:-1, None], edges[1:, None]
+    return (0.5 * (b - a) * nodes + 0.5 * (a + b)).ravel(), (0.5 * (b - a) * weights).ravel()

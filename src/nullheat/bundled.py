@@ -16,14 +16,6 @@ def grid_demo_kernel():
         return read_grid_kernel(path)
 
 
-def grid_demo_function(x, xi):
-    """The smooth symmetric function the bundled grid file samples."""
-    x = np.asarray(x, float)
-    xi = np.asarray(xi, float)
-    return (2.5 * np.exp(-((x - xi) ** 2) / (2 * 0.18 ** 2))
-            + 1.2 * np.sin(np.pi * x) * np.sin(np.pi * xi))
-
-
 def bundled_kernels():
     """The five reference kernels every certificate runs over."""
     return [

@@ -10,7 +10,8 @@ quadrature, random-vector inequalities) and pin every tolerance explicitly.
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .basis import Domain, build_basis, eval_mode, gauss_quadrature, restricted_mass_matrix
+from .basis import (Domain, build_basis, eval_mode, gauss_quadrature, gauss_rule,
+                    restricted_mass_matrix)
 from .bundled import bundled_kernels
 from .control import control_cost, hum_control, lr_staged_control, simulate_controlled
 from .errors import OverflowRefusalError
@@ -59,11 +60,10 @@ def _gram_by_quadrature(basis, lo, hi, panels):
     """int_lo^hi psi_i psi_j dx for all mode pairs by composite 8-point Gauss-
     Legendre, in gauss_quadrature's panel order and eval_mode's arithmetic."""
     ell, modes = basis.domain.length, np.arange(1, basis.n_modes + 1)[:, None]
-    nodes, weights = leggauss(8)
+    weights = leggauss(8)[1]
     edges = np.linspace(lo, hi, panels + 1)
     Q = np.zeros((basis.n_modes, basis.n_modes))
-    for a, b in zip(edges[:-1], edges[1:]):
-        x = 0.5 * (b - a) * nodes + 0.5 * (a + b)
+    for a, b, x in zip(edges[:-1], edges[1:], gauss_rule(edges, 8)[0].reshape(panels, 8)):
         psi = np.sqrt(2.0 / ell) * np.sin(modes * np.pi * x / ell)
         Q += 0.5 * (b - a) * np.sum(weights * (psi[:, None] * psi[None, :]), axis=-1)
     return Q
@@ -229,7 +229,7 @@ def check_left_inverse(rng):
                 zeta = left_inverse_constant(dec, m_omega, t)
                 ok = ok and zeta > 0.0
                 V = rng.standard_normal((100, n))
-                et = dec.modes @ (np.exp(dec.mus * t)[:, None] * dec.modes.T)
+                et = dec.semigroup(t)
                 EV = V @ et.T
                 lhs = zeta * np.sqrt(np.einsum("ij,jk,ik->i", V, m_omega, V))
                 rhs = np.sqrt(np.einsum("ij,jk,ik->i", EV, m_omega, EV))
@@ -351,7 +351,7 @@ def check_cost_inequality_witness(rng):
     rep = observability_cost(dec, m_omega, T)
     G = observability_gramian(dec, m_omega, T)
     V = rng.standard_normal((100, 16))
-    elt = dec.modes @ (np.exp(dec.mus * T)[:, None] * dec.modes.T)
+    elt = dec.semigroup(T)
     lhs = np.sum((V @ elt.T) ** 2, axis=1)
     rhs = rep.kappa * np.einsum("ij,jk,ik->i", V, G, V) * (1 + 1e-8)
     ok = bool(np.all(lhs <= rhs))

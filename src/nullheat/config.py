@@ -100,7 +100,7 @@ class ExperimentConfig:
             h = np.array(self.h_coeffs) if self.h_coeffs else g.copy()
             return SeparableKernel(g_coeffs=g, h_coeffs=h)
         spec = read_grid_kernel(self.kernel_file)
-        if abs(spec.length - self.length) > 1e-12 * max(1.0, self.length):
+        if not spec.fits_length(self.length):
             raise ConfigError(
                 f"parse_config: grid file {self.kernel_file} declares length "
                 f"{spec.length} but domain.length is {self.length}")
@@ -146,6 +146,11 @@ def _validate(cfg):
     if missing:
         raise ConfigError(f"parse_config: missing required key {', '.join(missing)} "
                           f"for kernel.variant={cfg.kernel_variant}")
+    if cfg.kernel_variant != "grid":  # a grid file is read when its kernel is built
+        try:
+            cfg.kernel()
+        except ArgumentError as exc:
+            raise ConfigError(f"parse_config: {exc}")
     if cfg.coupling not in _COUPLINGS:
         raise ConfigError(
             f"parse_config: truncation.coupling must be one of {sorted(_COUPLINGS)}, "

@@ -30,11 +30,12 @@ import numpy as np
 import scipy.linalg as sla
 from numpy.polynomial.legendre import leggauss
 
-from .basis import build_basis, restricted_mass_matrix
+from .basis import build_basis, gauss_rule, restricted_mass_matrix
 from .errors import ArgumentError, IllConditionedError, NumericError
 from .evolution import assemble_generator, decompose, propagate
 from .kernels import project_kernel
-from .observability import _FALLBACK_RIDGE_SCALE, _gramian_eigencoords, _validate_mass
+from .observability import (_FALLBACK_RIDGE_SCALE, _count_modes, _gramian_eigencoords,
+                            _validate_mass)
 
 
 @dataclass(frozen=True, eq=False)
@@ -213,7 +214,7 @@ def lr_staged_control(domain, kernel, u0, T, stages, r0, n_modes=None,
         raise ArgumentError("lr_staged_control: T must be positive")
     u0 = np.atleast_1d(np.asarray(u0, dtype=float))
     lam1 = (np.pi / domain.length) ** 2
-    if r0 < lam1 * (1 - 1e-12):
+    if r0 < lam1:
         raise ArgumentError(
             f"lr_staged_control: r0 = {r0:g} is below the first eigenvalue {lam1:g}")
     r_last = r0 * 4.0 ** (stages - 1)
@@ -241,7 +242,7 @@ def lr_staged_control(domain, kernel, u0, T, stages, r0, n_modes=None,
     u = state.copy()
     for k in range(stages):
         r_k = r0 * 4.0 ** k
-        n_low = int(np.searchsorted(basis.lambdas, r_k * (1 + 1e-12), side="right"))
+        n_low = min(n, _count_modes(domain, r_k))
         slot = T * 2.0 ** (-(k + 1))
         tau = slot / 2.0
         t_mid = t_cursor + tau
@@ -295,19 +296,11 @@ def _graded_time_nodes(T, rate, order=16):
     panel ladder starts at ~1/(4 rate) and doubles; each panel then sees at
     most a couple of e-folds and order-16 nodes integrate it to roundoff.
     """
-    nodes, weights = leggauss(order)
     first = min(T, 0.25 / max(rate, 1.0 / T))
     edges = [0.0, first]
     while edges[-1] < T:
         edges.append(min(T, edges[-1] * 2.0))
-    xs = []
-    ws = []
-    for a, b in zip(edges[:-1], edges[1:]):
-        if b <= a:
-            continue
-        xs.append(0.5 * (b - a) * nodes + 0.5 * (a + b))
-        ws.append(0.5 * (b - a) * weights)
-    return np.concatenate(xs), np.concatenate(ws)
+    return gauss_rule(edges, order)
 
 
 def control_cost(result, m_omega, dec):

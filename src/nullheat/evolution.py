@@ -50,6 +50,10 @@ class SpectralDecomposition:
     def n_modes(self):
         return self.mus.size
 
+    def semigroup(self, t):
+        """The dense matrix e^{Lt} = Q diag(e^{mu t}) Q^T."""
+        return self.modes @ (np.exp(self.mus * t)[:, None] * self.modes.T)
+
 
 def assemble_generator(basis, kmat):
     """L = -diag(lambda) + K, exactly symmetric."""
@@ -156,7 +160,7 @@ def left_inverse_constant(dec, m_omega, t, gate=CONDITIONING_GATE,
     zeta = None
     witness = None
     if method in ("auto", "float"):
-        et = dec.modes @ (np.exp(dec.mus * t)[:, None] * dec.modes.T)
+        et = dec.semigroup(t)
         a = et @ m_omega @ et
         a = (a + a.T) / 2
         try:

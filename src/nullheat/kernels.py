@@ -16,19 +16,19 @@ A kernel enters the dynamics through the integral operator
                          bilinearly interpolated and extended by nearest value
                          in the half-cell margins.
 
-Symmetry k(x, xi) = k(xi, x) is structural for the first three; grid kernels
-must pass check_symmetry and are rejected (not silently symmetrized) when
-they fail it at the caller's tolerance.
+Symmetry k(x, xi) = k(xi, x) is structural for the first three; a grid
+kernel whose symmetry_defect() exceeds the caller's tolerance is rejected
+by project_kernel, not silently symmetrized.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .basis import composite_gauss_nodes
+from .basis import composite_gauss_nodes, gauss_rule
 from .errors import ArgumentError, KernelFormatError, NumericError
 
-SYMMETRY_LATTICE = 33  # fixed evaluation lattice for check_symmetry
+SYMMETRY_LATTICE = 33  # fixed evaluation lattice of GridKernel.symmetry_defect
 DEFAULT_SYMMETRY_TOL = 1e-10
 
 
@@ -198,20 +198,25 @@ class GridKernel(KernelSpec):
     def axis_rule(self, basis):
         # panels aligned to the interpolation kinks (the sample midpoints),
         # subdivided so no panel exceeds a half-wavelength of the highest mode
-        ell, order = basis.domain.length, basis.quadrature_order
+        ell = basis.domain.length
         max_width = ell / basis.n_modes
-        edges = np.concatenate(([0.0], self.midpoints, [ell]))
-        rules = [composite_gauss_nodes(a, b, max(1, int(np.ceil((b - a) / max_width))), order)
-                 for a, b in zip(edges[:-1], edges[1:])]
-        return tuple(np.concatenate(parts) for parts in zip(*rules))
+        kinks = np.concatenate(([0.0], self.midpoints, [ell]))
+        edges = [np.linspace(a, b, max(1, int(np.ceil((b - a) / max_width))) + 1)[:-1]
+                 for a, b in zip(kinks[:-1], kinks[1:])]
+        return gauss_rule(np.append(np.concatenate(edges), ell), basis.quadrature_order)
 
     def symmetry_defect(self):
+        """Sup of |k(x, xi) - k(xi, x)| over a fixed 33 x 33 lattice."""
         grid = np.linspace(0.0, self.length, SYMMETRY_LATTICE)
         vals = self.evaluate(grid[:, None], grid[None, :], self.length)
         return float(np.max(np.abs(vals - vals.T)))
 
+    def fits_length(self, length):
+        """True when the declared grid length matches length to 1e-12 relative."""
+        return abs(self.length - length) <= 1e-12 * max(1.0, length)
+
     def check_basis(self, basis, symmetry_tol):
-        if abs(self.length - basis.domain.length) > 1e-12 * max(1.0, basis.domain.length):
+        if not self.fits_length(basis.domain.length):
             raise ArgumentError(
                 f"project_kernel: grid kernel declares length {self.length} but the basis domain "
                 f"has length {basis.domain.length}"
@@ -319,16 +324,7 @@ def write_grid_kernel(path, kernel_fn, n, length, comment=None):
 
 
 # ---------------------------------------------------------------------------
-# symmetry, projection, Hilbert-Schmidt norm
-
-def check_symmetry(spec, basis, tol=0.0):
-    """Sup over a fixed 33 x 33 lattice of |k(x, xi) - k(xi, x)|.
-
-    Zero for the construction-symmetric variants.  The tolerance is the
-    caller's acceptance threshold and does not change the returned defect.
-    """
-    return spec.symmetry_defect()
-
+# projection, Hilbert-Schmidt norm
 
 def project_kernel(spec, basis, symmetry_tol=DEFAULT_SYMMETRY_TOL):
     """Project a kernel onto the sine basis, returning its KernelMatrix.

@@ -314,12 +314,9 @@ class CostSweep:
 
 
 def _power_fit(Ts, ys, alpha):
-    x = Ts ** (-alpha)
-    X = np.vstack([np.ones_like(x), x]).T
-    coef, _, _, _ = np.linalg.lstsq(X, ys, rcond=None)
-    resid = float(np.linalg.norm(ys - X @ coef))
-    return PowerFit(alpha=float(alpha), intercept=float(coef[0]),
-                    coeff=float(coef[1]), residual=resid)
+    fit = _line_fit(Ts ** (-alpha), ys)
+    return PowerFit(alpha=float(alpha), intercept=fit.intercept,
+                    coeff=fit.slope, residual=fit.residual)
 
 
 def _free_power_fit(Ts, ys):
@@ -431,13 +428,13 @@ def proof_chain_report(basis, dec, m_omega, r, T, n_t=20):
     obs = spectral_obs_constant(basis, basis.domain.omega, r)
     n_r = obs.n_modes
     log_prefix = 2.0 * dec.mus[0] * T + np.log(obs.specobs_constant)
-    e2 = dec.modes @ (np.exp(2.0 * dec.mus * T)[:, None] * dec.modes.T)
+    e2 = dec.semigroup(2.0 * T)
     S = e2[:n_r, :n_r]
     rows = []
     for i in range(1, n_t + 1):
         t = T * i / n_t
         zeta = left_inverse_constant(dec, m_omega, t)
-        et = dec.modes @ (np.exp(dec.mus * t)[:, None] * dec.modes.T)
+        et = dec.semigroup(t)
         emet = et @ m_omega @ et
         R = (emet + emet.T)[:n_r, :n_r] / 2
         theta = sla.eigh(S, R, eigvals_only=True)

@@ -151,9 +151,11 @@ class TestKernelConstructor:
         "kernel.variant = separable\nkernel.h_coeffs = 1\n",
         "kernel.variant = grid\n",
         "kernel.variant = wavelet\n",
+        "kernel.variant = gaussian\nkernel.amplitude = 5\nkernel.width = -1\n",
+        "kernel.variant = separable\nkernel.g_coeffs =\n",
     ], ids=["empty", "zero-extra-key", "gaussian-missing-width", "gaussian-bad-width",
             "gaussian-unknown-key", "separable-missing-g", "grid-missing-file",
-            "unknown-variant"])
+            "unknown-variant", "gaussian-negative-width", "separable-empty-g"])
     def test_malformed(self, tmp_path, lines):
         with pytest.raises(ConfigError):
             parse_config(write(tmp_path, MINIMAL.replace("kernel.variant = zero\n", lines)))
@@ -242,6 +244,16 @@ class TestRunCommand:
         path = write(tmp_path, MINIMAL + "nonsense.key = 1\n")
         assert cli.main(["basis", str(path)]) == 1
 
+    def test_invalid_kernel_refused_before_echo(self, tmp_path, capsys):
+        text = MINIMAL.replace("kernel.variant = zero",
+                               "kernel.variant = gaussian\nkernel.amplitude = 5\nkernel.width = 0.2")
+        path = write(tmp_path, text)
+        out = tmp_path / "out"
+        rc = cli.main(["basis", str(path), "--set", "kernel.width=-1", "--output", str(out)])
+        assert rc == 1 and not out.exists()
+        assert ("parse_config: GaussianKernel: width must be positive, got -1.0"
+                in capsys.readouterr().err)
+
     def test_exit_code_missing_file(self, tmp_path):
         assert cli.main(["basis", str(tmp_path / "absent.cfg")]) == 1
 
@@ -274,13 +286,16 @@ class TestDeterminism:
 
 _finite = st.floats(allow_nan=False, allow_infinity=False)
 _lists = st.lists(_finite, max_size=4).map(tuple)
+# kernel parameters are drawn valid: parse_config refuses the others
+_widths = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+_nonempty_lists = st.lists(_finite, min_size=1, max_size=4).map(tuple)
 _words = st.text(string.ascii_letters + string.digits + "._/-", min_size=1, max_size=12)
 _ints = st.integers(-10 ** 6, 10 ** 6)
 _KERNEL_CASES = {
     "zero": {},
-    "gaussian": {"amplitude": _finite, "width": _finite},
-    "separable": {"g_coeffs": _lists, "h_coeffs": _lists},
-    "separable-h-defaults-to-g": {"g_coeffs": _lists},
+    "gaussian": {"amplitude": _finite, "width": _widths},
+    "separable": {"g_coeffs": _nonempty_lists, "h_coeffs": _lists},
+    "separable-h-defaults-to-g": {"g_coeffs": _nonempty_lists},
     "grid": {"kernel_file": _words},
 }
 

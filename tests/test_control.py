@@ -163,6 +163,18 @@ class TestStagedControl:
             assert stage.r_k == pytest.approx(np.pi ** 2 * 4.0 ** k)
         assert res.stage_log[-1].t_end == pytest.approx(1.0 - 2.0 ** -3)
 
+    @pytest.mark.parametrize("length", [1.0, 3.0])
+    def test_n_low_counts_eigenvalues_up_to_r_k_inclusive(self, length):
+        # r0 = lambda_2 controls modes 1 and 2; one float below it only mode 1
+        domain = Domain(length, 0.3 * length, 0.8 * length)
+        lambdas = build_basis(domain, 16).lambdas
+        for r0, first in ((lambdas[1], 2), (np.nextafter(lambdas[1], 0.0), 1)):
+            res = lr_staged_control(domain, ZeroKernel(), np.ones(4) / 2, T=1.0,
+                                    stages=3, r0=r0, n_modes=16, nt=65)
+            assert res.stage_log[0].n_low == first
+            assert [s.n_low for s in res.stage_log] == [
+                int(np.count_nonzero(lambdas <= s.r_k)) for s in res.stage_log]
+
     def test_passive_half_exact_decay_zero_kernel(self, domain, rng):
         basis, dec = _dec(domain, ZeroKernel(), 12)
         v = rng.standard_normal(12)
@@ -186,6 +198,9 @@ class TestStagedControl:
         with pytest.raises(ArgumentError):
             lr_staged_control(domain, ZeroKernel(), np.ones(4), T=1.0, stages=2,
                               r0=1.0)
+        with pytest.raises(ArgumentError):  # one float below lambda_1: no mode to control
+            lr_staged_control(domain, ZeroKernel(), np.ones(4), T=1.0, stages=2,
+                              r0=np.nextafter(build_basis(domain, 1).lambdas[0], 0.0))
         with pytest.raises(ArgumentError):
             lr_staged_control(domain, ZeroKernel(), np.ones(8), T=1.0, stages=2,
                               r0=np.pi ** 2, n_modes=4)

@@ -137,6 +137,13 @@ class TestPropagate:
         with pytest.raises(ArgumentError):
             propagate(dec, np.ones(4), -0.1)
 
+    def test_dense_semigroup_applies_like_propagate(self, domain, rng):
+        _, _, dec = _dec(domain, GaussianKernel(20.0, 0.15), 16)
+        v = rng.standard_normal(16)
+        for t in (0.0, 0.01, 0.1, 1.0):
+            lhs = dec.semigroup(t) @ v
+            assert np.linalg.norm(lhs - propagate(dec, v, t)) <= 1e-13 * np.linalg.norm(lhs)
+
 
 class TestPropagateBackward:
     def test_t_zero_identity(self, domain, rng):

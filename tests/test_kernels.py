@@ -8,9 +8,10 @@ from hypothesis import given, settings, strategies as st
 
 from nullheat import (ArgumentError, GaussianKernel, GridKernel,
                       KernelFormatError, KernelSpec, SeparableKernel,
-                      ZeroKernel, build_basis, check_symmetry, hs_norm,
+                      ZeroKernel, build_basis, hs_norm,
                       project_kernel, read_grid_kernel, write_grid_kernel)
 from nullheat import oracles
+from nullheat.basis import composite_gauss_nodes
 from nullheat.bundled import bundled_kernels, grid_demo_kernel
 from nullheat.kernels import SYMMETRY_LATTICE
 
@@ -21,11 +22,11 @@ def basis(domain):
 
 
 class TestGridFile:
-    def test_roundtrip_symmetric(self, tmp_path, basis):
+    def test_roundtrip_symmetric(self, tmp_path):
         path = tmp_path / "sym.txt"
         write_grid_kernel(path, lambda x, xi: np.cos(np.pi * (x - xi)), n=64, length=1.0)
         k = read_grid_kernel(path)
-        assert check_symmetry(k, basis) == 0.0
+        assert k.symmetry_defect() == 0.0
 
     def test_comments_and_header(self, tmp_path):
         path = tmp_path / "k.txt"
@@ -82,21 +83,20 @@ class TestGridFile:
 
 
 class TestCheckSymmetry:
-    def test_construction_symmetric(self, basis):
-        assert check_symmetry(ZeroKernel(), basis) == 0.0
-        assert check_symmetry(GaussianKernel(3.0, 0.4), basis) == 0.0
-        assert check_symmetry(SeparableKernel(np.array([1.0]), np.array([0.5, 1.0])),
-                              basis) == 0.0
+    def test_construction_symmetric(self):
+        assert ZeroKernel().symmetry_defect() == 0.0
+        assert GaussianKernel(3.0, 0.4).symmetry_defect() == 0.0
+        assert SeparableKernel(np.array([1.0]), np.array([0.5, 1.0])).symmetry_defect() == 0.0
 
-    def test_grid_symmetric_function(self, tmp_path, basis):
+    def test_grid_symmetric_function(self, tmp_path):
         path = tmp_path / "sym.txt"
         k = write_grid_kernel(path, lambda x, xi: x + xi, n=16, length=1.0)
-        assert check_symmetry(k, basis) == 0.0
+        assert k.symmetry_defect() == 0.0
 
-    def test_grid_antisymmetric_function(self, tmp_path, basis):
+    def test_grid_antisymmetric_function(self, tmp_path):
         path = tmp_path / "anti.txt"
         k = write_grid_kernel(path, lambda x, xi: x - xi, n=16, length=1.0)
-        defect = check_symmetry(k, basis)
+        defect = k.symmetry_defect()
         # |interp(x, xi) - interp(xi, x)| = 2 |x - xi| clamped to the midpoint
         # hull; the lattice extremum sits at the domain corner
         grid = np.linspace(0.0, 1.0, 33)
@@ -159,6 +159,17 @@ class TestProjectKernel:
             project_kernel(k, basis)
         assert str(err.value) == ("project_kernel: grid kernel declares length 2.0 "
                                   "but the basis domain has length 1.0")
+
+    def test_grid_axis_rule_splits_panels_at_midpoints(self, basis):
+        # one composite rule per segment between the interpolation kinks, each
+        # with panels no wider than the highest mode's half-wavelength
+        k = grid_demo_kernel()
+        kinks = np.concatenate(([0.0], k.midpoints, [1.0]))
+        parts = [composite_gauss_nodes(a, b, max(1, int(np.ceil((b - a) / (1.0 / 16)))), 8)
+                 for a, b in zip(kinks[:-1], kinks[1:])]
+        x, w = k.axis_rule(basis)
+        assert x.tobytes() == np.concatenate([p[0] for p in parts]).tobytes()
+        assert w.tobytes() == np.concatenate([p[1] for p in parts]).tobytes()
 
     def test_evaluate_only_subclass_refused(self, basis):
         class Bare(KernelSpec):
