@@ -15,6 +15,7 @@ basis = build_basis(domain, 16)
 kmat = project_kernel(GaussianKernel(5.0, 0.2), basis)
 gen = assemble_generator(basis, kmat)
 dec = decompose(gen)
+# build_model(domain, kernel, n) runs this chain, plus the Gram matrix on omega
 
 print("top of the coupled spectrum:", np.array2string(dec.mus[:4], precision=3))
 print("uncoupled it would start at:", -basis.lambdas[0].round(3))

@@ -6,15 +6,11 @@
 
 import numpy as np
 
-from nullheat import (Domain, GaussianKernel, assemble_generator, build_basis,
-                      decompose, hum_control, observability_cost, project_kernel,
-                      propagate, restricted_mass_matrix, simulate_controlled)
+from nullheat import (Domain, GaussianKernel, build_model, hum_control,
+                      observability_cost, propagate, simulate_controlled)
 
 domain = Domain(1.0, 0.3, 0.8)
-basis = build_basis(domain, 32)
-dec = decompose(assemble_generator(basis, project_kernel(GaussianKernel(20.0, 0.15),
-                                                         basis)))
-m_omega = restricted_mass_matrix(basis, domain.omega_lo, domain.omega_hi)
+_, _, dec, m_omega = build_model(domain, GaussianKernel(20.0, 0.15), 32)
 
 print(f"top eigenvalue of the coupled generator: {dec.mus[0]:+.3f}  (unstable)")
 

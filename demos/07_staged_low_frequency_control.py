@@ -7,9 +7,7 @@
 
 import numpy as np
 
-from nullheat import (Domain, GaussianKernel, assemble_generator, build_basis,
-                      decompose, hum_control, lr_staged_control, project_kernel,
-                      restricted_mass_matrix)
+from nullheat import Domain, GaussianKernel, build_model, hum_control, lr_staged_control
 
 domain = Domain(1.0, 0.3, 0.8)
 kernel = GaussianKernel(5.0, 0.2)
@@ -27,8 +25,6 @@ for s in result.stage_log:
 print(f"\nfinal residual at t = 1.0: {result.terminal_residual:.2e}")
 print(f"staged control energy:     {result.cost_sq:.4e}")
 
-basis = build_basis(domain, 16)
-dec = decompose(assemble_generator(basis, project_kernel(kernel, basis)))
-m_omega = restricted_mass_matrix(basis, domain.omega_lo, domain.omega_hi)
+_, _, dec, m_omega = build_model(domain, kernel, 16)
 one_shot = hum_control(dec, m_omega, u0, 1.0, nt=257)
 print(f"one-shot optimum energy:   {one_shot.cost_sq:.4e}")

@@ -20,7 +20,8 @@ from .basis import (Domain, SpectralBasis, build_basis, eval_mode,
                     gauss_quadrature, restricted_mass_matrix)
 from .config import ExperimentConfig, format_config, parse_config
 from .control import (ControlResult, SimulationResult, StageLog, control_cost,
-                      hum_control, lr_staged_control, simulate_controlled)
+                      controlled_state_norms, hum_control, lr_staged_control,
+                      simulate_controlled)
 from .errors import (ArgumentError, ConfigError, IllConditionedError,
                      KernelFormatError, NumericError, OverflowRefusalError)
 from .evolution import (Generator, SpectralDecomposition, assemble_generator,
@@ -30,12 +31,11 @@ from .kernels import (GaussianKernel, GridKernel, KernelMatrix, KernelSpec,
                       SeparableKernel, ZeroKernel, hs_norm, project_kernel,
                       read_grid_kernel, write_grid_kernel)
 from .observability import (COUPLING_FIXED, COUPLING_RESOLVENT, CostReport,
-                            CostSweep, ObsReport, SpecObsSweep, cost_sweep,
-                            observability_cost, observability_gramian,
+                            CostSweep, ObsReport, SpecObsSweep, build_model,
+                            cost_sweep, observability_cost, observability_gramian,
                             proof_chain_report, spectral_obs_constant,
-                            spectral_obs_constants,
-                            specobs_sweep_and_fit, truncation_for_horizon,
-                            witness_identity_residual)
+                            spectral_obs_constants, specobs_sweep_and_fit,
+                            truncation_for_horizon, witness_identity_residual)
 
 __version__ = "0.1.0"
 
@@ -46,10 +46,11 @@ __all__ = [
     "NumericError", "ObsReport", "OverflowRefusalError", "SeparableKernel",
     "SimulationResult", "SpecObsSweep", "SpectralBasis", "SpectralDecomposition",
     "StageLog", "ZeroKernel", "COUPLING_FIXED", "COUPLING_RESOLVENT",
-    "assemble_generator", "build_basis", "control_cost",
-    "cost_sweep", "decompose", "eval_mode", "format_config", "gauss_quadrature",
-    "hs_norm", "hum_control", "left_inverse_constant", "lr_staged_control",
-    "observability_cost", "observability_gramian",
+    "assemble_generator", "build_basis", "build_model", "control_cost",
+    "controlled_state_norms", "cost_sweep", "decompose", "eval_mode",
+    "format_config", "gauss_quadrature", "hs_norm", "hum_control",
+    "left_inverse_constant", "lr_staged_control", "observability_cost",
+    "observability_gramian",
     "parse_config", "proof_chain_report", "project_kernel", "propagate",
     "propagate_backward", "read_grid_kernel", "restricted_mass_matrix",
     "semigroup_norm", "simulate_controlled", "spectral_obs_constant",

@@ -26,11 +26,12 @@ from .basis import gram_closed_form, positive_sign
 from .errors import NumericError
 
 _mp_sin = np.frompyfunc(mp.sin, 1, 1)
+_DPS = 50  # working precision of the packet-constant routines
 
 
-def mass_matrix_mp(n, lo, hi, ell, dps=50):
+def mass_matrix_mp(n, lo, hi, ell):
     """Restricted Gram matrix as an n x n object array of mpf."""
-    with mp.workdps(dps):
+    with mp.workdps(_DPS):
         return gram_closed_form(n, mp.mpf(lo), mp.mpf(hi), mp.mpf(ell),
                                 sin=_mp_sin, pi=+mp.pi, dtype=object)
 
@@ -64,7 +65,7 @@ def _solve_pair(A, B_flip, b):
     return _solve_lower(B_flip, _solve_lower(A, b)[::-1])[::-1]
 
 
-def cholesky_mp(A, dps=50):
+def cholesky_mp(A, dps=_DPS):
     """Rows of the Cholesky factor of A's longest positive-definite leading block.
 
     mp.cholesky's arithmetic entry for entry, but row by row: row j reads
@@ -118,17 +119,17 @@ def _min_pencil_eigpair(step, rayleigh, start, dps, max_iter=200):
     raise NumericError(f"inverse iteration: no convergence in {max_iter} steps at dps={dps}")
 
 
-def smallest_eigenpair_mp(M, dps=50, max_iter=200, start=None, factor=None):
+def smallest_eigenpair_mp(M, max_iter=200, start=None, factor=None):
     """Smallest eigenpair (mpf, unit float64 array) of an SPD mp matrix.
 
     The pencil (M, I); factor may pass the rows of M's Cholesky factor, e.g.
     the leading rows of a larger matrix's.  Converges at the ratio of the two
     smallest eigenvalues, ~0.13 per sweep for the restricted Gram blocks.
     """
-    with mp.workdps(dps):
+    with mp.workdps(_DPS):
         rows = _rows(M)
         n = len(rows)
-        L = cholesky_mp(M, dps) if factor is None else factor
+        L = cholesky_mp(M, _DPS) if factor is None else factor
         if len(L) < n:
             raise NumericError(
                 "smallest_eigenpair_mp: Cholesky failed (matrix is not positive-definite)")
@@ -138,23 +139,23 @@ def smallest_eigenpair_mp(M, dps=50, max_iter=200, start=None, factor=None):
         nrm = mp.sqrt(mp.fsum(v, absolute=True, squared=True))
         lam, v = _min_pencil_eigpair(lambda u: _solve_pair(L, L_flip, u),
                                      lambda u: mp.fdot(u, _matvec(rows, u)),
-                                     [vi / nrm for vi in v], dps, max_iter)
+                                     [vi / nrm for vi in v], _DPS, max_iter)
         return lam, positive_sign(np.array([float(vi) for vi in v]))
 
 
-def rayleigh_quotient_mp(n, lo, hi, ell, coeffs, dps=50):
+def rayleigh_quotient_mp(n, lo, hi, ell, coeffs):
     """(c^T M c) / (c^T c) with the Gram matrix entries evaluated in mp.
 
     Used to verify witness identities whose scale is below the float64
     quadratic-form rounding floor.
     """
-    with mp.workdps(dps):
-        rows = _rows(mass_matrix_mp(n, lo, hi, ell, dps=dps))
+    with mp.workdps(_DPS):
+        rows = _rows(mass_matrix_mp(n, lo, hi, ell))
         c = [mp.mpf(float(x)) for x in coeffs]
         return mp.fdot(c, _matvec(rows, c)) / mp.fdot(c, c)
 
 
-def generalized_min_eig_mp(mus, modes, m_omega, t, dps=None):
+def generalized_min_eig_mp(mus, modes, m_omega, t):
     """Smallest generalized eigenvalue of (E M E) v = theta M v, E = exp(L t).
 
     mus and modes are the float64 eigendecomposition of the generator,
@@ -163,8 +164,7 @@ def generalized_min_eig_mp(mus, modes, m_omega, t, dps=None):
     Returns (log(theta)/2 as float, unit float64 minimizer).
     """
     spread = 2.0 * t * float(mus[0] - mus[-1])
-    if dps is None:
-        dps = int(max(40, spread / np.log(10.0) + 30))
+    dps = int(max(40, spread / np.log(10.0) + 30))
     n = len(mus)
     modes = np.asarray(modes, dtype=float)
     perm = np.arange(n)  # row order of float64 partial pivoting

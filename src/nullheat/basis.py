@@ -25,12 +25,7 @@ _GL_NODES = {order: leggauss(order) for order in SUPPORTED_QUADRATURE_ORDERS}
 
 @dataclass(frozen=True)
 class Domain:
-    """Interval Omega = (0, length) with control subinterval omega = (omega_lo, omega_hi).
-
-    omega may touch the boundary of Omega; that is flagged rather than
-    rejected, since the restricted Gram matrix is insensitive to boundary
-    contact in one dimension.
-    """
+    """Interval Omega = (0, length) with control subinterval omega = (omega_lo, omega_hi)."""
 
     length: float
     omega_lo: float
@@ -51,43 +46,24 @@ class Domain:
     def omega(self):
         return (self.omega_lo, self.omega_hi)
 
-    @property
-    def omega_touches_boundary(self):
-        """True when omega is not compactly contained in Omega."""
-        return self.omega_lo == 0.0 or self.omega_hi == self.length
-
 
 @dataclass(frozen=True, eq=False)
 class SpectralBasis:
-    """First n_modes Dirichlet eigenpairs on a domain, plus quadrature default."""
+    """First n_modes Dirichlet eigenpairs on a domain."""
 
     domain: Domain
     n_modes: int
     lambdas: np.ndarray = field(repr=False)
-    quadrature_order: int = 8
 
 
-def build_basis(domain, n_modes, quadrature_order=8):
-    """Return the basis of the first n_modes analytic Dirichlet eigenpairs.
-
-    Parameters
-    ----------
-    domain : Domain
-    n_modes : int
-        Truncation level N >= 1.
-    quadrature_order : int
-        Default Gauss-Legendre order used by consumers of this basis.
-    """
+def build_basis(domain, n_modes):
+    """Return the basis of the first n_modes (truncation level N >= 1) analytic
+    Dirichlet eigenpairs on domain."""
     if not isinstance(n_modes, (int, np.integer)) or n_modes < 1:
         raise ArgumentError(f"build_basis: n_modes must be a positive integer, got {n_modes!r}")
-    if quadrature_order not in SUPPORTED_QUADRATURE_ORDERS:
-        raise ArgumentError(
-            f"build_basis: quadrature order {quadrature_order} not in {SUPPORTED_QUADRATURE_ORDERS}"
-        )
     j = np.arange(1, int(n_modes) + 1, dtype=float)
     lambdas = (j * np.pi / domain.length) ** 2
-    return SpectralBasis(domain=domain, n_modes=int(n_modes), lambdas=lambdas,
-                         quadrature_order=quadrature_order)
+    return SpectralBasis(domain=domain, n_modes=int(n_modes), lambdas=lambdas)
 
 
 def eval_mode(basis, j, x):

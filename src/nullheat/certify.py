@@ -15,24 +15,19 @@ from .basis import (Domain, build_basis, eval_mode, gauss_quadrature, gauss_rule
 from .bundled import bundled_kernels
 from .control import control_cost, hum_control, lr_staged_control, simulate_controlled
 from .errors import OverflowRefusalError
-from .evolution import (assemble_generator, decompose, left_inverse_constant,
-                        propagate, propagate_backward, semigroup_norm)
+from .evolution import (assemble_generator, left_inverse_constant, propagate,
+                        propagate_backward, semigroup_norm)
 from .kernels import GaussianKernel, SeparableKernel, ZeroKernel, project_kernel
 from . import oracles
-from .observability import (COUPLING_RESOLVENT, cost_sweep, observability_cost,
-                            observability_gramian, proof_chain_report,
-                            spectral_obs_constant, spectral_obs_constants,
-                            specobs_sweep_and_fit, witness_identity_residual)
+from .observability import (COUPLING_RESOLVENT, build_model, cost_sweep,
+                            observability_cost, observability_gramian,
+                            proof_chain_report, spectral_obs_constant,
+                            spectral_obs_constants, specobs_sweep_and_fit,
+                            witness_identity_residual)
 
 DEFAULT_DOMAIN = Domain(length=1.0, omega_lo=0.3, omega_hi=0.8)
 _KAPPA_SCALAR = lambda T: 2 * np.pi ** 2 * np.exp(-2 * np.pi ** 2 * T) / (
     1 - np.exp(-2 * np.pi ** 2 * T))
-
-
-def _dec_for(kernel, n, domain=DEFAULT_DOMAIN):
-    basis = build_basis(domain, n)
-    kmat = project_kernel(kernel, basis)
-    return basis, kmat, decompose(assemble_generator(basis, kmat))
 
 
 def check_eigenvalues_exact(rng):
@@ -182,7 +177,7 @@ def check_grid_roundtrip(rng):
 
 
 def check_semigroup_law(rng):
-    _, _, dec = _dec_for(GaussianKernel(5.0, 0.2), 16)
+    dec = build_model(DEFAULT_DOMAIN, GaussianKernel(5.0, 0.2), 16)[2]
     v = rng.standard_normal(16)
     worst = 0.0
     for s in (0.01, 0.1, 1.0):
@@ -198,7 +193,7 @@ def check_growth_bound(rng):
     lam1 = np.pi ** 2
     worst = -np.inf
     for name, kernel in bundled_kernels():
-        basis, kmat, dec = _dec_for(kernel, 32)
+        _, kmat, dec, _ = build_model(DEFAULT_DOMAIN, kernel, 32)
         for t in np.linspace(0.1, 5.0, 50):
             bound = np.exp((-lam1 + kmat.hs_of_k) * t) * (1 + 1e-10)
             ratio = semigroup_norm(dec, t) / bound
@@ -210,7 +205,7 @@ def check_weyl(rng):
     worst = -np.inf
     for name, kernel in bundled_kernels():
         for n in (4, 8, 16, 32):
-            basis, kmat, dec = _dec_for(kernel, n)
+            basis, kmat, dec, _ = build_model(DEFAULT_DOMAIN, kernel, n)
             shift = np.max(np.abs(dec.mus + basis.lambdas))
             worst = max(worst, shift - kmat.frobenius)
     return worst <= 1e-10, f"max |mu_j + lambda_j| - ||K||_F = {worst:.2e}"
@@ -221,8 +216,7 @@ def check_left_inverse(rng):
     details = []
     for kernel in (ZeroKernel(), GaussianKernel(5.0, 0.2)):
         for n, ts in ((8, (0.01, 0.05, 0.1)), (16, (0.005, 0.02))):
-            basis, _, dec = _dec_for(kernel, n)
-            m_omega = restricted_mass_matrix(basis, 0.3, 0.8)
+            _, _, dec, m_omega = build_model(DEFAULT_DOMAIN, kernel, n)
             z0 = left_inverse_constant(dec, m_omega, 0.0)
             ok = ok and z0 == 1.0
             for t in ts:
@@ -241,8 +235,8 @@ def check_left_inverse(rng):
 def check_propagation_oracle(rng):
     worst = 0.0
     for name, kernel in bundled_kernels():
-        basis, _, dec = _dec_for(kernel, 32)
-        gen = assemble_generator(basis, project_kernel(kernel, basis))
+        basis, kmat, dec, _ = build_model(DEFAULT_DOMAIN, kernel, 32)
+        gen = assemble_generator(basis, kmat)
         v = rng.standard_normal(32)
         exact = propagate(dec, v, 0.1)
         cn = oracles.crank_nicolson_propagate(gen.lmat, v, 0.1, steps=10_000)
@@ -252,7 +246,7 @@ def check_propagation_oracle(rng):
 
 def check_backward_roundtrip(rng):
     # the 1e-8 roundtrip guarantee holds for t * spread(mu) <= 30
-    _, _, dec = _dec_for(GaussianKernel(5.0, 0.2), 6)
+    dec = build_model(DEFAULT_DOMAIN, GaussianKernel(5.0, 0.2), 6)[2]
     v = rng.standard_normal(6)
     w = propagate(dec, propagate_backward(dec, v, 0.05), 0.05)
     defect = float(np.linalg.norm(w - v) / np.linalg.norm(v))
@@ -307,8 +301,7 @@ def check_packet_fit(rng):
 
 
 def check_gramian_psd_taylor(rng):
-    basis, _, dec = _dec_for(GaussianKernel(5.0, 0.2), 12)
-    m_omega = restricted_mass_matrix(basis, 0.3, 0.8)
+    _, _, dec, m_omega = build_model(DEFAULT_DOMAIN, GaussianKernel(5.0, 0.2), 12)
     G = observability_gramian(dec, m_omega, 0.4)
     w = np.linalg.eigvalsh(G)
     ok = w[0] >= -1e-12 * max(w[-1], 1.0)
@@ -324,8 +317,7 @@ def check_gramian_psd_taylor(rng):
 
 
 def check_gramian_oracle(rng):
-    basis, _, dec = _dec_for(GaussianKernel(5.0, 0.2), 16)
-    m_omega = restricted_mass_matrix(basis, 0.3, 0.8)
+    _, _, dec, m_omega = build_model(DEFAULT_DOMAIN, GaussianKernel(5.0, 0.2), 16)
     G = observability_gramian(dec, m_omega, 0.25)
     G_quad = oracles.gramian_time_quadrature(dec, m_omega, 0.25, n_nodes=2000)
     rel = float(np.linalg.norm(G - G_quad) / np.linalg.norm(G))
@@ -333,10 +325,7 @@ def check_gramian_oracle(rng):
 
 
 def check_cost_scalar_oracle(rng):
-    domain = Domain(1.0, 0.0, 1.0)
-    basis = build_basis(domain, 1)
-    dec = decompose(assemble_generator(basis, project_kernel(ZeroKernel(), basis)))
-    m_omega = restricted_mass_matrix(basis, 0.0, 1.0)
+    _, _, dec, m_omega = build_model(Domain(1.0, 0.0, 1.0), ZeroKernel(), 1)
     worst = 0.0
     for T in (0.05, 0.1, 0.5, 1.0):
         rep = observability_cost(dec, m_omega, T)
@@ -345,8 +334,7 @@ def check_cost_scalar_oracle(rng):
 
 
 def check_cost_inequality_witness(rng):
-    basis, _, dec = _dec_for(GaussianKernel(5.0, 0.2), 16)
-    m_omega = restricted_mass_matrix(basis, 0.3, 0.8)
+    _, _, dec, m_omega = build_model(DEFAULT_DOMAIN, GaussianKernel(5.0, 0.2), 16)
     T = 0.5
     rep = observability_cost(dec, m_omega, T)
     G = observability_gramian(dec, m_omega, T)
@@ -363,11 +351,8 @@ def check_cost_inequality_witness(rng):
 
 
 def check_cost_monotonicity(rng):
-    basis, _, dec = _dec_for(GaussianKernel(5.0, 0.2), 12)
-    kappas = []
-    for T in (0.8, 0.4, 0.2, 0.1):
-        m_omega = restricted_mass_matrix(basis, 0.3, 0.8)
-        kappas.append(observability_cost(dec, m_omega, T).kappa)
+    basis, _, dec, m_omega = build_model(DEFAULT_DOMAIN, GaussianKernel(5.0, 0.2), 12)
+    kappas = [observability_cost(dec, m_omega, T).kappa for T in (0.8, 0.4, 0.2, 0.1)]
     ok = bool(np.all(np.diff(kappas) > 0.0))  # increasing as T decreases
     nested = []
     for lo, hi in ((0.35, 0.65), (0.3, 0.8), (0.1, 0.9)):
@@ -379,8 +364,7 @@ def check_cost_monotonicity(rng):
 
 
 def check_chain_dominance(rng):
-    basis, _, dec = _dec_for(GaussianKernel(5.0, 0.2), 8)
-    m_omega = restricted_mass_matrix(basis, 0.3, 0.8)
+    basis, _, dec, m_omega = build_model(DEFAULT_DOMAIN, GaussianKernel(5.0, 0.2), 8)
     rows = proof_chain_report(basis, dec, m_omega, r=9.5 * np.pi ** 2, T=0.1, n_t=20)
     margins = [row.log_chain_bound - row.log_extremal_quotient for row in rows]
     ok = all(m >= -1e-9 for m in margins)
@@ -388,10 +372,8 @@ def check_chain_dominance(rng):
 
 
 def check_null_control_unstable(rng):
-    kernel = GaussianKernel(20.0, 0.15)
-    basis, _, dec = _dec_for(kernel, 32)
+    _, _, dec, m_omega = build_model(DEFAULT_DOMAIN, GaussianKernel(20.0, 0.15), 32)
     ok = dec.mus[0] > 0.0
-    m_omega = restricted_mass_matrix(basis, 0.3, 0.8)
     u0 = np.zeros(32)
     u0[0] = 1.0
     T = 0.5
@@ -409,9 +391,7 @@ def check_null_control_unstable(rng):
 
 
 def check_duality_sharpness(rng):
-    kernel = GaussianKernel(20.0, 0.15)
-    basis, _, dec = _dec_for(kernel, 32)
-    m_omega = restricted_mass_matrix(basis, 0.3, 0.8)
+    _, _, dec, m_omega = build_model(DEFAULT_DOMAIN, GaussianKernel(20.0, 0.15), 32)
     T = 0.5
     rep = observability_cost(dec, m_omega, T)
     u0 = propagate(dec, rep.witness, T)
@@ -429,8 +409,7 @@ def check_duality_sharpness(rng):
 
 
 def check_control_linearity(rng):
-    basis, _, dec = _dec_for(GaussianKernel(5.0, 0.2), 12)
-    m_omega = restricted_mass_matrix(basis, 0.3, 0.8)
+    _, _, dec, m_omega = build_model(DEFAULT_DOMAIN, GaussianKernel(5.0, 0.2), 12)
     u = rng.standard_normal(12)
     v = rng.standard_normal(12)
     a, b = 0.7, -1.3
@@ -449,8 +428,7 @@ def check_control_linearity(rng):
 
 
 def check_control_cost_quadrature(rng):
-    basis, _, dec = _dec_for(GaussianKernel(5.0, 0.2), 16)
-    m_omega = restricted_mass_matrix(basis, 0.3, 0.8)
+    _, _, dec, m_omega = build_model(DEFAULT_DOMAIN, GaussianKernel(5.0, 0.2), 16)
     u0 = rng.standard_normal(16)
     result = hum_control(dec, m_omega, u0, 0.5, nt=64)
     requad = control_cost(result, m_omega, dec)
@@ -471,7 +449,7 @@ def check_staged_control(rng):
         ok = ok and result.terminal_residual <= 1e-3
         details.append(f"{name}: final {result.terminal_residual:.2e}")
         if isinstance(kernel, ZeroKernel):
-            basis, _, dec = _dec_for(kernel, 16)
+            basis, _, dec, _ = build_model(DEFAULT_DOMAIN, kernel, 16)
             stage = result.stage_log[1]
             half = stage.t_end - stage.t_mid
             lam = basis.lambdas

@@ -14,13 +14,12 @@ import sys
 import numpy as np
 
 from . import certify
-from .basis import build_basis, restricted_mass_matrix
+from .basis import build_basis
 from .config import format_config, parse_config
-from .control import hum_control, lr_staged_control
+from .control import controlled_state_norms, hum_control, lr_staged_control
 from .errors import ArgumentError, ConfigError, KernelFormatError, NumericError
-from .evolution import assemble_generator, decompose, left_inverse_constant, propagate
-from .kernels import project_kernel
-from .observability import (_phi, cost_sweep, observability_cost,
+from .evolution import left_inverse_constant, propagate
+from .observability import (build_model, cost_sweep, observability_cost,
                             observability_gramian, spectral_obs_constant,
                             spectral_obs_constants)
 
@@ -50,15 +49,6 @@ def _require(cfg, field, key, verb):
     if value is None or (isinstance(value, tuple) and not value):
         raise ConfigError(f"run_command[{verb}]: missing required key {key}")
     return value
-
-
-def _pipeline(cfg):
-    domain = cfg.domain()
-    basis = build_basis(domain, cfg.n_modes)
-    kmat = project_kernel(cfg.kernel(), basis, symmetry_tol=cfg.symmetry_tol)
-    dec = decompose(assemble_generator(basis, kmat))
-    m_omega = restricted_mass_matrix(basis, domain.omega_lo, domain.omega_hi)
-    return domain, basis, kmat, dec, m_omega
 
 
 def _default_r_list(cfg):
@@ -95,13 +85,17 @@ def run_command(verb, cfg, out_dir=None):
         _write_csv(path, header, rows)
         written.append(path)
 
+    def model():
+        return build_model(cfg.domain(), cfg.kernel(), cfg.n_modes,
+                           symmetry_tol=cfg.symmetry_tol)
+
     if verb == "basis":
         basis = build_basis(cfg.domain(), cfg.n_modes)
         emit("basis.csv", ["j", "lambda_j"],
              [(j, basis.lambdas[j]) for j in range(basis.n_modes)])
 
     elif verb == "kernel-project":
-        _, basis, kmat, _, _ = _pipeline(cfg)
+        _, kmat, _, _ = model()
         emit("kernel.csv", ["i", "j", "value"],
              [(i, j, kmat.matrix[i, j])
               for i in range(kmat.n_modes) for j in range(kmat.n_modes)])
@@ -111,28 +105,28 @@ def run_command(verb, cfg, out_dir=None):
 
     elif verb == "evolve":
         T = _require(cfg, "horizon", "time.horizon", verb)
-        _, basis, _, dec, _ = _pipeline(cfg)
+        basis, _, dec, _ = model()
         u0 = _u0_vector(cfg, basis.n_modes)
         ts = np.linspace(0.0, T, cfg.nt)
         emit("evolve.csv", ["t", "state_norm"],
              [(t, float(np.linalg.norm(propagate(dec, u0, t)))) for t in ts])
 
     elif verb == "zeta":
-        _, basis, _, dec, m_omega = _pipeline(cfg)
+        _, _, dec, m_omega = model()
         ts = cfg.horizon_list or (_require(cfg, "horizon", "time.horizon", verb),)
         emit("zeta.csv", ["t", "zeta"],
              [(t, left_inverse_constant(dec, m_omega, t, gate=cfg.gate))
               for t in ts])
 
     elif verb == "obs-constant":
-        _, basis, _, _, _ = _pipeline(cfg)
+        basis = model()[0]
         r = cfg.r_list[0] if cfg.r_list else float(basis.lambdas[-1])
         rep = spectral_obs_constant(basis, cfg.domain().omega, r)
         emit("obs.csv", ["r", "n_modes", "c_min", "specobs_constant"],
              [(rep.r, rep.n_modes, rep.c_min, rep.specobs_constant)])
 
     elif verb == "obs-sweep":
-        _, basis, _, _, _ = _pipeline(cfg)
+        basis = model()[0]
         reports = spectral_obs_constants(basis, cfg.domain().omega, _default_r_list(cfg))
         emit("obs-sweep.csv", ["r", "n_modes", "c_min", "specobs_constant"],
              [(rep.r, rep.n_modes, rep.c_min, rep.specobs_constant)
@@ -140,7 +134,7 @@ def run_command(verb, cfg, out_dir=None):
 
     elif verb == "gramian":
         T = _require(cfg, "horizon", "time.horizon", verb)
-        _, basis, _, dec, m_omega = _pipeline(cfg)
+        _, _, dec, m_omega = model()
         G = observability_gramian(dec, m_omega, T)
         w = np.linalg.eigvalsh(G)
         emit("gramian.csv", ["i", "j", "value"],
@@ -150,7 +144,7 @@ def run_command(verb, cfg, out_dir=None):
 
     elif verb == "cost":
         T = _require(cfg, "horizon", "time.horizon", verb)
-        _, basis, _, dec, m_omega = _pipeline(cfg)
+        _, _, dec, m_omega = model()
         rep = observability_cost(dec, m_omega, T)
         emit("cost.csv", ["T", "N_used", "kappa_T", "gramian_min_eig",
                           "fit_model", "fit_C", "fit_alpha", "fit_residual"],
@@ -180,7 +174,7 @@ def run_command(verb, cfg, out_dir=None):
 
     elif verb == "control-hum":
         T = _require(cfg, "horizon", "time.horizon", verb)
-        _, basis, _, dec, m_omega = _pipeline(cfg)
+        basis, _, dec, m_omega = model()
         u0 = _u0_vector(cfg, basis.n_modes)
         result = hum_control(dec, m_omega, u0, T, nt=max(cfg.nt, 16), ridge=cfg.ridge)
         kappa = observability_cost(dec, m_omega, T).kappa
@@ -188,19 +182,7 @@ def run_command(verb, cfg, out_dir=None):
         ts = np.linspace(0.0, T, result.nt)
         dens = np.einsum("ij,jk,ik->i", result.control_coeffs, m_omega,
                          result.control_coeffs)
-        # closed-form controlled trajectory at the sample times:
-        # u(t) = e^{Lt} u0 + [W o D(t)] p with D(t)[a,b] = e^{mu_b (T-t)} phi(mu_a+mu_b, t)
-        p_e = dec.modes.T @ np.asarray(result.multiplier, float)
-        u0_e = dec.modes.T @ u0
-        mus = dec.mus
-        Wq = dec.modes.T @ m_omega @ dec.modes
-        u0_norm = max(float(np.linalg.norm(u0)), 1e-300)
-        norms = []
-        for t in ts:
-            drive = Wq * (np.exp(mus[None, :] * (T - t))
-                          * _phi(mus[:, None] + mus[None, :], t))
-            ut = np.exp(mus * t) * u0_e + drive @ p_e
-            norms.append(float(np.linalg.norm(ut)) / u0_norm)
+        norms = controlled_state_norms(dec, m_omega, u0, result)
         emit("control.csv", ["t", "cost_density", "residual_projection"],
              list(zip(ts, dens, norms)))
         emit("control-summary.csv",

@@ -30,12 +30,11 @@ import numpy as np
 import scipy.linalg as sla
 from numpy.polynomial.legendre import leggauss
 
-from .basis import build_basis, gauss_rule, restricted_mass_matrix
+from .basis import gauss_rule
 from .errors import ArgumentError, IllConditionedError, NumericError
-from .evolution import assemble_generator, decompose, propagate
-from .kernels import project_kernel
+from .evolution import propagate
 from .observability import (_FALLBACK_RIDGE_SCALE, _count_modes, _gramian_eigencoords,
-                            _validate_mass)
+                            _phi, _validate_mass, build_model)
 
 
 @dataclass(frozen=True, eq=False)
@@ -142,6 +141,25 @@ def hum_control(dec, m_omega, u0, T, nt=64, ridge=0.0):
                          terminal_residual=residual, ridge_used=ridge_used)
 
 
+def controlled_state_norms(dec, m_omega, u0, result):
+    """||u(t)|| / ||u0|| at the nt sample times of a hum_control result, in closed
+    form: u(t) = e^{Lt} u0 + [W o D(t)] p in eigencoordinates, with W = Q^T M_omega Q,
+    p the multiplier and D(t)[a, b] = e^{mu_b (T - t)} phi(mu_a + mu_b, t)."""
+    T = result.T
+    p_e = dec.modes.T @ np.asarray(result.multiplier, float)
+    u0_e = dec.modes.T @ u0
+    mus = dec.mus
+    Wq = dec.modes.T @ m_omega @ dec.modes
+    u0_norm = max(float(np.linalg.norm(u0)), 1e-300)
+    norms = []
+    for t in np.linspace(0.0, T, result.nt):
+        drive = Wq * (np.exp(mus[None, :] * (T - t))
+                      * _phi(mus[:, None] + mus[None, :], t))
+        ut = np.exp(mus * t) * u0_e + drive @ p_e
+        norms.append(float(np.linalg.norm(ut)) / u0_norm)
+    return norms
+
+
 def simulate_controlled(dec, m_omega, u0, control_coeffs, T, nt_fine):
     """Integrate u' = L u + M_omega f(t) from the sampled control.
 
@@ -196,8 +214,7 @@ def simulate_controlled(dec, m_omega, u0, control_coeffs, T, nt_fine):
     return SimulationResult(times=times, states=states @ Q.T, terminal_norm=terminal)
 
 
-def lr_staged_control(domain, kernel, u0, T, stages, r0, n_modes=None,
-                      margin=8, nt=257, quadrature_order=8):
+def lr_staged_control(domain, kernel, u0, T, stages, r0, n_modes=None, margin=8, nt=257):
     """Staged low-frequency null control with dyadic free-decay phases.
 
     Stage k = 0..stages-1 occupies [T(1 - 2^{-k}), T(1 - 2^{-(k+1)})]; in the
@@ -223,11 +240,7 @@ def lr_staged_control(domain, kernel, u0, T, stages, r0, n_modes=None,
     if n < u0.size:
         raise ArgumentError(
             f"lr_staged_control: truncation {n} cannot hold a {u0.size}-mode state")
-    basis = build_basis(domain, n, quadrature_order)
-    dec = decompose(assemble_generator(basis, project_kernel(kernel, basis)))
-    m_omega = _validate_mass(
-        restricted_mass_matrix(basis, domain.omega_lo, domain.omega_hi),
-        n, "lr_staged_control")
+    _, _, dec, m_omega = build_model(domain, kernel, n)
     state = np.zeros(n)
     state[: u0.size] = u0
     u0_norm = float(np.linalg.norm(state))
@@ -289,7 +302,7 @@ def lr_staged_control(domain, kernel, u0, T, stages, r0, n_modes=None,
                          terminal_residual=final_residual, stage_log=log)
 
 
-def _graded_time_nodes(T, rate, order=16):
+def _graded_time_nodes(T, rate):
     """Composite GL nodes on [0, T] with geometric grading toward 0.
 
     The integrands are sums of e^{s tau} with s as negative as 2 mu_N, so the
@@ -300,7 +313,7 @@ def _graded_time_nodes(T, rate, order=16):
     edges = [0.0, first]
     while edges[-1] < T:
         edges.append(min(T, edges[-1] * 2.0))
-    return gauss_rule(edges, order)
+    return gauss_rule(edges, 16)
 
 
 def control_cost(result, m_omega, dec):

@@ -30,6 +30,7 @@ from .errors import ArgumentError, KernelFormatError, NumericError
 
 SYMMETRY_LATTICE = 33  # fixed evaluation lattice of GridKernel.symmetry_defect
 DEFAULT_SYMMETRY_TOL = 1e-10
+QUADRATURE_ORDER = 8  # Gauss-Legendre points per panel of the axis rules
 
 
 class KernelSpec:
@@ -141,7 +142,7 @@ class GaussianKernel(KernelSpec):
     def axis_rule(self, basis):
         ell = basis.domain.length
         panels = max(1, int(np.ceil(ell / min(self.width / 2.0, ell / basis.n_modes))))
-        return composite_gauss_nodes(0.0, ell, panels, basis.quadrature_order)
+        return composite_gauss_nodes(0.0, ell, panels, QUADRATURE_ORDER)
 
 
 @dataclass(frozen=True, eq=False)
@@ -203,7 +204,7 @@ class GridKernel(KernelSpec):
         kinks = np.concatenate(([0.0], self.midpoints, [ell]))
         edges = [np.linspace(a, b, max(1, int(np.ceil((b - a) / max_width))) + 1)[:-1]
                  for a, b in zip(kinks[:-1], kinks[1:])]
-        return gauss_rule(np.append(np.concatenate(edges), ell), basis.quadrature_order)
+        return gauss_rule(np.append(np.concatenate(edges), ell), QUADRATURE_ORDER)
 
     def symmetry_defect(self):
         """Sup of |k(x, xi) - k(xi, x)| over a fixed 33 x 33 lattice."""

@@ -36,7 +36,7 @@ from . import _highprec
 from .basis import build_basis, positive_sign, restricted_mass_matrix
 from .errors import ArgumentError, IllConditionedError, NumericError
 from .evolution import assemble_generator, decompose, left_inverse_constant
-from .kernels import project_kernel
+from .kernels import DEFAULT_SYMMETRY_TOL, project_kernel
 
 COUPLING_FIXED = "fixed"
 COUPLING_RESOLVENT = "r-equals-1-over-T"
@@ -209,6 +209,20 @@ def specobs_sweep_and_fit(basis, omega, r_list):
                         linear_fit=linear_fit, preferred=preferred)
 
 
+def build_model(domain, kernel, n_modes, symmetry_tol=DEFAULT_SYMMETRY_TOL):
+    """The n_modes-mode model on domain: (basis, kmat, dec, m_omega).
+
+    The sine basis, the kernel's Galerkin matrix (symmetry_tol as in
+    project_kernel), the eigendecomposition of L = -diag(lambda) + K, and the
+    validated Gram matrix of the basis restricted to domain.omega.
+    """
+    basis = build_basis(domain, n_modes)
+    kmat = project_kernel(kernel, basis, symmetry_tol=symmetry_tol)
+    dec = decompose(assemble_generator(basis, kmat))
+    m_omega = restricted_mass_matrix(basis, domain.omega_lo, domain.omega_hi)
+    return basis, kmat, dec, _validate_mass(m_omega, basis.n_modes, "build_model")
+
+
 def _validate_mass(m_omega, n, op):
     m_omega = np.asarray(m_omega, dtype=float)
     if m_omega.shape != (n, n):
@@ -259,8 +273,10 @@ def _cost(dec, m_omega, T):
     # observability_cost on a mass matrix that _validate_mass has accepted;
     # the ridge warning names the line that called observability_cost
     G = _gramian_eigencoords(dec, m_omega, T)
-    gram_min = float(np.linalg.eigvalsh(G)[0])
     A = np.diag(np.exp(2.0 * dec.mus * T))
+    if not (np.all(np.isfinite(G)) and np.all(np.isfinite(A))):
+        raise NumericError(f"observability_cost: Gramian or e^(2LT) overflows float64 at T={T:g}")
+    gram_min = float(np.linalg.eigvalsh(G)[0])
     try:
         theta, vecs = sla.eigh(A, G)
     except (sla.LinAlgError, np.linalg.LinAlgError):
@@ -337,8 +353,7 @@ def truncation_for_horizon(domain, T, margin=8):
     return int(np.floor(np.sqrt(1.0 / T) * domain.length / np.pi)) + margin
 
 
-def cost_sweep(domain, kernel, T_list, coupling=COUPLING_FIXED, n_fixed=None,
-               margin=8, quadrature_order=8):
+def cost_sweep(domain, kernel, T_list, coupling=COUPLING_FIXED, n_fixed=None, margin=8):
     """Cost reports across horizons with fixed or T-coupled truncation.
 
     coupling "fixed" uses n_fixed modes everywhere; coupling
@@ -346,9 +361,9 @@ def cost_sweep(domain, kernel, T_list, coupling=COUPLING_FIXED, n_fixed=None,
     N(T) = floor(sqrt(1/T) ell / pi) + margin, which is what lets the
     small-T blow-up exceed the ~1/T rate a fixed truncation is capped at.
 
-    Returns per-horizon rows (failures recorded per row, not fatal) plus
-    three fits of log kappa_T: exponents 1/2 and 1 over all rows, and the
-    profiled free exponent over the blow-up regime (see _free_power_fit).
+    Returns per-horizon rows (argument and numeric failures are recorded per
+    row) plus three fits of log kappa_T: exponents 1/2 and 1 over all rows,
+    and the profiled free exponent over the blow-up regime (_free_power_fit).
     """
     T_list = [float(T) for T in T_list]
     if any(T <= 0 for T in T_list):
@@ -369,11 +384,8 @@ def cost_sweep(domain, kernel, T_list, coupling=COUPLING_FIXED, n_fixed=None,
     models = {}
     for n in dict.fromkeys(n_of_T.values()):
         try:
-            basis = build_basis(domain, n, quadrature_order)
-            dec = decompose(assemble_generator(basis, project_kernel(kernel, basis)))
-            m_omega = restricted_mass_matrix(basis, domain.omega_lo, domain.omega_hi)
-            models[n] = (dec, _validate_mass(m_omega, n, "observability_cost"))
-        except Exception as exc:  # recorded on every row of this truncation
+            models[n] = build_model(domain, kernel, n)[2:]
+        except (ArgumentError, NumericError) as exc:
             models[n] = f"{type(exc).__name__}: {exc}"
 
     rows = []
@@ -384,7 +396,7 @@ def cost_sweep(domain, kernel, T_list, coupling=COUPLING_FIXED, n_fixed=None,
             continue
         try:
             rows.append(SweepRow(T=T, n_used=n, report=_cost(*models[n], T)))
-        except Exception as exc:  # recorded per row, never fatal to the sweep
+        except (ArgumentError, NumericError) as exc:  # recorded per row, never fatal
             rows.append(SweepRow(T=T, n_used=n, error=f"{type(exc).__name__}: {exc}"))
 
     good = [row for row in rows if row.report is not None]

@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from nullheat import (Domain, GaussianKernel, assemble_generator, build_basis,
-                      decompose, project_kernel, restricted_mass_matrix)
+from nullheat import Domain, GaussianKernel, build_model
 
 
 @pytest.fixture
@@ -18,8 +17,4 @@ def rng():
 @pytest.fixture
 def stable_pipeline(domain):
     """Gaussian(5, 0.2) coupling at N=16 on the standard window."""
-    basis = build_basis(domain, 16)
-    kmat = project_kernel(GaussianKernel(5.0, 0.2), basis)
-    dec = decompose(assemble_generator(basis, kmat))
-    m_omega = restricted_mass_matrix(basis, 0.3, 0.8)
-    return basis, kmat, dec, m_omega
+    return build_model(domain, GaussianKernel(5.0, 0.2), 16)

@@ -36,11 +36,6 @@ class TestDomain:
     def test_valid(self):
         d = Domain(2.0, 0.5, 1.5)
         assert d.omega == (0.5, 1.5)
-        assert not d.omega_touches_boundary
-
-    def test_boundary_contact_flagged(self):
-        assert Domain(1.0, 0.0, 0.5).omega_touches_boundary
-        assert Domain(1.0, 0.5, 1.0).omega_touches_boundary
 
     @pytest.mark.parametrize("args", [
         (0.0, 0.1, 0.2), (-1.0, 0.1, 0.2), (1.0, 0.5, 0.5),

@@ -264,6 +264,16 @@ class TestRunCommand:
         rc = cli.main(["zeta", str(path), "--T", "0.1", "--output", str(out)])
         assert rc == 2
 
+    def test_exit_code_cost_overflow(self, tmp_path, capsys):
+        text = MINIMAL.replace("kernel.variant = zero",
+                               "kernel.variant = gaussian\nkernel.amplitude = 20\nkernel.width = 0.15")
+        path = write(tmp_path, text)
+        with np.errstate(over="ignore"):
+            rc = cli.main(["cost", str(path), "--T", "1000", "--output", str(tmp_path / "out")])
+        assert rc == 2
+        assert "observability_cost: Gramian or e^(2LT) overflows float64 at T=1000" in (
+            capsys.readouterr().err)
+
     def test_unknown_verb_rejected(self, tmp_path):
         path = write(tmp_path, MINIMAL)
         with pytest.raises(SystemExit):

@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 from nullheat import (ArgumentError, Domain, GaussianKernel, ZeroKernel,
-                      assemble_generator, build_basis, control_cost, decompose,
-                      hum_control, lr_staged_control, observability_cost,
-                      observability_gramian, project_kernel, propagate,
-                      restricted_mass_matrix, simulate_controlled)
+                      assemble_generator, build_basis, build_model, control_cost,
+                      controlled_state_norms, decompose, hum_control,
+                      lr_staged_control, observability_cost, observability_gramian,
+                      project_kernel, propagate, restricted_mass_matrix,
+                      simulate_controlled)
 
 
 def _dec(domain, kernel, n):
@@ -94,6 +95,19 @@ class TestHumControl:
         ridged = hum_control(dec, m_omega, u0, 0.5, nt=32, ridge=1e-6)
         assert ridged.cost_sq < exact.cost_sq
         assert ridged.ridge_used == 1e-6
+
+
+class TestControlledStateNorms:
+    @pytest.mark.parametrize("amplitude, width, n", [(5.0, 0.2, 16), (20.0, 0.15, 32)],
+                             ids=["stable", "unstable"])
+    def test_starts_at_one_and_ends_at_terminal_residual(self, domain, amplitude, width, n):
+        _, _, dec, m_omega = build_model(domain, GaussianKernel(amplitude, width), n)
+        u0 = np.eye(n)[0]
+        result = hum_control(dec, m_omega, u0, 0.5, nt=64)
+        norms = controlled_state_norms(dec, m_omega, u0, result)
+        assert len(norms) == 64
+        assert abs(norms[0] - 1.0) <= 1e-14
+        assert abs(norms[-1] - result.terminal_residual) <= 1e-10
 
 
 class TestSimulateControlled:

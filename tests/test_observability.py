@@ -5,12 +5,13 @@ from numpy.polynomial.legendre import leggauss
 
 from nullheat import (ArgumentError, COUPLING_FIXED, COUPLING_RESOLVENT, Domain,
                       GaussianKernel, NumericError, ZeroKernel, assemble_generator, build_basis,
-                      cost_sweep, decompose, observability_cost,
+                      build_model, cost_sweep, decompose, observability_cost,
                       observability_gramian, project_kernel, proof_chain_report,
                       propagate, restricted_mass_matrix, spectral_obs_constant,
                       spectral_obs_constants, specobs_sweep_and_fit, truncation_for_horizon,
                       witness_identity_residual)
 from nullheat import _highprec, observability, oracles
+from nullheat.bundled import bundled_kernels, grid_demo_kernel
 from nullheat.observability import _validate_mass
 
 
@@ -362,10 +363,55 @@ class TestCostSweep:
         assert len(good) == 2 and len(bad) == 1
         assert bad[0].T == 1000.0
 
+    def test_overflow_row_is_a_numeric_error(self, domain):
+        with np.errstate(over="ignore"):
+            sweep = cost_sweep(domain, GaussianKernel(20.0, 0.15),
+                               [0.5, 0.25, 1000.0], coupling=COUPLING_FIXED,
+                               n_fixed=8)
+        assert sweep.rows[0].T == 1000.0  # rows are T-descending
+        assert sweep.rows[0].error.startswith("NumericError: observability_cost:")
+
+    def test_unexpected_error_propagates(self, domain, monkeypatch):
+        def broken(dec, m_omega, T):
+            raise TypeError("not a numeric failure")
+
+        monkeypatch.setattr(observability, "_cost", broken)
+        with pytest.raises(TypeError, match="not a numeric failure"):
+            cost_sweep(domain, ZeroKernel(), [0.4, 0.2], coupling=COUPLING_FIXED,
+                       n_fixed=4)
+
     def test_nonpositive_horizon_rejected(self, domain):
         with pytest.raises(ArgumentError):
             cost_sweep(domain, ZeroKernel(), [0.5, -1.0], coupling=COUPLING_FIXED,
                        n_fixed=4)
+
+class TestBuildModel:
+    @pytest.mark.parametrize("n", [4, 16, 32])
+    @pytest.mark.parametrize("kernel", [kernel for _, kernel in bundled_kernels()],
+                             ids=[name for name, _ in bundled_kernels()])
+    def test_equals_hand_built_chain_bitwise(self, domain, kernel, n):
+        basis, kmat, dec, m_omega = build_model(domain, kernel, n)
+        ref_basis = build_basis(domain, n)
+        ref_kmat = project_kernel(kernel, ref_basis)
+        ref_dec = decompose(assemble_generator(ref_basis, ref_kmat))
+        ref_m = restricted_mass_matrix(ref_basis, domain.omega_lo, domain.omega_hi)
+        assert np.array_equal(basis.lambdas, ref_basis.lambdas)
+        assert kmat.matrix.tobytes() == ref_kmat.matrix.tobytes()
+        assert kmat.hs_of_k == ref_kmat.hs_of_k
+        assert dec.mus.tobytes() == ref_dec.mus.tobytes()
+        assert dec.modes.tobytes() == ref_dec.modes.tobytes()
+        assert m_omega.tobytes() == ref_m.tobytes()
+
+    def test_symmetry_tol_forwarded_to_projection(self, domain):
+        grid = grid_demo_kernel()
+        build_model(domain, grid, 16)  # its 4.4e-16 defect passes the default
+        with pytest.raises(ArgumentError) as ref:
+            project_kernel(grid, build_basis(domain, 16), symmetry_tol=1e-300)
+        with pytest.raises(ArgumentError) as err:
+            build_model(domain, grid, 16, symmetry_tol=1e-300)
+        assert str(err.value) == str(ref.value)
+        assert str(err.value).startswith("project_kernel: grid kernel fails the symmetry")
+
 
 class TestSweepSharesModels:
     """cost_sweep builds one model per distinct truncation."""
@@ -384,9 +430,9 @@ class TestSweepSharesModels:
     def test_fixed_sweep_builds_one_model(self, domain, built, monkeypatch):
         projected = []
 
-        def counted_projection(spec, basis):
+        def counted_projection(spec, basis, **kw):
             projected.append(basis.n_modes)
-            return project_kernel(spec, basis)
+            return project_kernel(spec, basis, **kw)
 
         monkeypatch.setattr(observability, "project_kernel", counted_projection)
         sweep = cost_sweep(domain, GaussianKernel(5.0, 0.2), [0.4, 0.2, 0.1],
@@ -404,7 +450,7 @@ class TestSweepSharesModels:
         monkeypatch.setattr(observability, "_validate_mass", counted)
         sweep = cost_sweep(domain, GaussianKernel(5.0, 0.2), [0.4, 0.2, 0.1],
                            coupling=COUPLING_FIXED, n_fixed=8)
-        assert validated == [(8, "observability_cost")]
+        assert validated == [(8, "build_model")]
         assert all(row.report is not None for row in sweep.rows)
 
     def test_resolvent_sweep_builds_one_model_per_truncation(self, domain, built):
