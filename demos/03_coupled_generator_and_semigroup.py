@@ -13,8 +13,8 @@ from nullheat.oracles import crank_nicolson_propagate
 domain = Domain(1.0, 0.3, 0.8)
 basis = build_basis(domain, 16)
 kmat = project_kernel(GaussianKernel(5.0, 0.2), basis)
-gen = assemble_generator(basis, kmat)
-dec = decompose(gen)
+lmat = assemble_generator(basis, kmat)  # the symmetric array L
+dec = decompose(lmat)
 # build_model(domain, kernel, n) runs this chain, plus the Gram matrix on omega
 
 print("top of the coupled spectrum:", np.array2string(dec.mus[:4], precision=3))
@@ -26,7 +26,7 @@ print(f"the coupling shifts eigenvalues by at most ||K||_F = {kmat.frobenius:.3f
 rng = np.random.default_rng(7)
 v = rng.standard_normal(16)
 exact = propagate(dec, v, 0.1)
-stepped = crank_nicolson_propagate(gen.lmat, v, 0.1, steps=20_000)
+stepped = crank_nicolson_propagate(lmat, v, 0.1, steps=20_000)
 print(f"\npropagate vs Crank-Nicolson (2e4 steps): rel diff "
       f"{np.linalg.norm(exact - stepped) / np.linalg.norm(exact):.2e}")
 

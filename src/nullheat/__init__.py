@@ -24,9 +24,9 @@ from .control import (ControlResult, SimulationResult, StageLog, control_cost,
                       simulate_controlled)
 from .errors import (ArgumentError, ConfigError, IllConditionedError,
                      KernelFormatError, NumericError, OverflowRefusalError)
-from .evolution import (Generator, SpectralDecomposition, assemble_generator,
-                        decompose, left_inverse_constant, propagate,
-                        propagate_backward, semigroup_norm)
+from .evolution import (SpectralDecomposition, assemble_generator, decompose,
+                        left_inverse_constant, propagate, propagate_backward,
+                        semigroup_norm)
 from .kernels import (GaussianKernel, GridKernel, KernelMatrix, KernelSpec,
                       SeparableKernel, ZeroKernel, hs_norm, project_kernel,
                       read_grid_kernel, write_grid_kernel)
@@ -41,7 +41,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ArgumentError", "ConfigError", "ControlResult", "CostReport", "CostSweep",
-    "Domain", "ExperimentConfig", "GaussianKernel", "Generator", "GridKernel",
+    "Domain", "ExperimentConfig", "GaussianKernel", "GridKernel",
     "IllConditionedError", "KernelFormatError", "KernelMatrix", "KernelSpec",
     "NumericError", "ObsReport", "OverflowRefusalError", "SeparableKernel",
     "SimulationResult", "SpecObsSweep", "SpectralBasis", "SpectralDecomposition",

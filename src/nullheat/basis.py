@@ -156,15 +156,6 @@ def gauss_quadrature(f, lo, hi, panels, order):
     return total
 
 
-def composite_gauss_nodes(lo, hi, panels, order):
-    """Nodes and weights of the composite rule, concatenated across panels."""
-    if order not in SUPPORTED_QUADRATURE_ORDERS:
-        raise ArgumentError(
-            f"composite_gauss_nodes: order {order} not in {SUPPORTED_QUADRATURE_ORDERS}"
-        )
-    return gauss_rule(np.linspace(lo, hi, panels + 1), order)
-
-
 def gauss_rule(edges, order):
     """Nodes and weights of the order-point Gauss-Legendre rule on each panel
     [edges[i], edges[i + 1]], concatenated across panels."""

@@ -236,10 +236,10 @@ def check_propagation_oracle(rng):
     worst = 0.0
     for name, kernel in bundled_kernels():
         basis, kmat, dec, _ = build_model(DEFAULT_DOMAIN, kernel, 32)
-        gen = assemble_generator(basis, kmat)
+        lmat = assemble_generator(basis, kmat)
         v = rng.standard_normal(32)
         exact = propagate(dec, v, 0.1)
-        cn = oracles.crank_nicolson_propagate(gen.lmat, v, 0.1, steps=10_000)
+        cn = oracles.crank_nicolson_propagate(lmat, v, 0.1, steps=10_000)
         worst = max(worst, float(np.linalg.norm(exact - cn) / np.linalg.norm(exact)))
     return worst <= 1e-6, f"max relative defect vs Crank-Nicolson {worst:.2e}"
 
@@ -365,7 +365,7 @@ def check_cost_monotonicity(rng):
 
 def check_chain_dominance(rng):
     basis, _, dec, m_omega = build_model(DEFAULT_DOMAIN, GaussianKernel(5.0, 0.2), 8)
-    rows = proof_chain_report(basis, dec, m_omega, r=9.5 * np.pi ** 2, T=0.1, n_t=20)
+    rows = proof_chain_report(basis, dec, m_omega, r=9.5 * np.pi ** 2, T=0.1)
     margins = [row.log_chain_bound - row.log_extremal_quotient for row in rows]
     ok = all(m >= -1e-9 for m in margins)
     return ok, f"min log margin {min(margins):.3f} over {len(rows)} grid points"

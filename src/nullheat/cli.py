@@ -4,7 +4,8 @@ Verbs map one-to-one onto library operations; every run echoes its fully
 resolved configuration into the output directory so results reproduce from
 the echo alone.  Exit codes: 0 success, 1 argument/config/format errors,
 2 numeric or conditioning errors.  Floats are written with repr (shortest
-round-trip), so identical configurations produce byte-identical files.
+round-trip), so identical configurations produce byte-identical files; a
+comma in a text field is written as ';'.
 """
 
 import argparse
@@ -34,7 +35,7 @@ def _fmt(value):
         return str(int(value))
     if isinstance(value, (float, np.floating)):
         return repr(float(value))
-    return str(value)
+    return str(value).replace(",", ";")
 
 
 def _write_csv(path, header, rows):
@@ -69,11 +70,11 @@ def _u0_vector(cfg, n):
     return u0
 
 
-def run_command(verb, cfg, out_dir=None):
+def run_command(verb, cfg):
     """Execute one verb against a resolved config; returns written paths."""
     if verb not in VERBS:
         raise ArgumentError(f"run_command: unknown verb {verb!r} (choose from {VERBS})")
-    out = out_dir or cfg.output_dir
+    out = cfg.output_dir
     os.makedirs(out, exist_ok=True)
     with open(os.path.join(out, "config.echo.cfg"), "w", encoding="ascii",
               newline="\n") as fh:
@@ -209,8 +210,7 @@ def run_command(verb, cfg, out_dir=None):
     elif verb == "certify-all":
         rows = certify.run_all(seed=cfg.seed)
         emit("certify.csv", ["check", "status", "detail"],
-             [(name, "pass" if ok else "FAIL", detail.replace(",", ";"))
-              for name, ok, detail in rows])
+             [(name, "pass" if ok else "FAIL", detail) for name, ok, detail in rows])
         if not all(ok for _, ok, _ in rows):
             failed = [name for name, ok, _ in rows if not ok]
             raise NumericError(f"certify-all: failing checks: {', '.join(failed)}")

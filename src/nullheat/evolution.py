@@ -33,13 +33,6 @@ _FLOAT_TRUST_FLOOR = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
-class Generator:
-    basis: object
-    lmat: np.ndarray = field(repr=False)
-    hs_of_k: float
-
-
-@dataclass(frozen=True, eq=False)
 class SpectralDecomposition:
     """Eigenpairs of the generator, mus descending, eigenvectors in columns."""
 
@@ -64,26 +57,26 @@ def assemble_generator(basis, kmat):
         )
     lmat = kmat.matrix.copy()
     lmat[np.diag_indices_from(lmat)] -= basis.lambdas
-    return Generator(basis=basis, lmat=lmat, hs_of_k=kmat.hs_of_k)
+    return lmat
 
 
-def decompose(gen):
-    """Full symmetric eigendecomposition, mus descending.
+def decompose(lmat):
+    """Full symmetric eigendecomposition of the generator array, mus descending.
 
     Sign convention: the largest-magnitude entry of each eigenvector is
     positive (first such index on ties), which makes the output reproducible
     across runs.
     """
     try:
-        mus, modes = np.linalg.eigh(gen.lmat)
+        mus, modes = np.linalg.eigh(lmat)
     except np.linalg.LinAlgError as exc:  # not expected for symmetric input
         raise NumericError(f"decompose: eigensolver failed ({exc})") from exc
     mus = mus[::-1].copy()
     modes = modes[:, ::-1].copy()
     modes = positive_sign(modes)
     dec = SpectralDecomposition(mus=mus, modes=modes)
-    resid = np.max(np.abs(modes @ (mus[:, None] * modes.T) - gen.lmat))
-    scale = 1.0 + np.max(np.abs(gen.lmat))
+    resid = np.max(np.abs(modes @ (mus[:, None] * modes.T) - lmat))
+    scale = 1.0 + np.max(np.abs(lmat))
     if resid > 1e-9 * scale:
         raise NumericError(f"decompose: reconstruction residual {resid:.3e} exceeds tolerance")
     return dec
@@ -157,8 +150,6 @@ def left_inverse_constant(dec, m_omega, t, gate=CONDITIONING_GATE,
     if method not in ("auto", "float", "mp"):
         raise ArgumentError(f"left_inverse_constant: unknown method {method!r}")
 
-    zeta = None
-    witness = None
     if method in ("auto", "float"):
         et = dec.semigroup(t)
         a = et @ m_omega @ et
@@ -171,22 +162,21 @@ def left_inverse_constant(dec, m_omega, t, gate=CONDITIONING_GATE,
                     f"left_inverse_constant: generalized eigensolver failed ({exc}); "
                     "use method='mp'"
                 ) from exc
-            theta = None
-        trusted = theta is not None and theta[0] > _FLOAT_TRUST_FLOOR * max(theta[-1], 0.0)
-        if trusted or (method == "float" and theta is not None):
-            if theta[0] <= 0:
-                raise NumericError(
-                    "left_inverse_constant: generalized eigenvalue lost to roundoff "
-                    f"({theta[0]:.3e}); use method='mp'"
-                )
-            zeta = float(np.sqrt(theta[0]))
-            witness = positive_sign(vecs[:, 0] / np.linalg.norm(vecs[:, 0]))
-    if zeta is None:
-        log_zeta, witness = _highprec.generalized_min_eig_mp(dec.mus, dec.modes, m_omega, t)
-        if log_zeta < -745.0:
-            raise NumericError(
-                f"left_inverse_constant: zeta underflows float64 (log zeta = {log_zeta:.1f}); "
-                "reduce t or the truncation level"
-            )
-        zeta = math.exp(log_zeta)
+        else:
+            if method == "float" or theta[0] > _FLOAT_TRUST_FLOOR * max(theta[-1], 0.0):
+                if theta[0] <= 0:
+                    raise NumericError(
+                        "left_inverse_constant: generalized eigenvalue lost to roundoff "
+                        f"({theta[0]:.3e}); use method='mp'"
+                    )
+                zeta = float(np.sqrt(theta[0]))
+                witness = positive_sign(vecs[:, 0] / np.linalg.norm(vecs[:, 0]))
+                return (zeta, witness) if with_witness else zeta
+    log_zeta, witness = _highprec.generalized_min_eig_mp(dec.mus, dec.modes, m_omega, t)
+    if log_zeta < -745.0:
+        raise NumericError(
+            f"left_inverse_constant: zeta underflows float64 (log zeta = {log_zeta:.1f}); "
+            "reduce t or the truncation level"
+        )
+    zeta = math.exp(log_zeta)
     return (zeta, witness) if with_witness else zeta

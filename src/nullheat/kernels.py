@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .basis import composite_gauss_nodes, gauss_rule
+from .basis import gauss_rule
 from .errors import ArgumentError, KernelFormatError, NumericError
 
 SYMMETRY_LATTICE = 33  # fixed evaluation lattice of GridKernel.symmetry_defect
@@ -142,7 +142,7 @@ class GaussianKernel(KernelSpec):
     def axis_rule(self, basis):
         ell = basis.domain.length
         panels = max(1, int(np.ceil(ell / min(self.width / 2.0, ell / basis.n_modes))))
-        return composite_gauss_nodes(0.0, ell, panels, QUADRATURE_ORDER)
+        return gauss_rule(np.linspace(0.0, ell, panels + 1), QUADRATURE_ORDER)
 
 
 @dataclass(frozen=True, eq=False)

@@ -26,7 +26,7 @@ and fits log kappa_T against both 1/sqrt(T) and 1/T.
 """
 
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg as sla
@@ -44,6 +44,7 @@ COUPLING_RESOLVENT = "r-equals-1-over-T"
 _PSD_TOL = 1e-12
 _MP_ESCALATION = 1e-6  # float64 c_min below this (relative) is recomputed in mp
 _FALLBACK_RIDGE_SCALE = 1e-12
+CHAIN_GRID_POINTS = 20  # proof_chain_report's t grid: T i / 20, i = 1..20
 
 
 @dataclass(frozen=True, eq=False)
@@ -62,7 +63,6 @@ class CostReport:
     kappa: float
     gramian_min_eig: float
     witness: np.ndarray = field(repr=False)
-    blowup_fit: tuple = None  # (C_hat, alpha_hat) attached by cost_sweep
 
 
 def _phi(s, T):
@@ -106,8 +106,6 @@ def spectral_obs_constants(basis, omega, r_list):
 
 
 def _packet_reports(basis, omega, r_list):
-    if omega is None:
-        omega = basis.domain.omega
     lo, hi = omega
     M = restricted_mass_matrix(basis, lo, hi)
     M_mp = factor = None
@@ -153,8 +151,6 @@ def witness_identity_residual(basis, omega, report):
     c_min * ||c||^2, which sits below the float64 quadratic-form rounding
     floor for deep cutoffs.
     """
-    if omega is None:
-        omega = basis.domain.omega
     lo, hi = omega
     q = _highprec.rayleigh_quotient_mp(
         report.n_modes, lo, hi, basis.domain.length, report.witness)
@@ -408,10 +404,7 @@ def cost_sweep(domain, kernel, T_list, coupling=COUPLING_FIXED, n_fixed=None, ma
     fit_inv = _power_fit(Ts, ys, 1.0)
     fit_free = _free_power_fit(Ts, ys)
     preferred = "sqrt" if fit_sqrt.residual <= fit_inv.residual else "inv"
-    fit = (fit_free.coeff, fit_free.alpha)
-    tagged = [row if row.report is None
-              else replace(row, report=replace(row.report, blowup_fit=fit)) for row in rows]
-    return CostSweep(rows=tagged, fit_sqrt=fit_sqrt, fit_inv=fit_inv,
+    return CostSweep(rows=rows, fit_sqrt=fit_sqrt, fit_inv=fit_inv,
                      fit_free=fit_free, preferred=preferred)
 
 
@@ -426,7 +419,7 @@ class ChainRow:
     log_extremal_quotient: float
 
 
-def proof_chain_report(basis, dec, m_omega, r, T, n_t=20):
+def proof_chain_report(basis, dec, m_omega, r, T):
     """Audit the estimate chain pointwise in t on (0, T].
 
     For packets supported on modes with lambda_j <= r, chaining the three
@@ -443,8 +436,8 @@ def proof_chain_report(basis, dec, m_omega, r, T, n_t=20):
     e2 = dec.semigroup(2.0 * T)
     S = e2[:n_r, :n_r]
     rows = []
-    for i in range(1, n_t + 1):
-        t = T * i / n_t
+    for i in range(1, CHAIN_GRID_POINTS + 1):
+        t = T * i / CHAIN_GRID_POINTS
         zeta = left_inverse_constant(dec, m_omega, t)
         et = dec.semigroup(t)
         emet = et @ m_omega @ et

@@ -94,7 +94,7 @@ def sampled_min_quotient(dec, m_omega, t, n_draws, rng):
     generalized spectrum is not too spread (random search cannot cross
     exponentially large eigenvalue gaps).
     """
-    et = dec.modes @ (np.exp(dec.mus * t)[:, None] * dec.modes.T)
+    et = dec.semigroup(t)
     V = rng.standard_normal((n_draws, dec.n_modes))
     EV = V @ et.T
     num = np.einsum("ij,jk,ik->i", EV, m_omega, EV)
@@ -107,7 +107,7 @@ def sampled_max_cost_quotient(dec, m_omega, gramian, T, n_draws, rng):
 
     Lower-bounds kappa_T, with the same caveat as sampled_min_quotient.
     """
-    elt = dec.modes @ (np.exp(dec.mus * T)[:, None] * dec.modes.T)
+    elt = dec.semigroup(T)
     V = rng.standard_normal((n_draws, dec.n_modes))
     num = np.sum((V @ elt.T) ** 2, axis=1)
     den = np.einsum("ij,jk,ik->i", V, gramian, V)

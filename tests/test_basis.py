@@ -5,7 +5,7 @@ import pytest
 from nullheat import (ArgumentError, Domain, build_basis, eval_mode,
                       gauss_quadrature, restricted_mass_matrix)
 from nullheat import _highprec, certify
-from nullheat.basis import composite_gauss_nodes, gauss_rule, positive_sign
+from nullheat.basis import gauss_rule, positive_sign
 
 
 def _gram_double_loop(n, lo, hi, ell, sin=np.sin, pi=np.pi):
@@ -218,13 +218,6 @@ class TestGaussQuadrature:
 
 
 class TestGaussRule:
-    @pytest.mark.parametrize("lo, hi, panels, order", [
-        (0.0, 1.0, 1, 8), (0.3, 0.8, 7, 16), (-2.0, 5.0, 13, 4)])
-    def test_linspace_edges_equal_composite_rule_bitwise(self, lo, hi, panels, order):
-        x, w = gauss_rule(np.linspace(lo, hi, panels + 1), order)
-        cx, cw = composite_gauss_nodes(lo, hi, panels, order)
-        assert x.tobytes() == cx.tobytes() and w.tobytes() == cw.tobytes()
-
     def test_uneven_edges_panel_by_panel(self):
         edges = [0.0, 0.01, 0.02, 0.04, 0.3, 1.0]
         x, w = gauss_rule(edges, 16)

@@ -10,6 +10,7 @@ from nullheat import (ConfigError, ExperimentConfig, GaussianKernel, GridKernel,
                       SeparableKernel, ZeroKernel, format_config, parse_config,
                       write_grid_kernel)
 from nullheat import cli
+from nullheat.bundled import default_config_path
 
 MINIMAL = """\
 domain.length = 1.0
@@ -239,6 +240,20 @@ class TestRunCommand:
         assert lines[0] == "T,N_used,kappa_T,gramian_min_eig,fit_model,fit_C,fit_alpha,fit_residual"
         models = [line.split(",")[4] for line in lines[1:]]
         assert models.count("sqrt") == 1 and models.count("inv") == 1
+
+    def test_cost_sweep_error_text_keeps_eight_fields(self, tmp_path):
+        # margin 0 gives N = 0 at the two longest horizons; their error rows
+        # hold "..., got 0", which must not open a ninth field
+        out = tmp_path / "out"
+        rc = cli.main(["cost-sweep", str(default_config_path()), "--output", str(out),
+                       "--set", "truncation.coupling=r-equals-1-over-T",
+                       "--set", "truncation.margin=0"])
+        assert rc == 0
+        lines = (out / "cost-sweep.csv").read_text().splitlines()
+        assert all(len(line.split(",")) == 8 for line in lines)
+        errors = [line.split(",")[7] for line in lines[1:] if line.split(",")[4] == "error"]
+        assert errors == ["ArgumentError: build_basis: n_modes must be a positive integer; "
+                          "got 0"] * 2
 
     def test_exit_code_domain_error(self, tmp_path):
         path = write(tmp_path, MINIMAL + "nonsense.key = 1\n")

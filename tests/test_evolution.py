@@ -20,26 +20,26 @@ def _dec(domain, kernel, n):
 class TestAssemble:
     def test_zero_kernel_diagonal(self):
         basis = build_basis(Domain(np.pi, 1.0, 2.0), 3)
-        gen = assemble_generator(basis, project_kernel(ZeroKernel(), basis))
-        assert np.array_equal(gen.lmat, np.diag([-1.0, -4.0, -9.0]))
+        lmat = assemble_generator(basis, project_kernel(ZeroKernel(), basis))
+        assert np.array_equal(lmat, np.diag([-1.0, -4.0, -9.0]))
 
     def test_rank_one_shift(self, domain):
         basis = build_basis(domain, 4)
         kmat = project_kernel(SeparableKernel(np.array([1.0]), np.array([1.0])), basis)
-        gen = assemble_generator(basis, kmat)
-        assert gen.lmat[0, 0] == pytest.approx(-np.pi ** 2 + 1.0, abs=1e-12)
-        assert gen.lmat[1, 1] == pytest.approx(-4 * np.pi ** 2, abs=1e-12)
+        lmat = assemble_generator(basis, kmat)
+        assert lmat[0, 0] == pytest.approx(-np.pi ** 2 + 1.0, abs=1e-12)
+        assert lmat[1, 1] == pytest.approx(-4 * np.pi ** 2, abs=1e-12)
 
     def test_symmetric_exactly(self, domain):
         basis = build_basis(domain, 12)
-        gen = assemble_generator(basis, project_kernel(GaussianKernel(5.0, 0.2), basis))
-        assert np.array_equal(gen.lmat, gen.lmat.T)
+        lmat = assemble_generator(basis, project_kernel(GaussianKernel(5.0, 0.2), basis))
+        assert np.array_equal(lmat, lmat.T)
 
     def test_diagonal_dominated_by_shift(self, domain):
         basis = build_basis(domain, 16)
         kmat = project_kernel(GaussianKernel(5.0, 0.2), basis)
-        gen = assemble_generator(basis, kmat)
-        assert np.all(np.diag(gen.lmat) <= -basis.lambdas + gen.hs_of_k + 1e-12)
+        lmat = assemble_generator(basis, kmat)
+        assert np.all(np.diag(lmat) <= -basis.lambdas + kmat.hs_of_k + 1e-12)
 
     def test_dimension_mismatch(self, domain):
         basis = build_basis(domain, 8)
@@ -62,9 +62,9 @@ class TestDecompose:
     def test_orthogonality_and_reconstruction(self, domain):
         basis, kmat, dec = _dec(domain, GaussianKernel(5.0, 0.2), 16)
         assert np.max(np.abs(dec.modes.T @ dec.modes - np.eye(16))) <= 1e-10
-        gen = assemble_generator(basis, kmat)
+        lmat = assemble_generator(basis, kmat)
         rec = dec.modes @ (dec.mus[:, None] * dec.modes.T)
-        assert np.max(np.abs(rec - gen.lmat)) <= 1e-9 * (1 + np.max(np.abs(gen.lmat)))
+        assert np.max(np.abs(rec - lmat)) <= 1e-9 * (1 + np.max(np.abs(lmat)))
 
     def test_weyl_bound_random_symmetric(self, domain, rng):
         basis = build_basis(domain, 10)
@@ -100,10 +100,10 @@ class TestPropagate:
     def test_crank_nicolson_oracle(self, domain, rng):
         for name, kernel in bundled_kernels():
             basis, kmat, dec = _dec(domain, kernel, 16)
-            gen = assemble_generator(basis, kmat)
+            lmat = assemble_generator(basis, kmat)
             v = rng.standard_normal(16)
             exact = propagate(dec, v, 0.1)
-            cn = oracles.crank_nicolson_propagate(gen.lmat, v, 0.1, steps=10_000)
+            cn = oracles.crank_nicolson_propagate(lmat, v, 0.1, steps=10_000)
             rel = np.linalg.norm(exact - cn) / np.linalg.norm(exact)
             assert rel <= 1e-6, name
 
@@ -111,7 +111,7 @@ class TestPropagate:
         # the oracle is the plain Crank-Nicolson scheme, bit for bit
         import scipy.linalg as sla
         basis, kmat, _ = _dec(domain, GaussianKernel(20.0, 0.15), 8)
-        lmat = assemble_generator(basis, kmat).lmat
+        lmat = assemble_generator(basis, kmat)
         v = rng.standard_normal(8)
         t, steps = 0.1, 200
         dt = t / steps

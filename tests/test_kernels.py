@@ -11,7 +11,7 @@ from nullheat import (ArgumentError, GaussianKernel, GridKernel,
                       ZeroKernel, build_basis, hs_norm,
                       project_kernel, read_grid_kernel, write_grid_kernel)
 from nullheat import oracles
-from nullheat.basis import composite_gauss_nodes
+from nullheat.basis import gauss_rule
 from nullheat.bundled import bundled_kernels, grid_demo_kernel
 from nullheat.kernels import SYMMETRY_LATTICE
 
@@ -165,8 +165,10 @@ class TestProjectKernel:
         # with panels no wider than the highest mode's half-wavelength
         k = grid_demo_kernel()
         kinks = np.concatenate(([0.0], k.midpoints, [1.0]))
-        parts = [composite_gauss_nodes(a, b, max(1, int(np.ceil((b - a) / (1.0 / 16)))), 8)
-                 for a, b in zip(kinks[:-1], kinks[1:])]
+        parts = []
+        for a, b in zip(kinks[:-1], kinks[1:]):
+            panels = max(1, int(np.ceil((b - a) / (1.0 / 16))))
+            parts.append(gauss_rule(np.linspace(a, b, panels + 1), 8))
         x, w = k.axis_rule(basis)
         assert x.tobytes() == np.concatenate([p[0] for p in parts]).tobytes()
         assert w.tobytes() == np.concatenate([p[1] for p in parts]).tobytes()

@@ -219,8 +219,8 @@ class TestGramian:
         basis, kmat, dec, m_omega = stable_pipeline
         T = 1e-5
         G = observability_gramian(dec, m_omega, T)
-        gen = assemble_generator(basis, kmat)
-        bound = 10 * T ** 2 * np.linalg.norm(gen.lmat, 2) * np.linalg.norm(m_omega, 2)
+        lmat = assemble_generator(basis, kmat)
+        bound = 10 * T ** 2 * np.linalg.norm(lmat, 2) * np.linalg.norm(m_omega, 2)
         assert np.max(np.abs(G - T * m_omega)) <= bound
 
     def test_time_quadrature_oracle(self, stable_pipeline):
@@ -348,8 +348,6 @@ class TestCostSweep:
         assert sweep.fit_sqrt.alpha == 0.5
         assert sweep.fit_inv.alpha == 1.0
         assert sweep.fit_sqrt.residual > 0 and sweep.fit_inv.residual > 0
-        for row in sweep.rows:
-            assert row.report.blowup_fit == (sweep.fit_free.coeff, sweep.fit_free.alpha)
 
     def test_per_row_failure_not_fatal(self, domain):
         # an unstable generator overflows exp(2 mu T) at an absurd horizon;
@@ -420,9 +418,9 @@ class TestSweepSharesModels:
     def built(self, monkeypatch):
         sizes = []
 
-        def counted(gen):
-            sizes.append(gen.lmat.shape[0])
-            return decompose(gen)
+        def counted(lmat):
+            sizes.append(lmat.shape[0])
+            return decompose(lmat)
 
         monkeypatch.setattr(observability, "decompose", counted)
         return sizes
@@ -474,10 +472,10 @@ class TestSweepSharesModels:
             assert row.report.witness.tobytes() == ref.witness.tobytes()
 
     def test_failed_model_marks_every_row_of_its_truncation(self, domain, monkeypatch):
-        def fail_at_nine(gen):
-            if gen.lmat.shape[0] == 9:
+        def fail_at_nine(lmat):
+            if lmat.shape[0] == 9:
                 raise NumericError("forced failure at N = 9")
-            return decompose(gen)
+            return decompose(lmat)
 
         monkeypatch.setattr(observability, "decompose", fail_at_nine)
         sweep = cost_sweep(domain, ZeroKernel(), [0.4, 0.2, 0.1, 0.05, 0.025],
@@ -495,8 +493,7 @@ class TestProofChain:
     def test_chain_dominates_extremal_quotient(self, domain):
         basis, dec = _dec(domain, GaussianKernel(5.0, 0.2), 8)
         m_omega = restricted_mass_matrix(basis, 0.3, 0.8)
-        rows = proof_chain_report(basis, dec, m_omega, r=9.5 * np.pi ** 2,
-                                  T=0.1, n_t=20)
+        rows = proof_chain_report(basis, dec, m_omega, r=9.5 * np.pi ** 2, T=0.1)
         assert len(rows) == 20
         for row in rows:
             assert row.zeta > 0
