@@ -136,8 +136,9 @@ def gram_closed_form(n, lo, hi, ell, sin=np.sin, pi=np.pi, dtype=float):
 def gauss_quadrature(f, lo, hi, panels, order):
     """Composite Gauss-Legendre approximation of int_lo^hi f(x) dx.
 
-    f is called once per panel on the array of mapped nodes and may return
-    either an array of node values or a scalar per node.  Exact for
+    f is called once per panel on the array of mapped nodes and returns the
+    integrand's values with the nodes on its last axis, which is summed: a
+    scalar integrand gives a float, an array-valued one an array.  Exact for
     polynomials of degree <= 2*order - 1 on each panel, up to roundoff.
     """
     if order not in SUPPORTED_QUADRATURE_ORDERS:
@@ -152,7 +153,7 @@ def gauss_quadrature(f, lo, hi, panels, order):
     edges = np.linspace(lo, hi, panels + 1)
     total = 0.0
     for a, b, x in zip(edges[:-1], edges[1:], gauss_rule(edges, order)[0].reshape(panels, order)):
-        total += 0.5 * (b - a) * float(np.sum(weights * np.asarray(f(x), dtype=float)))
+        total += 0.5 * (b - a) * np.sum(weights * np.asarray(f(x), dtype=float), axis=-1)
     return total
 
 

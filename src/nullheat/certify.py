@@ -8,10 +8,8 @@ quadrature, random-vector inequalities) and pin every tolerance explicitly.
 """
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
-from .basis import (Domain, build_basis, eval_mode, gauss_quadrature, gauss_rule,
-                    restricted_mass_matrix)
+from .basis import Domain, build_basis, eval_mode, gauss_quadrature, restricted_mass_matrix
 from .bundled import bundled_kernels
 from .control import control_cost, hum_control, lr_staged_control, simulate_controlled
 from .errors import OverflowRefusalError
@@ -53,15 +51,10 @@ def check_mass_identity_full_domain(rng):
 
 def _gram_by_quadrature(basis, lo, hi, panels):
     """int_lo^hi psi_i psi_j dx for all mode pairs by composite 8-point Gauss-
-    Legendre, in gauss_quadrature's panel order and eval_mode's arithmetic."""
+    Legendre, in eval_mode's arithmetic."""
     ell, modes = basis.domain.length, np.arange(1, basis.n_modes + 1)[:, None]
-    weights = leggauss(8)[1]
-    edges = np.linspace(lo, hi, panels + 1)
-    Q = np.zeros((basis.n_modes, basis.n_modes))
-    for a, b, x in zip(edges[:-1], edges[1:], gauss_rule(edges, 8)[0].reshape(panels, 8)):
-        psi = np.sqrt(2.0 / ell) * np.sin(modes * np.pi * x / ell)
-        Q += 0.5 * (b - a) * np.sum(weights * (psi[:, None] * psi[None, :]), axis=-1)
-    return Q
+    psi = lambda x: np.sqrt(2.0 / ell) * np.sin(modes * np.pi * x / ell)
+    return gauss_quadrature(lambda x: psi(x)[:, None] * psi(x)[None, :], lo, hi, panels, 8)
 
 
 def check_mass_gram_consistency(rng):
@@ -510,7 +503,7 @@ CHECKS = [
 ]
 
 
-def run_all(seed=20260809, names=None):
+def run_all(seed=20260809):
     """Run every registered check with a seeded generator.
 
     Returns a list of (name, ok, detail) rows in registry order; the
@@ -518,8 +511,6 @@ def run_all(seed=20260809, names=None):
     """
     rows = []
     for name, fn in CHECKS:
-        if names is not None and name not in names:
-            continue
         rng = np.random.default_rng(seed)
         try:
             ok, detail = fn(rng)

@@ -87,8 +87,7 @@ def run_command(verb, cfg):
         written.append(path)
 
     def model():
-        return build_model(cfg.domain(), cfg.kernel(), cfg.n_modes,
-                           symmetry_tol=cfg.symmetry_tol)
+        return build_model(cfg.domain(), cfg.kernel(), cfg.n_modes)
 
     if verb == "basis":
         basis = build_basis(cfg.domain(), cfg.n_modes)
@@ -116,8 +115,7 @@ def run_command(verb, cfg):
         _, _, dec, m_omega = model()
         ts = cfg.horizon_list or (_require(cfg, "horizon", "time.horizon", verb),)
         emit("zeta.csv", ["t", "zeta"],
-             [(t, left_inverse_constant(dec, m_omega, t, gate=cfg.gate))
-              for t in ts])
+             [(t, left_inverse_constant(dec, m_omega, t)) for t in ts])
 
     elif verb == "obs-constant":
         basis = model()[0]
@@ -177,7 +175,7 @@ def run_command(verb, cfg):
         T = _require(cfg, "horizon", "time.horizon", verb)
         basis, _, dec, m_omega = model()
         u0 = _u0_vector(cfg, basis.n_modes)
-        result = hum_control(dec, m_omega, u0, T, nt=max(cfg.nt, 16), ridge=cfg.ridge)
+        result = hum_control(dec, m_omega, u0, T, nt=cfg.nt, ridge=cfg.ridge)
         kappa = observability_cost(dec, m_omega, T).kappa
         nullcond_ok = result.cost_sq <= kappa * float(u0 @ u0) * (1 + 1e-6)
         ts = np.linspace(0.0, T, result.nt)
@@ -198,7 +196,7 @@ def run_command(verb, cfg):
         u0 = np.asarray(cfg.u0, dtype=float)
         result = lr_staged_control(domain, cfg.kernel(), u0, T,
                                    stages=cfg.stages, r0=r0,
-                                   margin=cfg.margin, nt=max(cfg.nt, 16))
+                                   margin=cfg.margin, nt=cfg.nt)
         emit("lr.csv", ["k", "r_k", "t_start", "t_mid", "t_end",
                         "residual_after_active", "residual_after_passive"],
              [(s.k, s.r_k, s.t_start, s.t_mid, s.t_end,

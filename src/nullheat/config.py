@@ -77,8 +77,6 @@ class ExperimentConfig:
     horizon: float = _key("time.horizon", _FLOAT, None)
     horizon_list: tuple = _key("time.horizon_list", _FLOAT_LIST, ())
     nt: int = _key("time.nt", _INT, 64)
-    symmetry_tol: float = _key("tolerances.symmetry", _FLOAT, 1e-10)
-    gate: float = _key("tolerances.gate", _FLOAT, 1e-14)
     ridge: float = _key("tolerances.ridge", _FLOAT, 0.0)
     u0: tuple = _key("control.u0", _FLOAT_LIST, (1.0,))
     stages: int = _key("control.stages", _INT, 4)
@@ -157,6 +155,8 @@ def _validate(cfg):
             f"got {cfg.coupling!r}")
     if cfg.n_modes < 1:
         raise ConfigError(f"parse_config: truncation.n must be >= 1, got {cfg.n_modes}")
+    if cfg.nt < 2:
+        raise ConfigError(f"parse_config: time.nt must be >= 2, got {cfg.nt}")
 
 
 def parse_config(path, overrides=None):

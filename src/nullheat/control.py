@@ -8,7 +8,10 @@ after which the control at time s has spectral coefficients e^{L(T-s)} p
 (the physical control is its omega-restriction) and the terminal state is
 available in closed form, u(T) = e^{LT} u0 + G_T p -- no time stepping.
 With eps = 0 and G_T invertible this is the exact minimum-norm null control
-and its cost p^T G_T p saturates the duality with kappa_T.
+and its cost p^T G_T p saturates the duality with kappa_T.  eps > 0 is the
+penalty of penalized HUM (tolerances.ridge), taken as stated; at eps = 0 a
+Gramian that float64 Cholesky cannot factorize is refused with
+IllConditionedError, never regularized behind the caller's back.
 
 The staged route splits [0, T] dyadically: stage k occupies a slot of
 length T 2^{-(k+1)} whose first half runs a low-mode null control at cutoff
@@ -23,7 +26,6 @@ equation by exponential stepping with per-step source quadrature from the
 *sampled* control, never touching the closed-form terminal identity.
 """
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,8 +35,8 @@ from numpy.polynomial.legendre import leggauss
 from .basis import gauss_rule
 from .errors import ArgumentError, IllConditionedError, NumericError
 from .evolution import propagate
-from .observability import (_FALLBACK_RIDGE_SCALE, _count_modes, _gramian_eigencoords,
-                            _phi, _validate_mass, build_model)
+from .observability import (_count_modes, _gramian_eigencoords, _phi, _validate_mass,
+                            build_model)
 
 
 @dataclass(frozen=True, eq=False)
@@ -71,38 +73,21 @@ class SimulationResult:
 
 
 def _solve_gramian(G, rhs, ridge, op):
-    """Cholesky solve of (G + ridge I) x = rhs with the documented fallback.
+    """Cholesky solve of (G + ridge I) x = rhs; ridge = 0 factorizes G itself.
 
-    ridge = 0 tries the plain factorization first; on failure a ridge of
-    1e-12 trace(G)/N is applied once, with a warning.  Returns (x, ridge)."""
-    n = G.shape[0]
+    A Gramian that does not factorize is refused, never regularized here."""
     if not np.all(np.isfinite(G)):
         raise NumericError(f"{op}: Gramian contains non-finite entries")
     if ridge < 0:
         raise ArgumentError(f"{op}: ridge must be >= 0, got {ridge}")
-    if ridge > 0:
-        A = G + ridge * np.eye(n)
-        try:
-            return sla.cho_solve(sla.cho_factor(A), rhs), ridge
-        except (sla.LinAlgError, np.linalg.LinAlgError) as exc:
-            raise IllConditionedError(
-                f"{op}: Gramian singular even with ridge {ridge:.3e}",
-                eigenvalue=float(np.linalg.eigvalsh(G)[0]),
-            ) from exc
+    A = G + ridge * np.eye(G.shape[0]) if ridge > 0 else G
     try:
-        return sla.cho_solve(sla.cho_factor(G), rhs), 0.0
-    except (sla.LinAlgError, np.linalg.LinAlgError):
-        pass
-    fallback = _FALLBACK_RIDGE_SCALE * float(np.trace(G)) / n
-    warnings.warn(
-        f"{op}: Gramian not factorizable at ridge 0; falling back to ridge "
-        f"{fallback:.3e}", RuntimeWarning, stacklevel=3)
-    try:
-        return sla.cho_solve(sla.cho_factor(G + fallback * np.eye(n)), rhs), fallback
+        return sla.cho_solve(sla.cho_factor(A), rhs)
     except (sla.LinAlgError, np.linalg.LinAlgError) as exc:
         raise IllConditionedError(
-            f"{op}: Gramian singular; pass an explicit ridge",
-            eigenvalue=float(np.linalg.eigvalsh(G)[0]),
+            f"{op}: Gramian not factorizable at ridge {ridge:g}; "
+            f"set tolerances.ridge > {ridge:g}",
+            eigenvalue=float(np.linalg.eigvalsh(A)[0]),
         ) from exc
 
 
@@ -111,7 +96,8 @@ def hum_control(dec, m_omega, u0, T, nt=64, ridge=0.0):
 
     Returns the multiplier p, the control sampled on a uniform nt-grid in
     spectral coefficients, the exact cost p^T G_T p, and the closed-form
-    terminal residual ||u(T)|| / ||u0||.  The whole computation runs in the
+    terminal residual ||u(T)|| / ||u0||; p solves (G_T + ridge I) p = -e^{LT} u0
+    and ridge_used reports that ridge.  The whole computation runs in the
     eigenbasis of the generator so that the decayed high-mode data stays
     elementwise tiny instead of being drowned by norm-level roundoff.
     """
@@ -128,7 +114,7 @@ def hum_control(dec, m_omega, u0, T, nt=64, ridge=0.0):
     u0_e = dec.modes.T @ u0
     decay = np.exp(dec.mus * T)
     rhs = -(decay * u0_e)
-    p_e, ridge_used = _solve_gramian(G, rhs, ridge, "hum_control")
+    p_e = _solve_gramian(G, rhs, ridge, "hum_control")
     terminal_e = decay * u0_e + G @ p_e
     u0_norm = float(np.linalg.norm(u0))
     residual = float(np.linalg.norm(terminal_e)) / u0_norm if u0_norm > 0 else 0.0
@@ -138,7 +124,7 @@ def hum_control(dec, m_omega, u0, T, nt=64, ridge=0.0):
     coeffs = profile @ dec.modes.T                      # back to sine coordinates
     return ControlResult(T=float(T), nt=int(nt), multiplier=dec.modes @ p_e,
                          control_coeffs=coeffs, cost_sq=cost_sq,
-                         terminal_residual=residual, ridge_used=ridge_used)
+                         terminal_residual=residual, ridge_used=float(ridge))
 
 
 def controlled_state_norms(dec, m_omega, u0, result):

@@ -116,8 +116,7 @@ def semigroup_norm(dec, t):
     return float(np.exp(dec.mus[0] * t))
 
 
-def left_inverse_constant(dec, m_omega, t, gate=CONDITIONING_GATE,
-                          with_witness=False, method="auto"):
+def left_inverse_constant(dec, m_omega, t, with_witness=False, method="auto"):
     """Largest zeta with zeta ||v||_omega <= ||e^{Lt} v||_omega on the span.
 
     Computed as sqrt of the smallest generalized eigenvalue of
@@ -135,10 +134,10 @@ def left_inverse_constant(dec, m_omega, t, gate=CONDITIONING_GATE,
             f"match {n} modes"
         )
     w_m = np.linalg.eigvalsh(m_omega)
-    if w_m[0] < gate:
+    if w_m[0] < CONDITIONING_GATE:
         raise IllConditionedError(
             "left_inverse_constant: subdomain mass matrix below the conditioning "
-            f"gate {gate:g}; shrink the truncation or enlarge omega",
+            f"gate {CONDITIONING_GATE:g}; shrink the truncation or enlarge omega",
             eigenvalue=float(w_m[0]),
         )
     if t == 0.0:

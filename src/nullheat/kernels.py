@@ -17,8 +17,8 @@ A kernel enters the dynamics through the integral operator
                          in the half-cell margins.
 
 Symmetry k(x, xi) = k(xi, x) is structural for the first three; a grid
-kernel whose symmetry_defect() exceeds the caller's tolerance is rejected
-by project_kernel, not silently symmetrized.
+kernel whose symmetry_defect() exceeds DEFAULT_SYMMETRY_TOL is rejected by
+project_kernel, not silently symmetrized.
 """
 
 from dataclasses import dataclass, field
@@ -44,8 +44,8 @@ class KernelSpec:
     project_kernel and hs_norm take the Galerkin matrix on n modes and ||k||
     from closed_form(n), or, where that is None, from tensor quadrature on the
     axis nodes and weights of axis_rule(basis).  symmetry_defect() and
-    check_basis(basis, symmetry_tol) default to a structurally symmetric
-    kernel that fits every basis.
+    check_basis(basis) default to a structurally symmetric kernel that fits
+    every basis.
     """
 
     def evaluate(self, x, xi, length):
@@ -60,7 +60,7 @@ class KernelSpec:
     def symmetry_defect(self):
         return 0.0
 
-    def check_basis(self, basis, symmetry_tol):
+    def check_basis(self, basis):
         pass
 
 
@@ -216,17 +216,17 @@ class GridKernel(KernelSpec):
         """True when the declared grid length matches length to 1e-12 relative."""
         return abs(self.length - length) <= 1e-12 * max(1.0, length)
 
-    def check_basis(self, basis, symmetry_tol):
+    def check_basis(self, basis):
         if not self.fits_length(basis.domain.length):
             raise ArgumentError(
                 f"project_kernel: grid kernel declares length {self.length} but the basis domain "
                 f"has length {basis.domain.length}"
             )
         defect = self.symmetry_defect()
-        if defect > symmetry_tol:
+        if defect > DEFAULT_SYMMETRY_TOL:
             raise ArgumentError(
                 f"project_kernel: grid kernel fails the symmetry check (defect {defect:.3e} > "
-                f"tol {symmetry_tol:.3e}); symmetrize the data or fix the file"
+                f"tol {DEFAULT_SYMMETRY_TOL:.3e}); symmetrize the data or fix the file"
             )
 
 
@@ -327,7 +327,7 @@ def write_grid_kernel(path, kernel_fn, n, length, comment=None):
 # ---------------------------------------------------------------------------
 # projection, Hilbert-Schmidt norm
 
-def project_kernel(spec, basis, symmetry_tol=DEFAULT_SYMMETRY_TOL):
+def project_kernel(spec, basis):
     """Project a kernel onto the sine basis, returning its KernelMatrix.
 
     Zero and separable kernels use their closed forms; Gaussian and grid
@@ -342,7 +342,7 @@ def project_kernel(spec, basis, symmetry_tol=DEFAULT_SYMMETRY_TOL):
         K, hs = exact
         return KernelMatrix(n_modes=n, matrix=(K + K.T) / 2, hs_of_k=hs)
     x, w, vals, hs = _tensor_quadrature(spec, basis)
-    spec.check_basis(basis, symmetry_tol)
+    spec.check_basis(basis)
     ell = basis.domain.length
     psi_w = np.sqrt(2.0 / ell) * np.sin(np.outer(np.arange(1, n + 1), x) * np.pi / ell) * w
     K = psi_w @ vals @ psi_w.T

@@ -36,7 +36,7 @@ from . import _highprec
 from .basis import build_basis, positive_sign, restricted_mass_matrix
 from .errors import ArgumentError, IllConditionedError, NumericError
 from .evolution import assemble_generator, decompose, left_inverse_constant
-from .kernels import DEFAULT_SYMMETRY_TOL, project_kernel
+from .kernels import project_kernel
 
 COUPLING_FIXED = "fixed"
 COUPLING_RESOLVENT = "r-equals-1-over-T"
@@ -205,15 +205,15 @@ def specobs_sweep_and_fit(basis, omega, r_list):
                         linear_fit=linear_fit, preferred=preferred)
 
 
-def build_model(domain, kernel, n_modes, symmetry_tol=DEFAULT_SYMMETRY_TOL):
+def build_model(domain, kernel, n_modes):
     """The n_modes-mode model on domain: (basis, kmat, dec, m_omega).
 
-    The sine basis, the kernel's Galerkin matrix (symmetry_tol as in
-    project_kernel), the eigendecomposition of L = -diag(lambda) + K, and the
-    validated Gram matrix of the basis restricted to domain.omega.
+    The sine basis, the kernel's Galerkin matrix, the eigendecomposition of
+    L = -diag(lambda) + K, and the validated Gram matrix of the basis
+    restricted to domain.omega.
     """
     basis = build_basis(domain, n_modes)
-    kmat = project_kernel(kernel, basis, symmetry_tol=symmetry_tol)
+    kmat = project_kernel(kernel, basis)
     dec = decompose(assemble_generator(basis, kmat))
     m_omega = restricted_mass_matrix(basis, domain.omega_lo, domain.omega_hi)
     return basis, kmat, dec, _validate_mass(m_omega, basis.n_modes, "build_model")

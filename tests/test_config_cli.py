@@ -44,7 +44,6 @@ class TestParseConfig:
         assert cfg.n_modes == 4
         assert cfg.horizon == 0.5
         assert cfg.nt == 64              # default applied
-        assert cfg.gate == 1e-14
         assert cfg.seed == 20260809
 
     def test_echo_byte_identical_on_reparse(self, tmp_path):
@@ -118,6 +117,14 @@ class TestParseConfig:
         with pytest.raises(ConfigError) as err:
             parse_config(path)
         assert "unknown key 'time.nt_fine'" in str(err.value)
+        assert err.value.line == 7
+
+    @pytest.mark.parametrize("key", ["tolerances.gate", "tolerances.symmetry"])
+    def test_fixed_tolerances_are_not_keys(self, tmp_path, key):
+        path = write(tmp_path, MINIMAL + f"{key} = 1e-10\n")
+        with pytest.raises(ConfigError) as err:
+            parse_config(path)
+        assert f"unknown key '{key}'" in str(err.value)
         assert err.value.line == 7
 
 
@@ -269,6 +276,20 @@ class TestRunCommand:
         assert ("parse_config: GaussianKernel: width must be positive, got -1.0"
                 in capsys.readouterr().err)
 
+    @pytest.mark.parametrize("nt", ["-1", "0"])
+    def test_nt_below_two_refused_before_echo(self, tmp_path, capsys, nt):
+        out = tmp_path / "out"
+        rc = cli.main(["evolve", str(write(tmp_path, MINIMAL)), "--set", f"time.nt={nt}",
+                       "--output", str(out)])
+        assert rc == 1 and not out.exists()
+        assert f"parse_config: time.nt must be >= 2, got {nt}" in capsys.readouterr().err
+
+    def test_control_hum_nt_not_raised_to_16(self, tmp_path, capsys):
+        rc = cli.main(["control-hum", str(write(tmp_path, MINIMAL)), "--set", "time.nt=4",
+                       "--output", str(tmp_path / "out")])
+        assert rc == 1
+        assert "hum_control: nt must be >= 16, got 4" in capsys.readouterr().err
+
     def test_exit_code_missing_file(self, tmp_path):
         assert cli.main(["basis", str(tmp_path / "absent.cfg")]) == 1
 
@@ -337,7 +358,7 @@ def _configs(draw, case):
         n_modes=draw(st.integers(1, 10 ** 6)),
         coupling=draw(st.sampled_from(["fixed", "r-equals-1-over-T"])),
         margin=draw(_ints), horizon=draw(st.none() | _finite), horizon_list=draw(_lists),
-        nt=draw(_ints), symmetry_tol=draw(_finite), gate=draw(_finite), ridge=draw(_finite),
+        nt=draw(st.integers(2, 10 ** 6)), ridge=draw(_finite),
         u0=draw(_lists), stages=draw(_ints), r0=draw(_finite), r_list=draw(_lists),
         seed=draw(_ints), output_dir=draw(_words))
 

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from nullheat import (ArgumentError, Domain, GaussianKernel, ZeroKernel,
-                      assemble_generator, build_basis, build_model, control_cost,
+from nullheat import (ArgumentError, Domain, GaussianKernel, IllConditionedError,
+                      ZeroKernel, assemble_generator, build_basis, build_model, control_cost,
                       controlled_state_norms, decompose, hum_control,
                       lr_staged_control, observability_cost, observability_gramian,
                       project_kernel, propagate, restricted_mass_matrix,
@@ -95,6 +95,19 @@ class TestHumControl:
         ridged = hum_control(dec, m_omega, u0, 0.5, nt=32, ridge=1e-6)
         assert ridged.cost_sq < exact.cost_sq
         assert ridged.ridge_used == 1e-6
+
+    def test_unfactorizable_gramian_refused_at_zero_ridge(self, domain):
+        # float64 Cholesky of G_T fails at N = 80; no ridge is added unasked
+        _, _, dec, m_omega = build_model(domain, ZeroKernel(), 80)
+        with pytest.raises(IllConditionedError) as err:
+            hum_control(dec, m_omega, np.eye(80)[0], 0.5, ridge=0.0)
+        assert err.value.eigenvalue is not None
+        assert "tolerances.ridge" in str(err.value)
+
+    def test_stated_ridge_is_the_ridge_used(self, domain):
+        _, _, dec, m_omega = build_model(domain, ZeroKernel(), 80)
+        result = hum_control(dec, m_omega, np.eye(80)[0], 0.5, ridge=1e-12)
+        assert result.ridge_used == 1e-12
 
 
 class TestControlledStateNorms:

@@ -11,7 +11,7 @@ from nullheat import (ArgumentError, COUPLING_FIXED, COUPLING_RESOLVENT, Domain,
                       spectral_obs_constants, specobs_sweep_and_fit, truncation_for_horizon,
                       witness_identity_residual)
 from nullheat import _highprec, observability, oracles
-from nullheat.bundled import bundled_kernels, grid_demo_kernel
+from nullheat.bundled import bundled_kernels
 from nullheat.observability import _validate_mass
 
 
@@ -399,16 +399,6 @@ class TestBuildModel:
         assert dec.mus.tobytes() == ref_dec.mus.tobytes()
         assert dec.modes.tobytes() == ref_dec.modes.tobytes()
         assert m_omega.tobytes() == ref_m.tobytes()
-
-    def test_symmetry_tol_forwarded_to_projection(self, domain):
-        grid = grid_demo_kernel()
-        build_model(domain, grid, 16)  # its 4.4e-16 defect passes the default
-        with pytest.raises(ArgumentError) as ref:
-            project_kernel(grid, build_basis(domain, 16), symmetry_tol=1e-300)
-        with pytest.raises(ArgumentError) as err:
-            build_model(domain, grid, 16, symmetry_tol=1e-300)
-        assert str(err.value) == str(ref.value)
-        assert str(err.value).startswith("project_kernel: grid kernel fails the symmetry")
 
 
 class TestSweepSharesModels:
