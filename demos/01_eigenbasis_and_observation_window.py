@@ -24,7 +24,7 @@ print("the smallest eigenvalue is the worst-case visibility of a 12-mode packet"
 
 # closed form vs quadrature, one entry
 q = gauss_quadrature(lambda x: eval_mode(basis, 0, x) * eval_mode(basis, 2, x),
-                     domain.omega_lo, domain.omega_hi, panels=12, order=8)
+                     domain.omega_lo, domain.omega_hi, panels=12)
 print(f"\nclosed-form entry M[0,2] = {M[0, 2]:+.12f}")
 print(f"quadrature check        = {q:+.12f}")
 

@@ -28,7 +28,7 @@ from .evolution import (SpectralDecomposition, assemble_generator, decompose,
                         left_inverse_constant, propagate, propagate_backward,
                         semigroup_norm)
 from .kernels import (GaussianKernel, GridKernel, KernelMatrix, KernelSpec,
-                      SeparableKernel, ZeroKernel, hs_norm, project_kernel,
+                      SeparableKernel, ZeroKernel, project_kernel,
                       read_grid_kernel, write_grid_kernel)
 from .observability import (COUPLING_FIXED, COUPLING_RESOLVENT, CostReport,
                             CostSweep, ObsReport, SpecObsSweep, build_model,
@@ -48,7 +48,7 @@ __all__ = [
     "StageLog", "ZeroKernel", "COUPLING_FIXED", "COUPLING_RESOLVENT",
     "assemble_generator", "build_basis", "build_model", "control_cost",
     "controlled_state_norms", "cost_sweep", "decompose", "eval_mode",
-    "format_config", "gauss_quadrature", "hs_norm", "hum_control",
+    "format_config", "gauss_quadrature", "hum_control",
     "left_inverse_constant", "lr_staged_control", "observability_cost",
     "observability_gramian",
     "parse_config", "proof_chain_report", "project_kernel", "propagate",

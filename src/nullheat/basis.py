@@ -18,9 +18,9 @@ from numpy.polynomial.legendre import leggauss
 
 from .errors import ArgumentError
 
-SUPPORTED_QUADRATURE_ORDERS = (2, 4, 8, 16, 32, 64)
+QUADRATURE_ORDER = 8  # Gauss-Legendre points per panel of the library's rules
 
-_GL_NODES = {order: leggauss(order) for order in SUPPORTED_QUADRATURE_ORDERS}
+_GL_NODES = {order: leggauss(order) for order in (QUADRATURE_ORDER, 16)}
 
 
 @dataclass(frozen=True)
@@ -133,33 +133,32 @@ def gram_closed_form(n, lo, hi, ell, sin=np.sin, pi=np.pi, dtype=float):
     return M
 
 
-def gauss_quadrature(f, lo, hi, panels, order):
-    """Composite Gauss-Legendre approximation of int_lo^hi f(x) dx.
+def gauss_quadrature(f, lo, hi, panels):
+    """Composite QUADRATURE_ORDER-point Gauss-Legendre approximation of
+    int_lo^hi f(x) dx.
 
     f is called once per panel on the array of mapped nodes and returns the
     integrand's values with the nodes on its last axis, which is summed: a
     scalar integrand gives a float, an array-valued one an array.  Exact for
-    polynomials of degree <= 2*order - 1 on each panel, up to roundoff.
+    polynomials of degree <= 2 * QUADRATURE_ORDER - 1 on each panel, up to
+    roundoff.
     """
-    if order not in SUPPORTED_QUADRATURE_ORDERS:
-        raise ArgumentError(
-            f"gauss_quadrature: order {order} not in {SUPPORTED_QUADRATURE_ORDERS}"
-        )
     if not lo < hi:
         raise ArgumentError(f"gauss_quadrature: need lo < hi, got ({lo}, {hi})")
     if panels < 1:
         raise ArgumentError(f"gauss_quadrature: panels must be >= 1, got {panels}")
-    weights = _GL_NODES[order][1]
+    weights = _GL_NODES[QUADRATURE_ORDER][1]
     edges = np.linspace(lo, hi, panels + 1)
+    nodes = gauss_rule(edges, QUADRATURE_ORDER)[0].reshape(panels, QUADRATURE_ORDER)
     total = 0.0
-    for a, b, x in zip(edges[:-1], edges[1:], gauss_rule(edges, order)[0].reshape(panels, order)):
+    for a, b, x in zip(edges[:-1], edges[1:], nodes):
         total += 0.5 * (b - a) * np.sum(weights * np.asarray(f(x), dtype=float), axis=-1)
     return total
 
 
 def gauss_rule(edges, order):
-    """Nodes and weights of the order-point Gauss-Legendre rule on each panel
-    [edges[i], edges[i + 1]], concatenated across panels."""
+    """Nodes and weights of the order-point Gauss-Legendre rule (order 8 or
+    16) on each panel [edges[i], edges[i + 1]], concatenated across panels."""
     nodes, weights = _GL_NODES[order]
     edges = np.asarray(edges, dtype=float)
     a, b = edges[:-1, None], edges[1:, None]

@@ -38,7 +38,7 @@ def check_eigenvalues_exact(rng):
 
 def check_mode_normalization(rng):
     basis = build_basis(DEFAULT_DOMAIN, 8)
-    val = gauss_quadrature(lambda x: eval_mode(basis, 3, x) ** 2, 0.0, 1.0, 8, 8)
+    val = gauss_quadrature(lambda x: eval_mode(basis, 3, x) ** 2, 0.0, 1.0, 8)
     return abs(val - 1.0) <= 1e-12, f"|int psi_3^2 - 1| = {abs(val - 1):.2e}"
 
 
@@ -54,7 +54,7 @@ def _gram_by_quadrature(basis, lo, hi, panels):
     Legendre, in eval_mode's arithmetic."""
     ell, modes = basis.domain.length, np.arange(1, basis.n_modes + 1)[:, None]
     psi = lambda x: np.sqrt(2.0 / ell) * np.sin(modes * np.pi * x / ell)
-    return gauss_quadrature(lambda x: psi(x)[:, None] * psi(x)[None, :], lo, hi, panels, 8)
+    return gauss_quadrature(lambda x: psi(x)[:, None] * psi(x)[None, :], lo, hi, panels)
 
 
 def check_mass_gram_consistency(rng):

@@ -2,7 +2,7 @@
 
 Verbs map one-to-one onto library operations; every run echoes its fully
 resolved configuration into the output directory so results reproduce from
-the echo alone.  Exit codes: 0 success, 1 argument/config/format errors,
+the echo alone.  Exit codes: 0 success, 1 usage/argument/config/format errors,
 2 numeric or conditioning errors.  Floats are written with repr (shortest
 round-trip), so identical configurations produce byte-identical files; a
 comma in a text field is written as ';'.
@@ -225,17 +225,16 @@ def _build_parser():
     parser.add_argument("config", help="experiment config file")
     parser.add_argument("--set", dest="overrides", action="append", default=[],
                         metavar="KEY=VALUE", help="override a config key")
-    parser.add_argument("--T", dest="horizon", default=None,
-                        help="shorthand for --set time.horizon=...")
-    parser.add_argument("--N", dest="n_modes", default=None,
-                        help="shorthand for --set truncation.n=...")
     parser.add_argument("--output", dest="output", default=None,
                         help="shorthand for --set output.dir=...")
     return parser
 
 
 def main(argv=None):
-    args = _build_parser().parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse: 0 after --help, 2 on a usage error
+        return 1 if exc.code else 0
     overrides = {}
     for item in args.overrides:
         key, sep, value = item.partition("=")
@@ -243,10 +242,6 @@ def main(argv=None):
             print(f"nullheat: --set expects KEY=VALUE, got {item!r}", file=sys.stderr)
             return 1
         overrides[key.strip()] = value.strip()
-    if args.horizon is not None:
-        overrides["time.horizon"] = args.horizon
-    if args.n_modes is not None:
-        overrides["truncation.n"] = args.n_modes
     if args.output is not None:
         overrides["output.dir"] = args.output
     try:

@@ -6,7 +6,6 @@ fully resolved configuration can be serialized back out canonically, so the
 echo written next to the results re-parses to the byte-identical file.
 """
 
-import re
 from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
@@ -15,8 +14,6 @@ from .basis import Domain
 from .errors import ArgumentError, ConfigError
 from .kernels import (GaussianKernel, SeparableKernel, ZeroKernel,
                       read_grid_kernel)
-
-_KEY_RE = re.compile(r"^[a-z_]+\.[a-zA-Z0-9_]+$")
 
 _FLOAT, _INT, _STR, _FLOAT_LIST = "float", "int", "str", "float_list"
 
@@ -157,6 +154,8 @@ def _validate(cfg):
         raise ConfigError(f"parse_config: truncation.n must be >= 1, got {cfg.n_modes}")
     if cfg.nt < 2:
         raise ConfigError(f"parse_config: time.nt must be >= 2, got {cfg.nt}")
+    if cfg.seed < 0:
+        raise ConfigError(f"parse_config: seeds.oracle must be >= 0, got {cfg.seed}")
 
 
 def parse_config(path, overrides=None):
@@ -178,7 +177,7 @@ def parse_config(path, overrides=None):
             key, _, rawval = line.partition("=")
             key = key.strip()
             rawval = rawval.strip()
-            if not _KEY_RE.match(key) or key not in _FIELDS:
+            if key not in _FIELDS:
                 raise ConfigError(f"parse_config: unknown key {key!r}", line=lineno)
             if key in values:
                 raise ConfigError(

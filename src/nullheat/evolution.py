@@ -121,8 +121,9 @@ def left_inverse_constant(dec, m_omega, t, with_witness=False, method="auto"):
 
     Computed as sqrt of the smallest generalized eigenvalue of
     (e^{Lt})^T M_omega (e^{Lt}) v = theta M_omega v; the returned minimizer
-    attains equality.  method is "auto" (escalate to extended precision when
-    the float64 eigenvalue is below trust), "float", or "mp".
+    attains equality.  method is "auto" (the float64 eigenvalue where it
+    clears the trust floor, extended precision otherwise) or "mp" (always
+    extended precision).
     """
     if t < 0:
         raise ArgumentError("left_inverse_constant: t must be >= 0")
@@ -146,28 +147,19 @@ def left_inverse_constant(dec, m_omega, t, with_witness=False, method="auto"):
         witness[0] = 1.0
         return (1.0, witness) if with_witness else 1.0
 
-    if method not in ("auto", "float", "mp"):
+    if method not in ("auto", "mp"):
         raise ArgumentError(f"left_inverse_constant: unknown method {method!r}")
 
-    if method in ("auto", "float"):
+    if method == "auto":
         et = dec.semigroup(t)
         a = et @ m_omega @ et
         a = (a + a.T) / 2
         try:
             theta, vecs = sla.eigh(a, m_omega)
-        except (sla.LinAlgError, np.linalg.LinAlgError) as exc:
-            if method == "float":
-                raise NumericError(
-                    f"left_inverse_constant: generalized eigensolver failed ({exc}); "
-                    "use method='mp'"
-                ) from exc
+        except (sla.LinAlgError, np.linalg.LinAlgError):
+            pass  # the extended-precision path below takes over
         else:
-            if method == "float" or theta[0] > _FLOAT_TRUST_FLOOR * max(theta[-1], 0.0):
-                if theta[0] <= 0:
-                    raise NumericError(
-                        "left_inverse_constant: generalized eigenvalue lost to roundoff "
-                        f"({theta[0]:.3e}); use method='mp'"
-                    )
+            if theta[0] > _FLOAT_TRUST_FLOOR * max(theta[-1], 0.0):
                 zeta = float(np.sqrt(theta[0]))
                 witness = positive_sign(vecs[:, 0] / np.linalg.norm(vecs[:, 0]))
                 return (zeta, witness) if with_witness else zeta

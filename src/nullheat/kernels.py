@@ -25,12 +25,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .basis import gauss_rule
+from .basis import QUADRATURE_ORDER, gauss_rule
 from .errors import ArgumentError, KernelFormatError, NumericError
 
 SYMMETRY_LATTICE = 33  # fixed evaluation lattice of GridKernel.symmetry_defect
 DEFAULT_SYMMETRY_TOL = 1e-10
-QUADRATURE_ORDER = 8  # Gauss-Legendre points per panel of the axis rules
 
 
 class KernelSpec:
@@ -41,9 +40,9 @@ class KernelSpec:
     tensor grid passes its open axes x[:, None], xi[None, :]: per-axis work
     then costs O(n), and no intermediate is larger than the output.
 
-    project_kernel and hs_norm take the Galerkin matrix on n modes and ||k||
-    from closed_form(n), or, where that is None, from tensor quadrature on the
-    axis nodes and weights of axis_rule(basis).  symmetry_defect() and
+    project_kernel takes the Galerkin matrix on n modes and ||k|| from
+    closed_form(n), or, where that is None, from tensor quadrature on the axis
+    nodes and weights of axis_rule(basis).  symmetry_defect() and
     check_basis(basis) default to a structurally symmetric kernel that fits
     every basis.
     """
@@ -55,7 +54,7 @@ class KernelSpec:
         return None
 
     def axis_rule(self, basis):
-        raise ArgumentError(f"hs_norm: unsupported kernel {type(self).__name__}")
+        raise ArgumentError(f"project_kernel: unsupported kernel {type(self).__name__}")
 
     def symmetry_defect(self):
         return 0.0
@@ -325,7 +324,7 @@ def write_grid_kernel(path, kernel_fn, n, length, comment=None):
 
 
 # ---------------------------------------------------------------------------
-# projection, Hilbert-Schmidt norm
+# projection
 
 def project_kernel(spec, basis):
     """Project a kernel onto the sine basis, returning its KernelMatrix.
@@ -341,9 +340,13 @@ def project_kernel(spec, basis):
     if exact is not None:
         K, hs = exact
         return KernelMatrix(n_modes=n, matrix=(K + K.T) / 2, hs_of_k=hs)
-    x, w, vals, hs = _tensor_quadrature(spec, basis)
-    spec.check_basis(basis)
     ell = basis.domain.length
+    x, w = spec.axis_rule(basis)
+    vals = spec.evaluate(x[:, None], x[None, :], ell)
+    sq = float(w @ (vals ** 2) @ w)
+    if not np.isfinite(sq):
+        raise NumericError("project_kernel: quadrature produced a non-finite value")
+    spec.check_basis(basis)
     psi_w = np.sqrt(2.0 / ell) * np.sin(np.outer(np.arange(1, n + 1), x) * np.pi / ell) * w
     K = psi_w @ vals @ psi_w.T
     if not np.all(np.isfinite(K)):
@@ -351,22 +354,4 @@ def project_kernel(spec, basis):
         raise NumericError(
             f"project_kernel: non-finite entry at ({bad[0]}, {bad[1]})"
         )
-    return KernelMatrix(n_modes=n, matrix=(K + K.T) / 2, hs_of_k=hs)
-
-
-def _tensor_quadrature(spec, basis):
-    """Axis nodes x and weights w of the kernel's rule, its values on the
-    tensor grid x x x, and the L^2 norm those values give."""
-    x, w = spec.axis_rule(basis)
-    vals = spec.evaluate(x[:, None], x[None, :], basis.domain.length)
-    sq = float(w @ (vals ** 2) @ w)
-    if not np.isfinite(sq):
-        raise NumericError("hs_norm: quadrature produced a non-finite value")
-    return x, w, vals, float(np.sqrt(max(sq, 0.0)))
-
-
-def hs_norm(spec, basis):
-    """L^2(Omega x Omega) norm of the kernel: its closed form where it has
-    one (zero, separable), tensor quadrature otherwise."""
-    exact = spec.closed_form(basis.n_modes)
-    return exact[1] if exact is not None else _tensor_quadrature(spec, basis)[3]
+    return KernelMatrix(n_modes=n, matrix=(K + K.T) / 2, hs_of_k=float(np.sqrt(max(sq, 0.0))))

@@ -61,7 +61,7 @@ class TestBuildBasis:
 
     def test_normalization(self):
         basis = build_basis(Domain(1.0, 0.3, 0.8), 8)
-        val = gauss_quadrature(lambda x: eval_mode(basis, 3, x) ** 2, 0, 1, 8, 8)
+        val = gauss_quadrature(lambda x: eval_mode(basis, 3, x) ** 2, 0, 1, 8)
         assert abs(val - 1.0) <= 1e-12
 
     @pytest.mark.parametrize("n", [0, -3])
@@ -119,13 +119,13 @@ class TestRestrictedMassMatrix:
                 for j in (0, 5, 11):
                     q = gauss_quadrature(
                         lambda x: eval_mode(basis, i, x) * eval_mode(basis, j, x),
-                        lo, hi, panels, 8)
+                        lo, hi, panels)
                     assert abs(M[i, j] - q) <= 1e-10
 
     def test_interior_window_matches_quadrature_entry(self):
         basis = build_basis(Domain(1.0, 0.3, 0.8), 4)
         M = restricted_mass_matrix(basis, 0.3, 0.8)
-        q = gauss_quadrature(lambda x: eval_mode(basis, 0, x) ** 2, 0.3, 0.8, 4, 8)
+        q = gauss_quadrature(lambda x: eval_mode(basis, 0, x) ** 2, 0.3, 0.8, 4)
         assert abs(M[0, 0] - q) <= 1e-12
 
     def test_spectrum_in_unit_interval(self):
@@ -202,19 +202,15 @@ class TestPositiveSign:
 
 class TestGaussQuadrature:
     def test_sine_integral(self):
-        assert gauss_quadrature(np.sin, 0.0, np.pi, 8, 8) == pytest.approx(2.0, abs=1e-12)
+        assert gauss_quadrature(np.sin, 0.0, np.pi, 8) == pytest.approx(2.0, abs=1e-12)
 
     def test_cubic_exact(self):
-        val = gauss_quadrature(lambda x: x ** 3, 0.0, 1.0, 1, 4)
+        val = gauss_quadrature(lambda x: x ** 3, 0.0, 1.0, 1)
         assert val == pytest.approx(0.25, abs=5e-16)
-
-    def test_unsupported_order(self):
-        with pytest.raises(ArgumentError):
-            gauss_quadrature(np.sin, 0.0, 1.0, 1, 7)
 
     def test_bad_interval(self):
         with pytest.raises(ArgumentError):
-            gauss_quadrature(np.sin, 1.0, 0.0, 1, 4)
+            gauss_quadrature(np.sin, 1.0, 0.0, 1)
 
 
 class TestGaussRule:
@@ -251,7 +247,7 @@ class TestCertificateGramQuadrature:
                 for j in range(i, 16):
                     q = gauss_quadrature(
                         lambda x: eval_mode(basis, i, x) * eval_mode(basis, j, x),
-                        lo, hi, panels, 8)
+                        lo, hi, panels)
                     assert Q[i, j] == q, (lo, hi, i, j)
                     worst = max(worst, abs(M[i, j] - q))
         assert certify.check_mass_gram_consistency(np.random.default_rng(seed)) == (

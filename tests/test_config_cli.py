@@ -205,7 +205,7 @@ class TestRunCommand:
     def test_override_T_lands_in_echo(self, tmp_path):
         path = write(tmp_path, MINIMAL)
         out = tmp_path / "out"
-        rc = cli.main(["evolve", str(path), "--T", "0.1", "--output", str(out)])
+        rc = cli.main(["evolve", str(path), "--set", "time.horizon=0.1", "--output", str(out)])
         assert rc == 0
         assert "time.horizon = 0.1" in (out / "config.echo.cfg").read_text()
 
@@ -297,7 +297,7 @@ class TestRunCommand:
         text = MINIMAL.replace("truncation.n = 4", "truncation.n = 32")
         path = write(tmp_path, text)
         out = tmp_path / "out"
-        rc = cli.main(["zeta", str(path), "--T", "0.1", "--output", str(out)])
+        rc = cli.main(["zeta", str(path), "--set", "time.horizon=0.1", "--output", str(out)])
         assert rc == 2
 
     def test_exit_code_cost_overflow(self, tmp_path, capsys):
@@ -305,15 +305,34 @@ class TestRunCommand:
                                "kernel.variant = gaussian\nkernel.amplitude = 20\nkernel.width = 0.15")
         path = write(tmp_path, text)
         with np.errstate(over="ignore"):
-            rc = cli.main(["cost", str(path), "--T", "1000", "--output", str(tmp_path / "out")])
+            rc = cli.main(["cost", str(path), "--set", "time.horizon=1000",
+                           "--output", str(tmp_path / "out")])
         assert rc == 2
         assert "observability_cost: Gramian or e^(2LT) overflows float64 at T=1000" in (
             capsys.readouterr().err)
 
     def test_unknown_verb_rejected(self, tmp_path):
         path = write(tmp_path, MINIMAL)
-        with pytest.raises(SystemExit):
-            cli.main(["transmogrify", str(path)])
+        assert cli.main(["transmogrify", str(path)]) == 1
+
+    @pytest.mark.parametrize("flag", ["--T", "--N"])
+    def test_removed_shorthand_flag_rejected(self, tmp_path, capsys, flag):
+        out = tmp_path / "out"
+        rc = cli.main(["evolve", str(write(tmp_path, MINIMAL)), flag, "0.1",
+                       "--output", str(out)])
+        assert rc == 1 and not out.exists()
+        assert f"unrecognized arguments: {flag} 0.1" in capsys.readouterr().err
+
+    def test_help_exits_zero(self, capsys):
+        assert cli.main(["--help"]) == 0
+        assert "usage: nullheat" in capsys.readouterr().out
+
+    def test_negative_oracle_seed_refused_before_echo(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        rc = cli.main(["certify-all", str(write(tmp_path, MINIMAL)),
+                       "--set", "seeds.oracle=-1", "--output", str(out)])
+        assert rc == 1 and not out.exists()
+        assert "parse_config: seeds.oracle must be >= 0, got -1" in capsys.readouterr().err
 
 
 class TestDeterminism:
@@ -360,7 +379,7 @@ def _configs(draw, case):
         margin=draw(_ints), horizon=draw(st.none() | _finite), horizon_list=draw(_lists),
         nt=draw(st.integers(2, 10 ** 6)), ridge=draw(_finite),
         u0=draw(_lists), stages=draw(_ints), r0=draw(_finite), r_list=draw(_lists),
-        seed=draw(_ints), output_dir=draw(_words))
+        seed=draw(st.integers(0, 10 ** 6)), output_dir=draw(_words))
 
 
 class TestConfigRoundTrip:

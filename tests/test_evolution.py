@@ -244,14 +244,26 @@ class TestLeftInverseConstant:
         sampled = oracles.sampled_min_quotient(dec, m_omega, 0.1, 100_000, rng)
         assert zeta <= sampled * (1 + 1e-10)
 
-    def test_extended_precision_matches_float_region(self, domain):
-        # where float64 is trustworthy the two paths must agree
+    def test_extended_precision_matches_float_region(self, domain, monkeypatch):
+        # where float64 is trustworthy "auto" takes it, and the mp path agrees
         _, _, dec = _dec(domain, GaussianKernel(5.0, 0.2), 6)
         m_omega = restricted_mass_matrix(build_basis(domain, 6), 0.3, 0.8)
         t = 0.005
-        z_float = left_inverse_constant(dec, m_omega, t, method="float")
+
+        def escalated(*args):
+            raise AssertionError("method='auto' escalated to extended precision")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(_highprec, "generalized_min_eig_mp", escalated)
+            z_float = left_inverse_constant(dec, m_omega, t)
         z_mp = left_inverse_constant(dec, m_omega, t, method="mp")
         assert z_mp == pytest.approx(z_float, rel=1e-8)
+
+    def test_float_method_refused(self, domain):
+        _, _, dec = _dec(domain, GaussianKernel(5.0, 0.2), 6)
+        m_omega = restricted_mass_matrix(build_basis(domain, 6), 0.3, 0.8)
+        with pytest.raises(ArgumentError, match="unknown method 'float'"):
+            left_inverse_constant(dec, m_omega, 0.005, method="float")
 
     def test_conditioning_gate(self, domain):
         _, _, dec = _dec(domain, ZeroKernel(), 32)

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from nullheat import (ArgumentError, GaussianKernel, GridKernel,
                       KernelFormatError, KernelSpec, SeparableKernel,
-                      ZeroKernel, build_basis, hs_norm,
+                      ZeroKernel, build_basis,
                       project_kernel, read_grid_kernel, write_grid_kernel)
 from nullheat import oracles
 from nullheat.basis import gauss_rule
@@ -178,19 +178,12 @@ class TestProjectKernel:
             def evaluate(self, x, xi, length):
                 return np.zeros(np.broadcast_shapes(np.shape(x), np.shape(xi)))
 
-        for fn in (project_kernel, hs_norm):
-            with pytest.raises(ArgumentError) as err:
-                fn(Bare(), basis)
-            assert str(err.value) == "hs_norm: unsupported kernel Bare"
+        with pytest.raises(ArgumentError) as err:
+            project_kernel(Bare(), basis)
+        assert str(err.value) == "project_kernel: unsupported kernel Bare"
 
 
 class TestOneKernelEvaluation:
-    @pytest.mark.parametrize("n", [4, 16, 64])
-    def test_hs_of_k_equals_hs_norm_bitwise(self, domain, n):
-        basis = build_basis(domain, n)
-        for name, kernel in bundled_kernels():
-            assert project_kernel(kernel, basis).hs_of_k == hs_norm(kernel, basis), name
-
     @pytest.mark.parametrize("kernel", [GaussianKernel(5.0, 0.2), grid_demo_kernel()],
                              ids=["gaussian", "grid"])
     def test_quadrature_grid_evaluated_once(self, basis, kernel, monkeypatch):
@@ -277,15 +270,15 @@ class TestOpenAxes:
 
 class TestHsNorm:
     def test_zero(self, basis):
-        assert hs_norm(ZeroKernel(), basis) == 0.0
+        assert project_kernel(ZeroKernel(), basis).hs_of_k == 0.0
 
     def test_separable_unit(self, basis):
         k = SeparableKernel(np.array([1.0]), np.array([1.0]))
-        assert hs_norm(k, basis) == pytest.approx(1.0, abs=1e-15)
+        assert project_kernel(k, basis).hs_of_k == pytest.approx(1.0, abs=1e-15)
 
     def test_gaussian_vs_midpoint_oracle(self, basis):
         k = GaussianKernel(1.0, 0.2)
-        val = hs_norm(k, basis)
+        val = project_kernel(k, basis).hs_of_k
         oracle = oracles.midpoint_hs_norm(k, basis, n_points=4096)
         assert abs(val - oracle) <= 1e-6
 
@@ -297,7 +290,7 @@ class TestHsNorm:
         peak = amp / (sig * np.sqrt(2 * np.pi))
         sq = peak ** 2 * (sig * np.sqrt(np.pi) * erf(1.0 / sig)
                           + sig ** 2 * (np.exp(-1.0 / sig ** 2) - 1.0))
-        assert hs_norm(GaussianKernel(amp, sig), basis) == pytest.approx(
+        assert project_kernel(GaussianKernel(amp, sig), basis).hs_of_k == pytest.approx(
             np.sqrt(sq), rel=1e-10)
 
 
