@@ -16,11 +16,12 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .errors import ArgumentError
+from .errors import ArgumentError, IllConditionedError, NumericError
 
 QUADRATURE_ORDER = 8  # Gauss-Legendre points per panel of the library's rules
 
 _GL_NODES = {order: leggauss(order) for order in (QUADRATURE_ORDER, 16)}
+_PSD_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -111,6 +112,27 @@ def restricted_mass_matrix(basis, lo, hi):
             f"restricted_mass_matrix: need 0 <= lo < hi <= {ell}, got ({lo}, {hi})"
         )
     return gram_closed_form(basis.n_modes, lo, hi, ell)
+
+
+def _validate_mass(m_omega, n, op):
+    """m_omega as a float array, refused unless it is an n x n finite,
+    symmetric (to 1e-13) and positive semidefinite (to _PSD_TOL relative)
+    matrix: the one check of every consumer of a caller's M_omega."""
+    m_omega = np.asarray(m_omega, dtype=float)
+    if m_omega.shape != (n, n):
+        raise ArgumentError(f"{op}: mass matrix shape {m_omega.shape} does not match {n} modes")
+    if not np.all(np.isfinite(m_omega)):
+        raise NumericError(f"{op}: mass matrix contains non-finite entries")
+    asym = float(np.max(np.abs(m_omega - m_omega.T)))
+    if asym > 1e-13:
+        raise ArgumentError(f"{op}: mass matrix asymmetric (defect {asym:.3e})")
+    w = np.linalg.eigvalsh(m_omega)
+    if w[0] < -_PSD_TOL * max(1.0, float(w[-1])):
+        raise IllConditionedError(
+            f"{op}: subdomain mass matrix is not positive semidefinite",
+            eigenvalue=float(w[0]),
+        )
+    return m_omega
 
 
 def gram_closed_form(n, lo, hi, ell, sin=np.sin, pi=np.pi, dtype=float):

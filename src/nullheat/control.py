@@ -32,11 +32,10 @@ import numpy as np
 import scipy.linalg as sla
 from numpy.polynomial.legendre import leggauss
 
-from .basis import gauss_rule
+from .basis import _validate_mass, gauss_rule
 from .errors import ArgumentError, IllConditionedError, NumericError
 from .evolution import propagate
-from .observability import (_count_modes, _gramian_eigencoords, _phi, _validate_mass,
-                            build_model)
+from .observability import _count_modes, _gramian_eigencoords, _phi, build_model
 
 
 @dataclass(frozen=True, eq=False)
@@ -131,6 +130,7 @@ def controlled_state_norms(dec, m_omega, u0, result):
     """||u(t)|| / ||u0|| at the nt sample times of a hum_control result, in closed
     form: u(t) = e^{Lt} u0 + [W o D(t)] p in eigencoordinates, with W = Q^T M_omega Q,
     p the multiplier and D(t)[a, b] = e^{mu_b (T - t)} phi(mu_a + mu_b, t)."""
+    m_omega = _validate_mass(m_omega, dec.n_modes, "controlled_state_norms")
     T = result.T
     p_e = dec.modes.T @ np.asarray(result.multiplier, float)
     u0_e = dec.modes.T @ u0
@@ -246,8 +246,6 @@ def lr_staged_control(domain, kernel, u0, T, stages, r0, n_modes=None, margin=8,
         tau = slot / 2.0
         t_mid = t_cursor + tau
         t_end = t_cursor + slot
-        if t_end > T * (1 + 1e-12):
-            raise NumericError("lr_staged_control: stage schedule overran the horizon")
         G = Q @ _gramian_eigencoords(dec, m_omega, tau) @ Q.T
         b = propagate(dec, u, tau)
         try:

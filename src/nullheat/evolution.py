@@ -22,7 +22,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from . import _highprec
-from .basis import positive_sign
+from .basis import _validate_mass, positive_sign
 from .errors import ArgumentError, IllConditionedError, NumericError, OverflowRefusalError
 
 CONDITIONING_GATE = 1e-14
@@ -127,13 +127,10 @@ def left_inverse_constant(dec, m_omega, t, with_witness=False, method="auto"):
     """
     if t < 0:
         raise ArgumentError("left_inverse_constant: t must be >= 0")
-    m_omega = np.asarray(m_omega, dtype=float)
+    if method not in ("auto", "mp"):
+        raise ArgumentError(f"left_inverse_constant: unknown method {method!r}")
     n = dec.n_modes
-    if m_omega.shape != (n, n):
-        raise ArgumentError(
-            f"left_inverse_constant: mass matrix shape {m_omega.shape} does not "
-            f"match {n} modes"
-        )
+    m_omega = _validate_mass(m_omega, n, "left_inverse_constant")
     w_m = np.linalg.eigvalsh(m_omega)
     if w_m[0] < CONDITIONING_GATE:
         raise IllConditionedError(
@@ -146,9 +143,6 @@ def left_inverse_constant(dec, m_omega, t, with_witness=False, method="auto"):
         witness = np.zeros(n)
         witness[0] = 1.0
         return (1.0, witness) if with_witness else 1.0
-
-    if method not in ("auto", "mp"):
-        raise ArgumentError(f"left_inverse_constant: unknown method {method!r}")
 
     if method == "auto":
         et = dec.semigroup(t)

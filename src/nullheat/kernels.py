@@ -16,9 +16,10 @@ A kernel enters the dynamics through the integral operator
                          bilinearly interpolated and extended by nearest value
                          in the half-cell margins.
 
-Symmetry k(x, xi) = k(xi, x) is structural for the first three; a grid
-kernel whose symmetry_defect() exceeds DEFAULT_SYMMETRY_TOL is rejected by
-project_kernel, not silently symmetrized.
+Symmetry k(x, xi) = k(xi, x) is structural for the first three.  A grid
+kernel's symmetry_defect() is max |s - s^T| over its sample table, the exact
+sup of |k(x, xi) - k(xi, x)| of the interpolant; above DEFAULT_SYMMETRY_TOL
+the kernel is rejected by project_kernel, not silently symmetrized.
 """
 
 from dataclasses import dataclass, field
@@ -28,7 +29,6 @@ import numpy as np
 from .basis import QUADRATURE_ORDER, gauss_rule
 from .errors import ArgumentError, KernelFormatError, NumericError
 
-SYMMETRY_LATTICE = 33  # fixed evaluation lattice of GridKernel.symmetry_defect
 DEFAULT_SYMMETRY_TOL = 1e-10
 
 
@@ -206,10 +206,10 @@ class GridKernel(KernelSpec):
         return gauss_rule(np.append(np.concatenate(edges), ell), QUADRATURE_ORDER)
 
     def symmetry_defect(self):
-        """Sup of |k(x, xi) - k(xi, x)| over a fixed 33 x 33 lattice."""
-        grid = np.linspace(0.0, self.length, SYMMETRY_LATTICE)
-        vals = self.evaluate(grid[:, None], grid[None, :], self.length)
-        return float(np.max(np.abs(vals - vals.T)))
+        """Sup of |k(x, xi) - k(xi, x)|, which is max |s - s^T| over the sample
+        table s: the interpolant of the antisymmetric part s - s^T takes its
+        extreme values at the midpoints."""
+        return float(np.max(np.abs(self.samples - self.samples.T)))
 
     def fits_length(self, length):
         """True when the declared grid length matches length to 1e-12 relative."""

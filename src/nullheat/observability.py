@@ -13,8 +13,8 @@ its slack measured):
 * observability Gramian  G_T = int_0^T e^{Lt} M_omega e^{Lt} dt, in closed
   form through the eigendecomposition: with W = Q^T M_omega Q,
       G_T = Q (W o Phi) Q^T,   Phi[a, b] = phi(mu_a + mu_b, T),
-      phi(s, T) = (e^{sT} - 1) / s,
-  with a Taylor fallback when |sT| is tiny (catastrophic cancellation).
+      phi(s, T) = (e^{sT} - 1) / s = expm1(sT) / s,
+  which expm1 keeps accurate for tiny |sT|, and phi(0, T) = T.
 
 * cost of control  kappa_T = largest generalized eigenvalue of
       e^{2LT} w = kappa G_T w,
@@ -33,7 +33,7 @@ import scipy.linalg as sla
 from scipy.optimize import minimize_scalar
 
 from . import _highprec
-from .basis import build_basis, positive_sign, restricted_mass_matrix
+from .basis import _validate_mass, build_basis, positive_sign, restricted_mass_matrix
 from .errors import ArgumentError, IllConditionedError, NumericError
 from .evolution import assemble_generator, decompose, left_inverse_constant
 from .kernels import project_kernel
@@ -41,7 +41,6 @@ from .kernels import project_kernel
 COUPLING_FIXED = "fixed"
 COUPLING_RESOLVENT = "r-equals-1-over-T"
 
-_PSD_TOL = 1e-12
 _MP_ESCALATION = 1e-6  # float64 c_min below this (relative) is recomputed in mp
 _FALLBACK_RIDGE_SCALE = 1e-12
 CHAIN_GRID_POINTS = 20  # proof_chain_report's t grid: T i / 20, i = 1..20
@@ -66,16 +65,12 @@ class CostReport:
 
 
 def _phi(s, T):
-    """(e^{sT} - 1)/s elementwise, with the series T(1 + sT/2 + (sT)^2/6 +
-    (sT)^3/24) below |sT| = 1e-4."""
+    """(e^{sT} - 1)/s elementwise as expm1(sT)/s, with the limit T at s = 0."""
     s = np.asarray(s, dtype=float)
-    st = s * T
-    out = np.empty_like(s)
-    small = np.abs(st) < 1e-4
-    sts = st[small]
-    out[small] = T * (1.0 + sts / 2.0 + sts ** 2 / 6.0 + sts ** 3 / 24.0)
+    out = np.full_like(s, float(T))
+    nz = s != 0.0
     with np.errstate(over="ignore"):
-        out[~small] = np.expm1(st[~small]) / s[~small]
+        out[nz] = np.expm1(s[nz] * T) / s[nz]
     return out
 
 
@@ -217,24 +212,6 @@ def build_model(domain, kernel, n_modes):
     dec = decompose(assemble_generator(basis, kmat))
     m_omega = restricted_mass_matrix(basis, domain.omega_lo, domain.omega_hi)
     return basis, kmat, dec, _validate_mass(m_omega, basis.n_modes, "build_model")
-
-
-def _validate_mass(m_omega, n, op):
-    m_omega = np.asarray(m_omega, dtype=float)
-    if m_omega.shape != (n, n):
-        raise ArgumentError(f"{op}: mass matrix shape {m_omega.shape} does not match {n} modes")
-    if not np.all(np.isfinite(m_omega)):
-        raise NumericError(f"{op}: mass matrix contains non-finite entries")
-    asym = float(np.max(np.abs(m_omega - m_omega.T)))
-    if asym > 1e-13:
-        raise ArgumentError(f"{op}: mass matrix asymmetric (defect {asym:.3e})")
-    w = np.linalg.eigvalsh(m_omega)
-    if w[0] < -_PSD_TOL * max(1.0, float(w[-1])):
-        raise IllConditionedError(
-            f"{op}: subdomain mass matrix is not positive semidefinite",
-            eigenvalue=float(w[0]),
-        )
-    return m_omega
 
 
 def _gramian_eigencoords(dec, m_omega, T):

@@ -2,8 +2,11 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from nullheat import (ArgumentError, Domain, build_basis, eval_mode,
-                      gauss_quadrature, restricted_mass_matrix)
+from nullheat import (ArgumentError, Domain, GaussianKernel, IllConditionedError,
+                      NumericError, build_basis, build_model, control_cost,
+                      controlled_state_norms, eval_mode, gauss_quadrature, hum_control,
+                      left_inverse_constant, observability_cost, observability_gramian,
+                      restricted_mass_matrix, simulate_controlled)
 from nullheat import _highprec, certify
 from nullheat.basis import gauss_rule, positive_sign
 
@@ -185,6 +188,47 @@ class TestRestrictedMassMatrix:
         big = _highprec.mass_matrix_mp(20, 0.3, 0.8, 1.0)
         small = _highprec.mass_matrix_mp(7, 0.3, 0.8, 1.0)
         assert all(big[i, j] == small[i, j] for i in range(7) for j in range(7))
+
+
+def _bad_mass(kind, m_omega):
+    m = m_omega.copy()
+    if kind == "shape":
+        return m[:-1, :-1]
+    if kind == "nan":
+        m[2, 3] = np.nan
+    elif kind == "asymmetric":
+        m[2, 3] += 1e-3
+    else:  # indefinite: the smallest eigenvalue pushed to -0.01
+        m -= (np.linalg.eigvalsh(m)[0] + 0.01) * np.eye(m.shape[0])
+    return m
+
+
+_CONSUMERS = {
+    "observability_gramian": lambda dec, m, u0, ok: observability_gramian(dec, m, 0.1),
+    "observability_cost": lambda dec, m, u0, ok: observability_cost(dec, m, 0.1),
+    "hum_control": lambda dec, m, u0, ok: hum_control(dec, m, u0, 0.1),
+    "controlled_state_norms": lambda dec, m, u0, ok: controlled_state_norms(
+        dec, m, u0, hum_control(dec, ok, u0, 0.1)),
+    "simulate_controlled": lambda dec, m, u0, ok: simulate_controlled(
+        dec, m, u0, np.zeros((5, u0.size)), 0.1, 9),
+    "control_cost": lambda dec, m, u0, ok: control_cost(hum_control(dec, ok, u0, 0.1), m, dec),
+    "left_inverse_constant": lambda dec, m, u0, ok: left_inverse_constant(dec, m, 0.1),
+}
+
+
+class TestValidateMass:
+    """Every consumer of a caller's M_omega refuses a bad one with its own error."""
+
+    @pytest.mark.parametrize("kind, error", [
+        ("shape", ArgumentError), ("nan", NumericError), ("asymmetric", ArgumentError),
+        ("indefinite", IllConditionedError)])
+    @pytest.mark.parametrize("op", list(_CONSUMERS))
+    def test_bad_mass_matrix_refused(self, domain, op, kind, error):
+        _, _, dec, m_omega = build_model(domain, GaussianKernel(5.0, 0.2), 8)
+        u0 = np.linspace(1.0, 0.3, 8)
+        with pytest.raises(error) as err:
+            _CONSUMERS[op](dec, _bad_mass(kind, m_omega), u0, m_omega)
+        assert str(err.value).startswith(f"{op}: ")
 
 
 class TestPositiveSign:

@@ -1,4 +1,6 @@
 import os
+import pathlib
+import re
 import string
 import tempfile
 
@@ -333,6 +335,41 @@ class TestRunCommand:
                        "--set", "seeds.oracle=-1", "--output", str(out)])
         assert rc == 1 and not out.exists()
         assert "parse_config: seeds.oracle must be >= 0, got -1" in capsys.readouterr().err
+
+
+def _readme_csv_schema():
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    return dict(re.findall(r"^(\S+\.csv):\s+(\S+)$", readme.read_text(), re.M))
+
+
+class TestDefaultConfigVerbs:
+    """Verbs no other test runs on default.cfg (obs-sweep on its default cutoffs)."""
+
+    @pytest.mark.parametrize("verb", ["kernel-project", "obs-constant", "obs-sweep", "gramian"])
+    def test_schema_and_echo_rerun_byte_identical(self, tmp_path, verb):
+        first, second = tmp_path / "first", tmp_path / "second"
+        assert cli.main([verb, str(default_config_path()), "--output", str(first)]) == 0
+        csvs = sorted(p.name for p in first.glob("*.csv"))
+        assert csvs
+        schema = _readme_csv_schema()
+        for name in csvs:
+            header = (first / name).read_text().splitlines()[0]
+            assert header == schema[name], name
+        assert cli.main([verb, str(first / "config.echo.cfg"), "--output", str(second)]) == 0
+        assert sorted(p.name for p in second.glob("*.csv")) == csvs
+        for name in csvs:
+            assert (second / name).read_bytes() == (first / name).read_bytes(), name
+
+    def test_grid_table_asymmetric_between_lattice_points_refused(
+            self, tmp_path, capsys, lattice_hole_table):
+        grid = tmp_path / "grid.txt"
+        write_grid_kernel(grid, lambda x, xi: lattice_hole_table, n=64, length=1.0)
+        text = MINIMAL.replace("kernel.variant = zero",
+                               f"kernel.variant = grid\nkernel.file = {grid}")
+        rc = cli.main(["kernel-project", str(write(tmp_path, text)),
+                       "--output", str(tmp_path / "out")])
+        assert rc == 1
+        assert "fails the symmetry check (defect 6.000e-01" in capsys.readouterr().err
 
 
 class TestDeterminism:

@@ -265,6 +265,11 @@ class TestLeftInverseConstant:
         with pytest.raises(ArgumentError, match="unknown method 'float'"):
             left_inverse_constant(dec, m_omega, 0.005, method="float")
 
+    def test_float_method_refused_at_zero(self, stable_pipeline):
+        _, _, dec, m_omega = stable_pipeline
+        with pytest.raises(ArgumentError, match="unknown method 'float'"):
+            left_inverse_constant(dec, m_omega, 0.0, method="float")
+
     def test_conditioning_gate(self, domain):
         _, _, dec = _dec(domain, ZeroKernel(), 32)
         m_omega = restricted_mass_matrix(build_basis(domain, 32), 0.3, 0.8)

@@ -13,7 +13,6 @@ from nullheat import (ArgumentError, GaussianKernel, GridKernel,
 from nullheat import oracles
 from nullheat.basis import gauss_rule
 from nullheat.bundled import bundled_kernels, grid_demo_kernel
-from nullheat.kernels import SYMMETRY_LATTICE
 
 
 @pytest.fixture
@@ -98,13 +97,16 @@ class TestCheckSymmetry:
         k = write_grid_kernel(path, lambda x, xi: x - xi, n=16, length=1.0)
         defect = k.symmetry_defect()
         # |interp(x, xi) - interp(xi, x)| = 2 |x - xi| clamped to the midpoint
-        # hull; the lattice extremum sits at the domain corner
-        grid = np.linspace(0.0, 1.0, 33)
-        X, Y = np.meshgrid(grid, grid, indexing="ij")
-        vals = k.evaluate(X, Y)
-        expected = np.max(np.abs(vals - vals.T))
-        assert defect == pytest.approx(expected, rel=1e-15)
-        assert defect > 1.5
+        # hull, largest at the corner midpoints: 2 (m_15 - m_0) = 30 / 16
+        assert defect == np.max(np.abs(k.samples - k.samples.T))
+        assert defect == pytest.approx(30.0 / 16.0, rel=1e-15)
+
+    def test_grid_defect_bounds_the_interpolant(self, rng):
+        # the interpolant of s - s^T never exceeds the table's extreme
+        k = GridKernel(9, 1.0, rng.standard_normal((9, 9)))
+        x = np.linspace(0.0, 1.0, 401)
+        vals = k.evaluate(x[:, None], x[None, :])
+        assert np.max(np.abs(vals - vals.T)) <= k.symmetry_defect() * (1 + 1e-14)
 
 
 class TestProjectKernel:
@@ -144,6 +146,20 @@ class TestProjectKernel:
         path = tmp_path / "anti.txt"
         k = write_grid_kernel(path, lambda x, xi: x - xi, n=16, length=1.0)
         with pytest.raises(ArgumentError, match="symmetry"):
+            project_kernel(k, basis)
+
+    def test_grid_asymmetric_between_lattice_points_rejected(self, basis, lattice_hole_table):
+        # asymmetric by 0.6 in its samples, yet the interpolant is symmetric on
+        # every point of a 33 x 33 lattice of [0, 1]^2: each lattice point sits
+        # halfway between two midpoints whose u and v entries cancel
+        s = lattice_hole_table
+        assert np.max(np.abs(s - s.T)) == pytest.approx(0.6, rel=1e-14)
+        k = GridKernel(64, 1.0, s)
+        grid = np.linspace(0.0, 1.0, 33)
+        vals = k.evaluate(grid[:, None], grid[None, :])
+        assert np.max(np.abs(vals - vals.T)) == 0.0
+        assert k.symmetry_defect() == np.max(np.abs(s - s.T))
+        with pytest.raises(ArgumentError, match="symmetry check"):
             project_kernel(k, basis)
 
     def test_grid_length_mismatch(self, tmp_path, basis):
@@ -197,10 +213,8 @@ class TestOneKernelEvaluation:
 
         monkeypatch.setattr(type(kernel), "evaluate", counted)
         project_kernel(kernel, basis)
-        # the grid kernel's symmetry check adds one evaluation on its own lattice
-        lattice = (SYMMETRY_LATTICE, SYMMETRY_LATTICE)
-        assert len([s for s in shapes if s != lattice]) == 1
-        assert len(shapes) == (2 if isinstance(kernel, GridKernel) else 1)
+        # the grid kernel's symmetry check reads the sample table, not evaluate
+        assert len(shapes) == 1
 
 
 class TestOpenAxes:

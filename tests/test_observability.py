@@ -12,7 +12,8 @@ from nullheat import (ArgumentError, COUPLING_FIXED, COUPLING_RESOLVENT, Domain,
                       witness_identity_residual)
 from nullheat import _highprec, observability, oracles
 from nullheat.bundled import bundled_kernels
-from nullheat.observability import _validate_mass
+from nullheat.basis import _validate_mass
+from nullheat.observability import _phi
 
 
 def kappa_scalar(T):
@@ -202,6 +203,22 @@ class TestSpecObsSweep:
             specobs_sweep_and_fit(basis, (0.3, 0.8),
                                   [lam1 * f for f in (1.0, 1.2, 1.5, 2.0, 17.0)][:4]
                                   + [lam1 * 1.1])
+
+
+class TestPhi:
+    def test_within_two_ulp_of_mp_expm1(self):
+        # T = 1/4 keeps every product s T exact, so the reference sees the
+        # same argument as expm1; s = 0 must give the limit T
+        T = 0.25
+        small = np.geomspace(1e-14, 1e-3, 45)
+        x = np.concatenate([small, -small, np.linspace(-50.0, 5.0, 221), [0.0]])
+        s = x / T
+        got = _phi(s, T)
+        with mp.workdps(50):
+            ref = np.array([float(mp.expm1(mp.mpf(si) * mp.mpf(T)) / mp.mpf(si))
+                            if si != 0.0 else T for si in s])
+        assert np.all(np.abs(got - ref) <= 2 * np.spacing(np.abs(ref)))
+        assert got[-1] == T
 
 
 class TestGramian:
