@@ -14,6 +14,32 @@ def _dec(domain, kernel, n):
     return basis, decompose(assemble_generator(basis, project_kernel(kernel, basis)))
 
 
+def _per_step_reference(dec, m_omega, u0, coeffs, T, nt_fine):
+    """simulate_controlled's scheme as one exponential step per loop iteration:
+    the control interpolated at each step's 4 Gauss nodes, then u <- e^{L dt} u + b."""
+    mus, Q = dec.mus, dec.modes
+    W = Q.T @ m_omega @ Q
+    f_e = coeffs @ Q
+    nt = coeffs.shape[0]
+    times = np.linspace(0.0, T, nt_fine)
+    dt = T / (nt_fine - 1)
+    h = T / (nt - 1)
+    g_nodes, g_weights = np.polynomial.legendre.leggauss(4)
+    tau = (g_nodes + 1.0) * dt / 2.0
+    wq = g_weights * dt / 2.0
+    e_node = np.exp(np.outer(dt - tau, mus))
+    u = Q.T @ u0
+    states = [u]
+    for s in range(nt_fine - 1):
+        t_nodes = times[s] + tau
+        idx = np.minimum((t_nodes / h).astype(int), nt - 2)
+        frac = (t_nodes - idx * h) / h
+        f_nodes = (1.0 - frac)[:, None] * f_e[idx] + frac[:, None] * f_e[idx + 1]
+        u = np.exp(mus * dt) * u + np.einsum("q,qn,qn->n", wq, e_node, f_nodes @ W.T)
+        states.append(u)
+    return np.array(states) @ Q.T
+
+
 class TestHumControl:
     def test_zero_initial_state(self, stable_pipeline):
         _, _, dec, m_omega = stable_pipeline
@@ -122,6 +148,20 @@ class TestControlledStateNorms:
         assert abs(norms[0] - 1.0) <= 1e-14
         assert abs(norms[-1] - result.terminal_residual) <= 1e-10
 
+    def test_wrong_initial_state_shape_refused(self, domain):
+        _, _, dec, m_omega = build_model(domain, GaussianKernel(5.0, 0.2), 8)
+        result = hum_control(dec, m_omega, np.eye(8)[0], 0.5, nt=16)
+        with pytest.raises(ArgumentError, match=r"^controlled_state_norms: u0 has shape"):
+            controlled_state_norms(dec, m_omega, np.ones(3), result)
+
+    def test_staged_result_refused(self, domain):
+        kernel = GaussianKernel(5.0, 0.2)
+        _, _, dec, m_omega = build_model(domain, kernel, 8)
+        staged = lr_staged_control(domain, kernel, np.ones(8) / 8, T=1.0, stages=2,
+                                   r0=np.pi ** 2, n_modes=8, nt=65)
+        with pytest.raises(ArgumentError, match=r"^controlled_state_norms: multiplier"):
+            controlled_state_norms(dec, m_omega, np.ones(8) / 8, staged)
+
 
 class TestSimulateControlled:
     def test_free_decay_matches_propagate(self, stable_pipeline, rng):
@@ -152,6 +192,20 @@ class TestSimulateControlled:
         sim = simulate_controlled(dec, m_omega, u0, res.control_coeffs, T,
                                   nt_fine=8193)
         assert abs(sim.terminal_norm - res.terminal_residual) <= 1e-5
+
+    @pytest.mark.parametrize("nt, nt_fine", [(65, 257), (13, 13), (13, 37), (2, 2)],
+                             ids=["r4", "r1", "r3", "one-step"])
+    def test_scan_matches_per_step_reference(self, domain, rng, nt, nt_fine):
+        # unstable coupling (mus[0] > 0): the scan must not amplify roundoff
+        _, _, dec, m_omega = build_model(domain, GaussianKernel(20.0, 0.15), 16)
+        assert dec.mus[0] > 0
+        u0 = rng.standard_normal(16)
+        coeffs = rng.standard_normal((nt, 16))
+        sim = simulate_controlled(dec, m_omega, u0, coeffs, 0.5, nt_fine=nt_fine)
+        ref = _per_step_reference(dec, m_omega, u0, coeffs, 0.5, nt_fine)
+        assert sim.states.shape == ref.shape == (nt_fine, 16)
+        assert np.max(np.abs(sim.states - ref)) <= 1e-12 * np.max(np.abs(ref))
+        assert sim.terminal_norm == pytest.approx(np.linalg.norm(ref[-1]), rel=1e-12)
 
     def test_grid_refinement_contract(self, stable_pipeline):
         _, _, dec, m_omega = stable_pipeline
