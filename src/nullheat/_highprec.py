@@ -161,7 +161,7 @@ def generalized_min_eig_mp(mus, modes, m_omega, t):
     mus and modes are the float64 eigendecomposition of the generator,
     treated as exact; m_omega must be SPD at float64 entry precision.
     Working precision adapts to the dynamic range 2 t (mu_max - mu_min).
-    Returns (log(theta)/2 as float, unit float64 minimizer).
+    Returns log(theta)/2 as a float.
     """
     spread = 2.0 * t * float(mus[0] - mus[-1])
     dps = int(max(40, spread / np.log(10.0) + 30))
@@ -192,15 +192,11 @@ def generalized_min_eig_mp(mus, modes, m_omega, t):
             ev = _matvec(Q, [ei * yi for ei, yi in zip(e, _matvec(Qt, v))])
             return mp.fdot(ev, _matvec(M, ev)) / mp.fdot(v, _matvec(M, v))
 
-        theta, v = _min_pencil_eigpair(
+        theta, _ = _min_pencil_eigpair(
             lambda v: apply_e_inv(_solve_pair(C, C_flip, apply_e_inv(_matvec(M, v)))),
             rayleigh, [mp.mpf(1)] * n, dps)
         if theta <= 0:
             raise NumericError(
                 "generalized_min_eig_mp: nonpositive eigenvalue at working precision; "
                 f"increase dps (got {float(theta):.3e} at dps={dps})")
-        # rounded to float64 at unit omega-norm, then normalised in float64
-        nrm = mp.sqrt(mp.fdot(v, _matvec(M, v)))
-        vec = np.array([float(vi / nrm) for vi in v])
-        vec = vec / np.linalg.norm(vec)
-        return float(mp.log(theta) / 2), positive_sign(vec)
+        return float(mp.log(theta) / 2)

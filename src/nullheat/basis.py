@@ -135,6 +135,14 @@ def _validate_mass(m_omega, n, op):
     return m_omega
 
 
+def _validate_state(u0, n, op):
+    """u0 as a float array, refused unless it is a coefficient N-vector."""
+    u0 = np.asarray(u0, dtype=float)
+    if u0.shape != (n,):
+        raise ArgumentError(f"{op}: u0 has shape {u0.shape}, expected ({n},)")
+    return u0
+
+
 def gram_closed_form(n, lo, hi, ell, sin=np.sin, pi=np.pi, dtype=float):
     """restricted_mass_matrix's closed form from tables of 2n sines.
 

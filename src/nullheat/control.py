@@ -32,7 +32,7 @@ import numpy as np
 import scipy.linalg as sla
 from numpy.polynomial.legendre import leggauss
 
-from .basis import _validate_mass, gauss_rule
+from .basis import _validate_mass, _validate_state, gauss_rule
 from .errors import ArgumentError, IllConditionedError, NumericError
 from .evolution import propagate
 from .observability import _count_modes, _gramian_eigencoords, _phi, build_model
@@ -105,10 +105,7 @@ def hum_control(dec, m_omega, u0, T, nt=64, ridge=0.0):
     if nt < 16:
         raise ArgumentError(f"hum_control: nt must be >= 16, got {nt}")
     m_omega = _validate_mass(m_omega, dec.n_modes, "hum_control")
-    u0 = np.asarray(u0, dtype=float)
-    if u0.shape != (dec.n_modes,):
-        raise ArgumentError(
-            f"hum_control: u0 has shape {u0.shape}, expected ({dec.n_modes},)")
+    u0 = _validate_state(u0, dec.n_modes, "hum_control")
     G = _gramian_eigencoords(dec, m_omega, T)
     u0_e = dec.modes.T @ u0
     decay = np.exp(dec.mus * T)
@@ -131,10 +128,7 @@ def controlled_state_norms(dec, m_omega, u0, result):
     form: u(t) = e^{Lt} u0 + [W o D(t)] p in eigencoordinates, with W = Q^T M_omega Q,
     p the multiplier and D(t)[a, b] = e^{mu_b (T - t)} phi(mu_a + mu_b, t)."""
     m_omega = _validate_mass(m_omega, dec.n_modes, "controlled_state_norms")
-    u0 = np.asarray(u0, dtype=float)
-    if u0.shape != (dec.n_modes,):
-        raise ArgumentError(
-            f"controlled_state_norms: u0 has shape {u0.shape}, expected ({dec.n_modes},)")
+    u0 = _validate_state(u0, dec.n_modes, "controlled_state_norms")
     p = np.asarray(result.multiplier, dtype=float)   # a staged list stacks to 2-D
     if p.shape != (dec.n_modes,):
         raise ArgumentError(
@@ -170,15 +164,12 @@ def simulate_controlled(dec, m_omega, u0, control_coeffs, T, nt_fine):
     if T <= 0:
         raise ArgumentError("simulate_controlled: T must be positive")
     m_omega = _validate_mass(m_omega, dec.n_modes, "simulate_controlled")
-    u0 = np.asarray(u0, dtype=float)
     coeffs = np.asarray(control_coeffs, dtype=float)
     if coeffs.ndim != 2 or coeffs.shape[1] != dec.n_modes:
         raise ArgumentError(
             f"simulate_controlled: control array {coeffs.shape} does not match "
             f"{dec.n_modes} modes")
-    if u0.shape != (dec.n_modes,):
-        raise ArgumentError(
-            f"simulate_controlled: u0 has shape {u0.shape}, expected ({dec.n_modes},)")
+    u0 = _validate_state(u0, dec.n_modes, "simulate_controlled")
     nt = coeffs.shape[0]
     if nt < 2 or nt_fine < 2 or (nt_fine - 1) % (nt - 1) != 0:
         raise ArgumentError(

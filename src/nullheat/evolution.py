@@ -12,7 +12,9 @@ mass matrix must be safely positive definite for that problem to mean
 anything, hence the conditioning gate.  When the float64 generalized solve
 cannot resolve theta_min (it sinks below the eps * ||A|| cancellation floor
 once t * (lambda_N - lambda_1) is large), the computation escalates to an
-adaptive-precision path instead of returning noise.
+adaptive-precision path instead of returning noise.  The fastest mode q_N
+gives zeta(t) <= e^{mu_N t}, so a zeta below float64's range is refused from
+that bound before any eigensolve.
 """
 
 import math
@@ -30,6 +32,8 @@ BACKWARD_EXP_GUARD = 700.0
 # float64 generalized eigenvalues below this (relative to the largest) are
 # cancellation noise, not data
 _FLOAT_TRUST_FLOOR = 1e-12
+# exp() below this is at most the smallest subnormal float64
+_LOG_UNDERFLOW = -745.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -116,21 +120,20 @@ def semigroup_norm(dec, t):
     return float(np.exp(dec.mus[0] * t))
 
 
-def left_inverse_constant(dec, m_omega, t, with_witness=False, method="auto"):
+def left_inverse_constant(dec, m_omega, t, method="auto"):
     """Largest zeta with zeta ||v||_omega <= ||e^{Lt} v||_omega on the span.
 
     Computed as sqrt of the smallest generalized eigenvalue of
-    (e^{Lt})^T M_omega (e^{Lt}) v = theta M_omega v; the returned minimizer
-    attains equality.  method is "auto" (the float64 eigenvalue where it
-    clears the trust floor, extended precision otherwise) or "mp" (always
-    extended precision).
+    (e^{Lt})^T M_omega (e^{Lt}) v = theta M_omega v.  method is "auto" (the
+    float64 eigenvalue where it clears the trust floor, extended precision
+    otherwise) or "mp" (always extended precision).  Refused before any
+    eigensolve once the bound log zeta <= mu_N t is an e-fold past underflow.
     """
     if t < 0:
         raise ArgumentError("left_inverse_constant: t must be >= 0")
     if method not in ("auto", "mp"):
         raise ArgumentError(f"left_inverse_constant: unknown method {method!r}")
-    n = dec.n_modes
-    m_omega = _validate_mass(m_omega, n, "left_inverse_constant")
+    m_omega = _validate_mass(m_omega, dec.n_modes, "left_inverse_constant")
     w_m = np.linalg.eigvalsh(m_omega)
     if w_m[0] < CONDITIONING_GATE:
         raise IllConditionedError(
@@ -139,29 +142,28 @@ def left_inverse_constant(dec, m_omega, t, with_witness=False, method="auto"):
             eigenvalue=float(w_m[0]),
         )
     if t == 0.0:
-        # e^0 = I: every vector attains equality with constant one
-        witness = np.zeros(n)
-        witness[0] = 1.0
-        return (1.0, witness) if with_witness else 1.0
-
+        return 1.0  # e^0 = I
+    bound = float(dec.mus[-1]) * t
+    if bound < _LOG_UNDERFLOW - 1.0:  # the e-fold covers the float Q taken as exact
+        _refuse_underflow(f"log zeta <= mu_N t = {bound:.1f}")
     if method == "auto":
         et = dec.semigroup(t)
         a = et @ m_omega @ et
         a = (a + a.T) / 2
         try:
-            theta, vecs = sla.eigh(a, m_omega)
+            # not eigvals_only=True: its LAPACK route moves zeta by ~1e-6 near the floor
+            theta = sla.eigh(a, m_omega)[0]
         except (sla.LinAlgError, np.linalg.LinAlgError):
             pass  # the extended-precision path below takes over
         else:
             if theta[0] > _FLOAT_TRUST_FLOOR * max(theta[-1], 0.0):
-                zeta = float(np.sqrt(theta[0]))
-                witness = positive_sign(vecs[:, 0] / np.linalg.norm(vecs[:, 0]))
-                return (zeta, witness) if with_witness else zeta
-    log_zeta, witness = _highprec.generalized_min_eig_mp(dec.mus, dec.modes, m_omega, t)
-    if log_zeta < -745.0:
-        raise NumericError(
-            f"left_inverse_constant: zeta underflows float64 (log zeta = {log_zeta:.1f}); "
-            "reduce t or the truncation level"
-        )
-    zeta = math.exp(log_zeta)
-    return (zeta, witness) if with_witness else zeta
+                return float(np.sqrt(theta[0]))
+    log_zeta = _highprec.generalized_min_eig_mp(dec.mus, dec.modes, m_omega, t)
+    if log_zeta < _LOG_UNDERFLOW:
+        _refuse_underflow(f"log zeta = {log_zeta:.1f}")
+    return math.exp(log_zeta)
+
+
+def _refuse_underflow(detail):
+    raise NumericError(f"left_inverse_constant: zeta underflows float64 ({detail}); "
+                       "reduce t or the truncation level")

@@ -255,7 +255,8 @@ def read_grid_kernel(path):
 
     Line 1: `n ell`; lines 2..n+1: n whitespace-separated samples each,
     row i giving k at x-midpoint i over all xi-midpoints.  `#` starts a
-    comment line.  Decimal point `.`, no thousands separators.
+    comment line; only comment and blank lines may follow the last row.
+    Decimal point `.`, no thousands separators.
     """
     rows = []
     header = None
@@ -283,6 +284,10 @@ def read_grid_kernel(path):
                         f"read_grid_kernel: bad domain length {parts[1]}", line=lineno)
                 header = (n, ell, lineno)
                 continue
+            if len(rows) == header[0]:
+                raise KernelFormatError(
+                    f"read_grid_kernel: extra line after the {header[0]} sample rows",
+                    line=lineno)
             try:
                 vals = [float(tok) for tok in line.split()]
             except ValueError:
@@ -296,8 +301,6 @@ def read_grid_kernel(path):
                 raise KernelFormatError(
                     "read_grid_kernel: non-finite sample", line=lineno)
             rows.append((lineno, vals))
-            if len(rows) == header[0]:
-                break
     if header is None:
         raise KernelFormatError(f"read_grid_kernel: {path}: empty file", line=1)
     n, ell, _ = header

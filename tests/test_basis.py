@@ -231,6 +231,32 @@ class TestValidateMass:
         assert str(err.value).startswith(f"{op}: ")
 
 
+_STATE_CONSUMERS = {
+    "hum_control": lambda dec, m, u0: hum_control(dec, m, u0, 0.1),
+    "controlled_state_norms": lambda dec, m, u0: controlled_state_norms(
+        dec, m, u0, hum_control(dec, m, np.ones(dec.n_modes), 0.1)),
+    "simulate_controlled": lambda dec, m, u0: simulate_controlled(
+        dec, m, u0, np.zeros((5, dec.n_modes)), 0.1, 9),
+}
+
+
+class TestValidateState:
+    """Every consumer of a caller's u0 refuses one that is not an N-vector, word for word."""
+
+    @pytest.mark.parametrize("u0", [np.ones(3), np.ones((8, 1)), 1.0], ids=["short", "2d", "0d"])
+    @pytest.mark.parametrize("op", list(_STATE_CONSUMERS))
+    def test_bad_state_refused(self, domain, op, u0):
+        _, _, dec, m_omega = build_model(domain, GaussianKernel(5.0, 0.2), 8)
+        with pytest.raises(ArgumentError) as err:
+            _STATE_CONSUMERS[op](dec, m_omega, u0)
+        assert str(err.value) == f"{op}: u0 has shape {np.shape(u0)}, expected (8,)"
+
+    def test_simulate_checks_control_before_state(self, domain):
+        _, _, dec, m_omega = build_model(domain, GaussianKernel(5.0, 0.2), 8)
+        with pytest.raises(ArgumentError, match=r"^simulate_controlled: control array"):
+            simulate_controlled(dec, m_omega, np.ones(3), np.zeros((5, 3)), 0.1, 9)
+
+
 class TestPositiveSign:
     def test_vector_and_columns(self):
         v = np.array([0.5, -2.0, 1.0])

@@ -360,6 +360,14 @@ class TestDefaultConfigVerbs:
         for name in csvs:
             assert (second / name).read_bytes() == (first / name).read_bytes(), name
 
+    def test_zeta_underflow_refused(self, tmp_path, capsys):
+        # zeta(0.4) <= e^{mu_N 0.4} = e^{-1010.6}: refused from the bound, exit 2, no table
+        out = tmp_path / "out"
+        assert cli.main(["zeta", str(default_config_path()), "--output", str(out)]) == 2
+        assert ("zeta underflows float64 (log zeta <= mu_N t = -1010.6)"
+                in capsys.readouterr().err)
+        assert not (out / "zeta.csv").exists()
+
     def test_grid_table_asymmetric_between_lattice_points_refused(
             self, tmp_path, capsys, lattice_hole_table):
         grid = tmp_path / "grid.txt"

@@ -60,6 +60,15 @@ class TestGridFile:
         with pytest.raises(KernelFormatError):
             read_grid_kernel(path)
 
+    def test_extra_rows_refused(self, tmp_path):
+        path = tmp_path / "k.txt"
+        path.write_text("2 1.0\n1 2\n2 1\n\n# trailing comment\n")
+        assert read_grid_kernel(path).samples.tolist() == [[1, 2], [2, 1]]
+        path.write_text("2 1.0\n1 2\n2 1\n\n# trailing comment\n9 9\n7 7 7\n")
+        with pytest.raises(KernelFormatError, match="extra line after the 2 sample rows") as err:
+            read_grid_kernel(path)
+        assert err.value.line == 6
+
     def test_n_below_two(self, tmp_path):
         path = tmp_path / "k.txt"
         path.write_text("1 1.0\n1.0\n")
