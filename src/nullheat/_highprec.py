@@ -5,7 +5,9 @@ that decay like exp(-c n) and exp(-lambda_N t), below double precision's
 eps * ||A|| cancellation floor.  Each is the smallest eigenvalue of an SPD
 pencil A v = theta B v, found by one primitive, _min_pencil_eigpair: inverse
 iteration v <- A^{-1} B v with triangular solves on mp Cholesky (and LU)
-factors.  The pencils:
+factors.  Its eigenvalue estimate v^T B v / x^T B v reuses the products of
+the step x = A^{-1} B v, so no step forms A v; the estimate lags the
+iterate by one step.  The pencils:
 
 * packet constant: (M, I), M a leading block of the restricted Gram matrix.
   A Cholesky factor's leading rows factor its leading blocks, so one factor
@@ -99,20 +101,23 @@ def _lu_mp(A):
     return L, Ut
 
 
-def _min_pencil_eigpair(step, rayleigh, start, dps, max_iter=200):
+def _min_pencil_eigpair(step, start, dps, max_iter=200):
     """Smallest eigenpair of an SPD pencil A v = theta B v by inverse iteration.
 
-    step(v) applies A^{-1} B, rayleigh(v) = v^T A v / v^T B v.  The iterate
-    keeps unit Euclidean norm; the iteration stops once the quotient moves
-    by at most 10^(12 - dps) relative.  Returns (theta, list of mpf).
+    step(v) returns (x, B v) with x = A^{-1} B v.  theta is estimated as
+    v^T B v / x^T B v, the Rayleigh quotient of the symmetric pencil
+    (B A^{-1} B, B) at v, inverted: accurate to the square of v's error, and
+    one step behind the normalized x that becomes the next iterate.  The
+    iterate keeps unit Euclidean norm; the iteration stops once the estimate
+    moves by at most 10^(12 - dps) relative.  Returns (theta, list of mpf).
     """
     v = start
     lam_old = None
     for _ in range(max_iter):
-        x = step(v)
+        x, bv = step(v)
+        lam = mp.fdot(v, bv) / mp.fdot(x, bv)
         nrm = mp.sqrt(mp.fsum(x, absolute=True, squared=True))
         v = [xi / nrm for xi in x]
-        lam = rayleigh(v)
         if lam_old is not None and abs(lam - lam_old) <= mp.mpf(10) ** (-dps + 12) * abs(lam):
             return lam, v
         lam_old = lam
@@ -137,8 +142,7 @@ def smallest_eigenpair_mp(M, max_iter=200, start=None, factor=None):
         v = [mp.mpf(float(s)) for s in start] if (
             start is not None and np.all(np.isfinite(start))) else [mp.mpf(1)] * n
         nrm = mp.sqrt(mp.fsum(v, absolute=True, squared=True))
-        lam, v = _min_pencil_eigpair(lambda u: _solve_pair(L, L_flip, u),
-                                     lambda u: mp.fdot(u, _matvec(rows, u)),
+        lam, v = _min_pencil_eigpair(lambda u: (_solve_pair(L, L_flip, u), u),
                                      [vi / nrm for vi in v], _DPS, max_iter)
         return lam, positive_sign(np.array([float(vi) for vi in v]))
 
@@ -171,8 +175,7 @@ def generalized_min_eig_mp(mus, modes, m_omega, t):
     for i, p in enumerate(sla.lu_factor(modes, check_finite=False)[1]):
         perm[[i, p]] = perm[[p, i]]
     with mp.workdps(dps):
-        Q, Qt, M = ([[mp.mpf(float(x)) for x in row] for row in a]
-                    for a in (modes, modes.T, m_omega))
+        Q, M = ([[mp.mpf(float(x)) for x in row] for row in a] for a in (modes, m_omega))
         C = cholesky_mp(M, dps)
         if len(C) < n:
             raise NumericError(
@@ -188,13 +191,11 @@ def generalized_min_eig_mp(mus, modes, m_omega, t):
             z = _solve_pair(Ut, L_flip, [yi / ei for ei, yi in zip(e, y)])
             return [z[p] for p in inv_perm]  # Q^{-T} z
 
-        def rayleigh(v):
-            ev = _matvec(Q, [ei * yi for ei, yi in zip(e, _matvec(Qt, v))])
-            return mp.fdot(ev, _matvec(M, ev)) / mp.fdot(v, _matvec(M, v))
+        def step(v):
+            mv = _matvec(M, v)
+            return apply_e_inv(_solve_pair(C, C_flip, apply_e_inv(mv))), mv
 
-        theta, _ = _min_pencil_eigpair(
-            lambda v: apply_e_inv(_solve_pair(C, C_flip, apply_e_inv(_matvec(M, v)))),
-            rayleigh, [mp.mpf(1)] * n, dps)
+        theta, _ = _min_pencil_eigpair(step, [mp.mpf(1)] * n, dps)
         if theta <= 0:
             raise NumericError(
                 "generalized_min_eig_mp: nonpositive eigenvalue at working precision; "

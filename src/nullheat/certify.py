@@ -153,9 +153,9 @@ def check_gaussian_projection_oracle(rng):
     kernel = GaussianKernel(amplitude=5.0, width=0.2)
     basis = build_basis(DEFAULT_DOMAIN, 16)
     kmat = project_kernel(kernel, basis)
-    K_mid = oracles.midpoint_project_kernel(kernel, basis, n_points=4096)
-    defect = float(np.max(np.abs(kmat.matrix - K_mid)))
-    hs_mid = oracles.midpoint_hs_norm(kernel, basis, n_points=4096)
+    mid = oracles.midpoint_projection(kernel, basis, n_points=4096)
+    defect = float(np.max(np.abs(kmat.matrix - mid.matrix)))
+    hs_mid = mid.hs_of_k
     return defect <= 1e-6 and abs(kmat.hs_of_k - hs_mid) <= 1e-6, \
         f"entry defect {defect:.2e}, hs defect {abs(kmat.hs_of_k - hs_mid):.2e}"
 

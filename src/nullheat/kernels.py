@@ -133,10 +133,14 @@ class GaussianKernel(KernelSpec):
             raise ArgumentError(f"GaussianKernel: width must be positive, got {self.width}")
 
     def evaluate(self, x, xi, length):
-        x = np.asarray(x, float)
-        xi = np.asarray(xi, float)
-        peak = self.amplitude / (self.width * np.sqrt(2.0 * np.pi))
-        return peak * np.exp(-((x - xi) ** 2) / (2.0 * self.width ** 2))
+        # peak * exp(-(x - xi)^2 / (2 width^2)), each step in the one output array
+        out = np.asarray(np.subtract(x, xi, dtype=float))
+        np.square(out, out=out)
+        np.negative(out, out=out)
+        out /= 2.0 * self.width ** 2
+        np.exp(out, out=out)
+        out *= self.amplitude / (self.width * np.sqrt(2.0 * np.pi))
+        return out if out.ndim else out[()]
 
     def axis_rule(self, basis):
         ell = basis.domain.length

@@ -3,57 +3,90 @@
 Each oracle here deliberately avoids the code path it checks: dense midpoint
 rules against tensor Gauss-Legendre projections, Crank-Nicolson stepping
 against eigendecomposition propagation, and brute-force time quadrature
-against the closed-form Gramian.  They are slower and cruder by design.
+against the closed-form Gramian.  None computes an eigendecomposition:
+Crank-Nicolson powers its step matrix by repeated squaring.  They are
+slower and cruder by design; a midpoint oracle fills one n_points^2 table
+and reads both the Galerkin matrix and the kernel norm from it.
 """
 
 import numpy as np
 import scipy.linalg as sla
 from numpy.polynomial.legendre import legder, legval
-from scipy.linalg.lapack import dgetrs
 
-from .errors import ArgumentError, NumericError
+from .errors import ArgumentError
+from .kernels import KernelMatrix
+
+_ROW_BLOCK = 256  # table rows per kernel evaluation in midpoint_projection
+
+
+def _require_positive_int(op, name, value):
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+        raise ArgumentError(f"{op}: {name} must be a positive integer, got {value!r}")
+
+
+def _midpoint_matrix(spec, basis, n_points):
+    # the Galerkin matrix (psi h) k (psi h)^T, the n_points^2 table k it was
+    # read from (filled _ROW_BLOCK rows per evaluation) and the cell width h
+    _require_positive_int("midpoint_projection", "n_points", n_points)
+    ell = basis.domain.length
+    h = ell / n_points
+    x = (np.arange(n_points) + 0.5) * h
+    table = np.empty((n_points, n_points))
+    for i in range(0, n_points, _ROW_BLOCK):
+        table[i:i + _ROW_BLOCK] = spec.evaluate(x[i:i + _ROW_BLOCK, None], x[None, :], ell)
+    m = np.arange(1, basis.n_modes + 1)
+    psi = np.sqrt(2.0 / ell) * np.sin(np.outer(m, x) * np.pi / ell)
+    return (psi * h) @ table @ (psi * h).T, table, h
+
+
+def midpoint_projection(spec, basis, n_points=512):
+    """Galerkin matrix and kernel L^2 norm by a dense 2-d midpoint rule.
+
+    One n_points^2 table of kernel values, filled _ROW_BLOCK rows per
+    evaluation, gives the matrix (psi h) k (psi h)^T and then, squared in
+    place, the norm sqrt(h^2 sum k^2): the same values, bit for bit, as
+    evaluating the whole table at once, with no second table.
+    """
+    matrix, table, h = _midpoint_matrix(spec, basis, n_points)
+    np.square(table, out=table)
+    return KernelMatrix(n_modes=basis.n_modes, matrix=matrix,
+                        hs_of_k=float(np.sqrt(np.sum(table) * h * h)))
 
 
 def midpoint_project_kernel(spec, basis, n_points=512):
-    """Galerkin matrix by a dense 2-d midpoint rule with n_points^2 cells."""
-    ell = basis.domain.length
-    h = ell / n_points
-    x = (np.arange(n_points) + 0.5) * h
-    vals = spec.evaluate(x[:, None], x[None, :], ell)
-    m = np.arange(1, basis.n_modes + 1)
-    psi = np.sqrt(2.0 / ell) * np.sin(np.outer(m, x) * np.pi / ell)
-    return (psi * h) @ vals @ (psi * h).T
+    """midpoint_projection(spec, basis, n_points).matrix, without the norm."""
+    return _midpoint_matrix(spec, basis, n_points)[0]
 
 
 def midpoint_hs_norm(spec, basis, n_points=512):
-    """Kernel L^2 norm by the same dense midpoint rule."""
-    ell = basis.domain.length
-    h = ell / n_points
-    x = (np.arange(n_points) + 0.5) * h
-    vals = spec.evaluate(x[:, None], x[None, :], ell)
-    return float(np.sqrt(np.sum(vals ** 2) * h * h))
+    """midpoint_projection(spec, basis, n_points).hs_of_k."""
+    return midpoint_projection(spec, basis, n_points).hs_of_k
 
 
 def crank_nicolson_propagate(lmat, u0, t, steps=10_000):
     """Integrate u' = L u by Crank-Nicolson: (I - dt/2 L) u_{k+1} = (I + dt/2 L) u_k.
 
-    One LU factorisation of I - dt/2 L, then one LAPACK getrs per step on
-    that factor (the same solve scipy.linalg.lu_solve makes, without its
-    per-call checks).
+    The step matrix is S = I + D with D = (I - dt/2 L)^{-1} dt L, formed by
+    one LU solve.  S^steps u0 is applied by binary powering on D,
+    (I + D)^2 = I + (2 D + D D), so a step's O(dt) increment is never added
+    to I and rounded away: about log2(steps) matrix squarings in place of
+    steps triangular solves.
     """
     if t < 0:
         raise ArgumentError("crank_nicolson_propagate: t must be >= 0")
+    _require_positive_int("crank_nicolson_propagate", "steps", steps)
     lmat = np.asarray(lmat, dtype=float)
     n = lmat.shape[0]
     dt = t / steps
-    lu, piv = sla.lu_factor(np.eye(n) - 0.5 * dt * lmat)
-    b_half = np.eye(n) + 0.5 * dt * lmat
+    d = sla.lu_solve(sla.lu_factor(np.eye(n) - 0.5 * dt * lmat), dt * lmat)
     u = np.asarray(u0, dtype=float).copy()
-    for _ in range(steps):
-        u, info = dgetrs(lu, piv, b_half @ u, overwrite_b=1)
-        if info != 0:
-            raise NumericError(f"crank_nicolson_propagate: getrs returned info={info}")
-    return u
+    while True:
+        if steps & 1:
+            u += d @ u
+        steps >>= 1
+        if not steps:
+            return u
+        d = 2.0 * d + d @ d
 
 
 def _leggauss(deg):
@@ -74,6 +107,7 @@ def _leggauss(deg):
 
 def gramian_time_quadrature(dec, m_omega, T, n_nodes=2000):
     """int_0^T e^{Lt} M e^{Lt} dt by a single-panel Gauss-Legendre rule."""
+    _require_positive_int("gramian_time_quadrature", "n_nodes", n_nodes)
     nodes, weights = _leggauss(n_nodes)
     ts = 0.5 * T * (nodes + 1.0)
     ws = 0.5 * T * weights

@@ -6,7 +6,8 @@ from nullheat import (ArgumentError, Domain, GaussianKernel, IllConditionedError
                       KernelMatrix, NumericError, OverflowRefusalError, SeparableKernel,
                       ZeroKernel, assemble_generator, build_basis, decompose,
                       left_inverse_constant, project_kernel, propagate,
-                      propagate_backward, restricted_mass_matrix, semigroup_norm)
+                      propagate_backward, restricted_mass_matrix, semigroup_norm,
+                      spectral_obs_constants)
 from nullheat import _highprec, oracles
 from nullheat.bundled import bundled_kernels
 
@@ -107,21 +108,26 @@ class TestPropagate:
             rel = np.linalg.norm(exact - cn) / np.linalg.norm(exact)
             assert rel <= 1e-6, name
 
-    def test_crank_nicolson_matches_lu_solve_loop(self, domain, rng):
-        # the oracle is the plain Crank-Nicolson scheme, bit for bit
-        import scipy.linalg as sla
-        basis, kmat, _ = _dec(domain, GaussianKernel(20.0, 0.15), 8)
-        lmat = assemble_generator(basis, kmat)
-        v = rng.standard_normal(8)
-        t, steps = 0.1, 200
-        dt = t / steps
-        lu = sla.lu_factor(np.eye(8) - 0.5 * dt * lmat)
-        b_half = np.eye(8) + 0.5 * dt * lmat
-        u = v.copy()
-        for _ in range(steps):
-            u = sla.lu_solve(lu, b_half @ u)
-        cn = oracles.crank_nicolson_propagate(lmat, v, t, steps=steps)
-        assert np.array_equal(cn, u)
+    def test_crank_nicolson_matches_mp_scheme(self, domain, rng):
+        # reference: the same scheme at 60 digits, S = (I - dt/2 L)^{-1} (I + dt/2 L)
+        # formed in mp from the float L and raised to the 10 000th power; a
+        # per-step float loop is 1e-13 to 9e-13 away, powering on S 1e-12
+        t, steps = 0.1, 10_000
+        for name, kernel in bundled_kernels():
+            basis, kmat, _ = _dec(domain, kernel, 16)
+            lmat = assemble_generator(basis, kmat)
+            v = rng.standard_normal(16)
+            with mp.workdps(60):
+                half = mp.matrix(lmat.tolist()) * (mp.mpf(t) / steps / 2)
+                S = mp.inverse(mp.eye(16) - half) * (mp.eye(16) + half)
+                ref = np.array([float(x) for x in (S ** steps) * mp.matrix(v.tolist())])
+            cn = oracles.crank_nicolson_propagate(lmat, v, t, steps=steps)
+            assert np.linalg.norm(cn - ref) <= 1e-13 * np.linalg.norm(ref), name
+
+    @pytest.mark.parametrize("steps", [-3, 0, 2.5, 10_000.0, True, "100"])
+    def test_crank_nicolson_steps_must_be_a_positive_integer(self, steps):
+        with pytest.raises(ArgumentError, match="steps must be a positive integer"):
+            oracles.crank_nicolson_propagate(-np.eye(3), np.ones(3), 0.1, steps=steps)
 
     def test_semigroup_law(self, domain, rng):
         _, _, dec = _dec(domain, GaussianKernel(5.0, 0.2), 16)
@@ -313,3 +319,78 @@ class TestExtendedPrecisionZeta:
         assert log_zeta == pytest.approx(ref_log, rel=1e-12, abs=0)
         # the fastest mode's quotient is e^{2 mu_N t}: the a-priori underflow bound
         assert log_zeta <= dec.mus[-1] * t
+
+
+def _rayleigh_stopped(rayleigh):
+    # the inverse iteration as it was before the step's own products gave the
+    # estimate: each normalized iterate v gets rayleigh(v) = v^T A v / v^T B v
+    def pencil_eigpair(step, start, dps, max_iter=200):
+        v, lam_old = start, None
+        for _ in range(max_iter):
+            x, _ = step(v)
+            nrm = mp.sqrt(mp.fsum(x, absolute=True, squared=True))
+            v = [xi / nrm for xi in x]
+            lam = rayleigh(v)
+            if lam_old is not None and abs(lam - lam_old) <= mp.mpf(10) ** (-dps + 12) * abs(lam):
+                return lam, v
+            lam_old = lam
+        raise AssertionError("reference iteration did not converge")
+    return pencil_eigpair
+
+
+class TestPencilStopRule:
+    """The estimate v^T B v / x^T B v stops on the same float64 values as the
+    Rayleigh quotient of each iterate, which needs A v: 4 more n^2 products
+    per zeta step and 1 more per packet step."""
+
+    @pytest.mark.parametrize("kernel", [ZeroKernel(), GaussianKernel(5.0, 0.2),
+                                        GaussianKernel(20.0, 0.15)],
+                             ids=["zero", "stable", "unstable"])
+    def test_zeta_equals_rayleigh_stopped(self, domain, kernel, monkeypatch):
+        for n in (6, 12, 19):
+            _, _, dec = _dec(domain, kernel, n)
+            m_omega = restricted_mass_matrix(build_basis(domain, n), 0.3, 0.8)
+            for t in (0.001, 0.01, 0.05):
+                log_zeta = _highprec.generalized_min_eig_mp(dec.mus, dec.modes, m_omega, t)
+                pencil = []
+
+                def rayleigh(v):
+                    # A = E M E, E = Q diag(e^{mu t}) Q^T, built at the working dps
+                    if not pencil:
+                        pencil.extend([[mp.mpf(float(x)) for x in row] for row in a]
+                                      for a in (dec.modes, dec.modes.T, m_omega))
+                        pencil.append([mp.e ** (mp.mpf(float(mu)) * mp.mpf(t))
+                                       for mu in dec.mus])
+                    (Q, Qt, M, e), mv = pencil, _highprec._matvec
+                    ev = mv(Q, [ei * yi for ei, yi in zip(e, mv(Qt, v))])
+                    return mp.fdot(ev, mv(M, ev)) / mp.fdot(v, mv(M, v))
+
+                with monkeypatch.context() as patch:
+                    patch.setattr(_highprec, "_min_pencil_eigpair", _rayleigh_stopped(rayleigh))
+                    ref = _highprec.generalized_min_eig_mp(dec.mus, dec.modes, m_omega, t)
+                assert log_zeta == ref, (n, t)
+
+    @pytest.mark.parametrize("omega", [(0.3, 0.8), (0.1, 0.6)])
+    def test_packet_constants_equal_rayleigh_stopped(self, domain, omega, monkeypatch):
+        # windows whose deepest c_min (8e-19, 1.2e-25) the 50-digit Gram
+        # matrix resolves far past float64
+        basis = build_basis(domain, 26)
+        rs = [((n + 0.5) * np.pi) ** 2 for n in range(2, 25)]
+        reports = spectral_obs_constants(basis, omega, rs)
+        smallest, escalated = _highprec.smallest_eigenpair_mp, []
+
+        def reference(M, **kwargs):
+            rows = _highprec._rows(M)
+            escalated.append(len(rows))
+            with monkeypatch.context() as patch:
+                patch.setattr(_highprec, "_min_pencil_eigpair",
+                              _rayleigh_stopped(lambda u: mp.fdot(u, _highprec._matvec(rows, u))))
+                return smallest(M, **kwargs)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(_highprec, "smallest_eigenpair_mp", reference)
+            refs = spectral_obs_constants(basis, omega, rs)
+        assert len(escalated) >= 10
+        for rep, ref in zip(reports, refs):
+            assert rep.c_min == ref.c_min, rep.n_modes
+            assert np.array_equal(rep.witness, ref.witness), rep.n_modes

@@ -267,11 +267,29 @@ class TestOpenAxes:
             s[ix + 1, iy] * (fx * gy) + s[ix, iy + 1] * (gx * fy))
         assert np.array_equal(k.evaluate(x[:, None], xi[None, :]), ref)
 
-    @pytest.mark.parametrize("name, cap", [("separable", 3.0), ("grid", 8.0)])
+    def test_gaussian_in_place_equals_expression(self):
+        k = GaussianKernel(5.0, 0.2)
+        peak = k.amplitude / (k.width * np.sqrt(2.0 * np.pi))
+
+        def expression(x, xi):
+            x, xi = np.asarray(x, float), np.asarray(xi, float)
+            return peak * np.exp(-((x - xi) ** 2) / (2.0 * k.width ** 2))
+
+        x = np.linspace(-0.1, 1.1, 301)
+        xi = x[::-1] ** 2
+        X, Y = np.meshgrid(x, xi, indexing="ij")
+        for a, b in ((x[:, None], xi[None, :]), (X, Y), (x, 0.5)):
+            assert np.array_equal(k.evaluate(a, b, 1.0), expression(a, b))
+        for a, b in ((0.3, 0.7), (np.float64(0.2), 0.25), (np.array(0.1), np.array(0.9))):
+            val = k.evaluate(a, b, 1.0)
+            assert type(val) is np.float64 and val == expression(a, b)
+
+    @pytest.mark.parametrize("name, cap", [("separable", 3.0), ("grid", 8.0), ("gaussian", 1.1)])
     def test_peak_memory_is_a_few_outputs(self, name, cap):
         k = {"separable": SeparableKernel(np.array([1.0, 0.0, -0.5]),
                                           np.array([0.25, 1.5])),
-             "grid": grid_demo_kernel()}[name]
+             "grid": grid_demo_kernel(),
+             "gaussian": GaussianKernel(5.0, 0.2)}[name]
         x = (np.arange(self.n) + 0.5) / self.n
         tracemalloc.start()
         try:
@@ -289,6 +307,49 @@ class TestOpenAxes:
         k = grid_demo_kernel()
         assert np.shape(k.evaluate(0.3, 0.7)) == ()
         assert k.evaluate(0.3, 0.7) == k.evaluate(np.array([[0.3]]), np.array([[0.7]]))[0, 0]
+
+
+class TestMidpointProjection:
+    """One n_points^2 table, filled in row blocks, gives both oracle values."""
+
+    @pytest.mark.parametrize("n_points", [300, 1024, 4096])
+    def test_equals_the_full_table_formulas(self, domain, n_points):
+        kernels = bundled_kernels() + [("separable-exact", SeparableKernel(
+            np.array([1.0, 0.0, -0.5]), np.array([0.25, 1.5])))]
+        h = 1.0 / n_points
+        x = (np.arange(n_points) + 0.5) * h
+        for name, kernel in kernels:
+            vals = kernel.evaluate(x[:, None], x[None, :], 1.0)
+            hs = float(np.sqrt(np.sum(vals ** 2) * h * h))
+            for n in (8, 16):
+                psi = np.sqrt(2.0) * np.sin(np.outer(np.arange(1, n + 1), x) * np.pi)
+                mid = oracles.midpoint_projection(kernel, build_basis(domain, n), n_points)
+                assert np.array_equal(mid.matrix, (psi * h) @ vals @ (psi * h).T), (name, n)
+                assert mid.hs_of_k == hs, (name, n)
+            del vals
+
+    @pytest.mark.parametrize("n_points", [300, 1024])
+    def test_matrix_only_oracle_skips_the_norm_not_the_table(self, basis, n_points):
+        for name, kernel in bundled_kernels():
+            assert np.array_equal(oracles.midpoint_project_kernel(kernel, basis, n_points),
+                                  oracles.midpoint_projection(kernel, basis, n_points).matrix), name
+
+    def test_peak_memory_is_one_table(self, basis):
+        n_points = 4096
+        tracemalloc.start()
+        try:
+            oracles.midpoint_projection(GaussianKernel(5.0, 0.2), basis, n_points)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.2 * n_points ** 2 * 8
+
+    @pytest.mark.parametrize("n_points", [-5, 0, 512.0, None])
+    def test_n_points_must_be_a_positive_integer(self, basis, n_points):
+        for oracle in (oracles.midpoint_projection, oracles.midpoint_project_kernel,
+                       oracles.midpoint_hs_norm):
+            with pytest.raises(ArgumentError, match="n_points must be a positive integer"):
+                oracle(GaussianKernel(5.0, 0.2), basis, n_points)
 
 
 class TestHsNorm:

@@ -247,6 +247,12 @@ class TestGramian:
         rel = np.linalg.norm(G - G_quad) / np.linalg.norm(G)
         assert rel <= 1e-8
 
+    @pytest.mark.parametrize("n_nodes", [-1, 0, 2000.0, "2000"])
+    def test_time_quadrature_n_nodes_must_be_a_positive_integer(self, stable_pipeline, n_nodes):
+        _, _, dec, m_omega = stable_pipeline
+        with pytest.raises(ArgumentError, match="n_nodes must be a positive integer"):
+            oracles.gramian_time_quadrature(dec, m_omega, 0.25, n_nodes=n_nodes)
+
     def test_time_quadrature_rule_is_numpys_leggauss_bitwise(self):
         for n in (1, 2, 3, 5, 8, 16, 63, 64, 100, 257, 1000, 2000, 2500):
             x, w = oracles._leggauss(n)
