@@ -1,10 +1,10 @@
-"""Extended-precision (mpmath) eigenpairs below the float64 floor.
+"""Extended-precision eigenpairs below the float64 floor, on integer mantissas.
 
 The packet constant and the left-inverse constant zeta(t) rest on eigenvalues
 that decay like exp(-c n) and exp(-lambda_N t), below double precision's
 eps * ||A|| cancellation floor.  Each is the smallest eigenvalue of an SPD
 pencil A v = theta B v, found by one primitive, _min_pencil_eigpair: inverse
-iteration v <- A^{-1} B v with triangular solves on mp Cholesky (and LU)
+iteration v <- A^{-1} B v with triangular solves on Cholesky (and LU)
 factors.  Its eigenvalue estimate v^T B v / x^T B v reuses the products of
 the step x = A^{-1} B v, so no step forms A v; the estimate lags the
 iterate by one step.  The pencils:
@@ -14,28 +14,192 @@ iterate by one step.  The pencils:
   serves a sweep of cutoffs.
 * zeta(t)^2: (E M E, M), E = Q diag(e^{mu t}) Q^T from the float64
   eigendecomposition taken as exact; A^{-1} B = E^{-1} M^{-1} E^{-1} M with
-  E^{-1} = Q^{-T} diag(e^{-mu t}) Q^{-1} from an mp LU of Q.  Not
+  E^{-1} = Q^{-T} diag(e^{-mu t}) Q^{-1} from an LU of Q.  Not
   Q diag(e^{-mu t}) Q^T: the float Q is orthogonal only to rounding, which
   e^{-mu_N t} magnifies past theta itself.
 * kappa_T, later: 1 / theta_min of (G_T, e^{2LT}).
+
+Arithmetic.  mpmath builds the inputs (the Gram matrix, e^{mu t}) and takes
+the outputs; in between a number is a pair (m, e) = m 2^e of Python ints, m
+odd or zero, as in mpmath's own mpf.  Each operation is one correct rounding
+to nearest-even at the working precision prec: a dot product is the exact
+integer sum of its exact products, rounded once, and a difference, quotient
+or square root is rounded once from its exact value.  mpmath's operations
+round the same way, so every result is mpmath's, bit for bit, once its one
+shortcut is reproduced: mp.fdot's summation (libmp.mpf_sum) drops a term
+lying more than 2 prec bits beside its running sum.  A dot whose terms span
+at most 2 prec bits drops nothing and takes the exact sum; a wider one is
+summed by mpf_sum itself.  For the exact sum a vector is also held in one
+frame, ints X with value X[k] 2^lo, so a dot is one C-level sum of products.
 """
+
+from math import isqrt
+from operator import mul
 
 import numpy as np
 import mpmath as mp
 import scipy.linalg as sla
+from mpmath import libmp
 
 from .basis import gram_closed_form, positive_sign
 from .errors import NumericError
 
 _mp_sin = np.frompyfunc(mp.sin, 1, 1)
-_DPS = 50  # working precision of the packet-constant routines
+DPS = 50  # working precision of the packet-constant routines
+_ZERO = (0, 0)
+_ONE = (1, 0)
 
 
-def mass_matrix_mp(n, lo, hi, ell):
-    """Restricted Gram matrix as an n x n object array of mpf."""
-    with mp.workdps(_DPS):
+def mass_matrix_mp(n, lo, hi, ell, dps=DPS):
+    """Restricted Gram matrix as an n x n object array of mpf at dps digits."""
+    with mp.workdps(dps):
         return gram_closed_form(n, mp.mpf(lo), mp.mpf(hi), mp.mpf(ell),
                                 sin=_mp_sin, pi=+mp.pi, dtype=object)
+
+
+# -- correctly rounded operations on pairs (m, e) ------------------------------
+
+def _round(n, e, prec, odd=True):
+    # n 2^e rounded to prec bits, ties to even; odd=False skips making the
+    # mantissa odd, for a value only passed on to the next operation
+    if not n:
+        return _ZERO
+    a = -n if n < 0 else n
+    k = a.bit_length() - prec
+    if k > 0:
+        t = a >> (k - 1)
+        if t & 1 and (t & 2 or a & ~(-1 << (k - 1))):
+            a = (t >> 1) + 1
+        else:
+            a = t >> 1
+        e += k
+    if odd and not a & 1:
+        z = (a & -a).bit_length() - 1
+        a >>= z
+        e += z
+    return (-a if n < 0 else a), e
+
+
+def _sub(x, y, prec, odd=True):
+    (xm, xe), (ym, ye) = x, y
+    if xe >= ye:
+        return _round((xm << (xe - ye)) - ym, ye, prec, odd)
+    return _round(xm - (ym << (ye - xe)), xe, prec, odd)
+
+
+def _mul(x, y, prec):
+    return _round(x[0] * y[0], x[1] + y[1], prec)
+
+
+def _div(x, y, prec):
+    (xm, xe), (ym, ye) = x, y
+    if not ym:
+        raise ZeroDivisionError("mp division by zero")
+    if ym == 1 or not xm:
+        return _round(xm, xe - ye, prec)
+    a, b = abs(xm), abs(ym)
+    # a quotient of at least prec + 2 bits, then one sticky bit for the rest
+    k = max(0, prec + 2 - a.bit_length() + b.bit_length())
+    q, r = divmod(a << k, b)
+    q = (q << 1) | (r != 0)
+    return _round(-q if (xm < 0) != (ym < 0) else q, xe - ye - k - 1, prec)
+
+
+def _sqrt(x, prec):
+    m, e = x
+    if m < 0:
+        raise NumericError("mp square root of a negative number")
+    if e & 1:
+        m, e = m << 1, e - 1
+    k = max(0, 2 * prec + 4 - m.bit_length())
+    k += k & 1
+    m <<= k
+    r = isqrt(m)
+    return _round((r << 1) | (r * r != m), (e - k) // 2 - 1, prec)
+
+
+def _le(x, y):
+    # x <= y, exactly
+    (xm, xe), (ym, ye) = x, y
+    if xe >= ye:
+        return xm << (xe - ye) <= ym
+    return xm <= ym << (ye - xe)
+
+
+def _abs(x):
+    return (-x[0], x[1]) if x[0] < 0 else x
+
+
+def _pair(x):
+    sign, m, e, _ = x._mpf_
+    return (-m if sign else m), e
+
+
+def _float_pair(x):
+    # a float's exact value, as mp.mpf(float(x)) holds it at 53 bits or more
+    m, d = float(x).as_integer_ratio()
+    return _round(m, 1 - d.bit_length(), 53)
+
+
+def _mpf(p):
+    return mp.make_mpf(libmp.from_man_exp(p[0], p[1]))
+
+
+# -- vectors: pairs plus one integer frame --------------------------------------
+
+class _Vec:
+    """Pairs p[k] = (m, e) and the same values as ints[k] 2^lo exactly, where
+    lo and hi are the least and greatest e of a nonzero pair (None if none)."""
+
+    __slots__ = ("pairs", "ints", "lo", "hi")
+
+    def __init__(self, pairs=()):
+        self.pairs = list(pairs)
+        exps = [e for m, e in self.pairs if m]
+        if exps:
+            self.lo = lo = min(exps)
+            self.hi = max(exps)
+            self.ints = [m << (e - lo) if m else 0 for m, e in self.pairs]
+        else:
+            self.lo = self.hi = None
+            self.ints = [0] * len(self.pairs)
+
+    def append(self, p):
+        m, e = p
+        self.pairs.append(p)
+        if not m:
+            self.ints.append(0)
+            return
+        if self.lo is None:
+            self.lo = self.hi = e
+        elif e < self.lo:
+            d = self.lo - e
+            self.ints = [x << d for x in self.ints]
+            self.lo = e
+        elif e > self.hi:
+            self.hi = e
+        self.ints.append(m << (e - self.lo))
+
+
+def _dot(a, b, prec):
+    # mp.fdot(a, b) over the common leading entries
+    if a.lo is None or b.lo is None:
+        return _ZERO
+    # mpf_sum keeps a running sum m 2^exp (exp = 0 before the first term) and
+    # drops a term, or the sum itself, only when their exponents lie more
+    # than 2 prec bits apart; a drop against exp = 0 also needs two terms that
+    # far apart.  So products whose exponents span at most 2 prec bits are
+    # summed exactly, and the exact sum rounded once is mpf_sum's result.
+    lo = a.lo + b.lo
+    if a.hi + b.hi - lo <= 2 * prec:
+        return _round(sum(map(mul, a.ints, b.ints)), lo, prec)
+    terms = []
+    for (am, ae), (bm, be) in zip(a.pairs, b.pairs):
+        m = am * bm
+        if m:
+            terms.append((int(m < 0), abs(m), ae + be, abs(m).bit_length()))
+    sign, m, e, _ = libmp.mpf_sum(terms, prec, libmp.round_nearest)
+    return (-m if sign else m), e
 
 
 def _rows(A):
@@ -43,16 +207,31 @@ def _rows(A):
     return A.tolist() if hasattr(A, "tolist") else A
 
 
-def _matvec(rows, v):
-    return [mp.fdot(row, v) for row in rows]
+def _matvec(rows, v, prec):
+    return [_dot(row, v, prec) for row in rows]
 
 
-def _solve_lower(rows, b):
-    # T x = b for lower-triangular T by rows (row i holds T[i][:i+1]);
-    # mp.fdot pairs row i with the i entries solved so far
-    x = []
-    for row, bi in zip(rows, b):
-        x.append((bi - mp.fdot(row, x)) / row[-1])
+# -- triangular factors -----------------------------------------------------------
+# a lower-triangular T is a list of rows (off-diagonal _Vec, diagonal pair)
+
+def _tri(rows):
+    return [(_Vec(row[:-1]), row[-1]) for row in rows]
+
+
+def _solve_lower(T, b, prec):
+    # T x = b by rows, b a list of pairs (only its first len(T) entries are
+    # read); row i pairs its off-diagonal entries with the x solved so far
+    x = _Vec()
+    for (row, (dm, de)), bi in zip(T, b):
+        # a power-of-two diagonal divides exactly, by a shift, so the
+        # difference is final and made odd; otherwise the quotient is
+        unit = dm == 1
+        m, e = _sub(bi, _dot(row, x, prec), prec, unit)
+        if not unit:
+            m, e = _div((m, e), (dm, de), prec)
+        elif m:
+            e -= de
+        x.append((m, e))
     return x
 
 
@@ -62,89 +241,111 @@ def _flip(rows):
     return [[rows[r][c] for r in range(n - 1, c - 1, -1)] for c in range(n - 1, -1, -1)]
 
 
-def _solve_pair(A, B_flip, b):
-    # (A B^T) x = b for lower-triangular A and B, B given as _flip(B)
-    return _solve_lower(B_flip, _solve_lower(A, b)[::-1])[::-1]
+def _solve_pair(A, B_flip, b, prec):
+    # (A B^T) x = b for lower-triangular A and B, B given as _tri(_flip(B));
+    # x as a list of pairs
+    return _solve_lower(B_flip, _solve_lower(A, b, prec).pairs[::-1], prec).pairs[::-1]
 
 
-def cholesky_mp(A, dps=_DPS):
+def _cholesky(A, prec):
+    # rows of pairs of the factor of A's longest leading block whose pivots
+    # are at least mp.eps = 2^(1 - prec)
+    L, T = [], []
+    for j, a in enumerate(A):
+        row = _solve_lower(T, a, prec)
+        s = _sub(a[j], _dot(row, row, prec), prec)
+        if not _le((1, 1 - prec), s):
+            break
+        d = _div(s, _sqrt(s, prec), prec)
+        L.append(row.pairs + [d])
+        T.append((row, d))
+    return L
+
+
+def cholesky_mp(A, dps=DPS):
     """Rows of the Cholesky factor of A's longest positive-definite leading block.
 
     mp.cholesky's arithmetic entry for entry, but row by row: row j reads
     only entries of index <= j, so the first k rows factor A's leading k x k
-    block.  Stops before the first pivot below the working epsilon.
+    block.  Stops before the first pivot below the working epsilon.  A is an
+    mp.matrix, an object array of mpf or a list of rows; the rows returned
+    hold mpf.
     """
-    L = []
     with mp.workdps(dps):
-        for j, a in enumerate(_rows(A)):
-            row = []
-            for i, piv in enumerate(L):
-                row.append((a[i] - mp.fdot(row, piv)) / piv[i])
-            s = a[j] - mp.fsum(row, absolute=True, squared=True)
-            if s < mp.eps:
-                break
-            row.append((a[j] - mp.fdot(row, row)) / mp.sqrt(s))
-            L.append(row)
-    return L
+        L = _cholesky([[_pair(x) for x in row] for row in _rows(A)], mp.mp.prec)
+    return [[_mpf(p) for p in row] for row in L]
 
 
-def _lu_mp(A):
+def _lu(A, prec):
     # A = L U without pivoting, as the rows of L (unit diagonal) and of U^T
-    L, Ut = [], [[] for _ in A]
+    L, Ut = [], [_Vec() for _ in A]
     for i, a in enumerate(A):
-        row = []
-        for j in range(i):
-            row.append((a[j] - mp.fdot(row, Ut[j])) / Ut[j][j])
-        L.append(row + [mp.mpf(1)])
+        row = _solve_lower([(u, u.pairs[j]) for j, u in enumerate(Ut[:i])], a, prec)
+        L.append(row.pairs + [_ONE])
         for j in range(i, len(A)):
-            Ut[j].append(a[j] - mp.fdot(L[i], Ut[j]))
-    return L, Ut
+            Ut[j].append(_sub(a[j], _dot(row, Ut[j], prec), prec))
+    return L, [u.pairs for u in Ut]
 
+
+# -- the eigen-primitive ------------------------------------------------------------
 
 def _min_pencil_eigpair(step, start, dps, max_iter=200):
     """Smallest eigenpair of an SPD pencil A v = theta B v by inverse iteration.
 
-    step(v) returns (x, B v) with x = A^{-1} B v.  theta is estimated as
-    v^T B v / x^T B v, the Rayleigh quotient of the symmetric pencil
-    (B A^{-1} B, B) at v, inverted: accurate to the square of v's error, and
-    one step behind the normalized x that becomes the next iterate.  The
-    iterate keeps unit Euclidean norm; the iteration stops once the estimate
-    moves by at most 10^(12 - dps) relative.  Returns (theta, list of mpf).
+    step(v) returns (x, B v) with x = A^{-1} B v, all three as _Vec.  theta
+    is estimated as v^T B v / x^T B v, the Rayleigh quotient of the
+    symmetric pencil (B A^{-1} B, B) at v, inverted: accurate to the square
+    of v's error, and one step behind the normalized x that becomes the next
+    iterate.  The iterate keeps unit Euclidean norm; the iteration stops once
+    the estimate moves by at most 10^(12 - dps) relative.  Runs at the
+    context's working precision; returns (theta as a pair, v as a _Vec).
     """
+    prec = mp.mp.prec
+    tol = _pair(mp.mpf(10) ** (-dps + 12))
     v = start
     lam_old = None
     for _ in range(max_iter):
         x, bv = step(v)
-        lam = mp.fdot(v, bv) / mp.fdot(x, bv)
-        nrm = mp.sqrt(mp.fsum(x, absolute=True, squared=True))
-        v = [xi / nrm for xi in x]
-        if lam_old is not None and abs(lam - lam_old) <= mp.mpf(10) ** (-dps + 12) * abs(lam):
+        lam = _div(_dot(v, bv, prec), _dot(x, bv, prec), prec)
+        nrm = _sqrt(_dot(x, x, prec), prec)
+        v = _Vec([_div(xi, nrm, prec) for xi in x.pairs])
+        if lam_old is not None and _le(_abs(_sub(lam, lam_old, prec)),
+                                       _mul(tol, _abs(lam), prec)):
             return lam, v
         lam_old = lam
     raise NumericError(f"inverse iteration: no convergence in {max_iter} steps at dps={dps}")
 
 
-def smallest_eigenpair_mp(M, max_iter=200, start=None, factor=None):
+def _unit_start(start, n, prec):
+    # the float start vector (all ones if absent or not finite) over its norm
+    v = _Vec([_float_pair(s) for s in start] if (
+        start is not None and np.all(np.isfinite(start))) else [_ONE] * n)
+    nrm = _sqrt(_dot(v, v, prec), prec)
+    return _Vec([_div(p, nrm, prec) for p in v.pairs])
+
+
+def smallest_eigenpair_mp(M, max_iter=200, start=None, factor=None, dps=DPS):
     """Smallest eigenpair (mpf, unit float64 array) of an SPD mp matrix.
 
-    The pencil (M, I); factor may pass the rows of M's Cholesky factor, e.g.
-    the leading rows of a larger matrix's.  Converges at the ratio of the two
-    smallest eigenvalues, ~0.13 per sweep for the restricted Gram blocks.
+    The pencil (M, I) at dps digits; factor may pass the rows of M's
+    Cholesky factor, e.g. the leading rows of a larger matrix's.  Converges
+    at the ratio of the two smallest eigenvalues, ~0.13 per sweep for the
+    restricted Gram blocks.
     """
-    with mp.workdps(_DPS):
-        rows = _rows(M)
-        n = len(rows)
-        L = cholesky_mp(M, _DPS) if factor is None else factor
+    with mp.workdps(dps):
+        prec = mp.mp.prec
+        n = len(_rows(M))
+        if factor is None:
+            L = _cholesky([[_pair(x) for x in row] for row in _rows(M)], prec)
+        else:
+            L = [[_pair(x) for x in row] for row in factor]
         if len(L) < n:
             raise NumericError(
                 "smallest_eigenpair_mp: Cholesky failed (matrix is not positive-definite)")
-        L_flip = _flip(L)
-        v = [mp.mpf(float(s)) for s in start] if (
-            start is not None and np.all(np.isfinite(start))) else [mp.mpf(1)] * n
-        nrm = mp.sqrt(mp.fsum(v, absolute=True, squared=True))
-        lam, v = _min_pencil_eigpair(lambda u: (_solve_pair(L, L_flip, u), u),
-                                     [vi / nrm for vi in v], _DPS, max_iter)
-        return lam, positive_sign(np.array([float(vi) for vi in v]))
+        T, T_flip = _tri(L), _tri(_flip(L))
+        lam, v = _min_pencil_eigpair(lambda u: (_Vec(_solve_pair(T, T_flip, u.pairs, prec)), u),
+                                     _unit_start(start, n, prec), dps, max_iter)
+        return _mpf(lam), positive_sign(np.array([float(_mpf(p)) for p in v.pairs]))
 
 
 def rayleigh_quotient_mp(n, lo, hi, ell, coeffs):
@@ -153,10 +354,11 @@ def rayleigh_quotient_mp(n, lo, hi, ell, coeffs):
     Used to verify witness identities whose scale is below the float64
     quadratic-form rounding floor.
     """
-    with mp.workdps(_DPS):
-        rows = _rows(mass_matrix_mp(n, lo, hi, ell))
-        c = [mp.mpf(float(x)) for x in coeffs]
-        return mp.fdot(c, _matvec(rows, c)) / mp.fdot(c, c)
+    with mp.workdps(DPS):
+        prec = mp.mp.prec
+        rows = [_Vec(_pair(x) for x in row) for row in _rows(mass_matrix_mp(n, lo, hi, ell))]
+        c = _Vec(_float_pair(x) for x in coeffs)
+        return _mpf(_div(_dot(c, _Vec(_matvec(rows, c, prec)), prec), _dot(c, c, prec), prec))
 
 
 def generalized_min_eig_mp(mus, modes, m_omega, t):
@@ -175,29 +377,33 @@ def generalized_min_eig_mp(mus, modes, m_omega, t):
     for i, p in enumerate(sla.lu_factor(modes, check_finite=False)[1]):
         perm[[i, p]] = perm[[p, i]]
     with mp.workdps(dps):
-        Q, M = ([[mp.mpf(float(x)) for x in row] for row in a] for a in (modes, m_omega))
-        C = cholesky_mp(M, dps)
+        prec = mp.mp.prec
+        Q, M = ([[_float_pair(x) for x in row] for row in a] for a in (modes, m_omega))
+        C = _cholesky(M, prec)
         if len(C) < n:
             raise NumericError(
                 "generalized_min_eig_mp: subdomain mass matrix not positive-definite "
                 f"at working precision (dps={dps})")
-        L, Ut = _lu_mp([Q[p] for p in perm])  # Q[perm] = L U
-        C_flip, L_flip, Ut_flip = _flip(C), _flip(L), _flip(Ut)
-        e = [mp.e ** (mp.mpf(float(mu)) * mp.mpf(t)) for mu in mus]
+        L, Ut = _lu([Q[p] for p in perm], prec)  # Q[perm] = L U
+        C, C_flip = _tri(C), _tri(_flip(C))
+        L, L_flip, Ut, Ut_flip = _tri(L), _tri(_flip(L)), _tri(Ut), _tri(_flip(Ut))
+        M = [_Vec(row) for row in M]
+        e = [_pair(mp.e ** (mp.mpf(float(mu)) * mp.mpf(t))) for mu in mus]
         inv_perm = np.argsort(perm)
 
         def apply_e_inv(v):
-            y = _solve_pair(L, Ut_flip, [v[p] for p in perm])  # Q^{-1} v
-            z = _solve_pair(Ut, L_flip, [yi / ei for ei, yi in zip(e, y)])
+            y = _solve_pair(L, Ut_flip, [v[p] for p in perm], prec)  # Q^{-1} v
+            z = _solve_pair(Ut, L_flip, [_div(yi, ei, prec) for ei, yi in zip(e, y)], prec)
             return [z[p] for p in inv_perm]  # Q^{-T} z
 
         def step(v):
-            mv = _matvec(M, v)
-            return apply_e_inv(_solve_pair(C, C_flip, apply_e_inv(mv))), mv
+            mv = _matvec(M, v, prec)
+            x = apply_e_inv(_solve_pair(C, C_flip, apply_e_inv(mv), prec))
+            return _Vec(x), _Vec(mv)
 
-        theta, _ = _min_pencil_eigpair(step, [mp.mpf(1)] * n, dps)
-        if theta <= 0:
+        theta, _ = _min_pencil_eigpair(step, _Vec([_ONE] * n), dps)
+        if theta[0] <= 0:
             raise NumericError(
                 "generalized_min_eig_mp: nonpositive eigenvalue at working precision; "
-                f"increase dps (got {float(theta):.3e} at dps={dps})")
-        return float(mp.log(theta) / 2)
+                f"increase dps (got {float(_mpf(theta)):.3e} at dps={dps})")
+        return float(mp.log(_mpf(theta)) / 2)

@@ -22,6 +22,7 @@ sup of |k(x, xi) - k(xi, x)| of the interpolant; above DEFAULT_SYMMETRY_TOL
 the kernel is rejected by project_kernel, not silently symmetrized.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -301,7 +302,7 @@ def read_grid_kernel(path):
                 raise KernelFormatError(
                     f"read_grid_kernel: row has {len(vals)} samples, expected {header[0]}",
                     line=lineno)
-            if not all(np.isfinite(v) for v in vals):
+            if not all(map(math.isfinite, vals)):
                 raise KernelFormatError(
                     "read_grid_kernel: non-finite sample", line=lineno)
             rows.append((lineno, vals))

@@ -89,14 +89,16 @@ def spectral_obs_constant(basis, omega, r):
     leading n_modes block of the restricted Gram matrix, and the minimizing
     coefficient vector is returned as witness.  c_min decays exponentially
     in the mode count and is recomputed at extended precision once it drops
-    below the float64-trustable range.
+    below the float64-trustable range: at 50 digits, and below 10^(16 - 50)
+    again at 30 - log10(c_min) digits.
     """
     return _packet_reports(basis, omega, [r])[0]
 
 
 def spectral_obs_constants(basis, omega, r_list):
     """spectral_obs_constant at every cutoff of r_list, in order, bit for bit,
-    from one float64 Gram matrix, one mp Gram matrix and one mp factor."""
+    from one float64 Gram matrix, one 50-digit Gram matrix and one factor
+    (a cutoff that escalates past 50 digits builds its own)."""
     return _packet_reports(basis, omega, r_list)
 
 
@@ -130,6 +132,15 @@ def _packet_reports(basis, omega, r_list):
             lam, witness = _highprec.smallest_eigenpair_mp(
                 M_mp[:n, :n], start=witness if c_min > 0 else None, factor=factor[:n])
             c_min = float(lam)
+            if 0.0 < c_min < 10.0 ** (16 - _highprec.DPS):
+                # the Gram matrix's ~10^-dps entry error leaves fewer than 16
+                # digits of c_min: re-solve at a precision chosen from this
+                # estimate, as zeta's is chosen from its spread
+                dps = int(30 - np.log10(c_min))
+                lam, witness = _highprec.smallest_eigenpair_mp(
+                    _highprec.mass_matrix_mp(n, lo, hi, basis.domain.length, dps),
+                    start=witness, dps=dps)
+                c_min = float(lam)
         else:
             witness = positive_sign(witness)
         if not (np.isfinite(c_min) and c_min > 0.0):

@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from nullheat import Domain, GaussianKernel, build_model
+
+# CI selects this with --hypothesis-profile=ci: five times hypothesis's
+# default 100 examples, derandomized, so each run draws the same examples
+settings.register_profile("ci", derandomize=True, deadline=None, max_examples=500)
 
 
 @pytest.fixture

@@ -10,6 +10,7 @@ from nullheat import (ArgumentError, Domain, GaussianKernel, IllConditionedError
                       spectral_obs_constants)
 from nullheat import _highprec, oracles
 from nullheat.bundled import bundled_kernels
+import mp_reference
 
 
 def _dec(domain, kernel, n):
@@ -323,16 +324,21 @@ class TestExtendedPrecisionZeta:
 
 def _rayleigh_stopped(rayleigh):
     # the inverse iteration as it was before the step's own products gave the
-    # estimate: each normalized iterate v gets rayleigh(v) = v^T A v / v^T B v
+    # estimate: each normalized iterate v gets rayleigh(v) = v^T A v / v^T B v.
+    # It runs on mpf; step takes and returns _highprec's vectors of pairs.
+    def to_vec(v):
+        return _highprec._Vec(_highprec._pair(vi) for vi in v)
+
     def pencil_eigpair(step, start, dps, max_iter=200):
-        v, lam_old = start, None
+        v, lam_old = [_highprec._mpf(p) for p in start.pairs], None
         for _ in range(max_iter):
-            x, _ = step(v)
+            x, _ = step(to_vec(v))
+            x = [_highprec._mpf(p) for p in x.pairs]
             nrm = mp.sqrt(mp.fsum(x, absolute=True, squared=True))
             v = [xi / nrm for xi in x]
             lam = rayleigh(v)
             if lam_old is not None and abs(lam - lam_old) <= mp.mpf(10) ** (-dps + 12) * abs(lam):
-                return lam, v
+                return _highprec._pair(lam), to_vec(v)
             lam_old = lam
         raise AssertionError("reference iteration did not converge")
     return pencil_eigpair
@@ -361,7 +367,7 @@ class TestPencilStopRule:
                                       for a in (dec.modes, dec.modes.T, m_omega))
                         pencil.append([mp.e ** (mp.mpf(float(mu)) * mp.mpf(t))
                                        for mu in dec.mus])
-                    (Q, Qt, M, e), mv = pencil, _highprec._matvec
+                    (Q, Qt, M, e), mv = pencil, mp_reference.matvec
                     ev = mv(Q, [ei * yi for ei, yi in zip(e, mv(Qt, v))])
                     return mp.fdot(ev, mv(M, ev)) / mp.fdot(v, mv(M, v))
 
@@ -384,7 +390,7 @@ class TestPencilStopRule:
             escalated.append(len(rows))
             with monkeypatch.context() as patch:
                 patch.setattr(_highprec, "_min_pencil_eigpair",
-                              _rayleigh_stopped(lambda u: mp.fdot(u, _highprec._matvec(rows, u))))
+                              _rayleigh_stopped(lambda u: mp.fdot(u, mp_reference.matvec(rows, u))))
                 return smallest(M, **kwargs)
 
         with monkeypatch.context() as patch:

@@ -54,6 +54,19 @@ class TestGridFile:
             read_grid_kernel(path)
         assert err.value.line == 2
 
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf", "NaN", "-Infinity"])
+    @pytest.mark.parametrize("row", [0, 2, 3])
+    def test_non_finite_sample_names_its_line(self, tmp_path, token, row):
+        # a comment and a blank line sit between the header and the rows, so
+        # sample row k (from 0) is on line k + 4
+        samples = [["1.0", "2.0", "3.0", "4.0"] for _ in range(4)]
+        samples[row][3 - row] = token
+        path = tmp_path / "k.txt"
+        path.write_text("4 1.0\n# samples\n\n" + "".join(" ".join(r) + "\n" for r in samples))
+        with pytest.raises(KernelFormatError, match="non-finite sample") as err:
+            read_grid_kernel(path)
+        assert err.value.line == row + 4
+
     def test_missing_rows(self, tmp_path):
         path = tmp_path / "k.txt"
         path.write_text("3 1.0\n1.0 2.0 3.0\n")

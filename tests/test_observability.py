@@ -136,6 +136,31 @@ class TestPacketPrimitive:
             assert np.array_equal(rep.witness, vec)
         assert deep >= 10
 
+    def test_deep_packets_escalate_to_their_own_precision(self, domain, monkeypatch):
+        # window (0.1, 0.4): c_min 5.5e-37 .. 6.9e-45, below 10^(16 - 50), so
+        # each is re-solved at a precision chosen from its 50-digit estimate;
+        # checked against mpmath's full eigensolve at 120 digits
+        basis = build_basis(domain, 26)
+        rs = [((n + 0.5) * np.pi) ** 2 for n in range(20, 25)]
+        smallest, precisions = _highprec.smallest_eigenpair_mp, []
+
+        def recording(M, **kwargs):
+            precisions.append(kwargs.get("dps", _highprec.DPS))
+            return smallest(M, **kwargs)
+
+        monkeypatch.setattr(_highprec, "smallest_eigenpair_mp", recording)
+        reports = spectral_obs_constants(basis, (0.1, 0.4), rs)
+        assert precisions == [50, 66, 50, 68, 50, 70, 50, 72, 50, 74]
+        for rep in reports:
+            M = _highprec.mass_matrix_mp(rep.n_modes, 0.1, 0.4, 1.0, 120)
+            with mp.workdps(120):
+                ref = float(min(mp.eigsy(mp.matrix(M.tolist()), eigvals_only=True)))
+            assert rep.c_min == pytest.approx(ref, rel=1e-12, abs=0), rep.n_modes
+        # the shallower window keeps one 50-digit solve per cutoff
+        precisions.clear()
+        spectral_obs_constants(basis, (0.3, 0.8), rs)
+        assert set(precisions) == {50}
+
     def test_unfactorable_block_fails_only_its_cutoff(self):
         # the factor stops at the first non-positive pivot: smaller blocks
         # still get their eigenpair from its leading rows, larger ones an error
