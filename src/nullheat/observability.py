@@ -25,12 +25,12 @@ the frequency-coupled truncation N(T) = floor(sqrt(1/T) ell / pi) + margin,
 and fits log kappa_T against both 1/sqrt(T) and 1/T.
 """
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg as sla
-from scipy.optimize import minimize_scalar
 
 from . import _highprec
 from .basis import _validate_mass, build_basis, positive_sign, restricted_mass_matrix
@@ -297,11 +297,17 @@ class SweepRow:
 
 @dataclass(frozen=True)
 class PowerFit:
-    """log kappa ~ intercept + coeff * T^{-alpha}."""
+    """log kappa ~ intercept + coeff * T^{-alpha}.
+
+    on_bound is set on the free fit when the profiled exponent ends within
+    the search's final tolerance of 0.05 or 2, the ends of its range: the
+    optimum is then the bound, not a blow-up rate.
+    """
     alpha: float
     intercept: float
     coeff: float
     residual: float
+    on_bound: bool = False
 
 
 @dataclass(frozen=True, eq=False)
@@ -313,23 +319,102 @@ class CostSweep:
     preferred: str
 
 
-def _power_fit(Ts, ys, alpha):
+def _power_fit(Ts, ys, alpha, on_bound=False):
     fit = _line_fit(Ts ** (-alpha), ys)
     return PowerFit(alpha=float(alpha), intercept=fit.intercept,
-                    coeff=fit.slope, residual=fit.residual)
+                    coeff=fit.slope, residual=fit.residual, on_bound=on_bound)
+
+
+_GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
+_SQRT_EPS = math.sqrt(2.2e-16)
+
+
+def _sign(v):
+    return 1.0 if v >= 0.0 else -1.0
+
+
+def _bounded_brent(func, a, b):
+    """Minimise func on [a, b] by Brent's golden-section/parabolic search.
+
+    A step-for-step port of scipy.optimize.minimize_scalar(method="bounded")
+    (scipy's _minimize_scalar_bounded, Forsythe-Malcolm-Moler fmin) at its
+    defaults xatol = 1e-5 and at most 500 evaluations: the same tolerances,
+    steps and bracket updates, so the same evaluation points and the same
+    minimiser bit for bit.  Returns (x, tol2), tol2 the final tolerance of the
+    stop test at x.
+    """
+    xatol, maxfun = 1e-5, 500
+    fulc = a + _GOLDEN * (b - a)
+    nfc = xf = fulc
+    rat = e = 0.0
+    fx = func(xf)
+    num = 1
+    ffulc = fnfc = fx
+    xm = 0.5 * (a + b)
+    tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+    while abs(xf - xm) > tol2 - 0.5 * (b - a):
+        golden = True
+        if abs(e) > tol1:  # parabola through xf, nfc and fulc
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r = e
+            e = rat
+            if abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
+                golden = False
+                rat = p / q
+                x = xf + rat
+                if x - a < tol2 or b - x < tol2:
+                    rat = tol1 * _sign(xm - xf)
+        if golden:
+            e = (a - xf) if xf >= xm else (b - xf)
+            rat = _GOLDEN * e
+        x = xf + _sign(rat) * max(abs(rat), tol1)
+        fu = func(x)
+        num += 1
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+        xm = 0.5 * (a + b)
+        tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        if num >= maxfun:
+            break
+    return xf, tol2
 
 
 def _free_power_fit(Ts, ys):
-    # profile least squares over the exponent; restricted to the blow-up
-    # regime (kappa > 1): the model a + C T^{-alpha} with C > 0 describes
-    # growth, and pre-asymptotic rows with kappa < 1 otherwise drag alpha
-    # toward the degenerate logarithmic limit
+    # profile least squares over the exponent with _bounded_brent, which
+    # returns what scipy's bounded minimize_scalar does; restricted to the
+    # blow-up regime (kappa > 1): the model a + C T^{-alpha} with C > 0
+    # describes growth, and pre-asymptotic rows with kappa < 1 otherwise drag
+    # alpha toward the degenerate logarithmic limit
     grow = ys > 0.0
     if np.count_nonzero(grow) >= 3:
         Ts, ys = Ts[grow], ys[grow]
-    res = minimize_scalar(lambda a: _power_fit(Ts, ys, a).residual,
-                          bounds=(0.05, 2.0), method="bounded")
-    return _power_fit(Ts, ys, float(res.x))
+    lo, hi = 0.05, 2.0
+    alpha, tol2 = _bounded_brent(lambda a: _power_fit(Ts, ys, a).residual, lo, hi)
+    return _power_fit(Ts, ys, alpha, on_bound=min(alpha - lo, hi - alpha) < tol2)
 
 
 def truncation_for_horizon(domain, T, margin=8):

@@ -2,6 +2,8 @@ import os
 import pathlib
 import re
 import string
+import subprocess
+import sys
 import tempfile
 
 import numpy as np
@@ -11,6 +13,7 @@ from hypothesis import assume, given, settings, strategies as st
 from nullheat import (ConfigError, ExperimentConfig, GaussianKernel, GridKernel,
                       SeparableKernel, ZeroKernel, format_config, parse_config,
                       write_grid_kernel)
+import nullheat
 from nullheat import cli
 from nullheat.bundled import default_config_path
 
@@ -438,3 +441,29 @@ class TestConfigRoundTrip:
             with open(path, "w", encoding="ascii") as fh:
                 fh.write(text)
             assert format_config(parse_config(path)) == text
+
+
+_IMPORT_GUARD = """
+import sys
+import nullheat
+from nullheat import cli
+cfg, out = sys.argv[1], sys.argv[2]
+rc = {}
+for verb in cli.VERBS:
+    rc[verb] = cli.main([verb, cfg, "--output", f"{out}/{verb}"])
+rc["cost-sweep-resolvent"] = cli.main(
+    ["cost-sweep", cfg, "--output", f"{out}/resolvent",
+     "--set", "truncation.coupling=r-equals-1-over-T"])
+print(rc["cost-sweep"], rc["cost-sweep-resolvent"], "scipy.optimize" in sys.modules)
+"""
+
+
+def test_no_verb_imports_scipy_optimize(tmp_path):
+    """The free blow-up fit runs on the package's own bounded Brent search, so
+    no verb (cost-sweep included, fixed and resolvent coupling) loads
+    scipy.optimize; a fresh interpreter keeps this test's imports out."""
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(nullheat.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_GUARD, str(default_config_path()),
+                           str(tmp_path)], env=env, capture_output=True, text=True,
+                          timeout=300, check=True)
+    assert proc.stdout.split()[-3:] == ["0", "0", "False"]

@@ -1,7 +1,9 @@
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 from numpy.polynomial.legendre import leggauss
+from scipy.optimize import minimize_scalar  # reference for _bounded_brent; src/ never imports it
 
 from nullheat import (ArgumentError, COUPLING_FIXED, COUPLING_RESOLVENT, Domain,
                       GaussianKernel, NumericError, ZeroKernel, assemble_generator, build_basis,
@@ -10,8 +12,8 @@ from nullheat import (ArgumentError, COUPLING_FIXED, COUPLING_RESOLVENT, Domain,
                       propagate, restricted_mass_matrix, spectral_obs_constant,
                       spectral_obs_constants, specobs_sweep_and_fit, truncation_for_horizon,
                       witness_identity_residual)
-from nullheat import _highprec, observability, oracles
-from nullheat.bundled import bundled_kernels
+from nullheat import _highprec, observability, oracles, parse_config
+from nullheat.bundled import bundled_kernels, default_config_path
 from nullheat.basis import _validate_mass
 from nullheat.observability import _phi
 
@@ -430,6 +432,65 @@ class TestCostSweep:
         with pytest.raises(ArgumentError):
             cost_sweep(domain, ZeroKernel(), [0.5, -1.0], coupling=COUPLING_FIXED,
                        n_fixed=4)
+
+
+def _counting(func, calls):
+    def counted(a):
+        calls.append(float(a))
+        return func(a)
+    return counted
+
+
+def _assert_same_search(func):
+    """_bounded_brent and scipy's bounded minimize_scalar on (0.05, 2): the
+    same minimiser and the same evaluation points."""
+    port, ref = [], []
+    x, _ = observability._bounded_brent(_counting(func, port), 0.05, 2.0)
+    res = minimize_scalar(_counting(func, ref), bounds=(0.05, 2.0), method="bounded")
+    assert x == res.x
+    assert res.nfev == len(ref) and port == ref
+
+
+class TestBoundedBrent:
+    """_bounded_brent against scipy.optimize.minimize_scalar(method="bounded"),
+    bit for bit: same minimiser, same evaluation points."""
+
+    @given(st.lists(st.tuples(st.floats(1e-3, 1.0), st.floats(-50.0, 50.0)),
+                    min_size=2, max_size=8, unique_by=lambda p: p[0]))
+    def test_profile_residual_matches_scipy(self, points):
+        Ts = np.array([T for T, _ in points])
+        ys = np.array([y for _, y in points])
+        _assert_same_search(lambda a: observability._power_fit(Ts, ys, a).residual)
+
+    @pytest.mark.parametrize("func", [
+        lambda a: a,                  # minimum at the lower bound
+        lambda a: -a,                 # minimum at the upper bound
+        lambda a: (a - 0.7) ** 2,     # interior minimum
+        lambda a: 1.0,                # constant
+    ], ids=["lower-bound", "upper-bound", "interior", "constant"])
+    def test_fixed_cases_match_scipy(self, func):
+        _assert_same_search(func)
+
+
+def _default_cfg_sweep(**overrides):
+    cfg = parse_config(default_config_path(), overrides=overrides)
+    return cost_sweep(cfg.domain(), cfg.kernel(), list(cfg.horizon_list),
+                      coupling=cfg.coupling, n_fixed=cfg.n_modes, margin=cfg.margin)
+
+
+class TestFreeFitOnBound:
+    def test_margin0_resolvent_sweep_sits_on_the_lower_bound(self):
+        sweep = _default_cfg_sweep(**{"truncation.coupling": COUPLING_RESOLVENT,
+                                      "truncation.margin": "0"})
+        assert sweep.fit_free.on_bound
+        assert sweep.fit_free.alpha == pytest.approx(0.05, abs=1e-5)
+
+    def test_default_sweep_is_interior(self):
+        sweep = _default_cfg_sweep()
+        assert not sweep.fit_free.on_bound
+        assert 0.05 < sweep.fit_free.alpha < 2.0
+        assert not sweep.fit_sqrt.on_bound and not sweep.fit_inv.on_bound
+
 
 class TestBuildModel:
     @pytest.mark.parametrize("n", [4, 16, 32])
