@@ -11,13 +11,20 @@ iterate by one step.  The pencils:
 
 * packet constant: (M, I), M a leading block of the restricted Gram matrix.
   A Cholesky factor's leading rows factor its leading blocks, so one factor
-  serves a sweep of cutoffs.
+  serves a sweep of cutoffs (gram_block_solver).
 * zeta(t)^2: (E M E, M), E = Q diag(e^{mu t}) Q^T from the float64
   eigendecomposition taken as exact; A^{-1} B = E^{-1} M^{-1} E^{-1} M with
   E^{-1} = Q^{-T} diag(e^{-mu t}) Q^{-1} from an LU of Q.  Not
   Q diag(e^{-mu t}) Q^T: the float Q is orthogonal only to rounding, which
   e^{-mu_N t} magnifies past theta itself.
 * kappa_T, later: 1 / theta_min of (G_T, e^{2LT}).
+
+Digits.  Packet blocks are solved at DPS = 50.  Entries good to ~10^-dps
+leave fewer than 16 digits of an eigenvalue below 10^(16 - dps) times M's
+largest diagonal entry, so smallest_eigenpair_mp refuses one
+(IllConditionedError, .eigenvalue the estimate) and gram_block_solver
+re-solves it at int(30 - log10(estimate)) digits.  zeta(t) takes
+max(40, spread / ln 10 + 30) digits, spread = 2 t (mu_max - mu_min).
 
 Arithmetic.  mpmath builds the inputs (the Gram matrix, e^{mu t}) and takes
 the outputs; in between a number is a pair (m, e) = m 2^e of Python ints, m
@@ -42,7 +49,7 @@ import scipy.linalg as sla
 from mpmath import libmp
 
 from .basis import gram_closed_form, positive_sign
-from .errors import NumericError
+from .errors import IllConditionedError, NumericError
 
 _mp_sin = np.frompyfunc(mp.sin, 1, 1)
 DPS = 50  # working precision of the packet-constant routines
@@ -330,13 +337,14 @@ def smallest_eigenpair_mp(M, max_iter=200, start=None, factor=None, dps=DPS):
     The pencil (M, I) at dps digits; factor may pass the rows of M's
     Cholesky factor, e.g. the leading rows of a larger matrix's.  Converges
     at the ratio of the two smallest eigenvalues, ~0.13 per sweep for the
-    restricted Gram blocks.
+    restricted Gram blocks.  Refuses what M's digits cannot resolve.
     """
     with mp.workdps(dps):
         prec = mp.mp.prec
-        n = len(_rows(M))
+        rows = _rows(M)
+        n = len(rows)
         if factor is None:
-            L = _cholesky([[_pair(x) for x in row] for row in _rows(M)], prec)
+            L = _cholesky([[_pair(x) for x in row] for row in rows], prec)
         else:
             L = [[_pair(x) for x in row] for row in factor]
         if len(L) < n:
@@ -345,7 +353,32 @@ def smallest_eigenpair_mp(M, max_iter=200, start=None, factor=None, dps=DPS):
         T, T_flip = _tri(L), _tri(_flip(L))
         lam, v = _min_pencil_eigpair(lambda u: (_Vec(_solve_pair(T, T_flip, u.pairs, prec)), u),
                                      _unit_start(start, n, prec), dps, max_iter)
-        return _mpf(lam), positive_sign(np.array([float(_mpf(p)) for p in v.pairs]))
+        lam = _mpf(lam)
+        if not lam >= mp.mpf(10) ** (16 - dps) * max(row[i] for i, row in enumerate(rows)):
+            raise IllConditionedError(
+                f"smallest_eigenpair_mp: eigenvalue unresolved at dps={dps}", float(lam))
+        return lam, positive_sign(np.array([float(_mpf(p)) for p in v.pairs]))
+
+
+def gram_block_solver(n, lo, hi, ell):
+    """solve(k, start) -> smallest_eigenpair_mp of the leading k x k block of
+    the n x n restricted Gram matrix.  The first call builds the DPS-digit
+    matrix and Cholesky factor whose leading rows every block shares."""
+    M = factor = None
+
+    def solve(k, start=None):
+        nonlocal M, factor
+        if M is None:
+            M = mass_matrix_mp(n, lo, hi, ell)
+            factor = cholesky_mp(M)
+        try:
+            return smallest_eigenpair_mp(M[:k, :k], start=start, factor=factor[:k])
+        except IllConditionedError as err:
+            dps = int(30 - np.log10(err.eigenvalue))
+            return smallest_eigenpair_mp(mass_matrix_mp(k, lo, hi, ell, dps),
+                                         start=start, dps=dps)
+
+    return solve
 
 
 def rayleigh_quotient_mp(n, lo, hi, ell, coeffs):

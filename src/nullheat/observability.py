@@ -89,23 +89,24 @@ def spectral_obs_constant(basis, omega, r):
     leading n_modes block of the restricted Gram matrix, and the minimizing
     coefficient vector is returned as witness.  c_min decays exponentially
     in the mode count and is recomputed at extended precision once it drops
-    below the float64-trustable range: at 50 digits, and below 10^(16 - 50)
-    again at 30 - log10(c_min) digits.
+    below the float64-trustable range (_highprec.gram_block_solver).
     """
     return _packet_reports(basis, omega, [r])[0]
 
 
 def spectral_obs_constants(basis, omega, r_list):
     """spectral_obs_constant at every cutoff of r_list, in order, bit for bit,
-    from one float64 Gram matrix, one 50-digit Gram matrix and one factor
-    (a cutoff that escalates past 50 digits builds its own)."""
+    from one float64 Gram matrix and one extended-precision block solver."""
     return _packet_reports(basis, omega, r_list)
 
 
 def _packet_reports(basis, omega, r_list):
     lo, hi = omega
     M = restricted_mass_matrix(basis, lo, hi)
-    M_mp = factor = None
+    # one mp Gram matrix for the largest cutoff serves every leading block
+    solve = _highprec.gram_block_solver(
+        min(basis.n_modes, max((_count_modes(basis.domain, q) for q in r_list), default=0)),
+        lo, hi, basis.domain.length)
     reports = []
     for r in r_list:
         if r < basis.lambdas[0]:
@@ -123,28 +124,10 @@ def _packet_reports(basis, omega, r_list):
         c_min = float(w[0])
         witness = vecs[:, 0]
         if c_min < _MP_ESCALATION * max(float(w[-1]), 1e-300):
-            if M_mp is None:
-                # one mp Gram matrix and factor for the largest cutoff: the
-                # factor's leading rows factor every leading block
-                n_mp = min(basis.n_modes, max(_count_modes(basis.domain, q) for q in r_list))
-                M_mp = _highprec.mass_matrix_mp(n_mp, lo, hi, basis.domain.length)
-                factor = _highprec.cholesky_mp(M_mp)
-            lam, witness = _highprec.smallest_eigenpair_mp(
-                M_mp[:n, :n], start=witness if c_min > 0 else None, factor=factor[:n])
+            lam, witness = solve(n, witness if c_min > 0 else None)
             c_min = float(lam)
-            if 0.0 < c_min < 10.0 ** (16 - _highprec.DPS):
-                # the Gram matrix's ~10^-dps entry error leaves fewer than 16
-                # digits of c_min: re-solve at a precision chosen from this
-                # estimate, as zeta's is chosen from its spread
-                dps = int(30 - np.log10(c_min))
-                lam, witness = _highprec.smallest_eigenpair_mp(
-                    _highprec.mass_matrix_mp(n, lo, hi, basis.domain.length, dps),
-                    start=witness, dps=dps)
-                c_min = float(lam)
         else:
             witness = positive_sign(witness)
-        if not (np.isfinite(c_min) and c_min > 0.0):
-            raise NumericError(f"spectral_obs_constant: c_min not resolvable ({c_min})")
         reports.append(ObsReport(r=float(r), n_modes=n, c_min=c_min,
                                  specobs_constant=1.0 / c_min, witness=witness))
     return reports

@@ -15,6 +15,7 @@ from nullheat import (ArgumentError, COUPLING_FIXED, COUPLING_RESOLVENT, Domain,
 from nullheat import _highprec, observability, oracles, parse_config
 from nullheat.bundled import bundled_kernels, default_config_path
 from nullheat.basis import _validate_mass
+from nullheat.errors import IllConditionedError
 from nullheat.observability import _phi
 
 
@@ -181,6 +182,37 @@ class TestPacketPrimitive:
         M = _highprec.mass_matrix_mp(8, 0.3, 0.8, 1.0)
         with pytest.raises(NumericError):
             _highprec.smallest_eigenpair_mp(M, max_iter=2)
+
+    def test_unresolved_eigenvalue_is_refused(self):
+        # 50 digits give 1.66e-51; the 64-mode truth is 2.84e-54
+        with pytest.raises(IllConditionedError) as err:
+            _highprec.smallest_eigenpair_mp(_highprec.mass_matrix_mp(64, 0.3, 0.8, 1.0))
+        assert err.value.eigenvalue == pytest.approx(1.66e-51, rel=1e-2)
+
+    def test_refused_packet_is_resolved_at_its_own_precision(self):
+        basis = build_basis(Domain(1.0, 0.3, 0.8), 64)
+        rep = spectral_obs_constant(basis, (0.3, 0.8), float(basis.lambdas[-1]))
+        lam, _ = _highprec.smallest_eigenpair_mp(
+            _highprec.mass_matrix_mp(64, 0.3, 0.8, 1.0, 100), dps=100)
+        assert rep.n_modes == 64 and rep.c_min == float(lam)
+
+    @pytest.mark.parametrize("omega, ns, sizes", [
+        ((0.3, 0.8), range(2, 25), [24]),
+        ((0.1, 0.4), range(20, 25), [24, 20, 21, 22, 23, 24]),
+    ])
+    def test_sweep_shares_one_gram_matrix(self, domain, omega, ns, sizes, monkeypatch):
+        # one 50-digit matrix for the largest cutoff; only a refused block
+        # builds its own, at its own precision
+        built, mass = [], _highprec.mass_matrix_mp
+
+        def counted(n, *args, **kwargs):
+            built.append(n)
+            return mass(n, *args, **kwargs)
+
+        monkeypatch.setattr(_highprec, "mass_matrix_mp", counted)
+        spectral_obs_constants(build_basis(domain, 26), omega,
+                               [((n + 0.5) * np.pi) ** 2 for n in ns])
+        assert built == sizes
 
 
 class TestSpecObsSweep:
