@@ -19,11 +19,15 @@ iterate by one step.  The pencils:
   e^{-mu_N t} magnifies past theta itself.
 * kappa_T, later: 1 / theta_min of (G_T, e^{2LT}).
 
-Digits.  Packet blocks are solved at DPS = 50.  Entries good to ~10^-dps
-leave fewer than 16 digits of an eigenvalue below 10^(16 - dps) times M's
-largest diagonal entry, so smallest_eigenpair_mp refuses one
-(IllConditionedError, .eigenvalue the estimate) and gram_block_solver
-re-solves it at int(30 - log10(estimate)) digits.  zeta(t) takes
+Digits.  Packet blocks are solved at DPS = 50, on the leading rows of one
+shared 50-digit Cholesky factor.  That factor stops at the first pivot below
+the working epsilon (after 66 rows on (0.3, 0.8)), so a longer block is
+re-solved from its own Gram matrix and factor at twice the digits, doubled
+again while its factor is still short.  Entries good to ~10^-dps leave fewer
+than 16 digits of an eigenvalue below 10^(16 - dps) times M's largest
+diagonal entry, so smallest_eigenpair_mp refuses one (IllConditionedError,
+.eigenvalue the estimate) and gram_block_solver re-solves it at
+int(30 - log10(estimate)) digits.  zeta(t) takes
 max(40, spread / ln 10 + 30) digits, spread = 2 t (mu_max - mu_min).
 
 Arithmetic.  mpmath builds the inputs (the Gram matrix, e^{mu t}) and takes
@@ -363,7 +367,8 @@ def smallest_eigenpair_mp(M, max_iter=200, start=None, factor=None, dps=DPS):
 def gram_block_solver(n, lo, hi, ell):
     """solve(k, start) -> smallest_eigenpair_mp of the leading k x k block of
     the n x n restricted Gram matrix.  The first call builds the DPS-digit
-    matrix and Cholesky factor whose leading rows every block shares."""
+    matrix and Cholesky factor; each block within the factor's rows reads
+    their leading rows (the module docstring gives the digits of the rest)."""
     M = factor = None
 
     def solve(k, start=None):
@@ -371,8 +376,13 @@ def gram_block_solver(n, lo, hi, ell):
         if M is None:
             M = mass_matrix_mp(n, lo, hi, ell)
             factor = cholesky_mp(M)
+        Mk, Lk, dps = M[:k, :k], factor[:k], DPS
+        while len(Lk) < k:  # past the shared factor: the block's own, at 2x digits
+            dps *= 2
+            Mk = mass_matrix_mp(k, lo, hi, ell, dps)
+            Lk = cholesky_mp(Mk, dps)
         try:
-            return smallest_eigenpair_mp(M[:k, :k], start=start, factor=factor[:k])
+            return smallest_eigenpair_mp(Mk, start=start, factor=Lk, dps=dps)
         except IllConditionedError as err:
             dps = int(30 - np.log10(err.eigenvalue))
             return smallest_eigenpair_mp(mass_matrix_mp(k, lo, hi, ell, dps),

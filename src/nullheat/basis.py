@@ -8,19 +8,21 @@ zero boundary values on (0, ell):
 with 0-based mode index j.  The Gram (mass) matrix of the eigenfunctions
 restricted to a subinterval is assembled from the closed-form antiderivatives
 of sine products; composite Gauss-Legendre quadrature is provided separately
-and serves as the independent cross-check of those closed forms.
+and serves as the independent cross-check of those closed forms.  Every
+Gauss-Legendre rule of the library is built here, once per order.
 """
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
+import scipy.linalg as sla
+from numpy.polynomial.legendre import legder, legval
 
 from .errors import ArgumentError, IllConditionedError, NumericError
 
 QUADRATURE_ORDER = 8  # Gauss-Legendre points per panel of the library's rules
 
-_GL_NODES = {order: leggauss(order) for order in (QUADRATURE_ORDER, 16)}
 _PSD_TOL = 1e-12
 
 
@@ -163,6 +165,26 @@ def gram_closed_form(n, lo, hi, ell, sin=np.sin, pi=np.pi, dtype=float):
     return M
 
 
+@lru_cache(maxsize=None)
+def _gauss_legendre(order):
+    """numpy's leggauss(order) bit for bit in O(order^2), as read-only arrays
+    built once per order: the companion matrix of L_order is tridiagonal with a
+    zero diagonal (Golub and Welsch, Math. Comp. 23, 1969), so LAPACK sterf
+    replaces the dense eigvalsh; the Newton step and weights are numpy's."""
+    c = np.array([0] * order + [1])
+    scl = 1. / np.sqrt(2 * np.arange(order) + 1)
+    x = sla.eigvalsh_tridiagonal(np.zeros(order), np.arange(1, order) * scl[:-1] * scl[1:],
+                                 lapack_driver="sterf")
+    df = legval(x, legder(c))
+    x -= legval(x, c) / df
+    fm = legval(x, c[1:])
+    w = 1 / (fm / np.abs(fm).max() * (df / np.abs(df).max()))
+    w = (w + w[::-1]) / 2
+    x, w = (x - x[::-1]) / 2, w * (2. / w.sum())
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
 def gauss_quadrature(f, lo, hi, panels):
     """Composite QUADRATURE_ORDER-point Gauss-Legendre approximation of
     int_lo^hi f(x) dx.
@@ -177,7 +199,7 @@ def gauss_quadrature(f, lo, hi, panels):
         raise ArgumentError(f"gauss_quadrature: need lo < hi, got ({lo}, {hi})")
     if panels < 1:
         raise ArgumentError(f"gauss_quadrature: panels must be >= 1, got {panels}")
-    weights = _GL_NODES[QUADRATURE_ORDER][1]
+    weights = _gauss_legendre(QUADRATURE_ORDER)[1]
     edges = np.linspace(lo, hi, panels + 1)
     nodes = gauss_rule(edges, QUADRATURE_ORDER)[0].reshape(panels, QUADRATURE_ORDER)
     total = 0.0
@@ -187,9 +209,23 @@ def gauss_quadrature(f, lo, hi, panels):
 
 
 def gauss_rule(edges, order):
-    """Nodes and weights of the order-point Gauss-Legendre rule (order 8 or
-    16) on each panel [edges[i], edges[i + 1]], concatenated across panels."""
-    nodes, weights = _GL_NODES[order]
+    """Nodes and weights of the order-point Gauss-Legendre rule on each panel
+    [edges[i], edges[i + 1]], concatenated across panels."""
+    nodes, weights = _gauss_legendre(order)
     edges = np.asarray(edges, dtype=float)
     a, b = edges[:-1, None], edges[1:, None]
     return (0.5 * (b - a) * nodes + 0.5 * (a + b)).ravel(), (0.5 * (b - a) * weights).ravel()
+
+
+def _graded_time_nodes(T, rate):
+    """Composite GL nodes on [0, T] with geometric grading toward 0.
+
+    The integrands are sums of e^{s tau} with s as negative as 2 mu_N, so the
+    panel ladder starts at ~1/(4 rate) and doubles; each panel then sees at
+    most a couple of e-folds and order-16 nodes integrate it to roundoff.
+    """
+    first = min(T, 0.25 / max(rate, 1.0 / T))
+    edges = [0.0, first]
+    while edges[-1] < T:
+        edges.append(min(T, edges[-1] * 2.0))
+    return gauss_rule(edges, 16)

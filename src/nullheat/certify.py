@@ -12,7 +12,8 @@ import numpy as np
 from .basis import Domain, build_basis, eval_mode, gauss_quadrature, restricted_mass_matrix
 from .bundled import bundled_kernels
 from .control import control_cost, hum_control, lr_staged_control, simulate_controlled
-from .errors import OverflowRefusalError
+from .errors import (ArgumentError, ConfigError, KernelFormatError, NumericError,
+                     OverflowRefusalError)
 from .evolution import (assemble_generator, left_inverse_constant, propagate,
                         propagate_backward, semigroup_norm)
 from .kernels import GaussianKernel, SeparableKernel, ZeroKernel, project_kernel
@@ -508,13 +509,15 @@ def run_all(seed=20260809):
 
     Returns a list of (name, ok, detail) rows in registry order; the
     generator is re-seeded per check so single checks reproduce exactly.
+    A check that raises one of the package's errors gives a failed row; any
+    other exception is a bug and propagates.
     """
     rows = []
     for name, fn in CHECKS:
         rng = np.random.default_rng(seed)
         try:
             ok, detail = fn(rng)
-        except Exception as exc:  # a crashed check is a failed check
+        except (ArgumentError, ConfigError, KernelFormatError, NumericError) as exc:
             ok, detail = False, f"raised {type(exc).__name__}: {exc}"
         rows.append((name, bool(ok), detail))
     return rows

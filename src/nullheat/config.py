@@ -14,6 +14,7 @@ from .basis import Domain
 from .errors import ArgumentError, ConfigError
 from .kernels import (GaussianKernel, SeparableKernel, ZeroKernel,
                       read_grid_kernel)
+from .observability import COUPLING_FIXED, COUPLING_RESOLVENT
 
 _FLOAT, _INT, _STR, _FLOAT_LIST = "float", "int", "str", "float_list"
 
@@ -24,7 +25,7 @@ def _key(key, kind, default=MISSING):
     return field(default=default, metadata={"key": key, "kind": kind})
 
 
-_COUPLINGS = {"fixed", "r-equals-1-over-T"}
+_COUPLINGS = {COUPLING_FIXED, COUPLING_RESOLVENT}
 
 # the kernel variants and the kernel.* keys each one takes
 _VARIANT_KEYS = {
@@ -69,7 +70,7 @@ class ExperimentConfig:
     h_coeffs: tuple = _key("kernel.h_coeffs", _FLOAT_LIST, None)
     kernel_file: str = _key("kernel.file", _STR, None)
     n_modes: int = _key("truncation.n", _INT)
-    coupling: str = _key("truncation.coupling", _STR, "fixed")
+    coupling: str = _key("truncation.coupling", _STR, COUPLING_FIXED)
     margin: int = _key("truncation.margin", _INT, 8)
     horizon: float = _key("time.horizon", _FLOAT, None)
     horizon_list: tuple = _key("time.horizon_list", _FLOAT_LIST, ())

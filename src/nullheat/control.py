@@ -23,16 +23,16 @@ because the integral coupling does not block-diagonalize.
 
 simulate_controlled is the independent audit: it integrates the controlled
 equation by exponential stepping with per-step source quadrature from the
-*sampled* control, never touching the closed-form terminal identity.
+*sampled* control, never touching the closed-form terminal identity.  Both
+time rules here, its own and control_cost's, are Gauss-Legendre rules of basis.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg as sla
-from numpy.polynomial.legendre import leggauss
 
-from .basis import _validate_mass, _validate_state, gauss_rule
+from .basis import _gauss_legendre, _graded_time_nodes, _validate_mass, _validate_state
 from .errors import ArgumentError, IllConditionedError, NumericError
 from .evolution import propagate
 from .observability import _count_modes, _gramian_eigencoords, _phi, build_model
@@ -82,7 +82,7 @@ def _solve_gramian(G, rhs, ridge, op):
     A = G + ridge * np.eye(G.shape[0]) if ridge > 0 else G
     try:
         return sla.cho_solve(sla.cho_factor(A), rhs)
-    except (sla.LinAlgError, np.linalg.LinAlgError) as exc:
+    except np.linalg.LinAlgError as exc:
         raise IllConditionedError(
             f"{op}: Gramian not factorizable at ridge {ridge:g}; "
             f"set tolerances.ridge > {ridge:g}",
@@ -182,7 +182,7 @@ def simulate_controlled(dec, m_omega, u0, control_coeffs, T, nt_fine):
     times = np.linspace(0.0, T, nt_fine)
     dt = T / (nt_fine - 1)
     r = (nt_fine - 1) // (nt - 1)         # fine steps per control interval
-    g_nodes, g_weights = leggauss(4)
+    g_nodes, g_weights = _gauss_legendre(4)
     tau = (g_nodes + 1.0) * dt / 2.0      # offsets inside a step
     wq = g_weights * dt / 2.0
     # every control interval puts the 4r quadrature nodes at the same fractions
@@ -254,7 +254,7 @@ def lr_staged_control(domain, kernel, u0, T, stages, r0, n_modes=None, margin=8,
         b = propagate(dec, u, tau)
         try:
             p_low = sla.solve(G[:n_low, :n_low], -b[:n_low], assume_a="pos")
-        except (sla.LinAlgError, np.linalg.LinAlgError) as exc:
+        except np.linalg.LinAlgError as exc:
             raise IllConditionedError(
                 f"lr_staged_control: low-mode Gramian block singular at stage {k}",
                 eigenvalue=float(np.linalg.eigvalsh(G[:n_low, :n_low])[0]),
@@ -288,20 +288,6 @@ def lr_staged_control(domain, kernel, u0, T, stages, r0, n_modes=None, margin=8,
     return ControlResult(T=float(T), nt=int(nt), multiplier=multipliers,
                          control_coeffs=coeffs, cost_sq=total_cost,
                          terminal_residual=final_residual, stage_log=log)
-
-
-def _graded_time_nodes(T, rate):
-    """Composite GL nodes on [0, T] with geometric grading toward 0.
-
-    The integrands are sums of e^{s tau} with s as negative as 2 mu_N, so the
-    panel ladder starts at ~1/(4 rate) and doubles; each panel then sees at
-    most a couple of e-folds and order-16 nodes integrate it to roundoff.
-    """
-    first = min(T, 0.25 / max(rate, 1.0 / T))
-    edges = [0.0, first]
-    while edges[-1] < T:
-        edges.append(min(T, edges[-1] * 2.0))
-    return gauss_rule(edges, 16)
 
 
 def control_cost(result, m_omega, dec):

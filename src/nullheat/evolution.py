@@ -153,7 +153,7 @@ def left_inverse_constant(dec, m_omega, t, method="auto"):
         try:
             # not eigvals_only=True: its LAPACK route moves zeta by ~1e-6 near the floor
             theta = sla.eigh(a, m_omega)[0]
-        except (sla.LinAlgError, np.linalg.LinAlgError):
+        except np.linalg.LinAlgError:
             pass  # the extended-precision path below takes over
         else:
             if theta[0] > _FLOAT_TRUST_FLOOR * max(theta[-1], 0.0):

@@ -6,13 +6,14 @@ against eigendecomposition propagation, and brute-force time quadrature
 against the closed-form Gramian.  None computes an eigendecomposition:
 Crank-Nicolson powers its step matrix by repeated squaring.  They are
 slower and cruder by design; a midpoint oracle fills one n_points^2 table
-and reads both the Galerkin matrix and the kernel norm from it.
+and reads both the Galerkin matrix and the kernel norm from it.  The time
+quadrature's Gauss-Legendre rule comes from basis, like every other.
 """
 
 import numpy as np
 import scipy.linalg as sla
-from numpy.polynomial.legendre import legder, legval
 
+from .basis import _gauss_legendre
 from .errors import ArgumentError
 from .kernels import KernelMatrix
 
@@ -89,26 +90,10 @@ def crank_nicolson_propagate(lmat, u0, t, steps=10_000):
         d = 2.0 * d + d @ d
 
 
-def _leggauss(deg):
-    """numpy's leggauss bit for bit in O(deg^2): the companion matrix of L_deg
-    is tridiagonal with a zero diagonal, so LAPACK sterf replaces the dense
-    eigvalsh; the Newton step, weights and symmetrisation are numpy's."""
-    c = np.array([0] * deg + [1])
-    scl = 1. / np.sqrt(2 * np.arange(deg) + 1)
-    x = sla.eigvalsh_tridiagonal(np.zeros(deg), np.arange(1, deg) * scl[:-1] * scl[1:],
-                                 lapack_driver="sterf")
-    df = legval(x, legder(c))
-    x -= legval(x, c) / df
-    fm = legval(x, c[1:])
-    w = 1 / (fm / np.abs(fm).max() * (df / np.abs(df).max()))
-    w = (w + w[::-1]) / 2
-    return (x - x[::-1]) / 2, w * (2. / w.sum())
-
-
 def gramian_time_quadrature(dec, m_omega, T, n_nodes=2000):
     """int_0^T e^{Lt} M e^{Lt} dt by a single-panel Gauss-Legendre rule."""
     _require_positive_int("gramian_time_quadrature", "n_nodes", n_nodes)
-    nodes, weights = _leggauss(n_nodes)
+    nodes, weights = _gauss_legendre(n_nodes)
     ts = 0.5 * T * (nodes + 1.0)
     ws = 0.5 * T * weights
     W = dec.modes.T @ np.asarray(m_omega, float) @ dec.modes

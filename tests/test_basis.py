@@ -8,7 +8,7 @@ from nullheat import (ArgumentError, Domain, GaussianKernel, IllConditionedError
                       left_inverse_constant, observability_cost, observability_gramian,
                       restricted_mass_matrix, simulate_controlled)
 from nullheat import _highprec, certify
-from nullheat.basis import gauss_rule, positive_sign
+from nullheat.basis import _gauss_legendre, gauss_rule, positive_sign
 
 
 def _gram_double_loop(n, lo, hi, ell, sin=np.sin, pi=np.pi):
@@ -292,6 +292,37 @@ class TestGaussRule:
             panel = slice(16 * i, 16 * (i + 1))
             assert np.array_equal(x[panel], 0.5 * (b - a) * nodes + 0.5 * (a + b))
             assert np.array_equal(w[panel], 0.5 * (b - a) * weights)
+
+
+    def test_rule_built_once_per_order_and_read_only(self):
+        x, w = _gauss_legendre(4)
+        again = _gauss_legendre(4)
+        assert again[0] is x and again[1] is w
+        for a in (x, w):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 0.0
+
+
+class TestRunAll:
+    """certify.run_all turns the package's errors into FAIL rows, nothing else."""
+
+    @staticmethod
+    def _raising(exc):
+        def check(rng):
+            raise exc
+        return check
+
+    def test_numeric_error_is_a_failed_row(self, monkeypatch):
+        monkeypatch.setattr(certify, "CHECKS", [
+            ("numeric", self._raising(NumericError("no digits left")))])
+        assert certify.run_all() == [
+            ("numeric", False, "raised NumericError: no digits left")]
+
+    def test_other_exception_propagates(self, monkeypatch):
+        monkeypatch.setattr(certify, "CHECKS", [
+            ("bug", self._raising(TypeError("a bug")))])
+        with pytest.raises(TypeError, match="a bug"):
+            certify.run_all()
 
 
 class TestCertificateGramQuadrature:
