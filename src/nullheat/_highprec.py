@@ -22,12 +22,13 @@ iterate by one step.  The pencils:
 Digits.  Packet blocks are solved at DPS = 50, on the leading rows of one
 shared 50-digit Cholesky factor.  That factor stops at the first pivot below
 the working epsilon (after 66 rows on (0.3, 0.8)), so a longer block is
-re-solved from its own Gram matrix and factor at twice the digits, doubled
-again while its factor is still short.  Entries good to ~10^-dps leave fewer
-than 16 digits of an eigenvalue below 10^(16 - dps) times M's largest
-diagonal entry, so smallest_eigenpair_mp refuses one (IllConditionedError,
-.eigenvalue the estimate) and gram_block_solver re-solves it at
-int(30 - log10(estimate)) digits.  zeta(t) takes
+solved at twice the digits, doubled again while the factor is still short,
+on the leading rows of one Gram matrix and factor shared at those digits (a
+Gram entry does not depend on the matrix size).  Entries good to ~10^-dps
+leave fewer than 16 digits of an eigenvalue below 10^(16 - dps) times M's
+largest diagonal entry, so smallest_eigenpair_mp refuses one
+(IllConditionedError, .eigenvalue the estimate) and gram_block_solver
+re-solves it at int(30 - log10(estimate)) digits.  zeta(t) takes
 max(40, spread / ln 10 + 30) digits, spread = 2 t (mu_max - mu_min).
 
 Arithmetic.  mpmath builds the inputs (the Gram matrix, e^{mu t}) and takes
@@ -367,22 +368,24 @@ def smallest_eigenpair_mp(M, max_iter=200, start=None, factor=None, dps=DPS):
 def gram_block_solver(n, lo, hi, ell):
     """solve(k, start) -> smallest_eigenpair_mp of the leading k x k block of
     the n x n restricted Gram matrix.  The first call builds the DPS-digit
-    matrix and Cholesky factor; each block within the factor's rows reads
-    their leading rows (the module docstring gives the digits of the rest)."""
-    M = factor = None
+    matrix and Cholesky factor; a block within the factor's rows reads their
+    leading rows, a longer one those of the n x n matrix and factor at twice
+    the digits, doubled again while that factor is still short.  Each of
+    these is built once, at its first use."""
+    shared = {}  # dps -> (n x n Gram matrix, rows of its Cholesky factor)
 
     def solve(k, start=None):
-        nonlocal M, factor
-        if M is None:
-            M = mass_matrix_mp(n, lo, hi, ell)
-            factor = cholesky_mp(M)
-        Mk, Lk, dps = M[:k, :k], factor[:k], DPS
-        while len(Lk) < k:  # past the shared factor: the block's own, at 2x digits
+        dps = DPS
+        while True:
+            if dps not in shared:
+                M = mass_matrix_mp(n, lo, hi, ell, dps)
+                shared[dps] = M, cholesky_mp(M, dps)
+            M, factor = shared[dps]
+            if len(factor) >= k:
+                break
             dps *= 2
-            Mk = mass_matrix_mp(k, lo, hi, ell, dps)
-            Lk = cholesky_mp(Mk, dps)
         try:
-            return smallest_eigenpair_mp(Mk, start=start, factor=Lk, dps=dps)
+            return smallest_eigenpair_mp(M[:k, :k], start=start, factor=factor[:k], dps=dps)
         except IllConditionedError as err:
             dps = int(30 - np.log10(err.eigenvalue))
             return smallest_eigenpair_mp(mass_matrix_mp(k, lo, hi, ell, dps),

@@ -339,9 +339,10 @@ def project_kernel(spec, basis):
 
     Zero and separable kernels use their closed forms; Gaussian and grid
     kernels use tensor Gauss-Legendre quadrature with panels resolving both
-    the kernel scale and the highest-mode oscillation, on one kernel
-    evaluation that also gives hs_of_k.  The result is symmetrized by
-    averaging with its transpose (exact for symmetric input).
+    the kernel scale and the highest-mode oscillation, on one table of
+    kernel values: it gives the matrix, then, squared in place, hs_of_k, so
+    no second table of that size is allocated.  The result is symmetrized
+    by averaging with its transpose (exact for symmetric input).
     """
     n = basis.n_modes
     exact = spec.closed_form(n)
@@ -351,12 +352,14 @@ def project_kernel(spec, basis):
     ell = basis.domain.length
     x, w = spec.axis_rule(basis)
     vals = spec.evaluate(x[:, None], x[None, :], ell)
-    sq = float(w @ (vals ** 2) @ w)
+    psi_w = np.sqrt(2.0 / ell) * np.sin(np.outer(np.arange(1, n + 1), x) * np.pi / ell) * w
+    with np.errstate(invalid="ignore"):  # a non-finite K is refused below
+        K = psi_w @ vals @ psi_w.T
+    np.square(vals, out=vals)  # the table becomes k^2: one table, never two
+    sq = float(w @ vals @ w)
     if not np.isfinite(sq):
         raise NumericError("project_kernel: quadrature produced a non-finite value")
     spec.check_basis(basis)
-    psi_w = np.sqrt(2.0 / ell) * np.sin(np.outer(np.arange(1, n + 1), x) * np.pi / ell) * w
-    K = psi_w @ vals @ psi_w.T
     if not np.all(np.isfinite(K)):
         bad = np.argwhere(~np.isfinite(K))[0]
         raise NumericError(

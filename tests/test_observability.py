@@ -213,6 +213,33 @@ class TestPacketPrimitive:
                 _highprec.mass_matrix_mp(n, 0.3, 0.8, 1.0, 130), dps=130)
             assert c_min == float(lam), n
 
+    def test_escalated_blocks_share_one_factor_per_precision(self, monkeypatch):
+        # the 50-digit factor stops after 66 rows, so cutoffs n = 67..80 all
+        # run at 100 digits: each on the leading rows of one 80-row matrix
+        # and factor, equal bit for bit to a block's own matrix and factor
+        basis = build_basis(Domain(1.0, 0.3, 0.8), 80)
+        rs = [((n + 0.5) * np.pi) ** 2 for n in range(67, 81)]
+        built, mass = [], _highprec.mass_matrix_mp
+
+        def counted(n, lo, hi, ell, dps=_highprec.DPS):
+            built.append((n, dps))
+            return mass(n, lo, hi, ell, dps)
+
+        monkeypatch.setattr(_highprec, "mass_matrix_mp", counted)
+        reports = spectral_obs_constants(basis, (0.3, 0.8), rs)
+        assert built == [(80, 50), (80, 100)]
+        M = restricted_mass_matrix(basis, 0.3, 0.8)
+        for rep in reports:
+            n = rep.n_modes
+            w, vecs = np.linalg.eigh(M[:n, :n])
+            Mn = mass(n, 0.3, 0.8, 1.0, 100)
+            lam, vec = _highprec.smallest_eigenpair_mp(
+                Mn, start=vecs[:, 0] if w[0] > 0 else None,
+                factor=_highprec.cholesky_mp(Mn, 100), dps=100)
+            assert rep.c_min == float(lam), n
+            assert np.array_equal(rep.witness, vec), n
+        assert [rep.n_modes for rep in reports] == list(range(67, 81))
+
     @pytest.mark.parametrize("omega, ns, sizes", [
         ((0.3, 0.8), range(2, 25), [24]),
         ((0.1, 0.4), range(20, 25), [24, 20, 21, 22, 23, 24]),
