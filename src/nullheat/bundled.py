@@ -1,5 +1,6 @@
 """Bundled reference kernels and the default experiment configuration."""
 
+from functools import lru_cache
 from importlib import resources
 
 import numpy as np
@@ -11,7 +12,9 @@ def data_path(name):
     return resources.files("nullheat") / "data" / name
 
 
+@lru_cache(maxsize=None)
 def grid_demo_kernel():
+    """The bundled grid kernel, parsed once per process; its samples are read-only."""
     with resources.as_file(data_path("grid_demo.txt")) as path:
         return read_grid_kernel(path)
 

@@ -16,6 +16,11 @@ A kernel enters the dynamics through the integral operator
                          bilinearly interpolated and extended by nearest value
                          in the half-cell margins.
 
+A grid kernel is a finite tensor form: its interpolant is
+sum_ab s_ab phi_a(x) phi_b(xi) over the hat functions phi_a of the sample
+midpoints, so project_kernel reads its quadrature through that factor and
+holds no table of kernel values; the Gaussian is projected from one table.
+
 Symmetry k(x, xi) = k(xi, x) is structural for the first three.  A grid
 kernel's symmetry_defect() is max |s - s^T| over its sample table, the exact
 sup of |k(x, xi) - k(xi, x)| of the interpolant; above DEFAULT_SYMMETRY_TOL
@@ -43,15 +48,22 @@ class KernelSpec:
 
     project_kernel takes the Galerkin matrix on n modes and ||k|| from
     closed_form(n), or, where that is None, from tensor quadrature on the axis
-    nodes and weights of axis_rule(basis).  symmetry_defect() and
-    check_basis(basis) default to a structurally symmetric kernel that fits
-    every basis.
+    nodes x and weights of axis_rule(basis).  There, a kernel with a finite
+    tensor form in hat functions returns it from axis_factor(x) as (Phi, S):
+    Phi of shape (x.size, r), each row nonzero in two adjacent columns at
+    most, and S of shape (r, r), with k(x_i, x_j) = (Phi S Phi^T)_ij; the
+    quadrature then never calls evaluate.  Where axis_factor is None, it
+    evaluates one nodes^2 table.  symmetry_defect() and check_basis(basis)
+    default to a structurally symmetric kernel that fits every basis.
     """
 
     def evaluate(self, x, xi, length):
         raise NotImplementedError
 
     def closed_form(self, n):
+        return None
+
+    def axis_factor(self, x):
         return None
 
     def axis_rule(self, basis):
@@ -158,34 +170,39 @@ class GridKernel(KernelSpec):
     samples: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        samples = np.asarray(self.samples, dtype=float)
+        # a private read-only copy: a shared kernel cannot be mutated, and the
+        # caller's own array is not frozen
+        samples = np.array(self.samples, dtype=float)
         if self.n < 2:
             raise ArgumentError(f"GridKernel: need n >= 2, got {self.n}")
+        if not (np.isfinite(self.length) and self.length > 0):
+            raise ArgumentError(f"GridKernel: bad domain length {self.length}")
         if samples.shape != (self.n, self.n):
             raise ArgumentError(
                 f"GridKernel: samples must be {self.n}x{self.n}, got {samples.shape}"
             )
         if not np.all(np.isfinite(samples)):
             raise ArgumentError("GridKernel: samples contain non-finite values")
+        samples.flags.writeable = False
         object.__setattr__(self, "samples", samples)
 
     @property
     def midpoints(self):
         return (np.arange(self.n) + 0.5) * self.length / self.n
 
-    def evaluate(self, x, xi, length=None):
+    def _locate(self, z):
+        # cell index i and fraction f of z between midpoints i and i + 1;
         # clamping to the midpoint hull realises the nearest-value extension
         mids = self.midpoints
         h = self.length / self.n
+        zc = np.clip(np.asarray(z, float), mids[0], mids[-1])
+        idx = np.clip(((zc - mids[0]) / h).astype(int), 0, self.n - 2)
+        frac = (zc - mids[idx]) / h
+        return idx, np.clip(frac, 0.0, 1.0)
 
-        def locate(z):
-            zc = np.clip(np.asarray(z, float), mids[0], mids[-1])
-            idx = np.clip(((zc - mids[0]) / h).astype(int), 0, self.n - 2)
-            frac = (zc - mids[idx]) / h
-            return idx, np.clip(frac, 0.0, 1.0)
-
-        ix, fx = locate(x)
-        iy, fy = locate(xi)
+    def evaluate(self, x, xi, length=None):
+        ix, fx = self._locate(x)
+        iy, fy = self._locate(xi)
         gx, gy = 1 - fx, 1 - fy
         # one flat index k of the (ix, iy) corners: the other three corners
         # are the same gather from the flat table shifted by n + 1, n and 1.
@@ -199,6 +216,17 @@ class GridKernel(KernelSpec):
         cross += s[1:].take(k) * (gx * fy)
         diag += cross
         return diag
+
+    def axis_factor(self, x):
+        """The interpolant is k(x, xi) = sum_ab s_ab phi_a(x) phi_b(xi), with
+        phi_a the hat function of midpoint a, clamped in the margins: row i
+        of Phi holds 1 - f at cell i and f at i + 1, as evaluate weighs them."""
+        idx, frac = self._locate(x)
+        phi = np.zeros((idx.size, self.n))
+        rows = np.arange(idx.size)
+        phi[rows, idx] = 1 - frac
+        phi[rows, idx + 1] = frac
+        return phi, self.samples
 
     def axis_rule(self, basis):
         # panels aligned to the interpolation kinks (the sample midpoints),
@@ -334,12 +362,43 @@ def write_grid_kernel(path, kernel_fn, n, length, comment=None):
 # ---------------------------------------------------------------------------
 # projection
 
+def _weighted_modes(n, x, w, ell):
+    # psi_w[m - 1, i] = sqrt(2 / ell) sin(m x_i pi / ell) w_i, each step in
+    # the one n x nodes array
+    psi_w = np.outer(np.arange(1, n + 1), x)
+    psi_w *= np.pi
+    psi_w /= ell
+    np.sin(psi_w, out=psi_w)
+    psi_w *= np.sqrt(2.0 / ell)
+    psi_w *= w
+    return psi_w
+
+
+def _band_gram(phi, w):
+    # H = Phi^T diag(w) Phi for hat functions, whose rows of Phi have their
+    # nonzeros in two adjacent columns: H is tridiagonal, and each diagonal is
+    # a sum of positive terms taken pairwise along the nodes.  That keeps
+    # ||k||^2 within 2 eps of its exact quadrature sum; one gemm, which adds
+    # each entry's terms in sequence, was 20 eps off on a 2 x 2 table at N = 128
+    phi_t = np.ascontiguousarray(phi.T)
+    phi_tw = phi_t * w
+    diag = np.sum(phi_tw * phi_t, axis=1)
+    off = np.sum(phi_tw[:-1] * phi_t[1:], axis=1)
+    return np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+
+
 def project_kernel(spec, basis):
     """Project a kernel onto the sine basis, returning its KernelMatrix.
 
     Zero and separable kernels use their closed forms; Gaussian and grid
-    kernels use tensor Gauss-Legendre quadrature with panels resolving both
-    the kernel scale and the highest-mode oscillation, on one table of
+    kernels use tensor Gauss-Legendre quadrature on the nodes x and weights w
+    of axis_rule(basis), with panels resolving both the kernel scale and the
+    highest-mode oscillation.  With psi_w the weighted modes, a kernel whose
+    axis_factor(x) is (Phi, S), so that k(x_i, x_j) = (Phi S Phi^T)_ij with
+    Phi's rows nonzero in two adjacent columns (hat functions), gives the
+    same quadrature sums regrouped and with no nodes^2 array:
+    K = B S B^T with B = psi_w Phi, and ||k||^2 = sum (S H) o (H S) with
+    H = Phi^T diag(w) Phi.  Any other kernel is evaluated on one table of
     kernel values: it gives the matrix, then, squared in place, hs_of_k, so
     no second table of that size is allocated.  The result is symmetrized
     by averaging with its transpose (exact for symmetric input).
@@ -351,12 +410,20 @@ def project_kernel(spec, basis):
         return KernelMatrix(n_modes=n, matrix=(K + K.T) / 2, hs_of_k=hs)
     ell = basis.domain.length
     x, w = spec.axis_rule(basis)
-    vals = spec.evaluate(x[:, None], x[None, :], ell)
-    psi_w = np.sqrt(2.0 / ell) * np.sin(np.outer(np.arange(1, n + 1), x) * np.pi / ell) * w
-    with np.errstate(invalid="ignore"):  # a non-finite K is refused below
-        K = psi_w @ vals @ psi_w.T
-    np.square(vals, out=vals)  # the table becomes k^2: one table, never two
-    sq = float(w @ vals @ w)
+    factor = spec.axis_factor(x)
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite values are refused below
+        if factor is None:
+            psi_w = _weighted_modes(n, x, w, ell)
+            vals = spec.evaluate(x[:, None], x[None, :], ell)
+            K = psi_w @ vals @ psi_w.T
+            np.square(vals, out=vals)  # the table becomes k^2: one table, never two
+            sq = float(w @ vals @ w)
+        else:
+            phi, S = factor
+            H = _band_gram(phi, w)
+            sq = float(np.sum((S @ H) * (H @ S)))
+            B = _weighted_modes(n, x, w, ell) @ phi
+            K = B @ S @ B.T
     if not np.isfinite(sq):
         raise NumericError("project_kernel: quadrature produced a non-finite value")
     spec.check_basis(basis)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nullheat import (ArgumentError, GaussianKernel, GridKernel,
+from nullheat import (ArgumentError, Domain, GaussianKernel, GridKernel,
                       KernelFormatError, KernelSpec, NumericError, SeparableKernel,
                       ZeroKernel, build_basis,
                       project_kernel, read_grid_kernel, write_grid_kernel)
@@ -102,6 +102,29 @@ class TestGridFile:
             k = read_grid_kernel(path)
         assert k.n == n and k.length == length
         assert k.samples.tobytes() == samples.tobytes()
+
+
+class TestGridConstruction:
+    @pytest.mark.parametrize("length", [0.0, -1.0, np.nan, np.inf])
+    def test_bad_length_refused(self, length):
+        # read_grid_kernel's rule for files, applied to every construction
+        with pytest.raises(ArgumentError, match="bad domain length"):
+            GridKernel(4, length, np.ones((4, 4)))
+
+    def test_samples_are_a_private_read_only_copy(self):
+        table = np.ones((4, 4))
+        k = GridKernel(4, 1.0, table)
+        table[0, 0] = 2.0  # the caller's array stays writable
+        assert k.samples[0, 0] == 1.0
+        with pytest.raises(ValueError):
+            k.samples[0, 0] = 3.0
+
+    def test_bundled_grid_parsed_once(self):
+        k = grid_demo_kernel()
+        assert grid_demo_kernel() is k
+        assert dict(bundled_kernels())["grid-demo"] is k
+        with pytest.raises(ValueError):
+            k.samples[1, 2] = 0.0
 
 
 class TestCheckSymmetry:
@@ -223,9 +246,13 @@ class TestProjectKernel:
 
 
 class TestOneKernelEvaluation:
-    @pytest.mark.parametrize("kernel", [GaussianKernel(5.0, 0.2), grid_demo_kernel()],
+    @pytest.mark.parametrize("kernel, calls", [(GaussianKernel(5.0, 0.2), 1),
+                                               (grid_demo_kernel(), 0)],
                              ids=["gaussian", "grid"])
-    def test_quadrature_grid_evaluated_once(self, basis, kernel, monkeypatch):
+    def test_quadrature_grid_evaluated_once(self, basis, kernel, calls, monkeypatch):
+        # the Gaussian fills one table; the grid kernel is projected through
+        # its hat-function factor and its symmetry check reads the sample
+        # table, so it never evaluates
         shapes = []
         evaluate = type(kernel).evaluate
 
@@ -236,8 +263,7 @@ class TestOneKernelEvaluation:
 
         monkeypatch.setattr(type(kernel), "evaluate", counted)
         project_kernel(kernel, basis)
-        # the grid kernel's symmetry check reads the sample table, not evaluate
-        assert len(shapes) == 1
+        assert len(shapes) == calls
 
     def test_holds_one_quadrature_table(self, domain):
         # N = 256: 2048 axis nodes, a 33.5 MB table.  Besides it, only the
@@ -270,6 +296,88 @@ class TestOneKernelEvaluation:
             warnings.simplefilter("error")
             with pytest.raises(NumericError, match="quadrature produced a non-finite value"):
                 project_kernel(Broken(5.0, 0.2), basis)
+
+
+def _grid_cases():
+    rng = np.random.default_rng(20261019)
+    yield "grid-demo", grid_demo_kernel()
+    for n_grid in (2, 3, 9, 64):
+        for length in (1.0, 2.5):
+            a = rng.standard_normal((n_grid, n_grid))
+            yield f"random-{n_grid}-{length}", GridKernel(n_grid, length, a + a.T)
+
+
+class TestGridFactor:
+    """The grid kernel's projection through its hat-function factor is the
+    quadrature table sum regrouped: K = B S B^T and ||k||^2 = sum (S H) o (H S)."""
+
+    @pytest.mark.parametrize("n", [1, 4, 16, 128])
+    def test_within_rounding_of_a_long_double_table_sum(self, n):
+        # reference: the interpolant tabulated on the axis nodes by its four
+        # corners and summed against psi_w, all in long double.  The matrix
+        # keeps a dense product's entrywise bound 4 eps (|B| |S| |B|^T) with
+        # |B| = |psi_w| Phi, and the norm 4 eps relative.  At n = 128 the
+        # long-double product takes about 1 s per kernel on all rows, so nine
+        # rows are checked, the first and the last among them
+        eps = np.finfo(float).eps
+        ld = np.longdouble
+        rows = np.arange(n) if n <= 16 else np.linspace(0, n - 1, 9).astype(int)
+        for name, kernel in _grid_cases():
+            ell = kernel.length
+            basis = build_basis(Domain(ell, 0.3 * ell, 0.8 * ell), n)
+            x, w = kernel.axis_rule(basis)
+            mids = kernel.midpoints
+            assert x[0] < mids[0] and x[-1] > mids[-1], name  # both margins
+            km = project_kernel(kernel, basis)
+            assert np.array_equal(km.matrix, km.matrix.T), name
+
+            idx, frac = kernel._locate(x)
+            i, j = idx[:, None], idx[None, :]
+            f = frac.astype(ld)
+            fx, fy, gx, gy = f[:, None], f[None, :], 1 - f[:, None], 1 - f[None, :]
+            s = kernel.samples.astype(ld)
+            table = (s[i, j] * (gx * gy) + s[i + 1, j + 1] * (fx * fy)
+                     + s[i + 1, j] * (fx * gy) + s[i, j + 1] * (gx * fy))
+            psi_w = np.sqrt(2.0 / ell) * np.sin(np.outer(np.arange(1, n + 1), x) * np.pi / ell) * w
+            psi_ld = psi_w.astype(ld)
+            exact = psi_ld[rows] @ table @ psi_ld.T
+            hs = np.sqrt(w.astype(ld) @ (table * table) @ w.astype(ld))
+
+            phi_abs = np.zeros((x.size, kernel.n))
+            phi_abs[np.arange(x.size), idx] = 1 - frac
+            phi_abs[np.arange(x.size), idx + 1] = frac
+            b_abs = np.abs(psi_w) @ phi_abs
+            scale = b_abs[rows] @ np.abs(kernel.samples) @ b_abs.T
+            assert np.all(np.abs(km.matrix[rows] - exact) <= 4 * eps * scale), name
+            assert abs(km.hs_of_k - hs) <= 4 * eps * hs, name
+
+    def test_non_finite_quadrature_refused_first_and_quietly(self, basis):
+        # ||k||^2 of 1e200 samples overflows while K stays finite: refused
+        # before the basis check, with no floating-point warning
+        class Huge(GridKernel):
+            def check_basis(self, basis):
+                raise ArgumentError("check_basis reached")
+
+        kernel = Huge(4, 1.0, np.full((4, 4), 1e200))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericError, match="quadrature produced a non-finite value"):
+                project_kernel(kernel, basis)
+
+    def test_holds_no_quadrature_table(self, domain):
+        # N = 256: 2048 axis nodes, where a table would take 33.5 MB; the
+        # weighted modes, an eighth of it, are the largest array held
+        basis = build_basis(domain, 256)
+        kernel = grid_demo_kernel()
+        nodes = kernel.axis_rule(basis)[0].size
+        assert nodes == 2048
+        tracemalloc.start()
+        try:
+            project_kernel(kernel, basis)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.25 * nodes ** 2 * 8
 
 
 class TestOpenAxes:
