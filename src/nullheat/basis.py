@@ -145,6 +145,15 @@ def _validate_state(u0, n, op):
     return u0
 
 
+def _validate_time(t, op, name="T", allow_zero=False):
+    """t as a float, refused unless it is finite and > 0 (>= 0 with
+    allow_zero): the one check of every caller's time or horizon."""
+    if not ((t >= 0 if allow_zero else t > 0) and np.isfinite(t)):
+        rule = ">= 0" if allow_zero else "positive"
+        raise ArgumentError(f"{op}: {name} must be {rule} and finite, got {t}")
+    return float(t)
+
+
 def gram_closed_form(n, lo, hi, ell, sin=np.sin, pi=np.pi, dtype=float):
     """restricted_mass_matrix's closed form from tables of 2n sines.
 

@@ -23,7 +23,9 @@ because the integral coupling does not block-diagonalize.
 
 simulate_controlled is the independent audit: it integrates the controlled
 equation by exponential stepping with per-step source quadrature from the
-*sampled* control, never touching the closed-form terminal identity.  Both
+*sampled* control, never touching the closed-form terminal identity.  Its
+step recurrence runs by recursive doubling over the control intervals, and
+one pass then fills in the fine steps inside each interval.  Both
 time rules here, its own and control_cost's, are Gauss-Legendre rules of basis.
 """
 
@@ -32,7 +34,8 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg as sla
 
-from .basis import _gauss_legendre, _graded_time_nodes, _validate_mass, _validate_state
+from .basis import (_gauss_legendre, _graded_time_nodes, _validate_mass, _validate_state,
+                    _validate_time)
 from .errors import ArgumentError, IllConditionedError, NumericError
 from .evolution import propagate
 from .observability import _count_modes, _gramian_eigencoords, _phi, build_model
@@ -100,8 +103,7 @@ def hum_control(dec, m_omega, u0, T, nt=64, ridge=0.0):
     eigenbasis of the generator so that the decayed high-mode data stays
     elementwise tiny instead of being drowned by norm-level roundoff.
     """
-    if T <= 0:
-        raise ArgumentError("hum_control: T must be positive")
+    T = _validate_time(T, "hum_control")
     if nt < 16:
         raise ArgumentError(f"hum_control: nt must be >= 16, got {nt}")
     m_omega = _validate_mass(m_omega, dec.n_modes, "hum_control")
@@ -149,6 +151,19 @@ def controlled_state_norms(dec, m_omega, u0, result):
     return norms
 
 
+def _decayed_prefix_sums(rows, mus, step):
+    """rows[:, s] <- sum_{k <= s} e^{mu step (s - k)} rows[:, k], in place, by
+    recursive doubling: after the pass at shift k, column s holds its own term
+    plus the 2k - 1 before it, decayed.  About log2(columns) array passes.  On
+    an unstable coupling (mu > 0) its roundoff stays near eps of the largest
+    row; a sequential recurrence's grows about a hundredfold there."""
+    shift = 1
+    while shift < rows.shape[1]:
+        rows[:, shift:] += np.exp(mus * (step * shift))[:, None] * rows[:, :-shift]
+        shift *= 2
+    return rows
+
+
 def simulate_controlled(dec, m_omega, u0, control_coeffs, T, nt_fine):
     """Integrate u' = L u + M_omega f(t) from the sampled control.
 
@@ -156,13 +171,17 @@ def simulate_controlled(dec, m_omega, u0, control_coeffs, T, nt_fine):
     Gauss-Legendre source quadrature inside each step; the control between
     its nt samples is linearly interpolated.  nt_fine - 1 must be a multiple
     of nt - 1 so the fine grid refines the sample grid.  The step recurrence
-    u_{s+1} = e^{L dt} u_s + b_s is diagonal in eigencoordinates and is
-    evaluated by recursive doubling: the same scheme, with about log2(nt_fine)
-    array passes and no per-step loop, in O(nt_fine N) memory.  Independent
-    of the closed-form terminal state used by the synthesis routines.
+    u_{s+1} = e^{L dt} u_s + b_s is diagonal in eigencoordinates, and every
+    control interval repeats the same r fine steps, so the states at the nt
+    control times follow one r-step recurrence, evaluated by recursive
+    doubling (about log2(nt) passes over nt x N), and one more pass fills in
+    the r - 1 fine states inside each interval: the same scheme, with no
+    per-step loop, in O(nt_fine N) memory.  Independent of the closed-form
+    terminal state used by the synthesis routines.
     """
-    if T <= 0:
-        raise ArgumentError("simulate_controlled: T must be positive")
+    T = _validate_time(T, "simulate_controlled")
+    if not isinstance(nt_fine, (int, np.integer)):
+        raise ArgumentError(f"simulate_controlled: nt_fine must be an integer, got {nt_fine!r}")
     m_omega = _validate_mass(m_omega, dec.n_modes, "simulate_controlled")
     coeffs = np.asarray(control_coeffs, dtype=float)
     if coeffs.ndim != 2 or coeffs.shape[1] != dec.n_modes:
@@ -178,7 +197,7 @@ def simulate_controlled(dec, m_omega, u0, control_coeffs, T, nt_fine):
     mus = dec.mus
     Q = dec.modes
     W = Q.T @ m_omega @ Q
-    g = coeffs @ Q @ W.T                  # source samples W f in eigencoords, nt x N
+    g = W @ (Q.T @ coeffs.T)              # source samples W f in eigencoords, N x nt
     times = np.linspace(0.0, T, nt_fine)
     dt = T / (nt_fine - 1)
     r = (nt_fine - 1) // (nt - 1)         # fine steps per control interval
@@ -186,22 +205,29 @@ def simulate_controlled(dec, m_omega, u0, control_coeffs, T, nt_fine):
     tau = (g_nodes + 1.0) * dt / 2.0      # offsets inside a step
     wq = g_weights * dt / 2.0
     # every control interval puts the 4r quadrature nodes at the same fractions
-    # phi of itself, so step j of interval i adds A_j o g_i + B_j o g_{i+1}
+    # phi of itself, so step j of interval i adds A_j o g_i + B_j o g_{i+1};
+    # column j of a_sum holds A_0 + ... + A_j decayed to the end of step j
     phi = (np.arange(r)[:, None] + (g_nodes + 1.0) / 2.0) / r   # r x 4
     e_node = wq[:, None] * np.exp(np.outer(dt - tau, mus))  # 4 x N
-    A = (1.0 - phi) @ e_node
-    B = phi @ e_node
+    a_sum = _decayed_prefix_sums(e_node.T @ (1.0 - phi).T, mus, dt)   # N x r
+    b_sum = _decayed_prefix_sums(e_node.T @ phi.T, mus, dt)
+    # U_{i+1} = e^{L dt r} U_i + a_sum[:, -1] o g_i + b_sum[:, -1] o g_{i+1}
+    coarse = np.empty((mus.size, nt))
+    coarse[:, 0] = Q.T @ u0
+    coarse[:, 1:] = a_sum[:, -1:] * g[:, :-1] + b_sum[:, -1:] * g[:, 1:]
+    _decayed_prefix_sums(coarse, mus, dt * r)
+    # u_{ir+j} = e^{L dt j} U_i + a_sum[:, j-1] o g_i + b_sum[:, j-1] o g_{i+1}
+    fine = np.empty((mus.size, r, nt - 1))
+    np.multiply(np.exp(np.outer(mus, dt * np.arange(r)))[:, :, None], coarse[:, None, :-1],
+                out=fine)
+    fine[:, 1:] += a_sum[:, :-1, None] * g[:, None, :-1]
+    fine[:, 1:] += b_sum[:, :-1, None] * g[:, None, 1:]
     states = np.empty((nt_fine, mus.size))
-    states[0] = Q.T @ u0
-    states[1:] = (A[None] * g[:-1, None] + B[None] * g[1:, None]).reshape(-1, mus.size)
-    # u_{s+1} = e^{L dt} u_s + b_s by recursive doubling: after the pass at
-    # shift k, row s holds its own increment plus the 2k - 1 before it, decayed
-    shift = 1
-    while shift < nt_fine:
-        states[shift:] += np.exp(mus * (dt * shift)) * states[:-shift]
-        shift *= 2
-    terminal = float(np.linalg.norm(states[-1]))
-    return SimulationResult(times=times, states=states @ Q.T, terminal_norm=terminal)
+    np.matmul(fine.transpose(1, 2, 0), Q.T,
+              out=states[:-1].reshape(nt - 1, r, -1).transpose(1, 0, 2))
+    states[-1] = Q @ coarse[:, -1]
+    terminal = float(np.linalg.norm(coarse[:, -1]))
+    return SimulationResult(times=times, states=states, terminal_norm=terminal)
 
 
 def lr_staged_control(domain, kernel, u0, T, stages, r0, n_modes=None, margin=8, nt=257):
@@ -217,8 +243,7 @@ def lr_staged_control(domain, kernel, u0, T, stages, r0, n_modes=None, margin=8,
     """
     if stages < 2:
         raise ArgumentError(f"lr_staged_control: need at least 2 stages, got {stages}")
-    if T <= 0:
-        raise ArgumentError("lr_staged_control: T must be positive")
+    T = _validate_time(T, "lr_staged_control")
     u0 = np.atleast_1d(np.asarray(u0, dtype=float))
     lam1 = (np.pi / domain.length) ** 2
     if r0 < lam1:

@@ -24,7 +24,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from . import _highprec
-from .basis import _validate_mass, positive_sign
+from .basis import _validate_mass, _validate_time, positive_sign
 from .errors import ArgumentError, IllConditionedError, NumericError, OverflowRefusalError
 
 CONDITIONING_GATE = 1e-14
@@ -88,8 +88,7 @@ def decompose(lmat):
 
 def propagate(dec, state, t):
     """Apply e^{Lt} to a coefficient vector; t = 0 is the identity."""
-    if t < 0:
-        raise ArgumentError("propagate: t must be >= 0 (use propagate_backward)")
+    t = _validate_time(t, "propagate", "t", allow_zero=True)
     state = np.asarray(state, dtype=float)
     return dec.modes @ (np.exp(dec.mus * t) * (dec.modes.T @ state))
 
@@ -100,8 +99,7 @@ def propagate_backward(dec, state, t):
     The left inverse is unbounded in the continuum limit, so an explicit
     refusal beats silently propagating infinities.
     """
-    if t < 0:
-        raise ArgumentError("propagate_backward: t must be >= 0")
+    t = _validate_time(t, "propagate_backward", "t", allow_zero=True)
     spread = float(dec.mus[0] - dec.mus[-1])
     if t * spread > BACKWARD_EXP_GUARD:
         raise OverflowRefusalError(
@@ -115,8 +113,7 @@ def propagate_backward(dec, state, t):
 
 def semigroup_norm(dec, t):
     """Exact operator norm of e^{Lt} on the truncation: e^{mu_1 t}."""
-    if t < 0:
-        raise ArgumentError("semigroup_norm: t must be >= 0")
+    t = _validate_time(t, "semigroup_norm", "t", allow_zero=True)
     return float(np.exp(dec.mus[0] * t))
 
 
@@ -129,8 +126,7 @@ def left_inverse_constant(dec, m_omega, t, method="auto"):
     otherwise) or "mp" (always extended precision).  Refused before any
     eigensolve once the bound log zeta <= mu_N t is an e-fold past underflow.
     """
-    if t < 0:
-        raise ArgumentError("left_inverse_constant: t must be >= 0")
+    t = _validate_time(t, "left_inverse_constant", "t", allow_zero=True)
     if method not in ("auto", "mp"):
         raise ArgumentError(f"left_inverse_constant: unknown method {method!r}")
     m_omega = _validate_mass(m_omega, dec.n_modes, "left_inverse_constant")

@@ -33,7 +33,8 @@ import numpy as np
 import scipy.linalg as sla
 
 from . import _highprec
-from .basis import _validate_mass, build_basis, positive_sign, restricted_mass_matrix
+from .basis import (_validate_mass, _validate_time, build_basis, positive_sign,
+                    restricted_mass_matrix)
 from .errors import ArgumentError, IllConditionedError, NumericError
 from .evolution import assemble_generator, decompose, left_inverse_constant
 from .kernels import project_kernel
@@ -216,8 +217,7 @@ def _gramian_eigencoords(dec, m_omega, T):
 
 def observability_gramian(dec, m_omega, T):
     """Closed-form G_T = int_0^T e^{Lt} M_omega e^{Lt} dt (symmetric PSD)."""
-    if T <= 0:
-        raise ArgumentError("observability_gramian: T must be positive")
+    T = _validate_time(T, "observability_gramian")
     m_omega = _validate_mass(m_omega, dec.n_modes, "observability_gramian")
     G = dec.modes @ _gramian_eigencoords(dec, m_omega, T) @ dec.modes.T
     return (G + G.T) / 2
@@ -231,8 +231,7 @@ def observability_cost(dec, m_omega, T):
     the truncation.  If the Gramian's Cholesky fails inside the generalized
     solve, a reported ridge of 1e-12 trace(G)/N is added to G once.
     """
-    if T <= 0:
-        raise ArgumentError("observability_cost: T must be positive")
+    T = _validate_time(T, "observability_cost")
     return _cost(dec, _validate_mass(m_omega, dec.n_modes, "observability_cost"), T)
 
 
@@ -417,9 +416,7 @@ def cost_sweep(domain, kernel, T_list, coupling=COUPLING_FIXED, n_fixed=None, ma
     row) plus three fits of log kappa_T: exponents 1/2 and 1 over all rows,
     and the profiled free exponent over the blow-up regime (_free_power_fit).
     """
-    T_list = [float(T) for T in T_list]
-    if any(T <= 0 for T in T_list):
-        raise ArgumentError("cost_sweep: horizons must be positive")
+    T_list = [_validate_time(float(T), "cost_sweep", "horizons") for T in T_list]
     if coupling == COUPLING_FIXED:
         if n_fixed is None:
             raise ArgumentError("cost_sweep: fixed coupling needs n_fixed")

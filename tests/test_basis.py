@@ -4,9 +4,11 @@ import pytest
 
 from nullheat import (ArgumentError, Domain, GaussianKernel, IllConditionedError,
                       NumericError, build_basis, build_model, control_cost,
-                      controlled_state_norms, eval_mode, gauss_quadrature, hum_control,
-                      left_inverse_constant, observability_cost, observability_gramian,
-                      restricted_mass_matrix, simulate_controlled)
+                      controlled_state_norms, cost_sweep, eval_mode, gauss_quadrature,
+                      hum_control, left_inverse_constant, lr_staged_control,
+                      observability_cost, observability_gramian, propagate,
+                      propagate_backward, restricted_mass_matrix, semigroup_norm,
+                      simulate_controlled)
 from nullheat import _highprec, certify
 from nullheat.basis import _gauss_legendre, gauss_rule, positive_sign
 
@@ -255,6 +257,48 @@ class TestValidateState:
         _, _, dec, m_omega = build_model(domain, GaussianKernel(5.0, 0.2), 8)
         with pytest.raises(ArgumentError, match=r"^simulate_controlled: control array"):
             simulate_controlled(dec, m_omega, np.ones(3), np.zeros((5, 3)), 0.1, 9)
+
+
+# op -> (call at time or horizon t, the argument's name and rule in the message)
+_TIME_CONSUMERS = {
+    "hum_control": (lambda dec, m, t: hum_control(dec, m, np.ones(8), t), "T must be positive"),
+    "simulate_controlled": (lambda dec, m, t: simulate_controlled(
+        dec, m, np.ones(8), np.zeros((5, 8)), t, 9), "T must be positive"),
+    "lr_staged_control": (lambda dec, m, t: lr_staged_control(
+        Domain(1.0, 0.3, 0.8), GaussianKernel(5.0, 0.2), np.ones(4), t, stages=2,
+        r0=np.pi ** 2, n_modes=8, nt=65), "T must be positive"),
+    "observability_gramian": (lambda dec, m, t: observability_gramian(dec, m, t),
+                              "T must be positive"),
+    "observability_cost": (lambda dec, m, t: observability_cost(dec, m, t), "T must be positive"),
+    "cost_sweep": (lambda dec, m, t: cost_sweep(Domain(1.0, 0.3, 0.8), GaussianKernel(5.0, 0.2),
+                                                [0.5, t], n_fixed=8),
+                   "horizons must be positive"),
+    "propagate": (lambda dec, m, t: propagate(dec, np.ones(8), t), "t must be >= 0"),
+    "propagate_backward": (lambda dec, m, t: propagate_backward(dec, np.ones(8), t),
+                           "t must be >= 0"),
+    "semigroup_norm": (lambda dec, m, t: semigroup_norm(dec, t), "t must be >= 0"),
+    "left_inverse_constant": (lambda dec, m, t: left_inverse_constant(dec, m, t),
+                              "t must be >= 0"),
+}
+
+
+class TestValidateTime:
+    """Every entry point taking a time or horizon refuses a non-finite one, word for word."""
+
+    @pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("op", list(_TIME_CONSUMERS))
+    def test_non_finite_time_refused(self, domain, op, t):
+        _, _, dec, m_omega = build_model(domain, GaussianKernel(5.0, 0.2), 8)
+        call, rule = _TIME_CONSUMERS[op]
+        with pytest.raises(ArgumentError) as err:
+            call(dec, m_omega, t)
+        assert str(err.value) == f"{op}: {rule} and finite, got {t}"
+
+    def test_non_integer_fine_grid_refused(self, domain):
+        _, _, dec, m_omega = build_model(domain, GaussianKernel(5.0, 0.2), 8)
+        with pytest.raises(ArgumentError) as err:
+            simulate_controlled(dec, m_omega, np.ones(8), np.zeros((5, 8)), 0.1, 9.0)
+        assert str(err.value) == "simulate_controlled: nt_fine must be an integer, got 9.0"
 
 
 class TestPositiveSign:

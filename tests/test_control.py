@@ -14,30 +14,29 @@ def _dec(domain, kernel, n):
     return basis, decompose(assemble_generator(basis, project_kernel(kernel, basis)))
 
 
-def _per_step_reference(dec, m_omega, u0, coeffs, T, nt_fine):
-    """simulate_controlled's scheme as one exponential step per loop iteration:
-    the control interpolated at each step's 4 Gauss nodes, then u <- e^{L dt} u + b."""
-    mus, Q = dec.mus, dec.modes
-    W = Q.T @ m_omega @ Q
-    f_e = coeffs @ Q
+def _per_step_reference(dec, m_omega, u0, coeffs, T, nt_fine, dtype=float):
+    """simulate_controlled's scheme as one exponential step per loop iteration,
+    in dtype: the source samples W f interpolated at each step's 4 Gauss nodes,
+    then u <- e^{L dt} u + b."""
+    mus, Q = dec.mus.astype(dtype), dec.modes.astype(dtype)
+    g = coeffs.astype(dtype) @ Q @ (Q.T @ m_omega.astype(dtype) @ Q).T
     nt = coeffs.shape[0]
-    times = np.linspace(0.0, T, nt_fine)
-    dt = T / (nt_fine - 1)
-    h = T / (nt - 1)
-    g_nodes, g_weights = np.polynomial.legendre.leggauss(4)
-    tau = (g_nodes + 1.0) * dt / 2.0
-    wq = g_weights * dt / 2.0
-    e_node = np.exp(np.outer(dt - tau, mus))
-    u = Q.T @ u0
-    states = [u]
+    dt = dtype(T) / (nt_fine - 1)
+    h = dtype(T) / (nt - 1)
+    g_nodes, g_weights = (x.astype(dtype) for x in np.polynomial.legendre.leggauss(4))
+    tau = (g_nodes + 1) * dt / 2
+    wq = g_weights * dt / 2
+    t_nodes = np.arange(nt_fine - 1)[:, None] * dt + tau      # steps x 4
+    idx = np.minimum((t_nodes / h).astype(int), nt - 2)
+    frac = ((t_nodes - idx * h) / h)[:, :, None]
+    g_at = (1 - frac) * g[idx] + frac * g[idx + 1]           # steps x 4 x N
+    b = np.einsum("q,qn,sqn->sn", wq, np.exp(np.outer(dt - tau, mus)), g_at)
+    decay = np.exp(mus * dt)
+    u = np.empty((nt_fine, mus.size), dtype=dtype)
+    u[0] = Q.T @ u0.astype(dtype)
     for s in range(nt_fine - 1):
-        t_nodes = times[s] + tau
-        idx = np.minimum((t_nodes / h).astype(int), nt - 2)
-        frac = (t_nodes - idx * h) / h
-        f_nodes = (1.0 - frac)[:, None] * f_e[idx] + frac[:, None] * f_e[idx + 1]
-        u = np.exp(mus * dt) * u + np.einsum("q,qn,qn->n", wq, e_node, f_nodes @ W.T)
-        states.append(u)
-    return np.array(states) @ Q.T
+        u[s + 1] = decay * u[s] + b[s]
+    return u @ Q.T
 
 
 class TestHumControl:
@@ -193,8 +192,9 @@ class TestSimulateControlled:
                                   nt_fine=8193)
         assert abs(sim.terminal_norm - res.terminal_residual) <= 1e-5
 
-    @pytest.mark.parametrize("nt, nt_fine", [(65, 257), (13, 13), (13, 37), (2, 2)],
-                             ids=["r4", "r1", "r3", "one-step"])
+    @pytest.mark.parametrize("nt, nt_fine",
+                             [(65, 257), (13, 13), (13, 37), (2, 2), (5, 9), (3, 301)],
+                             ids=["r4", "r1", "r3", "one-step", "r2", "r150"])
     def test_scan_matches_per_step_reference(self, domain, rng, nt, nt_fine):
         # unstable coupling (mus[0] > 0): the scan must not amplify roundoff
         _, _, dec, m_omega = build_model(domain, GaussianKernel(20.0, 0.15), 16)
@@ -206,6 +206,23 @@ class TestSimulateControlled:
         assert sim.states.shape == ref.shape == (nt_fine, 16)
         assert np.max(np.abs(sim.states - ref)) <= 1e-12 * np.max(np.abs(ref))
         assert sim.terminal_norm == pytest.approx(np.linalg.norm(ref[-1]), rel=1e-12)
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps >= 1e-18,
+                        reason="np.longdouble is no wider than float64 on this platform")
+    @pytest.mark.parametrize("n", [16, 32])
+    @pytest.mark.parametrize("kernel", [GaussianKernel(20.0, 0.15), GaussianKernel(5.0, 0.2)],
+                             ids=["unstable", "stable"])
+    def test_full_size_matches_long_double_reference(self, domain, rng, kernel, n):
+        # the audit's own size: the scan must stay at the roundoff of float64 stepping,
+        # which a sequential recurrence over the unstable coupling does not
+        _, _, dec, m_omega = build_model(domain, kernel, n)
+        u0 = rng.standard_normal(n)
+        coeffs = rng.standard_normal((4097, n))
+        sim = simulate_controlled(dec, m_omega, u0, coeffs, 0.5, nt_fine=16385)
+        ref = _per_step_reference(dec, m_omega, u0, coeffs, 0.5, 16385, dtype=np.longdouble)
+        scale = float(np.max(np.abs(ref)))
+        assert float(np.max(np.abs(sim.states - ref))) <= 1e-14 * scale
+        assert abs(sim.terminal_norm - float(np.sqrt(np.sum(ref[-1] ** 2)))) <= 1e-14 * scale
 
     def test_grid_refinement_contract(self, stable_pipeline):
         _, _, dec, m_omega = stable_pipeline
