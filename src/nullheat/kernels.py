@@ -19,7 +19,10 @@ A kernel enters the dynamics through the integral operator
 A grid kernel is a finite tensor form: its interpolant is
 sum_ab s_ab phi_a(x) phi_b(xi) over the hat functions phi_a of the sample
 midpoints, so project_kernel reads its quadrature through that factor and
-holds no table of kernel values; the Gaussian is projected from one table.
+holds no table of kernel values.  The Gaussian is evaluated one block of
+512 quadrature columns at a time (the last block takes the remainder), so
+no nodes^2 table is held either; edges at multiples of 512 keep each
+projection bit for bit equal to the whole-table products.
 
 Symmetry k(x, xi) = k(xi, x) is structural for the first three.  A grid
 kernel's symmetry_defect() is max |s - s^T| over its sample table, the exact
@@ -37,6 +40,8 @@ from .errors import ArgumentError, KernelFormatError, NumericError
 
 DEFAULT_SYMMETRY_TOL = 1e-10
 
+_COLUMN_BLOCK = 512  # quadrature columns per kernel evaluation in project_kernel
+
 
 class KernelSpec:
     """Base class of the kernels; each variant supplies its own projection rules.
@@ -53,8 +58,11 @@ class KernelSpec:
     Phi of shape (x.size, r), each row nonzero in two adjacent columns at
     most, and S of shape (r, r), with k(x_i, x_j) = (Phi S Phi^T)_ij; the
     quadrature then never calls evaluate.  Where axis_factor is None, it
-    evaluates one nodes^2 table.  symmetry_defect() and check_basis(basis)
-    default to a structurally symmetric kernel that fits every basis.
+    evaluates one block of 512 columns at a time (the last takes the
+    remainder), never the nodes^2 table: block edges at multiples of 512
+    keep the projection bit for bit equal to the whole-table products.
+    symmetry_defect() and check_basis(basis) default to a structurally
+    symmetric kernel that fits every basis.
     """
 
     def evaluate(self, x, xi, length):
@@ -387,6 +395,13 @@ def _band_gram(phi, w):
     return np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
 
 
+def _column_blocks(m):
+    # slices of _COLUMN_BLOCK columns; the last takes the remainder, so
+    # fewer than 2 _COLUMN_BLOCK columns are one slice
+    edges = list(range(0, m, _COLUMN_BLOCK))[:max(1, m // _COLUMN_BLOCK)] + [m]
+    return [slice(a, b) for a, b in zip(edges[:-1], edges[1:])]
+
+
 def project_kernel(spec, basis):
     """Project a kernel onto the sine basis, returning its KernelMatrix.
 
@@ -398,10 +413,17 @@ def project_kernel(spec, basis):
     Phi's rows nonzero in two adjacent columns (hat functions), gives the
     same quadrature sums regrouped and with no nodes^2 array:
     K = B S B^T with B = psi_w Phi, and ||k||^2 = sum (S H) o (H S) with
-    H = Phi^T diag(w) Phi.  Any other kernel is evaluated on one table of
-    kernel values: it gives the matrix, then, squared in place, hs_of_k, so
-    no second table of that size is allocated.  The result is symmetrized
-    by averaging with its transpose (exact for symmetric input).
+    H = Phi^T diag(w) Phi.  Any other kernel is evaluated one block J of
+    _COLUMN_BLOCK = 512 quadrature columns at a time, the last block taking
+    the remainder, and each block is freed before the next is evaluated:
+    Y[:, J] = psi_w k[:, J] and, with the block squared in place,
+    t[J] = w k[:, J]^2; then K = Y psi_w^T and ||k||^2 = t w.  These are the
+    whole-table products psi_w k psi_w^T and w k^2 w, one output column at a
+    time, so memory is psi_w, Y and one block.  Fewer than 1024 nodes are
+    one block.  Edges at multiples of 512 keep every product bit for bit
+    equal to the whole-table one on OpenBLAS; narrower or unaligned blocks
+    reach its small-matrix path and do not.  The result is symmetrized by
+    averaging with its transpose (exact for symmetric input).
     """
     n = basis.n_modes
     exact = spec.closed_form(n)
@@ -414,10 +436,15 @@ def project_kernel(spec, basis):
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite values are refused below
         if factor is None:
             psi_w = _weighted_modes(n, x, w, ell)
-            vals = spec.evaluate(x[:, None], x[None, :], ell)
-            K = psi_w @ vals @ psi_w.T
-            np.square(vals, out=vals)  # the table becomes k^2: one table, never two
-            sq = float(w @ vals @ w)
+            Y, t = np.empty((n, x.size)), np.empty(x.size)
+            for J in _column_blocks(x.size):
+                vals = spec.evaluate(x[:, None], x[None, J], ell)
+                np.matmul(psi_w, vals, out=Y[:, J])
+                np.square(vals, out=vals)  # the block becomes k^2: one block, never two
+                np.matmul(w, vals, out=t[J])
+                del vals  # freed before the next block is evaluated
+            K = Y @ psi_w.T
+            sq = float(t @ w)
         else:
             phi, S = factor
             H = _band_gram(phi, w)

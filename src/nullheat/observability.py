@@ -401,6 +401,7 @@ def _free_power_fit(Ts, ys):
 
 def truncation_for_horizon(domain, T, margin=8):
     """Frequency-coupled truncation: modes with lambda <= 1/T, plus margin."""
+    T = _validate_time(T, "truncation_for_horizon")
     return int(np.floor(np.sqrt(1.0 / T) * domain.length / np.pi)) + margin
 
 

@@ -15,7 +15,7 @@ like every other.
 import numpy as np
 import scipy.linalg as sla
 
-from .basis import _gauss_legendre
+from .basis import _gauss_legendre, _validate_time
 from .errors import ArgumentError
 from .kernels import KernelMatrix
 
@@ -83,8 +83,7 @@ def crank_nicolson_propagate(lmat, u0, t, steps=10_000):
     to I and rounded away: about log2(steps) matrix squarings in place of
     steps triangular solves.
     """
-    if t < 0:
-        raise ArgumentError("crank_nicolson_propagate: t must be >= 0")
+    t = _validate_time(t, "crank_nicolson_propagate", "t", allow_zero=True)
     _require_positive_int("crank_nicolson_propagate", "steps", steps)
     lmat = np.asarray(lmat, dtype=float)
     n = lmat.shape[0]
@@ -102,6 +101,7 @@ def crank_nicolson_propagate(lmat, u0, t, steps=10_000):
 
 def gramian_time_quadrature(dec, m_omega, T, n_nodes=2000):
     """int_0^T e^{Lt} M e^{Lt} dt by a single-panel Gauss-Legendre rule."""
+    T = _validate_time(T, "gramian_time_quadrature")
     _require_positive_int("gramian_time_quadrature", "n_nodes", n_nodes)
     nodes, weights = _gauss_legendre(n_nodes)
     ts = 0.5 * T * (nodes + 1.0)
@@ -116,6 +116,12 @@ def gramian_time_quadrature(dec, m_omega, T, n_nodes=2000):
     return (G + G.T) / 2
 
 
+def _row_forms(V, G):
+    # v G v^T for each row v of V: one gemm, then a row-wise dot; a
+    # three-operand einsum takes an unblocked O(d n^2) loop instead
+    return np.einsum("ij,ij->i", V @ G, V)
+
+
 def sampled_min_quotient(dec, m_omega, t, n_draws, rng):
     """min over random unit v of ||e^{Lt} v||_omega / ||v||_omega.
 
@@ -126,8 +132,8 @@ def sampled_min_quotient(dec, m_omega, t, n_draws, rng):
     et = dec.semigroup(t)
     V = rng.standard_normal((n_draws, dec.n_modes))
     EV = V @ et.T
-    num = np.einsum("ij,jk,ik->i", EV, m_omega, EV)
-    den = np.einsum("ij,jk,ik->i", V, m_omega, V)
+    num = _row_forms(EV, m_omega)
+    den = _row_forms(V, m_omega)
     return float(np.sqrt(np.min(num / den)))
 
 
@@ -139,13 +145,13 @@ def sampled_max_cost_quotient(dec, m_omega, gramian, T, n_draws, rng):
     elt = dec.semigroup(T)
     V = rng.standard_normal((n_draws, dec.n_modes))
     num = np.sum((V @ elt.T) ** 2, axis=1)
-    den = np.einsum("ij,jk,ik->i", V, gramian, V)
+    den = _row_forms(V, gramian)
     return float(np.max(num / den))
 
 
 def sampled_min_packet_quotient(basis, m_block, n_draws, rng):
     """min over random unit c of ||sum c_j psi_j||^2_omega / ||c||^2."""
     V = rng.standard_normal((n_draws, m_block.shape[0]))
-    num = np.einsum("ij,jk,ik->i", V, m_block, V)
+    num = _row_forms(V, m_block)
     den = np.einsum("ij,ij->i", V, V)
     return float(np.min(num / den))

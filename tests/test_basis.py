@@ -8,8 +8,8 @@ from nullheat import (ArgumentError, Domain, GaussianKernel, IllConditionedError
                       hum_control, left_inverse_constant, lr_staged_control,
                       observability_cost, observability_gramian, propagate,
                       propagate_backward, restricted_mass_matrix, semigroup_norm,
-                      simulate_controlled)
-from nullheat import _highprec, certify
+                      simulate_controlled, truncation_for_horizon)
+from nullheat import _highprec, certify, oracles
 from nullheat.basis import _gauss_legendre, gauss_rule, positive_sign
 
 
@@ -279,6 +279,12 @@ _TIME_CONSUMERS = {
     "semigroup_norm": (lambda dec, m, t: semigroup_norm(dec, t), "t must be >= 0"),
     "left_inverse_constant": (lambda dec, m, t: left_inverse_constant(dec, m, t),
                               "t must be >= 0"),
+    "gramian_time_quadrature": (lambda dec, m, t: oracles.gramian_time_quadrature(dec, m, t),
+                                "T must be positive"),
+    "crank_nicolson_propagate": (lambda dec, m, t: oracles.crank_nicolson_propagate(
+        -np.eye(8), np.ones(8), t), "t must be >= 0"),
+    "truncation_for_horizon": (lambda dec, m, t: truncation_for_horizon(Domain(1.0, 0.3, 0.8), t),
+                               "T must be positive"),
 }
 
 

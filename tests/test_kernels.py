@@ -11,7 +11,7 @@ from nullheat import (ArgumentError, Domain, GaussianKernel, GridKernel,
                       KernelFormatError, KernelSpec, NumericError, SeparableKernel,
                       ZeroKernel, build_basis,
                       project_kernel, read_grid_kernel, write_grid_kernel)
-from nullheat import oracles
+from nullheat import kernels, oracles
 from nullheat.basis import gauss_rule
 from nullheat.bundled import bundled_kernels, grid_demo_kernel
 
@@ -296,6 +296,86 @@ class TestOneKernelEvaluation:
             warnings.simplefilter("error")
             with pytest.raises(NumericError, match="quadrature produced a non-finite value"):
                 project_kernel(Broken(5.0, 0.2), basis)
+
+
+def _whole_table_projection(spec, basis):
+    # the projection as one table of kernel values, the expression the column
+    # blocks replace: psi_w k psi_w^T and w k^2 w
+    n, ell = basis.n_modes, basis.domain.length
+    x, w = spec.axis_rule(basis)
+    psi_w = kernels._weighted_modes(n, x, w, ell)
+    vals = spec.evaluate(x[:, None], x[None, :], ell)
+    K = psi_w @ vals @ psi_w.T
+    bound = np.abs(psi_w) @ np.abs(vals) @ np.abs(psi_w).T
+    np.square(vals, out=vals)
+    sq = float(w @ vals @ w)
+    return (K + K.T) / 2, float(np.sqrt(max(sq, 0.0))), bound
+
+
+def _blocks(spec, basis):
+    return len(kernels._column_blocks(spec.axis_rule(basis)[0].size))
+
+
+class TestColumnBlocks:
+    """project_kernel evaluates a Gaussian in blocks of 512 quadrature columns."""
+
+    def test_block_edges(self):
+        widths = {m: [b.stop - b.start for b in kernels._column_blocks(m)]
+                  for m in (1, 8, 511, 512, 1023, 1024, 1535, 1536, 2048, 8192)}
+        assert widths == {1: [1], 8: [8], 511: [511], 512: [512], 1023: [1023],
+                          1024: [512, 512], 1535: [512, 1023], 1536: [512, 512, 512],
+                          2048: [512] * 4, 8192: [512] * 16}
+
+    @pytest.mark.parametrize("kernel", [GaussianKernel(5.0, 0.2), GaussianKernel(20.0, 0.15),
+                                        GaussianKernel(-80.0, 0.05)],
+                             ids=["5-0.2", "20-0.15", "-80-0.05"])
+    @pytest.mark.parametrize("length", [1.0, 2.5])
+    def test_one_block_is_the_whole_table_bitwise(self, kernel, length):
+        # under 1024 nodes the one block is the table and the products are the
+        # same calls, so this holds on any BLAS: every N of Gaussian(5, 0.2)
+        # below 1024 nodes (N < 128), and N = 1..5 and 127 of the others
+        domain = Domain(length, 0.3 * length, 0.8 * length)
+        sizes = range(1, 128) if kernel == GaussianKernel(5.0, 0.2) else [1, 2, 3, 4, 5, 127]
+        for n in sizes:
+            basis = build_basis(domain, n)
+            assert _blocks(kernel, basis) == 1
+            km = project_kernel(kernel, basis)
+            K, hs, _ = _whole_table_projection(kernel, basis)
+            assert np.array_equal(km.matrix, K), n
+            assert km.hs_of_k == hs, n
+
+    @pytest.mark.parametrize("amplitude, width, n",
+                             [(1.0, 0.01, n) for n in (2, 3, 4, 64, 65, 67, 100, 128, 256)]
+                             + [(5.0, 0.2, 128), (5.0, 0.2, 256),
+                                (20.0, 0.15, 128), (20.0, 0.15, 256)])
+    def test_blocks_within_rounding_of_the_whole_table(self, domain, amplitude, width, n):
+        # several blocks: the same sums, split by output column.  Their bits
+        # rest on the BLAS, so the bound is a dense product's rounding,
+        # 4 eps (|psi_w| |k| |psi_w|^T) entrywise and 4 eps relative on ||k||
+        eps = np.finfo(float).eps
+        kernel = GaussianKernel(amplitude, width)
+        basis = build_basis(domain, n)
+        assert _blocks(kernel, basis) > 1
+        km = project_kernel(kernel, basis)
+        K, hs, bound = _whole_table_projection(kernel, basis)
+        assert np.all(np.abs(km.matrix - K) <= 4 * eps * bound)
+        assert abs(km.hs_of_k - hs) <= 4 * eps * hs
+
+    def test_holds_one_block(self, domain):
+        # N = 512: 4096 nodes, a 134 MB table.  Held at once: psi_w and Y,
+        # each an eighth of the table, one 4096 x 512 block, another eighth,
+        # and the small products
+        basis = build_basis(domain, 512)
+        kernel = GaussianKernel(5.0, 0.2)
+        nodes = kernel.axis_rule(basis)[0].size
+        assert nodes == 4096
+        tracemalloc.start()
+        try:
+            project_kernel(kernel, basis)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.6 * nodes ** 2 * 8
 
 
 def _grid_cases():

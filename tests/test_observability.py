@@ -673,3 +673,73 @@ class TestProofChain:
         for row in rows:
             assert row.zeta > 0
             assert row.log_chain_bound >= row.log_extremal_quotient - 1e-9
+
+
+def _forms_and_bounds(V, G):
+    # per-row v @ G @ v, the reference, and |v| |G| |v|^T
+    return (np.array([v @ G @ v for v in V]),
+            np.array([np.abs(v) @ np.abs(G) @ np.abs(v) for v in V]))
+
+
+class TestSampledOracleForms:
+    """The sampled oracles' quadratic forms v G v^T (one gemm, then a row-wise
+    dot) lie within n eps |v| |G| |v|^T of a per-row v @ G @ v loop at n = 8
+    (measured at most 2.6 eps), and each oracle's extreme quotient within the
+    largest quotient error those bounds allow."""
+
+    N, DRAWS = 8, 2000
+
+    @pytest.fixture
+    def model(self, domain):
+        _, _, dec, m_omega = build_model(domain, GaussianKernel(5.0, 0.2), self.N)
+        return dec, m_omega
+
+    def _assert_extreme(self, got, pick, num, num_err, den, den_err):
+        eps = np.finfo(float).eps
+        q = num / den
+        slack = np.max(np.abs(q) * (num_err / np.abs(num) + den_err / np.abs(den)))
+        ref = pick(q)
+        assert abs(got - ref) <= slack + 4 * eps * abs(ref)
+
+    def test_forms_within_rounding_of_a_row_loop(self, model):
+        dec, m_omega = model
+        eps = np.finfo(float).eps
+        V = np.random.default_rng(3).standard_normal((self.DRAWS, self.N))
+        for G in (m_omega, observability_gramian(dec, m_omega, 0.25)):
+            ref, bound = _forms_and_bounds(V, G)
+            assert np.all(np.abs(oracles._row_forms(V, G) - ref) <= self.N * eps * bound)
+
+    def test_min_quotient(self, model):
+        dec, m_omega = model
+        eps = np.finfo(float).eps
+        got = oracles.sampled_min_quotient(dec, m_omega, 0.01, self.DRAWS,
+                                           np.random.default_rng(5))
+        V = np.random.default_rng(5).standard_normal((self.DRAWS, self.N))
+        num, num_b = _forms_and_bounds(V @ dec.semigroup(0.01).T, m_omega)
+        den, den_b = _forms_and_bounds(V, m_omega)
+        self._assert_extreme(got ** 2, np.min, num, self.N * eps * num_b,
+                             den, self.N * eps * den_b)
+
+    def test_max_cost_quotient(self, model):
+        dec, m_omega = model
+        eps = np.finfo(float).eps
+        G = observability_gramian(dec, m_omega, 0.25)
+        got = oracles.sampled_max_cost_quotient(dec, m_omega, G, 0.25, self.DRAWS,
+                                                np.random.default_rng(7))
+        V = np.random.default_rng(7).standard_normal((self.DRAWS, self.N))
+        num = np.sum((V @ dec.semigroup(0.25).T) ** 2, axis=1)
+        den, den_b = _forms_and_bounds(V, G)
+        self._assert_extreme(got, np.max, num, self.N * eps * num,
+                             den, self.N * eps * den_b)
+
+    def test_min_packet_quotient(self, domain):
+        eps = np.finfo(float).eps
+        basis = build_basis(domain, self.N)
+        m_block = restricted_mass_matrix(basis, 0.3, 0.8)
+        got = oracles.sampled_min_packet_quotient(basis, m_block, self.DRAWS,
+                                                  np.random.default_rng(11))
+        V = np.random.default_rng(11).standard_normal((self.DRAWS, self.N))
+        num, num_b = _forms_and_bounds(V, m_block)
+        den = np.sum(V * V, axis=1)
+        self._assert_extreme(got, np.min, num, self.N * eps * num_b,
+                             den, self.N * eps * den)
