@@ -19,16 +19,22 @@ def grid_demo_kernel():
         return read_grid_kernel(path)
 
 
-def bundled_kernels():
-    """The five reference kernels every certificate runs over."""
-    return [
+@lru_cache(maxsize=None)
+def _reference_kernels():
+    return (
         ("zero", ZeroKernel()),
         ("separable-mode1", SeparableKernel(g_coeffs=np.array([1.0]),
                                             h_coeffs=np.array([1.0]))),
         ("gaussian-stable", GaussianKernel(amplitude=5.0, width=0.2)),
         ("gaussian-unstable", GaussianKernel(amplitude=20.0, width=0.15)),
         ("grid-demo", grid_demo_kernel()),
-    ]
+    )
+
+
+def bundled_kernels():
+    """The five reference kernels every certificate runs over, as (name, kernel)
+    pairs: a new list on every call, of the same five immutable kernel objects."""
+    return list(_reference_kernels())
 
 
 def default_config_path():

@@ -5,7 +5,16 @@ them in order with a seeded generator, producing deterministic rows for the
 pass/fail table.  The checks pair each closed-form route with an independent
 oracle (dense midpoint rules, Crank-Nicolson stepping, brute-force time
 quadrature, random-vector inequalities) and pin every tolerance explicitly.
+
+Within one run_all, the checks share what they would otherwise rebuild: each
+(domain, kernel, N) model comes from _model and the 26-mode packet sweep on
+omega = (0.3, 0.8) from _packet_sweep, both computed once per run and handed
+out with their arrays read-only.  The memo behind them lives only while
+run_all runs; a check called on its own computes everything itself, and no
+library function caches.
 """
+
+import contextvars
 
 import numpy as np
 
@@ -19,14 +28,57 @@ from .evolution import (assemble_generator, left_inverse_constant, propagate,
 from .kernels import GaussianKernel, SeparableKernel, ZeroKernel, project_kernel
 from . import oracles
 from .observability import (COUPLING_RESOLVENT, build_model, cost_sweep,
-                            observability_cost, observability_gramian,
-                            proof_chain_report, spectral_obs_constant,
-                            spectral_obs_constants, specobs_sweep_and_fit,
-                            witness_identity_residual)
+                            fit_specobs_sweep, observability_cost,
+                            observability_gramian, proof_chain_report,
+                            spectral_obs_constant, spectral_obs_constants,
+                            specobs_sweep_and_fit, witness_identity_residual)
 
 DEFAULT_DOMAIN = Domain(length=1.0, omega_lo=0.3, omega_hi=0.8)
+_PACKET_CUTOFFS = tuple(((n + 0.5) * np.pi) ** 2 for n in range(2, 25))
 _KAPPA_SCALAR = lambda T: 2 * np.pi ** 2 * np.exp(-2 * np.pi ** 2 * T) / (
     1 - np.exp(-2 * np.pi ** 2 * T))
+
+
+# a dict while run_all runs in this thread or task, else None
+_RUN_MEMO = contextvars.ContextVar("certify_run_memo", default=None)
+
+
+def _read_only(*arrays):
+    for a in arrays:
+        a.flags.writeable = False
+
+
+def _shared(key, compute):
+    # compute() once per run_all; outside a run, every call computes afresh
+    memo = _RUN_MEMO.get()
+    if memo is None:
+        return compute()
+    if key not in memo:
+        memo[key] = compute()
+    return memo[key]
+
+
+def _model(domain, kernel, n):
+    """build_model(domain, kernel, n) with its arrays read-only, built once
+    per run_all for each (domain, kernel, n)."""
+    def compute():
+        model = build_model(domain, kernel, n)
+        basis, kmat, dec, m_omega = model
+        _read_only(basis.lambdas, kmat.matrix, dec.mus, dec.modes, m_omega)
+        return model
+    return _shared(("model", domain, kernel, n), compute)
+
+
+def _packet_sweep():
+    """(basis, cutoffs, reports): the 26-mode basis on DEFAULT_DOMAIN, the 23
+    cutoffs ((n + 1/2) pi)^2, n = 2..24, and their spectral_obs_constants on
+    (0.3, 0.8), computed once per run_all."""
+    def compute():
+        basis = build_basis(DEFAULT_DOMAIN, 26)
+        reports = tuple(spectral_obs_constants(basis, (0.3, 0.8), _PACKET_CUTOFFS))
+        _read_only(basis.lambdas, *(rep.witness for rep in reports))
+        return basis, _PACKET_CUTOFFS, reports
+    return _shared(("packet-sweep",), compute)
 
 
 def check_eigenvalues_exact(rng):
@@ -99,8 +151,7 @@ def check_hs_domination(rng):
     worst = -np.inf
     for name, kernel in bundled_kernels():
         for n in (4, 8, 16, 32):
-            basis = build_basis(DEFAULT_DOMAIN, n)
-            kmat = project_kernel(kernel, basis)
+            kmat = _model(DEFAULT_DOMAIN, kernel, n)[1]
             if kmat.hs_of_k == 0.0:
                 ok_here = kmat.frobenius == 0.0
                 worst = max(worst, 0.0 if ok_here else 1.0)
@@ -117,8 +168,7 @@ def check_truncation_monotone(rng):
     for name, kernel in bundled_kernels():
         fr = []
         for n in (4, 8, 16, 32):
-            basis = build_basis(DEFAULT_DOMAIN, n)
-            fr.append(project_kernel(kernel, basis).frobenius)
+            fr.append(_model(DEFAULT_DOMAIN, kernel, n)[1].frobenius)
         ok = ok and all(b >= a - 1e-12 for a, b in zip(fr, fr[1:]))
         detail.append(f"{name}:{fr[-1]:.4f}")
     return ok, "Frobenius ladder " + " ".join(detail)
@@ -142,8 +192,7 @@ def check_separable_exact(rng):
 def check_projection_symmetric_bitwise(rng):
     ok = True
     for name, kernel in bundled_kernels():
-        basis = build_basis(DEFAULT_DOMAIN, 16)
-        K = project_kernel(kernel, basis).matrix
+        K = _model(DEFAULT_DOMAIN, kernel, 16)[1].matrix
         ok = ok and np.array_equal(K, K.T)
     return ok, "K == K^T bitwise for all bundled kernels"
 
@@ -152,8 +201,7 @@ def check_gaussian_projection_oracle(rng):
     # midpoint-rule error is O(h^2) and scales with the kernel peak; 4096
     # points per axis brings the oracle itself under the 1e-6 target
     kernel = GaussianKernel(amplitude=5.0, width=0.2)
-    basis = build_basis(DEFAULT_DOMAIN, 16)
-    kmat = project_kernel(kernel, basis)
+    basis, kmat = _model(DEFAULT_DOMAIN, kernel, 16)[:2]
     mid = oracles.midpoint_projection(kernel, basis, n_points=4096)
     defect = float(np.max(np.abs(kmat.matrix - mid.matrix)))
     hs_mid = mid.hs_of_k
@@ -162,16 +210,15 @@ def check_gaussian_projection_oracle(rng):
 
 
 def check_grid_roundtrip(rng):
-    basis = build_basis(DEFAULT_DOMAIN, 16)
     kernel = bundled_kernels()[4][1]
-    K = project_kernel(kernel, basis).matrix
+    basis, kmat = _model(DEFAULT_DOMAIN, kernel, 16)[:2]
     K_mid = oracles.midpoint_project_kernel(kernel, basis, n_points=1024)
-    defect = float(np.max(np.abs(K - K_mid)))
+    defect = float(np.max(np.abs(kmat.matrix - K_mid)))
     return defect <= 1e-5, f"grid interpolant projection defect {defect:.2e}"
 
 
 def check_semigroup_law(rng):
-    dec = build_model(DEFAULT_DOMAIN, GaussianKernel(5.0, 0.2), 16)[2]
+    dec = _model(DEFAULT_DOMAIN, GaussianKernel(5.0, 0.2), 16)[2]
     v = rng.standard_normal(16)
     worst = 0.0
     for s in (0.01, 0.1, 1.0):
@@ -187,7 +234,7 @@ def check_growth_bound(rng):
     lam1 = np.pi ** 2
     worst = -np.inf
     for name, kernel in bundled_kernels():
-        _, kmat, dec, _ = build_model(DEFAULT_DOMAIN, kernel, 32)
+        _, kmat, dec, _ = _model(DEFAULT_DOMAIN, kernel, 32)
         for t in np.linspace(0.1, 5.0, 50):
             bound = np.exp((-lam1 + kmat.hs_of_k) * t) * (1 + 1e-10)
             ratio = semigroup_norm(dec, t) / bound
@@ -199,7 +246,7 @@ def check_weyl(rng):
     worst = -np.inf
     for name, kernel in bundled_kernels():
         for n in (4, 8, 16, 32):
-            basis, kmat, dec, _ = build_model(DEFAULT_DOMAIN, kernel, n)
+            basis, kmat, dec, _ = _model(DEFAULT_DOMAIN, kernel, n)
             shift = np.max(np.abs(dec.mus + basis.lambdas))
             worst = max(worst, shift - kmat.frobenius)
     return worst <= 1e-10, f"max |mu_j + lambda_j| - ||K||_F = {worst:.2e}"
@@ -210,7 +257,7 @@ def check_left_inverse(rng):
     details = []
     for kernel in (ZeroKernel(), GaussianKernel(5.0, 0.2)):
         for n, ts in ((8, (0.01, 0.05, 0.1)), (16, (0.005, 0.02))):
-            _, _, dec, m_omega = build_model(DEFAULT_DOMAIN, kernel, n)
+            _, _, dec, m_omega = _model(DEFAULT_DOMAIN, kernel, n)
             z0 = left_inverse_constant(dec, m_omega, 0.0)
             ok = ok and z0 == 1.0
             for t in ts:
@@ -229,7 +276,7 @@ def check_left_inverse(rng):
 def check_propagation_oracle(rng):
     worst = 0.0
     for name, kernel in bundled_kernels():
-        basis, kmat, dec, _ = build_model(DEFAULT_DOMAIN, kernel, 32)
+        basis, kmat, dec, _ = _model(DEFAULT_DOMAIN, kernel, 32)
         lmat = assemble_generator(basis, kmat)
         v = rng.standard_normal(32)
         exact = propagate(dec, v, 0.1)
@@ -240,7 +287,7 @@ def check_propagation_oracle(rng):
 
 def check_backward_roundtrip(rng):
     # the 1e-8 roundtrip guarantee holds for t * spread(mu) <= 30
-    dec = build_model(DEFAULT_DOMAIN, GaussianKernel(5.0, 0.2), 6)[2]
+    dec = _model(DEFAULT_DOMAIN, GaussianKernel(5.0, 0.2), 6)[2]
     v = rng.standard_normal(6)
     w = propagate(dec, propagate_backward(dec, v, 0.05), 0.05)
     defect = float(np.linalg.norm(w - v) / np.linalg.norm(v))
@@ -253,12 +300,10 @@ def check_backward_roundtrip(rng):
 
 
 def check_packet_constants(rng):
-    basis = build_basis(DEFAULT_DOMAIN, 26)
     full = build_basis(Domain(1.0, 0.0, 1.0), 8)
     rep_full = spectral_obs_constant(full, (0.0, 1.0), 200.0)
     ok = abs(rep_full.c_min - 1.0) <= 1e-12
-    reports = spectral_obs_constants(basis, (0.3, 0.8),
-                                     [((n + 0.5) * np.pi) ** 2 for n in range(2, 25)])
+    basis, _, reports = _packet_sweep()
     cs = np.array([rep.c_min for rep in reports])
     ok = ok and bool(np.all(cs > 0.0)) and bool(np.all(np.diff(cs) < 0.0))
     y = -np.log(cs)
@@ -282,9 +327,8 @@ def check_packet_inequality(rng):
 
 
 def check_packet_fit(rng):
-    basis = build_basis(DEFAULT_DOMAIN, 26)
-    rs = [((n + 0.5) * np.pi) ** 2 for n in range(2, 25)]
-    sweep = specobs_sweep_and_fit(basis, (0.3, 0.8), rs)
+    _, rs, reports = _packet_sweep()
+    sweep = fit_specobs_sweep(reports)
     ok = sweep.preferred == "sqrt"
     half = specobs_sweep_and_fit(
         build_basis(Domain(1.0, 0.425, 0.675), 26), (0.425, 0.675), rs)
@@ -295,7 +339,7 @@ def check_packet_fit(rng):
 
 
 def check_gramian_psd_taylor(rng):
-    _, _, dec, m_omega = build_model(DEFAULT_DOMAIN, GaussianKernel(5.0, 0.2), 12)
+    _, _, dec, m_omega = _model(DEFAULT_DOMAIN, GaussianKernel(5.0, 0.2), 12)
     G = observability_gramian(dec, m_omega, 0.4)
     w = np.linalg.eigvalsh(G)
     ok = w[0] >= -1e-12 * max(w[-1], 1.0)
@@ -311,7 +355,7 @@ def check_gramian_psd_taylor(rng):
 
 
 def check_gramian_oracle(rng):
-    _, _, dec, m_omega = build_model(DEFAULT_DOMAIN, GaussianKernel(5.0, 0.2), 16)
+    _, _, dec, m_omega = _model(DEFAULT_DOMAIN, GaussianKernel(5.0, 0.2), 16)
     G = observability_gramian(dec, m_omega, 0.25)
     G_quad = oracles.gramian_time_quadrature(dec, m_omega, 0.25, n_nodes=2000)
     rel = float(np.linalg.norm(G - G_quad) / np.linalg.norm(G))
@@ -319,7 +363,7 @@ def check_gramian_oracle(rng):
 
 
 def check_cost_scalar_oracle(rng):
-    _, _, dec, m_omega = build_model(Domain(1.0, 0.0, 1.0), ZeroKernel(), 1)
+    _, _, dec, m_omega = _model(Domain(1.0, 0.0, 1.0), ZeroKernel(), 1)
     worst = 0.0
     for T in (0.05, 0.1, 0.5, 1.0):
         rep = observability_cost(dec, m_omega, T)
@@ -328,7 +372,7 @@ def check_cost_scalar_oracle(rng):
 
 
 def check_cost_inequality_witness(rng):
-    _, _, dec, m_omega = build_model(DEFAULT_DOMAIN, GaussianKernel(5.0, 0.2), 16)
+    _, _, dec, m_omega = _model(DEFAULT_DOMAIN, GaussianKernel(5.0, 0.2), 16)
     T = 0.5
     rep = observability_cost(dec, m_omega, T)
     G = observability_gramian(dec, m_omega, T)
@@ -345,7 +389,7 @@ def check_cost_inequality_witness(rng):
 
 
 def check_cost_monotonicity(rng):
-    basis, _, dec, m_omega = build_model(DEFAULT_DOMAIN, GaussianKernel(5.0, 0.2), 12)
+    basis, _, dec, m_omega = _model(DEFAULT_DOMAIN, GaussianKernel(5.0, 0.2), 12)
     kappas = [observability_cost(dec, m_omega, T).kappa for T in (0.8, 0.4, 0.2, 0.1)]
     ok = bool(np.all(np.diff(kappas) > 0.0))  # increasing as T decreases
     nested = []
@@ -358,7 +402,7 @@ def check_cost_monotonicity(rng):
 
 
 def check_chain_dominance(rng):
-    basis, _, dec, m_omega = build_model(DEFAULT_DOMAIN, GaussianKernel(5.0, 0.2), 8)
+    basis, _, dec, m_omega = _model(DEFAULT_DOMAIN, GaussianKernel(5.0, 0.2), 8)
     rows = proof_chain_report(basis, dec, m_omega, r=9.5 * np.pi ** 2, T=0.1)
     margins = [row.log_chain_bound - row.log_extremal_quotient for row in rows]
     ok = all(m >= -1e-9 for m in margins)
@@ -366,7 +410,7 @@ def check_chain_dominance(rng):
 
 
 def check_null_control_unstable(rng):
-    _, _, dec, m_omega = build_model(DEFAULT_DOMAIN, GaussianKernel(20.0, 0.15), 32)
+    _, _, dec, m_omega = _model(DEFAULT_DOMAIN, GaussianKernel(20.0, 0.15), 32)
     ok = dec.mus[0] > 0.0
     u0 = np.zeros(32)
     u0[0] = 1.0
@@ -385,7 +429,7 @@ def check_null_control_unstable(rng):
 
 
 def check_duality_sharpness(rng):
-    _, _, dec, m_omega = build_model(DEFAULT_DOMAIN, GaussianKernel(20.0, 0.15), 32)
+    _, _, dec, m_omega = _model(DEFAULT_DOMAIN, GaussianKernel(20.0, 0.15), 32)
     T = 0.5
     rep = observability_cost(dec, m_omega, T)
     u0 = propagate(dec, rep.witness, T)
@@ -403,7 +447,7 @@ def check_duality_sharpness(rng):
 
 
 def check_control_linearity(rng):
-    _, _, dec, m_omega = build_model(DEFAULT_DOMAIN, GaussianKernel(5.0, 0.2), 12)
+    _, _, dec, m_omega = _model(DEFAULT_DOMAIN, GaussianKernel(5.0, 0.2), 12)
     u = rng.standard_normal(12)
     v = rng.standard_normal(12)
     a, b = 0.7, -1.3
@@ -422,7 +466,7 @@ def check_control_linearity(rng):
 
 
 def check_control_cost_quadrature(rng):
-    _, _, dec, m_omega = build_model(DEFAULT_DOMAIN, GaussianKernel(5.0, 0.2), 16)
+    _, _, dec, m_omega = _model(DEFAULT_DOMAIN, GaussianKernel(5.0, 0.2), 16)
     u0 = rng.standard_normal(16)
     result = hum_control(dec, m_omega, u0, 0.5, nt=64)
     requad = control_cost(result, m_omega, dec)
@@ -443,7 +487,7 @@ def check_staged_control(rng):
         ok = ok and result.terminal_residual <= 1e-3
         details.append(f"{name}: final {result.terminal_residual:.2e}")
         if isinstance(kernel, ZeroKernel):
-            basis, _, dec, _ = build_model(DEFAULT_DOMAIN, kernel, 16)
+            basis, _, dec, _ = _model(DEFAULT_DOMAIN, kernel, 16)
             stage = result.stage_log[1]
             half = stage.t_end - stage.t_mid
             lam = basis.lambdas
@@ -511,13 +555,23 @@ def run_all(seed=20260809):
     generator is re-seeded per check so single checks reproduce exactly.
     A check that raises one of the package's errors gives a failed row; any
     other exception is a bug and propagates.
+
+    The checks share one memo for the length of the run: each (domain,
+    kernel, N) model and the (0.3, 0.8) packet sweep are computed once, with
+    read-only arrays, so a check that writes into one raises rather than
+    alter a later check.  The memo is dropped when run_all returns; the next
+    run, like a check called on its own, computes everything afresh.
     """
-    rows = []
-    for name, fn in CHECKS:
-        rng = np.random.default_rng(seed)
-        try:
-            ok, detail = fn(rng)
-        except (ArgumentError, ConfigError, KernelFormatError, NumericError) as exc:
-            ok, detail = False, f"raised {type(exc).__name__}: {exc}"
-        rows.append((name, bool(ok), detail))
-    return rows
+    token = _RUN_MEMO.set({})
+    try:
+        rows = []
+        for name, fn in CHECKS:
+            rng = np.random.default_rng(seed)
+            try:
+                ok, detail = fn(rng)
+            except (ArgumentError, ConfigError, KernelFormatError, NumericError) as exc:
+                ok, detail = False, f"raised {type(exc).__name__}: {exc}"
+            rows.append((name, bool(ok), detail))
+        return rows
+    finally:
+        _RUN_MEMO.reset(token)

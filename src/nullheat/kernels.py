@@ -101,12 +101,14 @@ class SeparableKernel(KernelSpec):
     h_coeffs: np.ndarray
 
     def __post_init__(self):
-        g = np.atleast_1d(np.asarray(self.g_coeffs, dtype=float))
-        h = np.atleast_1d(np.asarray(self.h_coeffs, dtype=float))
+        # private read-only copies, as GridKernel keeps its samples
+        g = np.array(self.g_coeffs, dtype=float, ndmin=1)
+        h = np.array(self.h_coeffs, dtype=float, ndmin=1)
         if g.ndim != 1 or h.ndim != 1 or g.size == 0 or h.size == 0:
             raise ArgumentError("SeparableKernel: coefficient vectors must be non-empty 1-d")
         if not (np.all(np.isfinite(g)) and np.all(np.isfinite(h))):
             raise ArgumentError("SeparableKernel: coefficients must be finite")
+        g.flags.writeable = h.flags.writeable = False
         object.__setattr__(self, "g_coeffs", g)
         object.__setattr__(self, "h_coeffs", h)
 

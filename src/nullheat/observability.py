@@ -180,7 +180,12 @@ def specobs_sweep_and_fit(basis, omega, r_list):
         raise ArgumentError(
             "specobs_sweep_and_fit: cutoffs must span a factor of at least 16"
         )
-    reports = spectral_obs_constants(basis, omega, r_list)
+    return fit_specobs_sweep(spectral_obs_constants(basis, omega, r_list))
+
+
+def fit_specobs_sweep(reports):
+    """specobs_sweep_and_fit's fits on reports already computed, in cutoff
+    order; the cutoffs themselves are not re-checked."""
     if len({rep.n_modes for rep in reports}) < 2:
         raise ArgumentError(
             "specobs_sweep_and_fit: fewer than 2 distinct mode counts; "
@@ -191,7 +196,7 @@ def specobs_sweep_and_fit(basis, omega, r_list):
     sqrt_fit = _line_fit(np.sqrt(r), y)
     linear_fit = _line_fit(r, y)
     preferred = "sqrt" if sqrt_fit.residual <= linear_fit.residual else "linear"
-    return SpecObsSweep(reports=reports, sqrt_fit=sqrt_fit,
+    return SpecObsSweep(reports=list(reports), sqrt_fit=sqrt_fit,
                         linear_fit=linear_fit, preferred=preferred)
 
 

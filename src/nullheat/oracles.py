@@ -9,7 +9,7 @@ slower and cruder by design.  A midpoint oracle streams its n_points^2
 kernel values through one block of _ROW_BLOCK rows and reads both the
 Galerkin matrix and the kernel norm from each block, so no n_points^2 table
 is ever held.  The time quadrature's Gauss-Legendre rule comes from basis,
-like every other.
+like every other, and is applied as one product over its nodes.
 """
 
 import numpy as np
@@ -100,19 +100,20 @@ def crank_nicolson_propagate(lmat, u0, t, steps=10_000):
 
 
 def gramian_time_quadrature(dec, m_omega, T, n_nodes=2000):
-    """int_0^T e^{Lt} M e^{Lt} dt by a single-panel Gauss-Legendre rule."""
+    """int_0^T e^{Lt} M e^{Lt} dt by a single-panel Gauss-Legendre rule.
+
+    In eigencoordinates, with W = Q^T M Q and E[k, a] = e^{mu_a t_k} at the
+    nodes t_k and weights w_k, the rule is W o (E^T diag(w) E): one product
+    over the nodes in place of a sum of n_nodes rank-one updates.
+    """
     T = _validate_time(T, "gramian_time_quadrature")
     _require_positive_int("gramian_time_quadrature", "n_nodes", n_nodes)
     nodes, weights = _gauss_legendre(n_nodes)
     ts = 0.5 * T * (nodes + 1.0)
     ws = 0.5 * T * weights
     W = dec.modes.T @ np.asarray(m_omega, float) @ dec.modes
-    n = dec.n_modes
-    G = np.zeros((n, n))
-    for t, w in zip(ts, ws):
-        e = np.exp(dec.mus * t)
-        G += w * (e[:, None] * W * e[None, :])
-    G = dec.modes @ G @ dec.modes.T
+    E = np.exp(np.outer(ts, dec.mus))
+    G = dec.modes @ (W * ((E * ws[:, None]).T @ E)) @ dec.modes.T
     return (G + G.T) / 2
 
 

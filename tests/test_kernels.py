@@ -126,6 +126,25 @@ class TestGridConstruction:
         with pytest.raises(ValueError):
             k.samples[1, 2] = 0.0
 
+    def test_bundled_kernels_are_the_same_objects_in_a_new_list(self):
+        first, again = bundled_kernels(), bundled_kernels()
+        assert isinstance(first, list) and first is not again
+        assert all(a is b for a, b in zip(first, again)) and len(first) == 5
+        first.append(("extra", ZeroKernel()))
+        assert len(bundled_kernels()) == 5
+
+
+class TestSeparableConstruction:
+    def test_coefficients_are_private_read_only_copies(self):
+        g, h = np.array([1.0, 0.0, -0.5]), np.array([0.25, 1.5])
+        k = SeparableKernel(g_coeffs=g, h_coeffs=h)
+        g[0] = h[0] = 2.0  # the caller's arrays stay writable
+        assert k.g_coeffs[0] == 1.0 and k.h_coeffs[0] == 0.25
+        with pytest.raises(ValueError, match="read-only"):
+            k.g_coeffs[0] = 3.0
+        with pytest.raises(ValueError, match="read-only"):
+            k.h_coeffs[1] = 3.0
+
 
 class TestCheckSymmetry:
     def test_construction_symmetric(self):
