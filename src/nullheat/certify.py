@@ -190,11 +190,21 @@ def check_separable_exact(rng):
 
 
 def check_projection_symmetric_bitwise(rng):
-    ok = True
+    # K == K^T for every bundled kernel; the Gaussians are also symmetric
+    # about ell/2, which makes K[m, n] vanish for m + n odd: those entries
+    # must read 0.0 exactly, not rounding noise
+    ok, gaussians, zeros = True, 0, 0
+    odd = np.add.outer(np.arange(16), np.arange(16)) % 2 == 1
     for name, kernel in bundled_kernels():
         K = _model(DEFAULT_DOMAIN, kernel, 16)[1].matrix
         ok = ok and np.array_equal(K, K.T)
-    return ok, "K == K^T bitwise for all bundled kernels"
+        if isinstance(kernel, GaussianKernel):
+            gaussians += 1
+            zeros += int(np.count_nonzero(K[odd] == 0.0))
+    total = gaussians * int(np.count_nonzero(odd))
+    return ok and 0 < zeros == total, (
+        f"K == K^T bitwise for all bundled kernels; {zeros} of {total} odd m + n "
+        f"entries of the {gaussians} Gaussians exactly 0.0")
 
 
 def check_gaussian_projection_oracle(rng):

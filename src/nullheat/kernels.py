@@ -19,10 +19,12 @@ A kernel enters the dynamics through the integral operator
 A grid kernel is a finite tensor form: its interpolant is
 sum_ab s_ab phi_a(x) phi_b(xi) over the hat functions phi_a of the sample
 midpoints, so project_kernel reads its quadrature through that factor and
-holds no table of kernel values.  The Gaussian is evaluated one block of
-512 quadrature columns at a time (the last block takes the remainder), so
-no nodes^2 table is held either; edges at multiples of 512 keep each
-projection bit for bit equal to the whole-table products.
+holds no table of kernel values.  The Gaussian is projected by a parity
+fold: its rule is symmetric about ell/2, k(ell - x, ell - xi) = k(x, xi),
+and psi_m(ell - x) = (-1)^(m+1) psi_m(x), so the quadrature sums need k
+only on the left half of the nodes, odd and even modes decouple, and every
+entry with m + n odd is exactly 0.0.  The half table is evaluated in
+blocks of 256 columns, so no nodes^2 table is held either.
 
 Symmetry k(x, xi) = k(xi, x) is structural for the first three.  A grid
 kernel's symmetry_defect() is max |s - s^T| over its sample table, the exact
@@ -40,7 +42,9 @@ from .errors import ArgumentError, KernelFormatError, NumericError
 
 DEFAULT_SYMMETRY_TOL = 1e-10
 
-_COLUMN_BLOCK = 512  # quadrature columns per kernel evaluation in project_kernel
+_COLUMN_BLOCK = 256  # half-table columns per kernel evaluation in project_kernel
+_MODE_BLOCK = 64  # rows of the weighted modes formed at a time
+_SPLITTER = 134217729.0  # 2^27 + 1
 
 
 class KernelSpec:
@@ -57,10 +61,12 @@ class KernelSpec:
     tensor form in hat functions returns it from axis_factor(x) as (Phi, S):
     Phi of shape (x.size, r), each row nonzero in two adjacent columns at
     most, and S of shape (r, r), with k(x_i, x_j) = (Phi S Phi^T)_ij; the
-    quadrature then never calls evaluate.  Where axis_factor is None, it
-    evaluates one block of 512 columns at a time (the last takes the
-    remainder), never the nodes^2 table: block edges at multiples of 512
-    keep the projection bit for bit equal to the whole-table products.
+    quadrature then never calls evaluate.  Where axis_factor is None, the
+    projection is a parity fold that evaluates k only against the left half
+    of the nodes, and it holds for a kernel and rule with two properties:
+    k(ell - x, ell - xi) = k(x, xi), and axis_rule(basis) symmetric about
+    ell/2 (an even number of nodes, node i at ell minus node nodes - 1 - i
+    and with its weight).
     symmetry_defect() and check_basis(basis) default to a structurally
     symmetric kernel that fits every basis.
     """
@@ -166,9 +172,16 @@ class GaussianKernel(KernelSpec):
         return out if out.ndim else out[()]
 
     def axis_rule(self, basis):
+        # uniform panels, made symmetric about ell/2: the right half is
+        # ell - x_L rounded and the left half ell minus that, an exact
+        # difference, so nodes i and nodes - 1 - i sum to ell exactly and
+        # share one weight
         ell = basis.domain.length
         panels = max(1, int(np.ceil(ell / min(self.width / 2.0, ell / basis.n_modes))))
-        return gauss_rule(np.linspace(0.0, ell, panels + 1), QUADRATURE_ORDER)
+        x, w = gauss_rule(np.linspace(0.0, ell, panels + 1), QUADRATURE_ORDER)
+        h = x.size // 2
+        right = ell - x[h - 1::-1]
+        return np.concatenate((ell - right[::-1], right)), np.concatenate((w[:h], w[h - 1::-1]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -372,15 +385,42 @@ def write_grid_kernel(path, kernel_fn, n, length, comment=None):
 # ---------------------------------------------------------------------------
 # projection
 
+def _split(a):
+    # a = hi + lo exactly, hi with 26 significant bits (Veltkamp's splitting)
+    c = _SPLITTER * a
+    hi = c - (c - a)
+    return hi, a - hi
+
+
 def _weighted_modes(n, x, w, ell):
-    # psi_w[m - 1, i] = sqrt(2 / ell) sin(m x_i pi / ell) w_i, each step in
-    # the one n x nodes array
-    psi_w = np.outer(np.arange(1, n + 1), x)
-    psi_w *= np.pi
-    psi_w /= ell
-    np.sin(psi_w, out=psi_w)
-    psi_w *= np.sqrt(2.0 / ell)
-    psi_w *= w
+    # psi_w[m - 1, i] = sqrt(2 / ell) sin(pi r) w_i with r = m x_i / ell
+    # reduced mod 2 to [-1, 1], within a few eps.  x / ell is carried as
+    # t_hi + t_lo, t_hi with 26 significant bits, so m t_hi (m < 2^27) and
+    # its remainder mod 2 are exact; t_lo takes the rest and the division's
+    # error, found with Dekker's exact product t ell = p + e.  The plain
+    # phase m x_i pi / ell is off by about m eps: over 1000 eps of the
+    # row's largest value at m = 512.  Each step runs in place on one block
+    # of rows, so the temporaries are a block, never a second n x nodes array
+    t = x / ell
+    t_hi, t_lo = _split(t)
+    l_hi, l_lo = _split(ell)
+    p = t * ell
+    e = ((t_hi * l_hi - p) + t_hi * l_lo + t_lo * l_hi) + t_lo * l_lo
+    t_lo += ((x - p) - e) / ell  # x - p is exact: p is within an ulp or two of x
+    scale = np.sqrt(2.0 / ell) * w
+    psi_w = np.empty((n, x.size))
+    for a in range(0, n, _MODE_BLOCK):
+        m = np.arange(a + 1.0, min(a + _MODE_BLOCK, n) + 1.0)[:, None]
+        r = psi_w[a:a + _MODE_BLOCK]
+        np.multiply(m, t_hi, out=r)
+        even = np.multiply(r, 0.5)
+        np.rint(even, out=even)
+        even *= 2.0
+        r -= even  # exact: r is within 1 of the even integer
+        r += m * t_lo
+        r *= np.pi
+        np.sin(r, out=r)
+        r *= scale
     return psi_w
 
 
@@ -398,10 +438,8 @@ def _band_gram(phi, w):
 
 
 def _column_blocks(m):
-    # slices of _COLUMN_BLOCK columns; the last takes the remainder, so
-    # fewer than 2 _COLUMN_BLOCK columns are one slice
-    edges = list(range(0, m, _COLUMN_BLOCK))[:max(1, m // _COLUMN_BLOCK)] + [m]
-    return [slice(a, b) for a, b in zip(edges[:-1], edges[1:])]
+    # slices of _COLUMN_BLOCK columns; the last holds what is left
+    return [slice(a, min(a + _COLUMN_BLOCK, m)) for a in range(0, m, _COLUMN_BLOCK)]
 
 
 def project_kernel(spec, basis):
@@ -415,17 +453,25 @@ def project_kernel(spec, basis):
     Phi's rows nonzero in two adjacent columns (hat functions), gives the
     same quadrature sums regrouped and with no nodes^2 array:
     K = B S B^T with B = psi_w Phi, and ||k||^2 = sum (S H) o (H S) with
-    H = Phi^T diag(w) Phi.  Any other kernel is evaluated one block J of
-    _COLUMN_BLOCK = 512 quadrature columns at a time, the last block taking
-    the remainder, and each block is freed before the next is evaluated:
-    Y[:, J] = psi_w k[:, J] and, with the block squared in place,
-    t[J] = w k[:, J]^2; then K = Y psi_w^T and ||k||^2 = t w.  These are the
-    whole-table products psi_w k psi_w^T and w k^2 w, one output column at a
-    time, so memory is psi_w, Y and one block.  Fewer than 1024 nodes are
-    one block.  Edges at multiples of 512 keep every product bit for bit
-    equal to the whole-table one on OpenBLAS; narrower or unaligned blocks
-    reach its small-matrix path and do not.  The result is symmetrized by
-    averaging with its transpose (exact for symmetric input).
+    H = Phi^T diag(w) Phi.
+
+    Any other kernel is parity-folded.  That needs a rule symmetric about
+    ell/2 and k(ell - x, ell - xi) = k(x, xi); with psi_m(ell - x) =
+    (-1)^(m+1) psi_m(x), the quadrature sums over all nodes become sums over
+    the left half x_L, w_L.  With T = k(x_L, x_L), R = k(x_L, ell - x_L)
+    (symmetric, by both properties of k) and psi_o, psi_e the weighted modes
+    on x_L with odd and even m:
+    K[odd, odd] = 2 psi_o (T + R) psi_o^T, K[even, even] =
+    2 psi_e (T - R) psi_e^T, K[m, n] = 0.0 exactly for m + n odd, and
+    ||k||^2 = 2 w_L (T o T + R o R) w_L.  T and R are evaluated one block J
+    of _COLUMN_BLOCK = 256 columns at a time, with one buffer for T + R and
+    then T - R, and freed before the next block: Y_o[:, J] =
+    psi_o (T + R)[:, J], Y_e[:, J] = psi_e (T - R)[:, J] and, with T and R
+    squared in place, t[J] = w_L (T^2 + R^2)[:, J]; then the blocks of K are
+    2 Y_o psi_o^T and 2 Y_e psi_e^T, and ||k||^2 = 2 t w_L.  That is a
+    quarter of the whole table's product flops and half its kernel values.
+    The result is symmetrized by averaging with its transpose (exact for
+    symmetric input).
     """
     n = basis.n_modes
     exact = spec.closed_form(n)
@@ -437,16 +483,29 @@ def project_kernel(spec, basis):
     factor = spec.axis_factor(x)
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite values are refused below
         if factor is None:
-            psi_w = _weighted_modes(n, x, w, ell)
-            Y, t = np.empty((n, x.size)), np.empty(x.size)
-            for J in _column_blocks(x.size):
-                vals = spec.evaluate(x[:, None], x[None, J], ell)
-                np.matmul(psi_w, vals, out=Y[:, J])
-                np.square(vals, out=vals)  # the block becomes k^2: one block, never two
-                np.matmul(w, vals, out=t[J])
-                del vals  # freed before the next block is evaluated
-            K = Y @ psi_w.T
-            sq = float(t @ w)
+            h = x.size // 2
+            x_l, w_l, x_r = x[:h], w[:h], x[:h - 1:-1]  # x_r = ell - x_l
+            psi_w = _weighted_modes(n, x_l, w_l, ell)
+            psi_o, psi_e = psi_w[0::2], psi_w[1::2]  # m = 1, 3, ... and m = 2, 4, ...
+            Y_o, Y_e = np.empty((psi_o.shape[0], h)), np.empty((psi_e.shape[0], h))
+            t = np.empty(h)
+            for J in _column_blocks(h):
+                T = spec.evaluate(x_l[:, None], x_l[None, J], ell)
+                R = spec.evaluate(x_l[:, None], x_r[None, J], ell)
+                buf = np.add(T, R)
+                np.matmul(psi_o, buf, out=Y_o[:, J])
+                np.subtract(T, R, out=buf)
+                np.matmul(psi_e, buf, out=Y_e[:, J])
+                np.square(T, out=T)
+                np.square(R, out=R)
+                T += R
+                np.matmul(w_l, T, out=t[J])
+                del T, R, buf  # freed before the next block is evaluated
+            K = np.zeros((n, n))
+            K[0::2, 0::2] = Y_o @ psi_o.T
+            K[1::2, 1::2] = Y_e @ psi_e.T
+            K *= 2.0
+            sq = 2.0 * float(t @ w_l)
         else:
             phi, S = factor
             H = _band_gram(phi, w)

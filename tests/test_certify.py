@@ -1,5 +1,6 @@
 """certify.run_all's memo: shared models and packet sweep, once per run."""
 
+import dataclasses
 from collections import Counter
 
 import numpy as np
@@ -76,3 +77,24 @@ def test_a_check_that_writes_into_a_shared_array_raises(monkeypatch, write):
     with pytest.raises(ValueError, match="read-only"):
         certify.run_all(SEED)
     assert certify._RUN_MEMO.get() is None
+
+
+def test_symmetric_projection_certifies_exact_parity_zeros(monkeypatch):
+    # the Gaussians' entries with m + n odd must read 0.0 exactly: one
+    # symmetric pair of 1e-300 in one of them fails the certificate
+    ok, detail = certify.check_projection_symmetric_bitwise(np.random.default_rng(SEED))
+    assert ok and detail == ("K == K^T bitwise for all bundled kernels; 256 of 256 odd m + n "
+                             "entries of the 2 Gaussians exactly 0.0")
+    model = certify._model
+
+    def noisy(domain, kernel, n):
+        basis, kmat, dec, m_omega = model(domain, kernel, n)
+        if kernel == GaussianKernel(20.0, 0.15):
+            K = kmat.matrix.copy()
+            K[2, 5] = K[5, 2] = 1e-300
+            kmat = dataclasses.replace(kmat, matrix=K)
+        return basis, kmat, dec, m_omega
+
+    monkeypatch.setattr(certify, "_model", noisy)
+    ok, detail = certify.check_projection_symmetric_bitwise(np.random.default_rng(SEED))
+    assert not ok and "254 of 256" in detail

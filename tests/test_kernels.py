@@ -265,28 +265,31 @@ class TestProjectKernel:
 
 
 class TestOneKernelEvaluation:
-    @pytest.mark.parametrize("kernel, calls", [(GaussianKernel(5.0, 0.2), 1),
-                                               (grid_demo_kernel(), 0)],
+    @pytest.mark.parametrize("kernel, share", [(GaussianKernel(5.0, 0.2), 0.5),
+                                               (grid_demo_kernel(), 0.0)],
                              ids=["gaussian", "grid"])
-    def test_quadrature_grid_evaluated_once(self, basis, kernel, calls, monkeypatch):
-        # the Gaussian fills one table; the grid kernel is projected through
-        # its hat-function factor and its symmetry check reads the sample
-        # table, so it never evaluates
-        shapes = []
+    def test_quadrature_grid_evaluated_once(self, basis, kernel, share, monkeypatch):
+        # the Gaussian's parity fold evaluates k against the left half of the
+        # nodes only, nodes^2 / 2 values in all; the grid kernel is projected
+        # through its hat-function factor and its symmetry check reads the
+        # sample table, so it never evaluates
+        sizes = []
         evaluate = type(kernel).evaluate
 
         def counted(self, x, xi, length=None):
             out = evaluate(self, x, xi, length)
-            shapes.append(out.shape)
+            sizes.append(out.size)
             return out
 
         monkeypatch.setattr(type(kernel), "evaluate", counted)
         project_kernel(kernel, basis)
-        assert len(shapes) == calls
+        nodes = kernel.axis_rule(basis)[0].size
+        assert sum(sizes) == share * nodes ** 2
 
     def test_holds_one_quadrature_table(self, domain):
-        # N = 256: 2048 axis nodes, a 33.5 MB table.  Besides it, only the
-        # weighted modes psi_w and psi_w @ vals, each an eighth of its size
+        # N = 256: 2048 axis nodes, where a whole table would take 33.5 MB.
+        # The fold holds the weighted modes on the half nodes, Y_o and Y_e,
+        # each a sixteenth of a table, and blocks of T, R and T + R
         basis = build_basis(domain, 256)
         kernel = GaussianKernel(20.0, 0.15)
         nodes = kernel.axis_rule(basis)[0].size
@@ -317,9 +320,24 @@ class TestOneKernelEvaluation:
                 project_kernel(Broken(5.0, 0.2), basis)
 
 
+_PI_LD = np.longdouble("3.14159265358979323846264338327950288")
+
+_LONG_DOUBLE = pytest.mark.skipif(np.finfo(np.longdouble).eps >= 1e-18,
+                                  reason="np.longdouble is no wider than float64 on this platform")
+
+
+def _modes_ld(n, x, w, ell):
+    # the weighted modes in long double, each phase m x / ell reduced mod 2
+    # before it meets pi: within about 0.1 eps of float64 at m = 1024
+    ld = np.longdouble
+    m = np.arange(1, n + 1).astype(ld)[:, None]
+    r = np.fmod(m * x.astype(ld) / ld(ell), ld(2))
+    return np.sqrt(ld(2) / ld(ell)) * np.sin(_PI_LD * r) * w.astype(ld)
+
+
 def _whole_table_projection(spec, basis):
-    # the projection as one table of kernel values, the expression the column
-    # blocks replace: psi_w k psi_w^T and w k^2 w
+    # the projection as one table of kernel values on all the nodes:
+    # psi_w k psi_w^T and w k^2 w
     n, ell = basis.n_modes, basis.domain.length
     x, w = spec.axis_rule(basis)
     psi_w = kernels._weighted_modes(n, x, w, ell)
@@ -331,35 +349,55 @@ def _whole_table_projection(spec, basis):
     return (K + K.T) / 2, float(np.sqrt(max(sq, 0.0))), bound
 
 
+def _whole_half_table_fold(spec, basis):
+    # the parity fold written out on whole half tables T = k(x_L, x_L) and
+    # R = k(x_L, ell - x_L): K[odd, odd] = 2 psi_o (T + R) psi_o^T,
+    # K[even, even] = 2 psi_e (T - R) psi_e^T, ||k||^2 = 2 w_L (T^2 + R^2) w_L
+    n, ell = basis.n_modes, basis.domain.length
+    x, w = spec.axis_rule(basis)
+    h = x.size // 2
+    psi_w = kernels._weighted_modes(n, x[:h], w[:h], ell)
+    psi_o, psi_e = psi_w[0::2], psi_w[1::2]
+    T = spec.evaluate(x[:h, None], x[None, :h], ell)
+    R = spec.evaluate(x[:h, None], x[None, :h - 1:-1], ell)
+    K = np.zeros((n, n))
+    K[0::2, 0::2] = (psi_o @ (T + R)) @ psi_o.T
+    K[1::2, 1::2] = (psi_e @ (T - R)) @ psi_e.T
+    K *= 2.0
+    sq = 2.0 * float((w[:h] @ (T * T + R * R)) @ w[:h])
+    return (K + K.T) / 2, float(np.sqrt(max(sq, 0.0)))
+
+
 def _blocks(spec, basis):
-    return len(kernels._column_blocks(spec.axis_rule(basis)[0].size))
+    return len(kernels._column_blocks(spec.axis_rule(basis)[0].size // 2))
 
 
 class TestColumnBlocks:
-    """project_kernel evaluates a Gaussian in blocks of 512 quadrature columns."""
+    """project_kernel evaluates the Gaussian's half table in blocks of 256 columns."""
 
     def test_block_edges(self):
         widths = {m: [b.stop - b.start for b in kernels._column_blocks(m)]
-                  for m in (1, 8, 511, 512, 1023, 1024, 1535, 1536, 2048, 8192)}
-        assert widths == {1: [1], 8: [8], 511: [511], 512: [512], 1023: [1023],
-                          1024: [512, 512], 1535: [512, 1023], 1536: [512, 512, 512],
-                          2048: [512] * 4, 8192: [512] * 16}
+                  for m in (1, 8, 255, 256, 257, 511, 512, 513, 1024, 4096)}
+        assert widths == {1: [1], 8: [8], 255: [255], 256: [256], 257: [256, 1],
+                          511: [256, 255], 512: [256, 256], 513: [256, 256, 1],
+                          1024: [256] * 4, 4096: [256] * 16}
 
     @pytest.mark.parametrize("kernel", [GaussianKernel(5.0, 0.2), GaussianKernel(20.0, 0.15),
                                         GaussianKernel(-80.0, 0.05)],
                              ids=["5-0.2", "20-0.15", "-80-0.05"])
     @pytest.mark.parametrize("length", [1.0, 2.5])
-    def test_one_block_is_the_whole_table_bitwise(self, kernel, length):
-        # under 1024 nodes the one block is the table and the products are the
-        # same calls, so this holds on any BLAS: every N of Gaussian(5, 0.2)
-        # below 1024 nodes (N < 128), and N = 1..5 and 127 of the others
+    def test_one_block_is_the_whole_table_bitwise(self, kernel, length, monkeypatch):
+        # with the whole half table as one block the products are the same
+        # calls as the fold written out, so this holds on any BLAS: every
+        # N < 128 of Gaussian(5, 0.2), and N = 1..5 and 127 of the others
+        monkeypatch.setattr(kernels, "_COLUMN_BLOCK", 1 << 20)
         domain = Domain(length, 0.3 * length, 0.8 * length)
         sizes = range(1, 128) if kernel == GaussianKernel(5.0, 0.2) else [1, 2, 3, 4, 5, 127]
         for n in sizes:
             basis = build_basis(domain, n)
             assert _blocks(kernel, basis) == 1
             km = project_kernel(kernel, basis)
-            K, hs, _ = _whole_table_projection(kernel, basis)
+            K, hs = _whole_half_table_fold(kernel, basis)
             assert np.array_equal(km.matrix, K), n
             assert km.hs_of_k == hs, n
 
@@ -368,9 +406,10 @@ class TestColumnBlocks:
                              + [(5.0, 0.2, 128), (5.0, 0.2, 256),
                                 (20.0, 0.15, 128), (20.0, 0.15, 256)])
     def test_blocks_within_rounding_of_the_whole_table(self, domain, amplitude, width, n):
-        # several blocks: the same sums, split by output column.  Their bits
-        # rest on the BLAS, so the bound is a dense product's rounding,
-        # 4 eps (|psi_w| |k| |psi_w|^T) entrywise and 4 eps relative on ||k||
+        # several blocks of the fold against psi_w k psi_w^T on the whole
+        # table: the same quadrature sums, regrouped.  The bound is a dense
+        # product's rounding, 4 eps (|psi_w| |k| |psi_w|^T) entrywise and
+        # 4 eps relative on ||k||
         eps = np.finfo(float).eps
         kernel = GaussianKernel(amplitude, width)
         basis = build_basis(domain, n)
@@ -381,8 +420,9 @@ class TestColumnBlocks:
         assert abs(km.hs_of_k - hs) <= 4 * eps * hs
 
     def test_holds_one_block(self, domain):
-        # N = 512: 4096 nodes, a 134 MB table.  Held at once: psi_w and Y,
-        # each an eighth of the table, one 4096 x 512 block, another eighth,
+        # N = 512: 4096 nodes, a 134 MB table.  Held at once: the weighted
+        # modes on the 2048 half nodes, Y_o and Y_e, each a sixteenth of the
+        # table, blocks of T, R and T + R (2048 x 256 each, 3/32 together)
         # and the small products
         basis = build_basis(domain, 512)
         kernel = GaussianKernel(5.0, 0.2)
@@ -395,6 +435,121 @@ class TestColumnBlocks:
         finally:
             tracemalloc.stop()
         assert peak <= 0.6 * nodes ** 2 * 8
+
+
+_FOLD_KERNELS = [GaussianKernel(5.0, 0.2), GaussianKernel(20.0, 0.15),
+                 GaussianKernel(-80.0, 0.05)]
+
+
+class TestParityFold:
+    """The Gaussian's projection folded about ell/2: odd and even modes
+    decouple, and every entry with m + n odd is exactly zero."""
+
+    @_LONG_DOUBLE
+    @pytest.mark.parametrize("kernel, n, length",
+                             [(k, n, ell) for k in _FOLD_KERNELS
+                              for n in (1, 2, 3, 16, 64, 127, 128) for ell in (1.0, 2.5)]
+                             + [(GaussianKernel(1.0, 0.01), 64, 1.0)],
+                             ids=lambda v: f"{v.amplitude:g}-{v.width:g}"
+                             if isinstance(v, GaussianKernel) else str(v))
+    def test_within_rounding_of_a_long_double_table_sum(self, kernel, n, length):
+        # reference: the whole table on the same rule summed in long double,
+        # with long-double modes.  The kernel's peak constant is taken as
+        # float64 computes it, a rounding every route shares.  Bounds:
+        # 8 eps (|psi_w| |k| |psi_w|^T) entrywise (measured at most 4.7) and
+        # 2 eps relative on ||k|| (measured at most 1.0); above N = 16 nine
+        # rows are checked, the first and the last among them.  Gaussian(1,
+        # 0.01) has 1600 nodes, four blocks of the half table; at length 2.5
+        # its long-double table alone takes about 9 s, so it runs at 1.0
+        eps, ld = np.finfo(float).eps, np.longdouble
+        ell = length
+        basis = build_basis(Domain(ell, 0.3 * ell, 0.8 * ell), n)
+        x, w = kernel.axis_rule(basis)
+        rows = np.arange(n) if n <= 16 else np.linspace(0, n - 1, 9).astype(int)
+        km = project_kernel(kernel, basis)
+
+        peak = ld(kernel.amplitude / (kernel.width * np.sqrt(2.0 * np.pi)))
+        d = x.astype(ld)[:, None] - x.astype(ld)[None, :]
+        table = peak * np.exp(-(d * d) / (2 * ld(kernel.width) ** 2))
+        psi_ld = _modes_ld(n, x, w, ell)
+        exact = psi_ld[rows] @ table @ psi_ld.T
+        hs = np.sqrt(w.astype(ld) @ (table * table) @ w.astype(ld))
+        psi_abs = np.abs(psi_ld).astype(float)
+        scale = psi_abs[rows] @ np.abs(table.astype(float)) @ psi_abs.T
+        assert np.all(np.abs(km.matrix[rows] - exact) <= 8 * eps * scale)
+        assert abs(km.hs_of_k - hs) <= 2 * eps * hs
+        if kernel.width == 0.01:
+            assert _blocks(kernel, basis) > 1
+
+    @pytest.mark.parametrize("length", [1.0, 2.5, 0.7])
+    def test_parity_entries_are_exact_zeros(self, length):
+        # psi_m(ell - x) = (-1)^(m+1) psi_m(x) makes K[m, n] vanish for m + n
+        # odd; the fold never forms those entries, so they are 0.0, not noise
+        domain = Domain(length, 0.3 * length, 0.8 * length)
+        bundled = [k for _, k in bundled_kernels() if isinstance(k, GaussianKernel)]
+        assert bundled
+        for kernel in bundled + _FOLD_KERNELS + [GaussianKernel(1.0, 0.01)]:
+            for n in (1, 2, 7, 16, 33, 128):
+                K = project_kernel(kernel, build_basis(domain, n)).matrix
+                odd = np.add.outer(np.arange(n), np.arange(n)) % 2 == 1
+                assert np.all(K[odd] == 0.0), (kernel, n)
+                assert not np.any(np.signbit(K[odd])), (kernel, n)
+                assert np.array_equal(K, K.T), (kernel, n)
+
+    @pytest.mark.parametrize("length", [1.0, 2.5, 0.7, np.pi])
+    def test_gaussian_rule_is_symmetric_about_the_midpoint(self, length):
+        # nodes i and nodes - 1 - i sum to ell exactly and share one weight
+        domain = Domain(length, 0.3 * length, 0.8 * length)
+        for kernel in _FOLD_KERNELS:
+            for n in (1, 16, 100):
+                x, w = kernel.axis_rule(build_basis(domain, n))
+                assert x.size % 2 == 0 and np.all(np.diff(x) > 0)
+                assert np.array_equal(x[:x.size // 2], length - x[:x.size // 2 - 1:-1])
+                assert np.array_equal(w, w[::-1])
+
+    def test_table_route_kernels_are_reflection_invariant(self, rng):
+        # the fold needs k(ell - x, ell - xi) = k(x, xi).  Every kernel class
+        # of the module is listed here, so a new one must be placed; each
+        # that takes the table route (no closed form, no hat-function factor)
+        # is checked on random points, to rounding of the reflected arguments
+        samples = {ZeroKernel: ZeroKernel(),
+                   SeparableKernel: SeparableKernel(np.array([1.0, -0.5]), np.array([0.3])),
+                   GaussianKernel: GaussianKernel(5.0, 0.2),
+                   GridKernel: grid_demo_kernel()}
+        classes = {c for c in vars(kernels).values()
+                   if isinstance(c, type) and issubclass(c, KernelSpec) and c is not KernelSpec}
+        assert classes == set(samples)
+        table_route = []
+        for cls, kernel in samples.items():
+            basis = build_basis(Domain(1.0, 0.3, 0.8), 8)
+            if kernel.closed_form(8) is not None:
+                continue
+            x = kernel.axis_rule(basis)[0]
+            if kernel.axis_factor(x) is not None:
+                continue
+            table_route.append(cls)
+            for ell in (1.0, 2.5):
+                x, xi = rng.uniform(0.0, ell, (2, 1000))
+                here = kernel.evaluate(x, xi, ell)
+                there = kernel.evaluate(ell - x, ell - xi, ell)
+                peak = np.max(np.abs(here))
+                assert np.all(np.abs(there - here) <= 64 * np.finfo(float).eps * peak), cls
+        assert table_route == [GaussianKernel]
+
+    @_LONG_DOUBLE
+    @pytest.mark.parametrize("length", [1.0, 2.5, 0.7])
+    def test_weighted_modes_within_a_few_eps(self, length):
+        # the phase m x / ell is reduced mod 2 before it meets pi: 3 eps of
+        # each row's largest value up to m = 1024, where the plain product
+        # m x pi / ell was over 1000 eps off
+        eps = np.finfo(float).eps
+        basis = build_basis(Domain(length, 0.3 * length, 0.8 * length), 1024)
+        x, w = GaussianKernel(5.0, 0.2).axis_rule(basis)
+        x, w = x[::7], w[::7]
+        ref = _modes_ld(1024, x, w, length)
+        got = kernels._weighted_modes(1024, x, w, length)
+        row_max = np.max(np.abs(ref), axis=1, keepdims=True)
+        assert np.all(np.abs(got - ref) <= 3 * eps * row_max)
 
 
 def _grid_cases():
@@ -413,7 +568,8 @@ class TestGridFactor:
     @pytest.mark.parametrize("n", [1, 4, 16, 128])
     def test_within_rounding_of_a_long_double_table_sum(self, n):
         # reference: the interpolant tabulated on the axis nodes by its four
-        # corners and summed against psi_w, all in long double.  The matrix
+        # corners and summed against the modes of _modes_ld, all in long
+        # double.  The matrix
         # keeps a dense product's entrywise bound 4 eps (|B| |S| |B|^T) with
         # |B| = |psi_w| Phi, and the norm 4 eps relative.  At n = 128 the
         # long-double product takes about 1 s per kernel on all rows, so nine
@@ -437,8 +593,8 @@ class TestGridFactor:
             s = kernel.samples.astype(ld)
             table = (s[i, j] * (gx * gy) + s[i + 1, j + 1] * (fx * fy)
                      + s[i + 1, j] * (fx * gy) + s[i, j + 1] * (gx * fy))
-            psi_w = np.sqrt(2.0 / ell) * np.sin(np.outer(np.arange(1, n + 1), x) * np.pi / ell) * w
-            psi_ld = psi_w.astype(ld)
+            psi_ld = _modes_ld(n, x, w, ell)
+            psi_w = psi_ld.astype(float)
             exact = psi_ld[rows] @ table @ psi_ld.T
             hs = np.sqrt(w.astype(ld) @ (table * table) @ w.astype(ld))
 
