@@ -16,15 +16,17 @@ A kernel enters the dynamics through the integral operator
                          bilinearly interpolated and extended by nearest value
                          in the half-cell margins.
 
-A grid kernel is a finite tensor form: its interpolant is
-sum_ab s_ab phi_a(x) phi_b(xi) over the hat functions phi_a of the sample
-midpoints, so project_kernel reads its quadrature through that factor and
-holds no table of kernel values.  The Gaussian is projected by a parity
-fold: its rule is symmetric about ell/2, k(ell - x, ell - xi) = k(x, xi),
-and psi_m(ell - x) = (-1)^(m+1) psi_m(x), so the quadrature sums need k
-only on the left half of the nodes, odd and even modes decouple, and every
-entry with m + n odd is exactly 0.0.  The half table is evaluated in
-blocks of 256 columns, so no nodes^2 table is held either.
+project_kernel has two routes.  Zero, separable and grid kernels have a
+closed form: a grid kernel's interpolant is sum_ab s_ab phi_a(x) phi_b(xi)
+over the hat functions phi_a of the sample midpoints, piecewise linear in
+each variable, so the exact sine integrals of the hats and their exact Gram
+matrix give its projection and norm with no quadrature and no kernel
+values.  The Gaussian is projected by a parity fold: its rule is symmetric
+about ell/2, k(ell - x, ell - xi) = k(x, xi), and psi_m(ell - x) =
+(-1)^(m+1) psi_m(x), so the quadrature sums need k only on the left half of
+the nodes, odd and even modes decouple, and every entry with m + n odd is
+exactly 0.0.  The half table is evaluated in blocks of 256 columns, so no
+nodes^2 table is held either.
 
 Symmetry k(x, xi) = k(xi, x) is structural for the first three.  A grid
 kernel's symmetry_defect() is max |s - s^T| over its sample table, the exact
@@ -56,17 +58,12 @@ class KernelSpec:
     then costs O(n), and no intermediate is larger than the output.
 
     project_kernel takes the Galerkin matrix on n modes and ||k|| from
-    closed_form(n), or, where that is None, from tensor quadrature on the axis
-    nodes x and weights of axis_rule(basis).  There, a kernel with a finite
-    tensor form in hat functions returns it from axis_factor(x) as (Phi, S):
-    Phi of shape (x.size, r), each row nonzero in two adjacent columns at
-    most, and S of shape (r, r), with k(x_i, x_j) = (Phi S Phi^T)_ij; the
-    quadrature then never calls evaluate.  Where axis_factor is None, the
-    projection is a parity fold that evaluates k only against the left half
-    of the nodes, and it holds for a kernel and rule with two properties:
-    k(ell - x, ell - xi) = k(x, xi), and axis_rule(basis) symmetric about
-    ell/2 (an even number of nodes, node i at ell minus node nodes - 1 - i
-    and with its weight).
+    closed_form(n), or, where that is None, from the parity fold of a tensor
+    quadrature on the axis nodes and weights of axis_rule(basis).  The fold
+    evaluates k only against the left half of the nodes, and it holds for a
+    kernel and rule with two properties: k(ell - x, ell - xi) = k(x, xi), and
+    axis_rule(basis) symmetric about ell/2 (an even number of nodes, node i
+    at ell minus node nodes - 1 - i and with its weight).
     symmetry_defect() and check_basis(basis) default to a structurally
     symmetric kernel that fits every basis.
     """
@@ -75,9 +72,6 @@ class KernelSpec:
         raise NotImplementedError
 
     def closed_form(self, n):
-        return None
-
-    def axis_factor(self, x):
         return None
 
     def axis_rule(self, basis):
@@ -240,26 +234,44 @@ class GridKernel(KernelSpec):
         diag += cross
         return diag
 
-    def axis_factor(self, x):
-        """The interpolant is k(x, xi) = sum_ab s_ab phi_a(x) phi_b(xi), with
-        phi_a the hat function of midpoint a, clamped in the margins: row i
-        of Phi holds 1 - f at cell i and f at i + 1, as evaluate weighs them."""
-        idx, frac = self._locate(x)
-        phi = np.zeros((idx.size, self.n))
-        rows = np.arange(idx.size)
-        phi[rows, idx] = 1 - frac
-        phi[rows, idx + 1] = frac
-        return phi, self.samples
+    def _hat_integrals(self, n):
+        """P[m - 1, a] = int psi_m phi_a exactly, phi_a the hat of midpoint a,
+        clamped to 1 in the margins as evaluate weighs it.  With k = m pi / ell,
+        u = k h / 2 and c = sqrt(2 / ell) h, an interior hat gives
+        c sin(k m_a) (sin u / u)^2 and the first end hat
+        c ((u - sin u) / 2 + sin^3 u) / u^2; the last is the first reflected by
+        x -> ell - x, (-1)^(m+1) times it bit for bit.  The sines take exact
+        integer multiples of pi / (2 n), k m_a = pi m (2a + 1) / (2 n) and
+        u = pi m / (2 n); below u = 1, u - sin u comes from its series, as the
+        difference would lose about 6 eps / u^2."""
+        g, h = self.n, self.length / self.n
+        m = np.arange(1, n + 1)
+        u = m * (np.pi / (2 * g))
+        sin_u = _sin_half_turns(m, 2 * g)
+        v, series = u * u, 1.0
+        for j in range(8, 0, -1):  # the first term left out is under 1e-19 relative
+            series = 1.0 - v / ((2 * j + 2) * (2 * j + 3)) * series
+        d = np.where(u < 1.0, u * v / 6.0 * series, u - sin_u)
+        c = np.sqrt(2.0 / self.length) * h
+        P = np.empty((n, g))
+        P[:, 0] = c * (d / 2.0 + sin_u ** 3) / v
+        P[:, -1] = np.where(m % 2 == 1, P[:, 0], -P[:, 0])
+        phase = _sin_half_turns(m[:, None] * (2 * np.arange(1, g - 1) + 1), 2 * g)
+        P[:, 1:-1] = c * phase * ((sin_u / u) ** 2)[:, None]
+        return P
 
-    def axis_rule(self, basis):
-        # panels aligned to the interpolation kinks (the sample midpoints),
-        # subdivided so no panel exceeds a half-wavelength of the highest mode
-        ell = basis.domain.length
-        max_width = ell / basis.n_modes
-        kinks = np.concatenate(([0.0], self.midpoints, [ell]))
-        edges = [np.linspace(a, b, max(1, int(np.ceil((b - a) / max_width))) + 1)[:-1]
-                 for a, b in zip(kinks[:-1], kinks[1:])]
-        return gauss_rule(np.append(np.concatenate(edges), ell), QUADRATURE_ORDER)
+    def _hat_gram(self):
+        """H[a, b] = int phi_a phi_b: 2h/3 on the diagonal, 5h/6 at the two
+        clamped ends (a half hat and a flat half cell), h/6 beside it."""
+        diag = np.diag(np.r_[5.0, np.full(self.n - 2, 4.0), 5.0])
+        off = np.eye(self.n, k=1)
+        return (diag + off + off.T) * (self.length / self.n / 6.0)
+
+    def closed_form(self, n):
+        # K = P S P^T and ||k||^2 = tr(S^T H S H) = sum (S H) o (H S), exactly
+        P, H, S = self._hat_integrals(n), self._hat_gram(), self.samples
+        sq = float(np.sum((S @ H) * (H @ S)))
+        return P @ S @ P.T, float(np.sqrt(max(sq, 0.0)))
 
     def symmetry_defect(self):
         """Sup of |k(x, xi) - k(xi, x)|, which is max |s - s^T| over the sample
@@ -392,6 +404,13 @@ def _split(a):
     return hi, a - hi
 
 
+def _sin_half_turns(r, q):
+    # sin(pi r / q), integers r and even q > 0, r first reduced exactly to |r| <= q / 2
+    r = np.remainder(r + q, 2 * q) - q
+    r = np.where(r > q // 2, q - r, np.where(r < -(q // 2), -q - r, r))
+    return np.sin(np.pi * r / q)
+
+
 def _weighted_modes(n, x, w, ell):
     # psi_w[m - 1, i] = sqrt(2 / ell) sin(pi r) w_i with r = m x_i / ell
     # reduced mod 2 to [-1, 1], within a few eps.  x / ell is carried as
@@ -424,100 +443,79 @@ def _weighted_modes(n, x, w, ell):
     return psi_w
 
 
-def _band_gram(phi, w):
-    # H = Phi^T diag(w) Phi for hat functions, whose rows of Phi have their
-    # nonzeros in two adjacent columns: H is tridiagonal, and each diagonal is
-    # a sum of positive terms taken pairwise along the nodes.  That keeps
-    # ||k||^2 within 2 eps of its exact quadrature sum; one gemm, which adds
-    # each entry's terms in sequence, was 20 eps off on a 2 x 2 table at N = 128
-    phi_t = np.ascontiguousarray(phi.T)
-    phi_tw = phi_t * w
-    diag = np.sum(phi_tw * phi_t, axis=1)
-    off = np.sum(phi_tw[:-1] * phi_t[1:], axis=1)
-    return np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
-
-
 def _column_blocks(m):
     # slices of _COLUMN_BLOCK columns; the last holds what is left
     return [slice(a, min(a + _COLUMN_BLOCK, m)) for a in range(0, m, _COLUMN_BLOCK)]
 
 
+def _parity_fold(spec, basis):
+    # the quadrature sums of project_kernel folded about ell/2; returns (K, ||k||)
+    n, ell = basis.n_modes, basis.domain.length
+    x, w = spec.axis_rule(basis)
+    h = x.size // 2
+    x_l, w_l, x_r = x[:h], w[:h], x[:h - 1:-1]  # x_r = ell - x_l
+    psi_w = _weighted_modes(n, x_l, w_l, ell)
+    psi_o, psi_e = psi_w[0::2], psi_w[1::2]  # m = 1, 3, ... and m = 2, 4, ...
+    Y_o, Y_e = np.empty((psi_o.shape[0], h)), np.empty((psi_e.shape[0], h))
+    t = np.empty(h)
+    for J in _column_blocks(h):
+        T = spec.evaluate(x_l[:, None], x_l[None, J], ell)
+        R = spec.evaluate(x_l[:, None], x_r[None, J], ell)
+        buf = np.add(T, R)
+        np.matmul(psi_o, buf, out=Y_o[:, J])
+        np.subtract(T, R, out=buf)
+        np.matmul(psi_e, buf, out=Y_e[:, J])
+        np.square(T, out=T)
+        np.square(R, out=R)
+        T += R
+        np.matmul(w_l, T, out=t[J])
+        del T, R, buf  # freed before the next block is evaluated
+    K = np.zeros((n, n))
+    K[0::2, 0::2] = Y_o @ psi_o.T
+    K[1::2, 1::2] = Y_e @ psi_e.T
+    K *= 2.0
+    sq = 2.0 * float(t @ w_l)
+    return K, float(np.sqrt(max(sq, 0.0)))
+
+
 def project_kernel(spec, basis):
     """Project a kernel onto the sine basis, returning its KernelMatrix.
 
-    Zero and separable kernels use their closed forms; Gaussian and grid
-    kernels use tensor Gauss-Legendre quadrature on the nodes x and weights w
-    of axis_rule(basis), with panels resolving both the kernel scale and the
-    highest-mode oscillation.  With psi_w the weighted modes, a kernel whose
-    axis_factor(x) is (Phi, S), so that k(x_i, x_j) = (Phi S Phi^T)_ij with
-    Phi's rows nonzero in two adjacent columns (hat functions), gives the
-    same quadrature sums regrouped and with no nodes^2 array:
-    K = B S B^T with B = psi_w Phi, and ||k||^2 = sum (S H) o (H S) with
-    H = Phi^T diag(w) Phi.
+    There are two routes.  Zero, separable and grid kernels return the
+    Galerkin matrix and ||k|| from closed_form(n); for a grid kernel,
+    K = P S P^T and ||k||^2 = tr(S^T H S H) exactly, with P[m - 1, a] =
+    int psi_m phi_a over the hat functions phi_a of its sample midpoints and
+    H their tridiagonal Gram matrix: no quadrature rule, no kernel values.
 
-    Any other kernel is parity-folded.  That needs a rule symmetric about
-    ell/2 and k(ell - x, ell - xi) = k(x, xi); with psi_m(ell - x) =
-    (-1)^(m+1) psi_m(x), the quadrature sums over all nodes become sums over
-    the left half x_L, w_L.  With T = k(x_L, x_L), R = k(x_L, ell - x_L)
-    (symmetric, by both properties of k) and psi_o, psi_e the weighted modes
-    on x_L with odd and even m:
+    Any other kernel (the Gaussian) is parity-folded: tensor Gauss-Legendre
+    quadrature on the nodes of axis_rule(basis), whose panels resolve both
+    the kernel scale and the highest-mode oscillation.  That needs a rule
+    symmetric about ell/2 and k(ell - x, ell - xi) = k(x, xi); with
+    psi_m(ell - x) = (-1)^(m+1) psi_m(x), the sums over all nodes become
+    sums over the left half x_L, w_L.  With T = k(x_L, x_L), R = k(x_L,
+    ell - x_L) and psi_o, psi_e the weighted modes on x_L with odd and even m:
     K[odd, odd] = 2 psi_o (T + R) psi_o^T, K[even, even] =
     2 psi_e (T - R) psi_e^T, K[m, n] = 0.0 exactly for m + n odd, and
-    ||k||^2 = 2 w_L (T o T + R o R) w_L.  T and R are evaluated one block J
-    of _COLUMN_BLOCK = 256 columns at a time, with one buffer for T + R and
-    then T - R, and freed before the next block: Y_o[:, J] =
-    psi_o (T + R)[:, J], Y_e[:, J] = psi_e (T - R)[:, J] and, with T and R
-    squared in place, t[J] = w_L (T^2 + R^2)[:, J]; then the blocks of K are
-    2 Y_o psi_o^T and 2 Y_e psi_e^T, and ||k||^2 = 2 t w_L.  That is a
-    quarter of the whole table's product flops and half its kernel values.
-    The result is symmetrized by averaging with its transpose (exact for
-    symmetric input).
+    ||k||^2 = 2 w_L (T o T + R o R) w_L, a quarter of the whole table's
+    product flops and half its kernel values.  T and R are evaluated
+    _COLUMN_BLOCK = 256 columns at a time, each block's products with psi_o,
+    psi_e and w_L formed before the next block is evaluated.
+
+    Both routes share one exit: a non-finite ||k|| is refused, quietly, then
+    spec.check_basis(basis) runs, then a non-finite K is refused, and K is
+    averaged with its transpose (exact for symmetric input).
     """
     n = basis.n_modes
-    exact = spec.closed_form(n)
-    if exact is not None:
-        K, hs = exact
-        return KernelMatrix(n_modes=n, matrix=(K + K.T) / 2, hs_of_k=hs)
-    ell = basis.domain.length
-    x, w = spec.axis_rule(basis)
-    factor = spec.axis_factor(x)
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite values are refused below
-        if factor is None:
-            h = x.size // 2
-            x_l, w_l, x_r = x[:h], w[:h], x[:h - 1:-1]  # x_r = ell - x_l
-            psi_w = _weighted_modes(n, x_l, w_l, ell)
-            psi_o, psi_e = psi_w[0::2], psi_w[1::2]  # m = 1, 3, ... and m = 2, 4, ...
-            Y_o, Y_e = np.empty((psi_o.shape[0], h)), np.empty((psi_e.shape[0], h))
-            t = np.empty(h)
-            for J in _column_blocks(h):
-                T = spec.evaluate(x_l[:, None], x_l[None, J], ell)
-                R = spec.evaluate(x_l[:, None], x_r[None, J], ell)
-                buf = np.add(T, R)
-                np.matmul(psi_o, buf, out=Y_o[:, J])
-                np.subtract(T, R, out=buf)
-                np.matmul(psi_e, buf, out=Y_e[:, J])
-                np.square(T, out=T)
-                np.square(R, out=R)
-                T += R
-                np.matmul(w_l, T, out=t[J])
-                del T, R, buf  # freed before the next block is evaluated
-            K = np.zeros((n, n))
-            K[0::2, 0::2] = Y_o @ psi_o.T
-            K[1::2, 1::2] = Y_e @ psi_e.T
-            K *= 2.0
-            sq = 2.0 * float(t @ w_l)
-        else:
-            phi, S = factor
-            H = _band_gram(phi, w)
-            sq = float(np.sum((S @ H) * (H @ S)))
-            B = _weighted_modes(n, x, w, ell) @ phi
-            K = B @ S @ B.T
-    if not np.isfinite(sq):
-        raise NumericError("project_kernel: quadrature produced a non-finite value")
+        exact = spec.closed_form(n)
+        K, hs = exact if exact is not None else _parity_fold(spec, basis)
+        if not np.isfinite(hs):
+            route = "quadrature" if exact is None else "the closed form"
+            raise NumericError(f"project_kernel: {route} produced a non-finite value")
     spec.check_basis(basis)
     if not np.all(np.isfinite(K)):
         bad = np.argwhere(~np.isfinite(K))[0]
         raise NumericError(
             f"project_kernel: non-finite entry at ({bad[0]}, {bad[1]})"
         )
-    return KernelMatrix(n_modes=n, matrix=(K + K.T) / 2, hs_of_k=float(np.sqrt(max(sq, 0.0))))
+    return KernelMatrix(n_modes=n, matrix=(K + K.T) / 2, hs_of_k=hs)

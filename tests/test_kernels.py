@@ -1,8 +1,11 @@
+import functools
 import os
 import tempfile
 import tracemalloc
 import warnings
+from fractions import Fraction
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,7 +15,6 @@ from nullheat import (ArgumentError, Domain, GaussianKernel, GridKernel,
                       ZeroKernel, build_basis,
                       project_kernel, read_grid_kernel, write_grid_kernel)
 from nullheat import kernels, oracles
-from nullheat.basis import gauss_rule
 from nullheat.bundled import bundled_kernels, grid_demo_kernel
 
 
@@ -241,18 +243,31 @@ class TestProjectKernel:
         assert str(err.value) == ("project_kernel: grid kernel declares length 2.0 "
                                   "but the basis domain has length 1.0")
 
-    def test_grid_axis_rule_splits_panels_at_midpoints(self, basis):
-        # one composite rule per segment between the interpolation kinks, each
-        # with panels no wider than the highest mode's half-wavelength
-        k = grid_demo_kernel()
-        kinks = np.concatenate(([0.0], k.midpoints, [1.0]))
-        parts = []
-        for a, b in zip(kinks[:-1], kinks[1:]):
-            panels = max(1, int(np.ceil((b - a) / (1.0 / 16))))
-            parts.append(gauss_rule(np.linspace(a, b, panels + 1), 8))
-        x, w = k.axis_rule(basis)
-        assert x.tobytes() == np.concatenate([p[0] for p in parts]).tobytes()
-        assert w.tobytes() == np.concatenate([p[1] for p in parts]).tobytes()
+    def test_grid_refusals_fire_on_the_closed_form_route(self, tmp_path, basis,
+                                                         monkeypatch):
+        # both grids have a closed form, computed from their own length; the
+        # basis check that follows it still refuses them
+        calls = []
+        closed_form = GridKernel.closed_form
+
+        def counted(self, n):
+            calls.append(n)
+            return closed_form(self, n)
+
+        monkeypatch.setattr(GridKernel, "closed_form", counted)
+        anti = write_grid_kernel(tmp_path / "anti.txt", lambda x, xi: x - xi, n=16, length=1.0)
+        long = write_grid_kernel(tmp_path / "long.txt", lambda x, xi: x + xi, n=8, length=2.0)
+        for kernel, match in ((anti, "symmetry check"), (long, "declares length 2.0")):
+            with pytest.raises(ArgumentError, match=match):
+                project_kernel(kernel, basis)
+        assert calls == [16, 16]
+
+    def test_separable_overflow_refused_quietly(self, basis):
+        # ||k||^2 overflows in the closed form: refused, with no warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericError, match="closed form produced a non-finite value"):
+                project_kernel(SeparableKernel([1e200], [1e200]), basis)
 
     def test_evaluate_only_subclass_refused(self, basis):
         class Bare(KernelSpec):
@@ -265,14 +280,13 @@ class TestProjectKernel:
 
 
 class TestOneKernelEvaluation:
-    @pytest.mark.parametrize("kernel, share", [(GaussianKernel(5.0, 0.2), 0.5),
-                                               (grid_demo_kernel(), 0.0)],
+    @pytest.mark.parametrize("kernel", [GaussianKernel(5.0, 0.2), grid_demo_kernel()],
                              ids=["gaussian", "grid"])
-    def test_quadrature_grid_evaluated_once(self, basis, kernel, share, monkeypatch):
+    def test_quadrature_grid_evaluated_once(self, basis, kernel, monkeypatch):
         # the Gaussian's parity fold evaluates k against the left half of the
         # nodes only, nodes^2 / 2 values in all; the grid kernel is projected
-        # through its hat-function factor and its symmetry check reads the
-        # sample table, so it never evaluates
+        # in closed form and its symmetry check reads the sample table, so it
+        # never evaluates
         sizes = []
         evaluate = type(kernel).evaluate
 
@@ -283,8 +297,10 @@ class TestOneKernelEvaluation:
 
         monkeypatch.setattr(type(kernel), "evaluate", counted)
         project_kernel(kernel, basis)
-        nodes = kernel.axis_rule(basis)[0].size
-        assert sum(sizes) == share * nodes ** 2
+        if kernel.closed_form(basis.n_modes) is None:
+            assert sum(sizes) == kernel.axis_rule(basis)[0].size ** 2 // 2
+        else:
+            assert sizes == []
 
     def test_holds_one_quadrature_table(self, domain):
         # N = 256: 2048 axis nodes, where a whole table would take 33.5 MB.
@@ -510,8 +526,8 @@ class TestParityFold:
     def test_table_route_kernels_are_reflection_invariant(self, rng):
         # the fold needs k(ell - x, ell - xi) = k(x, xi).  Every kernel class
         # of the module is listed here, so a new one must be placed; each
-        # that takes the table route (no closed form, no hat-function factor)
-        # is checked on random points, to rounding of the reflected arguments
+        # that takes the table route (no closed form) is checked on random
+        # points, to rounding of the reflected arguments
         samples = {ZeroKernel: ZeroKernel(),
                    SeparableKernel: SeparableKernel(np.array([1.0, -0.5]), np.array([0.3])),
                    GaussianKernel: GaussianKernel(5.0, 0.2),
@@ -521,11 +537,7 @@ class TestParityFold:
         assert classes == set(samples)
         table_route = []
         for cls, kernel in samples.items():
-            basis = build_basis(Domain(1.0, 0.3, 0.8), 8)
             if kernel.closed_form(8) is not None:
-                continue
-            x = kernel.axis_rule(basis)[0]
-            if kernel.axis_factor(x) is not None:
                 continue
             table_route.append(cls)
             for ell in (1.0, 2.5):
@@ -561,52 +573,120 @@ def _grid_cases():
             yield f"random-{n_grid}-{length}", GridKernel(n_grid, length, a + a.T)
 
 
-class TestGridFactor:
-    """The grid kernel's projection through its hat-function factor is the
-    quadrature table sum regrouped: K = B S B^T and ||k||^2 = sum (S H) o (H S)."""
+@functools.lru_cache(maxsize=None)
+def _grid_reference(n_grid, length, samples, n=256):
+    """The grid projection in 40 digits, from first principles: the hat
+    integrals P[m - 1, a] summed piece by piece between the kinks 0, m_0, ...,
+    m_{n-1}, ell from the antiderivatives of sin(kx) and x sin(kx), and the
+    hat Gram H in exact rationals by Simpson's rule on each piece.  Returns
+    P as mp rows, P = P_hi + P_lo in two float arrays, H in units of h (a
+    dict of its nonzero entries), and ||k|| = sqrt(tr(S^T H S H)) as hi + lo."""
+    s = np.frombuffer(samples).reshape(n_grid, n_grid)
+    with mp.workdps(40):
+        ell = mp.mpf(length)
+        h = ell / n_grid
+        x = [mp.mpf(0)] + [(j + mp.mpf(1) / 2) * h for j in range(n_grid)] + [ell]
+        P = []
+        for m in range(1, n + 1):
+            k = m * mp.pi / ell
+            cs = [mp.cos_sin(k * xj) for xj in x]
+            F0 = [-c / k for c, _ in cs]
+            F1 = [sn / k ** 2 - xj * c / k for xj, (c, sn) in zip(x, cs)]
 
-    @pytest.mark.parametrize("n", [1, 4, 16, 128])
-    def test_within_rounding_of_a_long_double_table_sum(self, n):
-        # reference: the interpolant tabulated on the axis nodes by its four
-        # corners and summed against the modes of _modes_ld, all in long
-        # double.  The matrix
-        # keeps a dense product's entrywise bound 4 eps (|B| |S| |B|^T) with
-        # |B| = |psi_w| Phi, and the norm 4 eps relative.  At n = 128 the
-        # long-double product takes about 1 s per kernel on all rows, so nine
-        # rows are checked, the first and the last among them
+            def piece(i, alpha, beta):  # int of sin(kx) (alpha + beta x) on [x_i, x_i+1]
+                return alpha * (F0[i + 1] - F0[i]) + beta * (F1[i + 1] - F1[i])
+
+            P.append([mp.sqrt(2 / ell) * (
+                (piece(0, 1, 0) if a == 0 else piece(a, -x[a] / h, 1 / h))
+                + (piece(n_grid, 1, 0) if a == n_grid - 1 else piece(a + 1, x[a + 2] / h, -1 / h)))
+                for a in range(n_grid)])
+
+        t = [Fraction(0)] + [Fraction(2 * j + 1, 2) for j in range(n_grid)] + [Fraction(n_grid)]
+
+        def phi(a, z):  # the hats in units of h, clamped to 1 in the margins
+            if (a == 0 and z <= t[1]) or (a == n_grid - 1 and z >= t[n_grid]):
+                return Fraction(1)
+            return max(Fraction(0), 1 - abs(z - t[a + 1]))
+
+        H = {}
+        for lo, hi in zip(t[:-1], t[1:]):
+            pts = (lo, (lo + hi) / 2, hi)
+            live = [a for a in range(n_grid) if any(phi(a, z) for z in pts)]
+            for a in live:
+                for b in live:
+                    H[a, b] = H.get((a, b), 0) + (hi - lo) / 6 * (
+                        phi(a, lo) * phi(b, lo) + 4 * phi(a, pts[1]) * phi(b, pts[1])
+                        + phi(a, hi) * phi(b, hi))
+        Hm = {ab: h * v.numerator / v.denominator for ab, v in H.items()}
+        HS = {(a, j): mp.fsum(Hm[a, b] * s[b, j] for b in range(n_grid) if (a, b) in Hm)
+              for a in range(n_grid) for j in range(n_grid)}
+        hs = mp.sqrt(mp.fsum(s[i, j] * HS[i, b] * Hm[b, j]
+                             for i in range(n_grid) for j in range(n_grid)
+                             for b in range(n_grid) if (b, j) in Hm))
+        P_hi = np.array([[float(v) for v in row] for row in P])
+        P_lo = np.array([[float(v - float(v)) for v in row] for row in P])
+        return P, P_hi, P_lo, H, (float(hs), float(hs - float(hs)))
+
+
+def _reference_of(kernel):
+    return _grid_reference(kernel.n, kernel.length, kernel.samples.tobytes())
+
+
+class TestGridClosedForm:
+    """The grid kernel's interpolant integrated exactly: K = P S P^T with
+    P[m - 1, a] = int psi_m phi_a over the hat functions phi_a, and
+    ||k||^2 = tr(S^T H S H) with H the Gram matrix of the hats."""
+
+    @pytest.mark.parametrize("n", [1, 4, 16, 128, 256])
+    def test_within_rounding_of_an_mp_reference(self, n):
+        # P within 4 eps of its row's largest value (measured at most 2.5,
+        # both end hats included), K within 8 eps (|P| |S| |P|^T) entrywise
+        # (measured at most 3.9) and ||k|| within 2 eps relative (measured at
+        # most 1.0).  Above N = 16 nine rows of K are checked against the mp
+        # products, the first and the last among them
         eps = np.finfo(float).eps
-        ld = np.longdouble
         rows = np.arange(n) if n <= 16 else np.linspace(0, n - 1, 9).astype(int)
         for name, kernel in _grid_cases():
+            P_mp, P_hi, P_lo, _, (hs_hi, hs_lo) = _reference_of(kernel)
+            P = kernel._hat_integrals(n)
+            err = np.abs((P - P_hi[:n]) - P_lo[:n])
+            assert np.all(err <= 4 * eps * np.max(np.abs(P_hi[:n]), axis=1, keepdims=True)), name
+
             ell = kernel.length
-            basis = build_basis(Domain(ell, 0.3 * ell, 0.8 * ell), n)
-            x, w = kernel.axis_rule(basis)
-            mids = kernel.midpoints
-            assert x[0] < mids[0] and x[-1] > mids[-1], name  # both margins
-            km = project_kernel(kernel, basis)
+            km = project_kernel(kernel, build_basis(Domain(ell, 0.3 * ell, 0.8 * ell), n))
             assert np.array_equal(km.matrix, km.matrix.T), name
+            s = kernel.samples
+            with mp.workdps(40):
+                PS = [[mp.fdot(P_mp[r], s[:, j]) for j in range(kernel.n)] for r in rows]
+                err = np.array([[float(km.matrix[r, c] - mp.fdot(ps, P_mp[c]))
+                                   for c in range(n)] for r, ps in zip(rows, PS)])
+            scale = np.abs(P_hi[rows]) @ np.abs(s) @ np.abs(P_hi[:n]).T
+            assert np.all(np.abs(err) <= 8 * eps * scale), name
+            assert abs((km.hs_of_k - hs_hi) - hs_lo) <= 2 * eps * hs_hi, name
 
-            idx, frac = kernel._locate(x)
-            i, j = idx[:, None], idx[None, :]
-            f = frac.astype(ld)
-            fx, fy, gx, gy = f[:, None], f[None, :], 1 - f[:, None], 1 - f[None, :]
-            s = kernel.samples.astype(ld)
-            table = (s[i, j] * (gx * gy) + s[i + 1, j + 1] * (fx * fy)
-                     + s[i + 1, j] * (fx * gy) + s[i, j + 1] * (gx * fy))
-            psi_ld = _modes_ld(n, x, w, ell)
-            psi_w = psi_ld.astype(float)
-            exact = psi_ld[rows] @ table @ psi_ld.T
-            hs = np.sqrt(w.astype(ld) @ (table * table) @ w.astype(ld))
+    def test_hat_gram_is_the_exact_gram_of_the_hats(self):
+        # 2h/3, 5h/6 and h/6 rounded: within 2 eps of the exact Gram entry,
+        # and exactly 0.0 where two hats do not overlap
+        eps = np.finfo(float).eps
+        for name, kernel in _grid_cases():
+            H_exact = _reference_of(kernel)[3]
+            ref = np.zeros((kernel.n, kernel.n))
+            for (a, b), v in H_exact.items():
+                ref[a, b] = float(v * Fraction(kernel.length) / kernel.n)
+            H = kernel._hat_gram()
+            assert np.all(np.abs(H - ref) <= 2 * eps * np.abs(ref)), name
+            assert np.count_nonzero(ref) == 3 * kernel.n - 2, name
 
-            phi_abs = np.zeros((x.size, kernel.n))
-            phi_abs[np.arange(x.size), idx] = 1 - frac
-            phi_abs[np.arange(x.size), idx + 1] = frac
-            b_abs = np.abs(psi_w) @ phi_abs
-            scale = b_abs[rows] @ np.abs(kernel.samples) @ b_abs.T
-            assert np.all(np.abs(km.matrix[rows] - exact) <= 4 * eps * scale), name
-            assert abs(km.hs_of_k - hs) <= 4 * eps * hs, name
+    @pytest.mark.parametrize("length", [1.0, 2.5, 0.7])
+    def test_last_end_hat_is_the_first_reflected_bitwise(self, length):
+        # x -> ell - x maps the first end hat onto the last, and
+        # psi_m(ell - x) = (-1)^(m+1) psi_m(x)
+        m = np.arange(1, 257)
+        for n_grid in (2, 3, 9, 64):
+            P = GridKernel(n_grid, length, np.zeros((n_grid, n_grid)))._hat_integrals(256)
+            assert P[:, -1].tobytes() == np.where(m % 2 == 1, P[:, 0], -P[:, 0]).tobytes()
 
-    def test_non_finite_quadrature_refused_first_and_quietly(self, basis):
+    def test_non_finite_norm_refused_first_and_quietly(self, basis):
         # ||k||^2 of 1e200 samples overflows while K stays finite: refused
         # before the basis check, with no floating-point warning
         class Huge(GridKernel):
@@ -616,23 +696,22 @@ class TestGridFactor:
         kernel = Huge(4, 1.0, np.full((4, 4), 1e200))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(NumericError, match="quadrature produced a non-finite value"):
+            with pytest.raises(NumericError, match="closed form produced a non-finite value"):
                 project_kernel(kernel, basis)
 
     def test_holds_no_quadrature_table(self, domain):
-        # N = 256: 2048 axis nodes, where a table would take 33.5 MB; the
-        # weighted modes, an eighth of it, are the largest array held
-        basis = build_basis(domain, 256)
-        kernel = grid_demo_kernel()
-        nodes = kernel.axis_rule(basis)[0].size
-        assert nodes == 2048
+        # N = 256: a quadrature table on 2048 axis nodes would take 33.5 MB.
+        # The closed form holds P (N x 64), its product with S and N x N
+        # matrices: K and the symmetrized result (measured 2.1 N^2 doubles)
+        n = 256
+        basis = build_basis(domain, n)
         tracemalloc.start()
         try:
-            project_kernel(kernel, basis)
+            project_kernel(grid_demo_kernel(), basis)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 0.25 * nodes ** 2 * 8
+        assert peak <= 4 * n ** 2 * 8
 
 
 class TestOpenAxes:
@@ -640,7 +719,7 @@ class TestOpenAxes:
 
     n = 1024
 
-    def test_separable_is_the_outer_combination_of_axis_factors(self):
+    def test_separable_is_the_outer_combination_of_its_factors(self):
         k = SeparableKernel(np.array([1.0, 0.0, -0.5]), np.array([0.25, 1.5]))
         x = np.linspace(0.0, 1.0, self.n)
         xi = (np.arange(self.n) + 0.5) / self.n
