@@ -16,17 +16,16 @@ A kernel enters the dynamics through the integral operator
                          bilinearly interpolated and extended by nearest value
                          in the half-cell margins.
 
-project_kernel has two routes.  Zero, separable and grid kernels have a
-closed form: a grid kernel's interpolant is sum_ab s_ab phi_a(x) phi_b(xi)
-over the hat functions phi_a of the sample midpoints, piecewise linear in
-each variable, so the exact sine integrals of the hats and their exact Gram
-matrix give its projection and norm with no quadrature and no kernel
-values.  The Gaussian is projected by a parity fold: its rule is symmetric
-about ell/2, k(ell - x, ell - xi) = k(x, xi), and psi_m(ell - x) =
-(-1)^(m+1) psi_m(x), so the quadrature sums need k only on the left half of
-the nodes, odd and even modes decouple, and every entry with m + n odd is
-exactly 0.0.  The half table is evaluated in blocks of 256 columns, so no
-nodes^2 table is held either.
+project_kernel has one route: every kernel has a closed form, and no
+kernel is evaluated.  A grid kernel's interpolant is sum_ab s_ab phi_a(x)
+phi_b(xi) over the hat functions phi_a of the sample midpoints, piecewise
+linear in each variable, so the exact sine integrals of the hats and their
+exact Gram matrix give its projection and norm.  The Gaussian k = c g(x - xi)
+integrated along the diagonals s = x - xi leaves the 1-D sine transforms of
+g, S_m and C_m, from which each entry is one difference quotient; psi_m(ell -
+x) = (-1)^(m+1) psi_m(x) and the evenness of g make every entry with m + n
+odd vanish, and the formula gives those entries as exact zeros.  Its norm is
+erf and expm1 of ell / width.
 
 Symmetry k(x, xi) = k(xi, x) is structural for the first three.  A grid
 kernel's symmetry_defect() is max |s - s^T| over its sample table, the exact
@@ -44,37 +43,27 @@ from .errors import ArgumentError, KernelFormatError, NumericError
 
 DEFAULT_SYMMETRY_TOL = 1e-10
 
-_COLUMN_BLOCK = 256  # half-table columns per kernel evaluation in project_kernel
-_MODE_BLOCK = 64  # rows of the weighted modes formed at a time
-_SPLITTER = 134217729.0  # 2^27 + 1
+_PI_ROOT_2PI_HALF = 3.9374024864306048  # pi sqrt(2 pi) / 2, correctly rounded
 
 
 class KernelSpec:
-    """Base class of the kernels; each variant supplies its own projection rules.
+    """Base class of the kernels; each variant supplies its own closed form.
 
     evaluate(x, xi, length) returns k on np.broadcast_shapes(x.shape, xi.shape).
     Inputs are taken as given, never broadcast against each other first, so a
     tensor grid passes its open axes x[:, None], xi[None, :]: per-axis work
     then costs O(n), and no intermediate is larger than the output.
 
-    project_kernel takes the Galerkin matrix on n modes and ||k|| from
-    closed_form(n), or, where that is None, from the parity fold of a tensor
-    quadrature on the axis nodes and weights of axis_rule(basis).  The fold
-    evaluates k only against the left half of the nodes, and it holds for a
-    kernel and rule with two properties: k(ell - x, ell - xi) = k(x, xi), and
-    axis_rule(basis) symmetric about ell/2 (an even number of nodes, node i
-    at ell minus node nodes - 1 - i and with its weight).
-    symmetry_defect() and check_basis(basis) default to a structurally
-    symmetric kernel that fits every basis.
+    project_kernel takes the Galerkin matrix on basis.n_modes modes and ||k||
+    from closed_form(basis), which every kernel class supplies; here it
+    refuses the kernel.  symmetry_defect() and check_basis(basis) default to
+    a structurally symmetric kernel that fits every basis.
     """
 
     def evaluate(self, x, xi, length):
         raise NotImplementedError
 
-    def closed_form(self, n):
-        return None
-
-    def axis_rule(self, basis):
+    def closed_form(self, basis):
         raise ArgumentError(f"project_kernel: unsupported kernel {type(self).__name__}")
 
     def symmetry_defect(self):
@@ -89,8 +78,8 @@ class ZeroKernel(KernelSpec):
     def evaluate(self, x, xi, length):
         return np.zeros(np.broadcast_shapes(np.shape(x), np.shape(xi)))
 
-    def closed_form(self, n):
-        return np.zeros((n, n)), 0.0
+    def closed_form(self, basis):
+        return np.zeros((basis.n_modes, basis.n_modes)), 0.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -131,13 +120,17 @@ class SeparableKernel(KernelSpec):
         out *= 0.5
         return out
 
-    def closed_form(self, n):
+    def closed_form(self, basis):
         # K = (g h^T + h g^T) / 2 on the first n coefficients; the norm takes
-        # all of them, ||k||^2 = (||g||^2 ||h||^2 + <g, h>^2) / 2
-        g, h = self.g_coeffs, self.h_coeffs
+        # all of them, ||k||^2 = (||g||^2 ||h||^2 + <g, h>^2) / 2, formed on g
+        # and h scaled by powers of two to largest entries in [1/2, 1): no
+        # product overflows, and unscaling the root changes no bit
+        n, g, h = basis.n_modes, self.g_coeffs, self.h_coeffs
+        e_g, e_h = (int(np.frexp(np.max(np.abs(v)))[1]) for v in (g, h))
+        g_s, h_s = np.ldexp(g, -e_g), np.ldexp(h, -e_h)
         m = min(g.size, h.size)
-        gh = float(g[:m] @ h[:m])
-        hs = float(np.sqrt((g @ g) * (h @ h) / 2.0 + gh * gh / 2.0))
+        gh = float(g_s[:m] @ h_s[:m])
+        hs = float(np.ldexp(np.sqrt((g_s @ g_s) * (h_s @ h_s) / 2.0 + gh * gh / 2.0), e_g + e_h))
         g_n, h_n = np.zeros(n), np.zeros(n)
         g_n[: min(n, g.size)] = g[:n]
         h_n[: min(n, h.size)] = h[:n]
@@ -165,17 +158,59 @@ class GaussianKernel(KernelSpec):
         out *= self.amplitude / (self.width * np.sqrt(2.0 * np.pi))
         return out if out.ndim else out[()]
 
-    def axis_rule(self, basis):
-        # uniform panels, made symmetric about ell/2: the right half is
-        # ell - x_L rounded and the left half ell minus that, an exact
-        # difference, so nodes i and nodes - 1 - i sum to ell exactly and
-        # share one weight
-        ell = basis.domain.length
-        panels = max(1, int(np.ceil(ell / min(self.width / 2.0, ell / basis.n_modes))))
-        x, w = gauss_rule(np.linspace(0.0, ell, panels + 1), QUADRATURE_ORDER)
-        h = x.size // 2
-        right = ell - x[h - 1::-1]
-        return np.concatenate((ell - right[::-1], right)), np.concatenate((w[:h], w[h - 1::-1]))
+    def _transforms(self, ell, n):
+        """S[m - 1] = int_0^ell g(s) sin(a_m s) ds and C[m - 1] =
+        int_0^ell (ell - s) g(s) cos(a_m s) ds for m = 1..n, with a_m =
+        m pi / ell and g(s) = exp(-s^2 / (2 width^2)), by P = ceil(ell /
+        min(width / 2, ell / n)) uniform panels of QUADRATURE_ORDER Gauss
+        points.  Node s = c_p + d_j sits at its panel's centre plus one of the
+        shared offsets, so sin(a_m s) = sin(a_m c_p) cos(a_m d_j) +
+        cos(a_m c_p) sin(a_m d_j): a_m c_p = pi m (2p + 1) / (2P) is an exact
+        multiple of a half turn, gathered from one table of sines, and only
+        the small phases a_m d_j, at most pi / 2, are rounded.  O(n P) work
+        and memory, and no n x nodes table."""
+        panels = max(1, int(np.ceil(ell / min(self.width / 2.0, ell / n))))
+        h = ell / (2 * panels)
+        x, wq = gauss_rule(np.array([-1.0, 1.0]), QUADRATURE_ORDER)
+        s = (2 * np.arange(panels) + 1)[:, None] * h + h * x
+        gw = np.exp(-(s * s) / (2.0 * self.width * self.width)) * (h * wq)
+        m = np.arange(1, n + 1)
+        # sin(pi r / (2P)) for r = 0..5P - 1: cos(pi r / (2P)) is entry r + P
+        turns = _sin_half_turns(np.arange(5 * panels), 2 * panels)
+        r = np.multiply.outer(m, 2 * np.arange(panels) + 1) % (4 * panels)
+        sin_c, cos_c = turns[r], turns[r + panels]
+        phase = np.multiply.outer(m, x) * (np.pi / (2 * panels))
+        sin_d, cos_d = np.sin(phase), np.cos(phase)
+        S = np.sum(cos_d * (sin_c @ gw) + sin_d * (cos_c @ gw), axis=1)
+        gw *= ell - s
+        C = np.sum(cos_d * (cos_c @ gw) - sin_d * (sin_c @ gw), axis=1)
+        return S, C
+
+    def closed_form(self, basis):
+        # k = c g(x - xi) integrated along the diagonals s = x - xi:
+        # K[m, n] = (2c / pi) [(S_n - S_m) / (m - n) + (S_m + S_n) / (m + n)]
+        # for m + n even, K[m, m] = (2c / pi) [S_m / m + (pi / ell) C_m], and
+        # 0.0 for m + n odd, never formed; ||k||^2 = 2 c^2 int_0^ell (ell - s)
+        # g(s)^2 ds = 2 c^2 [(ell w sqrt(pi) / 2) erf(ell / w) - (w^2 / 2)
+        # (1 - exp(-ell^2 / w^2))]
+        n, ell, w = basis.n_modes, basis.domain.length, self.width
+        c = self.amplitude / (w * np.sqrt(2.0 * np.pi))
+        u = ell / w
+        sq = 2.0 * (ell * w * math.sqrt(math.pi) / 2.0 * math.erf(u)
+                    - w * w / 2.0 * -math.expm1(-u * u))
+        scale = self.amplitude / (w * _PI_ROOT_2PI_HALF)  # 2c / pi in two roundings
+        S, C = self._transforms(ell, n)
+        K = np.zeros((n, n))
+        for a in (0, 1):  # odd m, then even m
+            m, s = np.arange(a + 1, n + 1, 2), S[a::2]
+            diff = np.subtract.outer(m, m)
+            np.fill_diagonal(diff, 1)
+            Q = np.subtract.outer(s, s)
+            Q /= -diff  # (S_m - S_n) / (n - m)
+            Q += np.add.outer(s, s) / np.add.outer(m, m)
+            np.fill_diagonal(Q, s / m + C[a::2] * (np.pi / ell))
+            K[a::2, a::2] = Q * scale
+        return K, abs(c) * math.sqrt(max(sq, 0.0))
 
 
 @dataclass(frozen=True, eq=False)
@@ -267,9 +302,10 @@ class GridKernel(KernelSpec):
         off = np.eye(self.n, k=1)
         return (diag + off + off.T) * (self.length / self.n / 6.0)
 
-    def closed_form(self, n):
-        # K = P S P^T and ||k||^2 = tr(S^T H S H) = sum (S H) o (H S), exactly
-        P, H, S = self._hat_integrals(n), self._hat_gram(), self.samples
+    def closed_form(self, basis):
+        # K = P S P^T and ||k||^2 = tr(S^T H S H) = sum (S H) o (H S), exactly,
+        # from the grid's own length: check_basis refuses a basis it does not fit
+        P, H, S = self._hat_integrals(basis.n_modes), self._hat_gram(), self.samples
         sq = float(np.sum((S @ H) * (H @ S)))
         return P @ S @ P.T, float(np.sqrt(max(sq, 0.0)))
 
@@ -308,7 +344,10 @@ class KernelMatrix:
 
     @property
     def frobenius(self):
-        return float(np.linalg.norm(self.matrix))
+        # the norm of K scaled by a power of two to entries below 1: no square
+        # overflows while the norm fits, and unscaling changes no bit
+        e = int(np.frexp(np.max(np.abs(self.matrix)))[1])
+        return float(np.ldexp(np.linalg.norm(np.ldexp(self.matrix, -e)), e))
 
     @property
     def spectral_radius(self):
@@ -397,13 +436,6 @@ def write_grid_kernel(path, kernel_fn, n, length, comment=None):
 # ---------------------------------------------------------------------------
 # projection
 
-def _split(a):
-    # a = hi + lo exactly, hi with 26 significant bits (Veltkamp's splitting)
-    c = _SPLITTER * a
-    hi = c - (c - a)
-    return hi, a - hi
-
-
 def _sin_half_turns(r, q):
     # sin(pi r / q), integers r and even q > 0, r first reduced exactly to |r| <= q / 2
     r = np.remainder(r + q, 2 * q) - q
@@ -411,111 +443,37 @@ def _sin_half_turns(r, q):
     return np.sin(np.pi * r / q)
 
 
-def _weighted_modes(n, x, w, ell):
-    # psi_w[m - 1, i] = sqrt(2 / ell) sin(pi r) w_i with r = m x_i / ell
-    # reduced mod 2 to [-1, 1], within a few eps.  x / ell is carried as
-    # t_hi + t_lo, t_hi with 26 significant bits, so m t_hi (m < 2^27) and
-    # its remainder mod 2 are exact; t_lo takes the rest and the division's
-    # error, found with Dekker's exact product t ell = p + e.  The plain
-    # phase m x_i pi / ell is off by about m eps: over 1000 eps of the
-    # row's largest value at m = 512.  Each step runs in place on one block
-    # of rows, so the temporaries are a block, never a second n x nodes array
-    t = x / ell
-    t_hi, t_lo = _split(t)
-    l_hi, l_lo = _split(ell)
-    p = t * ell
-    e = ((t_hi * l_hi - p) + t_hi * l_lo + t_lo * l_hi) + t_lo * l_lo
-    t_lo += ((x - p) - e) / ell  # x - p is exact: p is within an ulp or two of x
-    scale = np.sqrt(2.0 / ell) * w
-    psi_w = np.empty((n, x.size))
-    for a in range(0, n, _MODE_BLOCK):
-        m = np.arange(a + 1.0, min(a + _MODE_BLOCK, n) + 1.0)[:, None]
-        r = psi_w[a:a + _MODE_BLOCK]
-        np.multiply(m, t_hi, out=r)
-        even = np.multiply(r, 0.5)
-        np.rint(even, out=even)
-        even *= 2.0
-        r -= even  # exact: r is within 1 of the even integer
-        r += m * t_lo
-        r *= np.pi
-        np.sin(r, out=r)
-        r *= scale
-    return psi_w
-
-
-def _column_blocks(m):
-    # slices of _COLUMN_BLOCK columns; the last holds what is left
-    return [slice(a, min(a + _COLUMN_BLOCK, m)) for a in range(0, m, _COLUMN_BLOCK)]
-
-
-def _parity_fold(spec, basis):
-    # the quadrature sums of project_kernel folded about ell/2; returns (K, ||k||)
-    n, ell = basis.n_modes, basis.domain.length
-    x, w = spec.axis_rule(basis)
-    h = x.size // 2
-    x_l, w_l, x_r = x[:h], w[:h], x[:h - 1:-1]  # x_r = ell - x_l
-    psi_w = _weighted_modes(n, x_l, w_l, ell)
-    psi_o, psi_e = psi_w[0::2], psi_w[1::2]  # m = 1, 3, ... and m = 2, 4, ...
-    Y_o, Y_e = np.empty((psi_o.shape[0], h)), np.empty((psi_e.shape[0], h))
-    t = np.empty(h)
-    for J in _column_blocks(h):
-        T = spec.evaluate(x_l[:, None], x_l[None, J], ell)
-        R = spec.evaluate(x_l[:, None], x_r[None, J], ell)
-        buf = np.add(T, R)
-        np.matmul(psi_o, buf, out=Y_o[:, J])
-        np.subtract(T, R, out=buf)
-        np.matmul(psi_e, buf, out=Y_e[:, J])
-        np.square(T, out=T)
-        np.square(R, out=R)
-        T += R
-        np.matmul(w_l, T, out=t[J])
-        del T, R, buf  # freed before the next block is evaluated
-    K = np.zeros((n, n))
-    K[0::2, 0::2] = Y_o @ psi_o.T
-    K[1::2, 1::2] = Y_e @ psi_e.T
-    K *= 2.0
-    sq = 2.0 * float(t @ w_l)
-    return K, float(np.sqrt(max(sq, 0.0)))
-
-
 def project_kernel(spec, basis):
     """Project a kernel onto the sine basis, returning its KernelMatrix.
 
-    There are two routes.  Zero, separable and grid kernels return the
-    Galerkin matrix and ||k|| from closed_form(n); for a grid kernel,
-    K = P S P^T and ||k||^2 = tr(S^T H S H) exactly, with P[m - 1, a] =
-    int psi_m phi_a over the hat functions phi_a of its sample midpoints and
-    H their tridiagonal Gram matrix: no quadrature rule, no kernel values.
+    Every kernel is projected in closed form: spec.closed_form(basis) returns
+    the Galerkin matrix and ||k|| with no tensor quadrature rule and no
+    kernel values.  For a grid kernel, K = P S P^T and ||k||^2 =
+    tr(S^T H S H) exactly, with P[m - 1, a] = int psi_m phi_a over the hat
+    functions phi_a of its sample midpoints and H their tridiagonal Gram
+    matrix.  The Gaussian k = c g(x - xi) is integrated along the diagonals
+    s = x - xi, which leaves the 1-D sine transforms S_m and C_m of g (see
+    GaussianKernel._transforms): K[m, n] = (2c / pi) [(S_n - S_m) / (m - n)
+    + (S_m + S_n) / (m + n)] for m + n even, K[m, m] = (2c / pi) [S_m / m +
+    (pi / ell) C_m], K[m, n] = 0.0 exactly for m + n odd, and ||k|| from erf
+    and expm1.  The difference quotient cancels but does not amplify: m - n
+    is even and at least 2, so with dS the transforms' errors the computed
+    q = (S_n - S_m) / (m - n) is within (|dS_m| + |dS_n|) / |m - n| (1 + eps)
+    + eps |q| of the exact quotient, at most half the transforms' errors
+    plus one rounding.
 
-    Any other kernel (the Gaussian) is parity-folded: tensor Gauss-Legendre
-    quadrature on the nodes of axis_rule(basis), whose panels resolve both
-    the kernel scale and the highest-mode oscillation.  That needs a rule
-    symmetric about ell/2 and k(ell - x, ell - xi) = k(x, xi); with
-    psi_m(ell - x) = (-1)^(m+1) psi_m(x), the sums over all nodes become
-    sums over the left half x_L, w_L.  With T = k(x_L, x_L), R = k(x_L,
-    ell - x_L) and psi_o, psi_e the weighted modes on x_L with odd and even m:
-    K[odd, odd] = 2 psi_o (T + R) psi_o^T, K[even, even] =
-    2 psi_e (T - R) psi_e^T, K[m, n] = 0.0 exactly for m + n odd, and
-    ||k||^2 = 2 w_L (T o T + R o R) w_L, a quarter of the whole table's
-    product flops and half its kernel values.  T and R are evaluated
-    _COLUMN_BLOCK = 256 columns at a time, each block's products with psi_o,
-    psi_e and w_L formed before the next block is evaluated.
-
-    Both routes share one exit: a non-finite ||k|| is refused, quietly, then
+    There is one exit: a non-finite ||k|| is refused, quietly, then
     spec.check_basis(basis) runs, then a non-finite K is refused, and K is
     averaged with its transpose (exact for symmetric input).
     """
-    n = basis.n_modes
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite values are refused below
-        exact = spec.closed_form(n)
-        K, hs = exact if exact is not None else _parity_fold(spec, basis)
+        K, hs = spec.closed_form(basis)
         if not np.isfinite(hs):
-            route = "quadrature" if exact is None else "the closed form"
-            raise NumericError(f"project_kernel: {route} produced a non-finite value")
+            raise NumericError("project_kernel: the closed form produced a non-finite value")
     spec.check_basis(basis)
     if not np.all(np.isfinite(K)):
         bad = np.argwhere(~np.isfinite(K))[0]
         raise NumericError(
             f"project_kernel: non-finite entry at ({bad[0]}, {bad[1]})"
         )
-    return KernelMatrix(n_modes=n, matrix=(K + K.T) / 2, hs_of_k=hs)
+    return KernelMatrix(n_modes=basis.n_modes, matrix=(K + K.T) / 2, hs_of_k=hs)

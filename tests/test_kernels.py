@@ -15,6 +15,7 @@ from nullheat import (ArgumentError, Domain, GaussianKernel, GridKernel,
                       ZeroKernel, build_basis,
                       project_kernel, read_grid_kernel, write_grid_kernel)
 from nullheat import kernels, oracles
+from nullheat.basis import QUADRATURE_ORDER, gauss_rule
 from nullheat.bundled import bundled_kernels, grid_demo_kernel
 
 
@@ -250,9 +251,9 @@ class TestProjectKernel:
         calls = []
         closed_form = GridKernel.closed_form
 
-        def counted(self, n):
-            calls.append(n)
-            return closed_form(self, n)
+        def counted(self, basis):
+            calls.append(basis.n_modes)
+            return closed_form(self, basis)
 
         monkeypatch.setattr(GridKernel, "closed_form", counted)
         anti = write_grid_kernel(tmp_path / "anti.txt", lambda x, xi: x - xi, n=16, length=1.0)
@@ -269,6 +270,44 @@ class TestProjectKernel:
             with pytest.raises(NumericError, match="closed form produced a non-finite value"):
                 project_kernel(SeparableKernel([1e200], [1e200]), basis)
 
+    def test_separable_norm_past_the_squares_range(self, basis):
+        # ||g||^2 ||h||^2 = 1e400 would overflow, but K[0, 0] and ||k|| are
+        # 1e200: g and h are scaled by powers of two before the products
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            km = project_kernel(SeparableKernel([1e100], [1e100]), basis)
+            assert km.frobenius == km.matrix[0, 0] == 1e100 * 1e100
+        assert km.hs_of_k == pytest.approx(1e200, rel=1e-15)
+        assert np.all(np.isfinite(km.matrix)) and np.count_nonzero(km.matrix) == 1
+
+    def test_separable_scaling_keeps_every_bit(self, basis, rng):
+        # scaling by powers of two commutes with every rounding in range, so
+        # ||k|| and ||K||_F are the unscaled formulas' bit for bit
+        for size_g, size_h, scale in ((3, 2, 1.0), (20, 7, 1e-30), (5, 5, 3e40)):
+            g, h = scale * rng.standard_normal(size_g), rng.standard_normal(size_h)
+            m = min(size_g, size_h)
+            gh = float(g[:m] @ h[:m])
+            plain = float(np.sqrt((g @ g) * (h @ h) / 2.0 + gh * gh / 2.0))
+            km = project_kernel(SeparableKernel(g, h), basis)
+            assert km.hs_of_k == plain
+            assert km.frobenius == float(np.linalg.norm(km.matrix))
+
+    def test_every_kernel_class_has_a_closed_form(self, basis):
+        # every kernel class of the module is listed here, so a new one must
+        # be placed; each defines its own closed_form, which gives an n x n
+        # matrix and a finite norm
+        samples = {ZeroKernel: ZeroKernel(),
+                   SeparableKernel: SeparableKernel(np.array([1.0, -0.5]), np.array([0.3])),
+                   GaussianKernel: GaussianKernel(5.0, 0.2),
+                   GridKernel: grid_demo_kernel()}
+        classes = {c for c in vars(kernels).values()
+                   if isinstance(c, type) and issubclass(c, KernelSpec) and c is not KernelSpec}
+        assert classes == set(samples)
+        for cls, kernel in samples.items():
+            assert "closed_form" in vars(cls), cls
+            K, hs = kernel.closed_form(basis)
+            assert K.shape == (16, 16) and np.all(np.isfinite(K)) and np.isfinite(hs), cls
+
     def test_evaluate_only_subclass_refused(self, basis):
         class Bare(KernelSpec):
             def evaluate(self, x, xi, length):
@@ -279,14 +318,13 @@ class TestProjectKernel:
         assert str(err.value) == "project_kernel: unsupported kernel Bare"
 
 
-class TestOneKernelEvaluation:
+class TestNoKernelValues:
     @pytest.mark.parametrize("kernel", [GaussianKernel(5.0, 0.2), grid_demo_kernel()],
                              ids=["gaussian", "grid"])
-    def test_quadrature_grid_evaluated_once(self, basis, kernel, monkeypatch):
-        # the Gaussian's parity fold evaluates k against the left half of the
-        # nodes only, nodes^2 / 2 values in all; the grid kernel is projected
-        # in closed form and its symmetry check reads the sample table, so it
-        # never evaluates
+    def test_projection_evaluates_no_kernel_values(self, basis, kernel, monkeypatch):
+        # both are projected in closed form: the Gaussian from its 1-D sine
+        # transforms, the grid kernel from its hat integrals, and the grid's
+        # symmetry check reads the sample table
         sizes = []
         evaluate = type(kernel).evaluate
 
@@ -297,160 +335,35 @@ class TestOneKernelEvaluation:
 
         monkeypatch.setattr(type(kernel), "evaluate", counted)
         project_kernel(kernel, basis)
-        if kernel.closed_form(basis.n_modes) is None:
-            assert sum(sizes) == kernel.axis_rule(basis)[0].size ** 2 // 2
-        else:
-            assert sizes == []
+        assert sizes == []
 
-    def test_holds_one_quadrature_table(self, domain):
-        # N = 256: 2048 axis nodes, where a whole table would take 33.5 MB.
-        # The fold holds the weighted modes on the half nodes, Y_o and Y_e,
-        # each a sixteenth of a table, and blocks of T, R and T + R
-        basis = build_basis(domain, 256)
-        kernel = GaussianKernel(20.0, 0.15)
-        nodes = kernel.axis_rule(basis)[0].size
-        assert nodes == 2048
+    def test_gaussian_holds_no_quadrature_table(self, domain):
+        # N = 256: a quadrature table on 2048 axis nodes would take 33.5 MB.
+        # The transforms hold the half-turn indices and the sines and cosines
+        # of the panel centres, N x P each with P = 256 panels here, and the
+        # assembly N x N matrices (measured 4.1 N^2 doubles)
+        n = 256
+        basis = build_basis(domain, n)
         tracemalloc.start()
         try:
-            project_kernel(kernel, basis)
+            project_kernel(GaussianKernel(20.0, 0.15), basis)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 1.3 * nodes ** 2 * 8
+        assert peak <= 5 * n ** 2 * 8
 
-    def test_non_finite_quadrature_refused_first_and_quietly(self, basis):
-        # a non-finite norm is refused before the basis check and before the
+    def test_non_finite_closed_form_refused_first_and_quietly(self, basis):
+        # c = amplitude / (width sqrt(2 pi)) overflows, so ||k|| and K are not
+        # finite: the norm is refused before the basis check and before the
         # matrix's own finiteness check, with no floating-point warning
         class Broken(GaussianKernel):
-            def evaluate(self, x, xi, length):
-                out = super().evaluate(x, xi, length)
-                out[3, 5] = np.inf
-                return out
-
             def check_basis(self, basis):
                 raise ArgumentError("check_basis reached")
 
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(NumericError, match="quadrature produced a non-finite value"):
-                project_kernel(Broken(5.0, 0.2), basis)
-
-
-_PI_LD = np.longdouble("3.14159265358979323846264338327950288")
-
-_LONG_DOUBLE = pytest.mark.skipif(np.finfo(np.longdouble).eps >= 1e-18,
-                                  reason="np.longdouble is no wider than float64 on this platform")
-
-
-def _modes_ld(n, x, w, ell):
-    # the weighted modes in long double, each phase m x / ell reduced mod 2
-    # before it meets pi: within about 0.1 eps of float64 at m = 1024
-    ld = np.longdouble
-    m = np.arange(1, n + 1).astype(ld)[:, None]
-    r = np.fmod(m * x.astype(ld) / ld(ell), ld(2))
-    return np.sqrt(ld(2) / ld(ell)) * np.sin(_PI_LD * r) * w.astype(ld)
-
-
-def _whole_table_projection(spec, basis):
-    # the projection as one table of kernel values on all the nodes:
-    # psi_w k psi_w^T and w k^2 w
-    n, ell = basis.n_modes, basis.domain.length
-    x, w = spec.axis_rule(basis)
-    psi_w = kernels._weighted_modes(n, x, w, ell)
-    vals = spec.evaluate(x[:, None], x[None, :], ell)
-    K = psi_w @ vals @ psi_w.T
-    bound = np.abs(psi_w) @ np.abs(vals) @ np.abs(psi_w).T
-    np.square(vals, out=vals)
-    sq = float(w @ vals @ w)
-    return (K + K.T) / 2, float(np.sqrt(max(sq, 0.0))), bound
-
-
-def _whole_half_table_fold(spec, basis):
-    # the parity fold written out on whole half tables T = k(x_L, x_L) and
-    # R = k(x_L, ell - x_L): K[odd, odd] = 2 psi_o (T + R) psi_o^T,
-    # K[even, even] = 2 psi_e (T - R) psi_e^T, ||k||^2 = 2 w_L (T^2 + R^2) w_L
-    n, ell = basis.n_modes, basis.domain.length
-    x, w = spec.axis_rule(basis)
-    h = x.size // 2
-    psi_w = kernels._weighted_modes(n, x[:h], w[:h], ell)
-    psi_o, psi_e = psi_w[0::2], psi_w[1::2]
-    T = spec.evaluate(x[:h, None], x[None, :h], ell)
-    R = spec.evaluate(x[:h, None], x[None, :h - 1:-1], ell)
-    K = np.zeros((n, n))
-    K[0::2, 0::2] = (psi_o @ (T + R)) @ psi_o.T
-    K[1::2, 1::2] = (psi_e @ (T - R)) @ psi_e.T
-    K *= 2.0
-    sq = 2.0 * float((w[:h] @ (T * T + R * R)) @ w[:h])
-    return (K + K.T) / 2, float(np.sqrt(max(sq, 0.0)))
-
-
-def _blocks(spec, basis):
-    return len(kernels._column_blocks(spec.axis_rule(basis)[0].size // 2))
-
-
-class TestColumnBlocks:
-    """project_kernel evaluates the Gaussian's half table in blocks of 256 columns."""
-
-    def test_block_edges(self):
-        widths = {m: [b.stop - b.start for b in kernels._column_blocks(m)]
-                  for m in (1, 8, 255, 256, 257, 511, 512, 513, 1024, 4096)}
-        assert widths == {1: [1], 8: [8], 255: [255], 256: [256], 257: [256, 1],
-                          511: [256, 255], 512: [256, 256], 513: [256, 256, 1],
-                          1024: [256] * 4, 4096: [256] * 16}
-
-    @pytest.mark.parametrize("kernel", [GaussianKernel(5.0, 0.2), GaussianKernel(20.0, 0.15),
-                                        GaussianKernel(-80.0, 0.05)],
-                             ids=["5-0.2", "20-0.15", "-80-0.05"])
-    @pytest.mark.parametrize("length", [1.0, 2.5])
-    def test_one_block_is_the_whole_table_bitwise(self, kernel, length, monkeypatch):
-        # with the whole half table as one block the products are the same
-        # calls as the fold written out, so this holds on any BLAS: every
-        # N < 128 of Gaussian(5, 0.2), and N = 1..5 and 127 of the others
-        monkeypatch.setattr(kernels, "_COLUMN_BLOCK", 1 << 20)
-        domain = Domain(length, 0.3 * length, 0.8 * length)
-        sizes = range(1, 128) if kernel == GaussianKernel(5.0, 0.2) else [1, 2, 3, 4, 5, 127]
-        for n in sizes:
-            basis = build_basis(domain, n)
-            assert _blocks(kernel, basis) == 1
-            km = project_kernel(kernel, basis)
-            K, hs = _whole_half_table_fold(kernel, basis)
-            assert np.array_equal(km.matrix, K), n
-            assert km.hs_of_k == hs, n
-
-    @pytest.mark.parametrize("amplitude, width, n",
-                             [(1.0, 0.01, n) for n in (2, 3, 4, 64, 65, 67, 100, 128, 256)]
-                             + [(5.0, 0.2, 128), (5.0, 0.2, 256),
-                                (20.0, 0.15, 128), (20.0, 0.15, 256)])
-    def test_blocks_within_rounding_of_the_whole_table(self, domain, amplitude, width, n):
-        # several blocks of the fold against psi_w k psi_w^T on the whole
-        # table: the same quadrature sums, regrouped.  The bound is a dense
-        # product's rounding, 4 eps (|psi_w| |k| |psi_w|^T) entrywise and
-        # 4 eps relative on ||k||
-        eps = np.finfo(float).eps
-        kernel = GaussianKernel(amplitude, width)
-        basis = build_basis(domain, n)
-        assert _blocks(kernel, basis) > 1
-        km = project_kernel(kernel, basis)
-        K, hs, bound = _whole_table_projection(kernel, basis)
-        assert np.all(np.abs(km.matrix - K) <= 4 * eps * bound)
-        assert abs(km.hs_of_k - hs) <= 4 * eps * hs
-
-    def test_holds_one_block(self, domain):
-        # N = 512: 4096 nodes, a 134 MB table.  Held at once: the weighted
-        # modes on the 2048 half nodes, Y_o and Y_e, each a sixteenth of the
-        # table, blocks of T, R and T + R (2048 x 256 each, 3/32 together)
-        # and the small products
-        basis = build_basis(domain, 512)
-        kernel = GaussianKernel(5.0, 0.2)
-        nodes = kernel.axis_rule(basis)[0].size
-        assert nodes == 4096
-        tracemalloc.start()
-        try:
-            project_kernel(kernel, basis)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 0.6 * nodes ** 2 * 8
+            with pytest.raises(NumericError, match="closed form produced a non-finite value"):
+                project_kernel(Broken(1e308, 0.2), basis)
 
 
 _FOLD_KERNELS = [GaussianKernel(5.0, 0.2), GaussianKernel(20.0, 0.15),
@@ -458,49 +371,13 @@ _FOLD_KERNELS = [GaussianKernel(5.0, 0.2), GaussianKernel(20.0, 0.15),
 
 
 class TestParityFold:
-    """The Gaussian's projection folded about ell/2: odd and even modes
-    decouple, and every entry with m + n odd is exactly zero."""
-
-    @_LONG_DOUBLE
-    @pytest.mark.parametrize("kernel, n, length",
-                             [(k, n, ell) for k in _FOLD_KERNELS
-                              for n in (1, 2, 3, 16, 64, 127, 128) for ell in (1.0, 2.5)]
-                             + [(GaussianKernel(1.0, 0.01), 64, 1.0)],
-                             ids=lambda v: f"{v.amplitude:g}-{v.width:g}"
-                             if isinstance(v, GaussianKernel) else str(v))
-    def test_within_rounding_of_a_long_double_table_sum(self, kernel, n, length):
-        # reference: the whole table on the same rule summed in long double,
-        # with long-double modes.  The kernel's peak constant is taken as
-        # float64 computes it, a rounding every route shares.  Bounds:
-        # 8 eps (|psi_w| |k| |psi_w|^T) entrywise (measured at most 4.7) and
-        # 2 eps relative on ||k|| (measured at most 1.0); above N = 16 nine
-        # rows are checked, the first and the last among them.  Gaussian(1,
-        # 0.01) has 1600 nodes, four blocks of the half table; at length 2.5
-        # its long-double table alone takes about 9 s, so it runs at 1.0
-        eps, ld = np.finfo(float).eps, np.longdouble
-        ell = length
-        basis = build_basis(Domain(ell, 0.3 * ell, 0.8 * ell), n)
-        x, w = kernel.axis_rule(basis)
-        rows = np.arange(n) if n <= 16 else np.linspace(0, n - 1, 9).astype(int)
-        km = project_kernel(kernel, basis)
-
-        peak = ld(kernel.amplitude / (kernel.width * np.sqrt(2.0 * np.pi)))
-        d = x.astype(ld)[:, None] - x.astype(ld)[None, :]
-        table = peak * np.exp(-(d * d) / (2 * ld(kernel.width) ** 2))
-        psi_ld = _modes_ld(n, x, w, ell)
-        exact = psi_ld[rows] @ table @ psi_ld.T
-        hs = np.sqrt(w.astype(ld) @ (table * table) @ w.astype(ld))
-        psi_abs = np.abs(psi_ld).astype(float)
-        scale = psi_abs[rows] @ np.abs(table.astype(float)) @ psi_abs.T
-        assert np.all(np.abs(km.matrix[rows] - exact) <= 8 * eps * scale)
-        assert abs(km.hs_of_k - hs) <= 2 * eps * hs
-        if kernel.width == 0.01:
-            assert _blocks(kernel, basis) > 1
+    """The Gaussian is symmetric about ell/2: odd and even modes decouple,
+    and every entry with m + n odd is exactly zero."""
 
     @pytest.mark.parametrize("length", [1.0, 2.5, 0.7])
     def test_parity_entries_are_exact_zeros(self, length):
         # psi_m(ell - x) = (-1)^(m+1) psi_m(x) makes K[m, n] vanish for m + n
-        # odd; the fold never forms those entries, so they are 0.0, not noise
+        # odd; the projection never forms those entries, so they are 0.0, not noise
         domain = Domain(length, 0.3 * length, 0.8 * length)
         bundled = [k for _, k in bundled_kernels() if isinstance(k, GaussianKernel)]
         assert bundled
@@ -512,56 +389,107 @@ class TestParityFold:
                 assert not np.any(np.signbit(K[odd])), (kernel, n)
                 assert np.array_equal(K, K.T), (kernel, n)
 
-    @pytest.mark.parametrize("length", [1.0, 2.5, 0.7, np.pi])
-    def test_gaussian_rule_is_symmetric_about_the_midpoint(self, length):
-        # nodes i and nodes - 1 - i sum to ell exactly and share one weight
-        domain = Domain(length, 0.3 * length, 0.8 * length)
-        for kernel in _FOLD_KERNELS:
-            for n in (1, 16, 100):
-                x, w = kernel.axis_rule(build_basis(domain, n))
-                assert x.size % 2 == 0 and np.all(np.diff(x) > 0)
-                assert np.array_equal(x[:x.size // 2], length - x[:x.size // 2 - 1:-1])
-                assert np.array_equal(w, w[::-1])
 
-    def test_table_route_kernels_are_reflection_invariant(self, rng):
-        # the fold needs k(ell - x, ell - xi) = k(x, xi).  Every kernel class
-        # of the module is listed here, so a new one must be placed; each
-        # that takes the table route (no closed form) is checked on random
-        # points, to rounding of the reflected arguments
-        samples = {ZeroKernel: ZeroKernel(),
-                   SeparableKernel: SeparableKernel(np.array([1.0, -0.5]), np.array([0.3])),
-                   GaussianKernel: GaussianKernel(5.0, 0.2),
-                   GridKernel: grid_demo_kernel()}
-        classes = {c for c in vars(kernels).values()
-                   if isinstance(c, type) and issubclass(c, KernelSpec) and c is not KernelSpec}
-        assert classes == set(samples)
-        table_route = []
-        for cls, kernel in samples.items():
-            if kernel.closed_form(8) is not None:
-                continue
-            table_route.append(cls)
-            for ell in (1.0, 2.5):
-                x, xi = rng.uniform(0.0, ell, (2, 1000))
-                here = kernel.evaluate(x, xi, ell)
-                there = kernel.evaluate(ell - x, ell - xi, ell)
-                peak = np.max(np.abs(here))
-                assert np.all(np.abs(there - here) <= 64 * np.finfo(float).eps * peak), cls
-        assert table_route == [GaussianKernel]
+_GAUSSIAN_CASES = [(5.0, 0.2, 1.0), (20.0, 0.15, 1.0), (-80.0, 0.05, 2.5)]
+_GAUSSIAN_IDS = ["5-0.2-1.0", "20-0.15-1.0", "-80-0.05-2.5"]
 
-    @_LONG_DOUBLE
-    @pytest.mark.parametrize("length", [1.0, 2.5, 0.7])
-    def test_weighted_modes_within_a_few_eps(self, length):
-        # the phase m x / ell is reduced mod 2 before it meets pi: 3 eps of
-        # each row's largest value up to m = 1024, where the plain product
-        # m x pi / ell was over 1000 eps off
+
+@functools.lru_cache(maxsize=None)
+def _gaussian_reference(amplitude, width, length, n=48):
+    """The Gaussian's transforms S_m, C_m, its Galerkin matrix and ||k|| in
+    40 digits, with no quadrature: F(a) = int_0^ell g(s) e^(i a s) ds =
+    w sqrt(pi / 2) e^(-a^2 w^2 / 2) [erf(t_1) - erf(t_0)] with
+    t_0 = -i a w / sqrt(2) and t_1 = (ell - i a w^2) / (sqrt(2) w) gives
+    S_m = Im F(a_m); by parts (g' = -s g / w^2), int_0^ell s g(s) e^(i a s) ds
+    = w^2 (1 - g(ell) e^(i a ell)) + i a w^2 F(a), so C_m = Re(ell F(a_m) -
+    that).  K is assembled from S and C by the library's formula: its algebra
+    is checked on its own against a plain table sum."""
+    with mp.workdps(40):
+        w, ell = mp.mpf(width), mp.mpf(length)
+        c = mp.mpf(amplitude) / (w * mp.sqrt(2 * mp.pi))
+        g_ell = mp.exp(-ell ** 2 / (2 * w ** 2))
+        S, C = [], []
+        for m in range(1, n + 1):
+            a = m * mp.pi / ell
+            t0, t1 = -1j * a * w / mp.sqrt(2), (ell - 1j * a * w ** 2) / (mp.sqrt(2) * w)
+            F = w * mp.sqrt(mp.pi / 2) * mp.exp(-(a * w) ** 2 / 2) * (mp.erf(t1) - mp.erf(t0))
+            S.append(mp.im(F))
+            C.append(mp.re(ell * F - w ** 2 * (1 - g_ell * (-1) ** m) - 1j * a * w ** 2 * F))
+        K = mp.zeros(n, n)
+        for i in range(n):
+            K[i, i] = 2 * c / mp.pi * (S[i] / (i + 1) + mp.pi / ell * C[i])
+            for j in range(i % 2, n, 2):
+                if j != i:
+                    K[i, j] = 2 * c / mp.pi * ((S[j] - S[i]) / (i - j) + (S[i] + S[j]) / (i + j + 2))
+        u = ell / w
+        hs = abs(c) * mp.sqrt(2 * (ell * w * mp.sqrt(mp.pi) / 2 * mp.erf(u)
+                                   - w ** 2 / 2 * (1 - mp.exp(-u ** 2))))
+        return S, C, K, hs
+
+
+class TestGaussianClosedForm:
+    """k = c g(x - xi) projected through the 1-D sine transforms of g:
+    K[m, n] = (2c / pi) [(S_n - S_m) / (m - n) + (S_m + S_n) / (m + n)] for
+    m + n even, K[m, m] = (2c / pi) [S_m / m + (pi / ell) C_m], and ||k||
+    from erf and expm1."""
+
+    @pytest.mark.parametrize("n", [16, 48])
+    @pytest.mark.parametrize("amplitude, width, length", _GAUSSIAN_CASES, ids=_GAUSSIAN_IDS)
+    def test_within_rounding_of_an_mp_reference(self, amplitude, width, length, n):
+        # K within 4 eps max|K| entrywise (measured at most 1.9) and ||k||
+        # within 2 eps relative (measured at most 0.42).  S is within 10 eps G
+        # of the reference, G = w sqrt(pi / 2), and C within 3 eps G ell: at
+        # N = 48 both measured at most 0.9, at N = 16 the top modes carry the
+        # panel rule's own truncation (P = 16, half a period of the top mode
+        # per panel), measured at most 7.1 and 1.9
         eps = np.finfo(float).eps
-        basis = build_basis(Domain(length, 0.3 * length, 0.8 * length), 1024)
-        x, w = GaussianKernel(5.0, 0.2).axis_rule(basis)
-        x, w = x[::7], w[::7]
-        ref = _modes_ld(1024, x, w, length)
-        got = kernels._weighted_modes(1024, x, w, length)
-        row_max = np.max(np.abs(ref), axis=1, keepdims=True)
-        assert np.all(np.abs(got - ref) <= 3 * eps * row_max)
+        S_ref, C_ref, K_ref, hs_ref = _gaussian_reference(amplitude, width, length)
+        kernel = GaussianKernel(amplitude, width)
+        km = project_kernel(kernel, build_basis(Domain(length, 0.3 * length, 0.8 * length), n))
+        err = np.array([[float(km.matrix[i, j] - K_ref[i, j]) for j in range(n)]
+                        for i in range(n)])
+        assert np.max(np.abs(err)) <= 4 * eps * np.max(np.abs(km.matrix))
+        assert abs(float((km.hs_of_k - hs_ref) / hs_ref)) <= 2 * eps
+        S, C = kernel._transforms(length, n)
+        G = width * np.sqrt(np.pi / 2)
+        assert max(abs(float(S[i] - S_ref[i])) for i in range(n)) <= 10 * eps * G
+        assert max(abs(float(C[i] - C_ref[i])) for i in range(n)) <= 3 * eps * G * length
+
+    @pytest.mark.parametrize("amplitude, width, length", _GAUSSIAN_CASES, ids=_GAUSSIAN_IDS)
+    def test_matches_a_plain_table_sum(self, amplitude, width, length):
+        # independent of the transforms and of the formula's algebra: the
+        # Galerkin sums psi_w k psi_w^T and w k^2 w on a whole table of kernel
+        # values, tensor Gauss-Legendre on four panels per width, at N = 6.
+        # K within 4 eps max|K| (measured at most 1.9) and ||k|| within
+        # 2 eps relative (measured at most 0.86); a wrong diagonal is off by O(1)
+        eps, n, ell = np.finfo(float).eps, 6, length
+        kernel = GaussianKernel(amplitude, width)
+        panels = int(np.ceil(4 * ell / width))
+        x, w = gauss_rule(np.linspace(0.0, ell, panels + 1), QUADRATURE_ORDER)
+        psi_w = np.sqrt(2.0 / ell) * np.sin(np.outer(np.arange(1, n + 1), x) * np.pi / ell) * w
+        table = kernel.evaluate(x[:, None], x[None, :], ell)
+        K = psi_w @ table @ psi_w.T
+        hs = np.sqrt(w @ table ** 2 @ w)
+        km = project_kernel(kernel, build_basis(Domain(ell, 0.3 * ell, 0.8 * ell), n))
+        assert np.max(np.abs(km.matrix - K)) <= 4 * eps * np.max(np.abs(km.matrix))
+        assert abs(km.hs_of_k - hs) <= 2 * eps * hs
+
+    @pytest.mark.parametrize("amplitude, width, length", _GAUSSIAN_CASES, ids=_GAUSSIAN_IDS)
+    def test_difference_quotient_adds_no_cancellation(self, amplitude, width, length):
+        # the stated bound: m - n is even and at least 2, so the computed
+        # q = (S_n - S_m) / (m - n) is within (|dS_m| + |dS_n|) / |m - n|
+        # (1 + eps) + eps |q| of the exact quotient, dS the transforms' own
+        # errors; the division halves them at worst, never amplifies them
+        eps, n = np.finfo(float).eps, 48
+        S_ref = _gaussian_reference(amplitude, width, length)[0]
+        S = GaussianKernel(amplitude, width)._transforms(length, n)[0]
+        with mp.workdps(40):
+            dS = [abs(S[i] - S_ref[i]) for i in range(n)]
+            for i in range(n):
+                for j in range(i + 2, n, 2):
+                    q = (S_ref[j] - S_ref[i]) / (i - j)
+                    bound = (dS[i] + dS[j]) / (j - i) * (1 + eps) + eps * abs(q)
+                    assert abs((S[j] - S[i]) / (i - j) - q) <= bound, (i, j)
 
 
 def _grid_cases():
