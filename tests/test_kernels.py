@@ -370,9 +370,79 @@ _FOLD_KERNELS = [GaussianKernel(5.0, 0.2), GaussianKernel(20.0, 0.15),
                  GaussianKernel(-80.0, 0.05)]
 
 
+_PI_LD = np.longdouble("3.14159265358979323846264338327950288")
+
+_LONG_DOUBLE = pytest.mark.skipif(np.finfo(np.longdouble).eps >= 1e-18,
+                                  reason="np.longdouble is no wider than float64 on this platform")
+
+
+def _modes_ld(n, x, w, ell):
+    # the weighted modes in long double, each phase m x / ell reduced mod 2
+    # before it meets pi
+    ld = np.longdouble
+    m = np.arange(1, n + 1).astype(ld)[:, None]
+    r = np.fmod(m * x / ld(ell), ld(2))
+    return np.sqrt(ld(2) / ld(ell)) * np.sin(_PI_LD * r) * w
+
+
+def _gaussian_table_ld(kernel, ell, n):
+    """A Gauss-Legendre rule in long double, P = ceil(ell / min(width / 2,
+    ell / (2 n))) uniform panels of QUADRATURE_ORDER points (twice the
+    library's panels per mode), and the Gaussian's whole table on it.  Node
+    (p, a) sits at (p + u_a) H, so the table is block Toeplitz: its values
+    are taken once per panel offset p - q and node pair (a, b), and
+    gathered.  Returns nodes, weights, table and ||k||^2 = w k^2 w summed
+    over the offsets."""
+    ld = np.longdouble
+    panels = int(np.ceil(ell / min(kernel.width / 2.0, ell / (2 * n))))
+    u, wu = gauss_rule(np.array([0.0, 1.0]), QUADRATURE_ORDER)
+    u, wu, H = u.astype(ld), wu.astype(ld), ld(ell) / panels
+    p = np.repeat(np.arange(panels), u.size)
+    a = np.tile(np.arange(u.size), panels)
+    offset = np.arange(1 - panels, panels).astype(ld)[:, None, None]
+    d = (offset + u[:, None] - u[None, :]) * H
+    peak = ld(kernel.amplitude / (kernel.width * np.sqrt(2.0 * np.pi)))
+    values = peak * np.exp(-(d * d) / (2 * ld(kernel.width) ** 2))
+    table = values[panels - 1 + p[:, None] - p[None, :], a[:, None], a[None, :]]
+    count = (panels - np.abs(np.arange(1 - panels, panels))).astype(ld)[:, None, None]
+    sq = np.sum(count * values * values * np.outer(wu, wu)) * H * H
+    return (p + u[a]) * H, wu[a] * H, table, sq
+
+
 class TestParityFold:
     """The Gaussian is symmetric about ell/2: odd and even modes decouple,
-    and every entry with m + n odd is exactly zero."""
+    and every entry with m + n odd is exactly zero.  Its projection is
+    checked here against a long-double table sum as well."""
+
+    @_LONG_DOUBLE
+    @pytest.mark.parametrize("kernel, n, length",
+                             [(k, n, ell) for k in _FOLD_KERNELS
+                              for n in (1, 2, 3, 16, 64, 127, 128) for ell in (1.0, 2.5)]
+                             + [(GaussianKernel(1.0, 0.01), 64, 1.0)],
+                             ids=lambda v: f"{v.amplitude:g}-{v.width:g}"
+                             if isinstance(v, GaussianKernel) else str(v))
+    def test_within_rounding_of_a_long_double_table_sum(self, kernel, n, length):
+        # reference: the whole table on an independent rule summed in long
+        # double, with long-double modes.  The kernel's peak constant is taken
+        # as float64 computes it, a rounding every route shares.  Bounds:
+        # 8 eps (|psi_w| |k| |psi_w|^T) entrywise (measured at most 5.2, at
+        # N = 127 where the library's panels hold half a period of the top
+        # mode) and 2 eps relative on ||k|| (measured at most 0.7); above
+        # N = 16 nine rows are checked, the first and the last among them
+        eps, ell = np.finfo(float).eps, length
+        basis = build_basis(Domain(ell, 0.3 * ell, 0.8 * ell), n)
+        rows = np.arange(n) if n <= 16 else np.linspace(0, n - 1, 9).astype(int)
+        km = project_kernel(kernel, basis)
+
+        x, w, table, sq = _gaussian_table_ld(kernel, ell, n)
+        psi_ld = _modes_ld(n, x, w, ell)
+        # the table is symmetric: table @ psi^T is psi @ table, transposed
+        exact = (table @ psi_ld[rows].T).T @ psi_ld.T
+        hs = np.sqrt(sq)
+        psi_abs = np.abs(psi_ld).astype(float)
+        scale = psi_abs[rows] @ np.abs(table.astype(float)) @ psi_abs.T
+        assert np.all(np.abs(km.matrix[rows] - exact) <= 8 * eps * scale)
+        assert abs(km.hs_of_k - hs) <= 2 * eps * hs
 
     @pytest.mark.parametrize("length", [1.0, 2.5, 0.7])
     def test_parity_entries_are_exact_zeros(self, length):
