@@ -138,11 +138,21 @@ def _validate_mass(m_omega, n, op):
 
 
 def _validate_state(u0, n, op):
-    """u0 as a float array, refused unless it is a coefficient N-vector."""
+    """u0 as a float array, refused unless it is a finite coefficient N-vector."""
     u0 = np.asarray(u0, dtype=float)
     if u0.shape != (n,):
         raise ArgumentError(f"{op}: u0 has shape {u0.shape}, expected ({n},)")
+    if not np.all(np.isfinite(u0)):
+        raise ArgumentError(f"{op}: u0 must be finite")
     return u0
+
+
+def _validate_int(value, op, name):
+    """value as an int, refused unless it is an integer; a float that holds
+    one, such as 64.0, is refused too."""
+    if not isinstance(value, (int, np.integer)):
+        raise ArgumentError(f"{op}: {name} must be an integer, got {value!r}")
+    return int(value)
 
 
 def _validate_time(t, op, name="T", allow_zero=False):

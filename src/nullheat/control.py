@@ -25,8 +25,12 @@ simulate_controlled is the independent audit: it integrates the controlled
 equation by exponential stepping with per-step source quadrature from the
 *sampled* control, never touching the closed-form terminal identity.  Its
 step recurrence runs by recursive doubling over the control intervals, and
-one pass then fills in the fine steps inside each interval.  Both
-time rules here, its own and control_cost's, are Gauss-Legendre rules of basis.
+it reports the state at the control samples only.  It interpolates the
+samples linearly, so it audits a control that is continuous between them,
+as the one-shot control is; a staged control jumps to 0 at each stage's
+t_mid, which the interpolation smears over a whole sample interval, so the
+simulator does not audit it.  Both time rules here, its own and
+control_cost's, are Gauss-Legendre rules of basis.
 """
 
 from dataclasses import dataclass, field
@@ -34,8 +38,8 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg as sla
 
-from .basis import (_gauss_legendre, _graded_time_nodes, _validate_mass, _validate_state,
-                    _validate_time)
+from .basis import (_gauss_legendre, _graded_time_nodes, _validate_int, _validate_mass,
+                    _validate_state, _validate_time)
 from .errors import ArgumentError, IllConditionedError, NumericError
 from .evolution import propagate
 from .observability import _count_modes, _gramian_eigencoords, _phi, build_model
@@ -69,8 +73,11 @@ class ControlResult:
 
 @dataclass(frozen=True, eq=False)
 class SimulationResult:
+    """simulate_controlled's states at the nt control samples, times =
+    linspace(0, T, nt), and the norm of the last of them."""
+
     times: np.ndarray = field(repr=False)
-    states: np.ndarray = field(repr=False)  # nt_fine x N coefficient snapshots
+    states: np.ndarray = field(repr=False)  # nt x N sine coefficients, row s at times[s]
     terminal_norm: float
 
 
@@ -104,6 +111,7 @@ def hum_control(dec, m_omega, u0, T, nt=64, ridge=0.0):
     elementwise tiny instead of being drowned by norm-level roundoff.
     """
     T = _validate_time(T, "hum_control")
+    nt = _validate_int(nt, "hum_control", "nt")
     if nt < 16:
         raise ArgumentError(f"hum_control: nt must be >= 16, got {nt}")
     m_omega = _validate_mass(m_omega, dec.n_modes, "hum_control")
@@ -120,7 +128,7 @@ def hum_control(dec, m_omega, u0, T, nt=64, ridge=0.0):
     ts = np.linspace(0.0, T, nt)
     profile = np.exp(np.outer(T - ts, dec.mus)) * p_e   # nt x N, eigencoords
     coeffs = profile @ dec.modes.T                      # back to sine coordinates
-    return ControlResult(T=float(T), nt=int(nt), multiplier=dec.modes @ p_e,
+    return ControlResult(T=float(T), nt=nt, multiplier=dec.modes @ p_e,
                          control_coeffs=coeffs, cost_sq=cost_sq,
                          terminal_residual=residual, ridge_used=float(ridge))
 
@@ -169,25 +177,28 @@ def simulate_controlled(dec, m_omega, u0, control_coeffs, T, nt_fine):
 
     Exact exponential stepping on a uniform nt_fine grid with order-4
     Gauss-Legendre source quadrature inside each step; the control between
-    its nt samples is linearly interpolated.  nt_fine - 1 must be a multiple
-    of nt - 1 so the fine grid refines the sample grid.  The step recurrence
-    u_{s+1} = e^{L dt} u_s + b_s is diagonal in eigencoordinates, and every
-    control interval repeats the same r fine steps, so the states at the nt
-    control times follow one r-step recurrence, evaluated by recursive
-    doubling (about log2(nt) passes over nt x N), and one more pass fills in
-    the r - 1 fine states inside each interval: the same scheme, with no
-    per-step loop, in O(nt_fine N) memory.  Independent of the closed-form
-    terminal state used by the synthesis routines.
+    its nt samples is linearly interpolated, so the audit holds for a
+    control that is continuous between samples (hum_control's), not for a
+    staged one, which jumps to 0 at each t_mid.  nt_fine - 1 must be a
+    multiple of nt - 1 so the fine grid refines the sample grid.  The step
+    recurrence u_{s+1} = e^{L dt} u_s + b_s is diagonal in eigencoordinates,
+    and every control interval repeats the same r fine steps, so the states
+    at the nt control times follow one r-step recurrence, evaluated by
+    recursive doubling (about log2(nt) passes over nt x N): the same scheme,
+    with no per-step loop, in O((nt + r) N) memory.  Returns the states at
+    the nt control times, not at the fine steps.  Independent of the
+    closed-form terminal state used by the synthesis routines.
     """
     T = _validate_time(T, "simulate_controlled")
-    if not isinstance(nt_fine, (int, np.integer)):
-        raise ArgumentError(f"simulate_controlled: nt_fine must be an integer, got {nt_fine!r}")
+    nt_fine = _validate_int(nt_fine, "simulate_controlled", "nt_fine")
     m_omega = _validate_mass(m_omega, dec.n_modes, "simulate_controlled")
     coeffs = np.asarray(control_coeffs, dtype=float)
     if coeffs.ndim != 2 or coeffs.shape[1] != dec.n_modes:
         raise ArgumentError(
             f"simulate_controlled: control array {coeffs.shape} does not match "
             f"{dec.n_modes} modes")
+    if not np.all(np.isfinite(coeffs)):
+        raise ArgumentError("simulate_controlled: control samples must be finite")
     u0 = _validate_state(u0, dec.n_modes, "simulate_controlled")
     nt = coeffs.shape[0]
     if nt < 2 or nt_fine < 2 or (nt_fine - 1) % (nt - 1) != 0:
@@ -198,7 +209,6 @@ def simulate_controlled(dec, m_omega, u0, control_coeffs, T, nt_fine):
     Q = dec.modes
     W = Q.T @ m_omega @ Q
     g = W @ (Q.T @ coeffs.T)              # source samples W f in eigencoords, N x nt
-    times = np.linspace(0.0, T, nt_fine)
     dt = T / (nt_fine - 1)
     r = (nt_fine - 1) // (nt - 1)         # fine steps per control interval
     g_nodes, g_weights = _gauss_legendre(4)
@@ -206,28 +216,18 @@ def simulate_controlled(dec, m_omega, u0, control_coeffs, T, nt_fine):
     wq = g_weights * dt / 2.0
     # every control interval puts the 4r quadrature nodes at the same fractions
     # phi of itself, so step j of interval i adds A_j o g_i + B_j o g_{i+1};
-    # column j of a_sum holds A_0 + ... + A_j decayed to the end of step j
+    # a_sum is A_0 + ... + A_{r-1}, each decayed to the interval's end
     phi = (np.arange(r)[:, None] + (g_nodes + 1.0) / 2.0) / r   # r x 4
     e_node = wq[:, None] * np.exp(np.outer(dt - tau, mus))  # 4 x N
-    a_sum = _decayed_prefix_sums(e_node.T @ (1.0 - phi).T, mus, dt)   # N x r
-    b_sum = _decayed_prefix_sums(e_node.T @ phi.T, mus, dt)
-    # U_{i+1} = e^{L dt r} U_i + a_sum[:, -1] o g_i + b_sum[:, -1] o g_{i+1}
+    a_sum = _decayed_prefix_sums(e_node.T @ (1.0 - phi).T, mus, dt)[:, -1]
+    b_sum = _decayed_prefix_sums(e_node.T @ phi.T, mus, dt)[:, -1]
+    # U_{i+1} = e^{L dt r} U_i + a_sum o g_i + b_sum o g_{i+1}
     coarse = np.empty((mus.size, nt))
     coarse[:, 0] = Q.T @ u0
-    coarse[:, 1:] = a_sum[:, -1:] * g[:, :-1] + b_sum[:, -1:] * g[:, 1:]
+    coarse[:, 1:] = a_sum[:, None] * g[:, :-1] + b_sum[:, None] * g[:, 1:]
     _decayed_prefix_sums(coarse, mus, dt * r)
-    # u_{ir+j} = e^{L dt j} U_i + a_sum[:, j-1] o g_i + b_sum[:, j-1] o g_{i+1}
-    fine = np.empty((mus.size, r, nt - 1))
-    np.multiply(np.exp(np.outer(mus, dt * np.arange(r)))[:, :, None], coarse[:, None, :-1],
-                out=fine)
-    fine[:, 1:] += a_sum[:, :-1, None] * g[:, None, :-1]
-    fine[:, 1:] += b_sum[:, :-1, None] * g[:, None, 1:]
-    states = np.empty((nt_fine, mus.size))
-    np.matmul(fine.transpose(1, 2, 0), Q.T,
-              out=states[:-1].reshape(nt - 1, r, -1).transpose(1, 0, 2))
-    states[-1] = Q @ coarse[:, -1]
-    terminal = float(np.linalg.norm(coarse[:, -1]))
-    return SimulationResult(times=times, states=states, terminal_norm=terminal)
+    return SimulationResult(times=np.linspace(0.0, T, nt), states=(Q @ coarse).T,
+                            terminal_norm=float(np.linalg.norm(coarse[:, -1])))
 
 
 def lr_staged_control(domain, kernel, u0, T, stages, r0, n_modes=None, margin=8, nt=257):
@@ -241,10 +241,16 @@ def lr_staged_control(domain, kernel, u0, T, stages, r0, n_modes=None, margin=8,
     the remainder up to T is additional free decay, and the reported final
     residual is taken at t = T exactly.
     """
+    stages = _validate_int(stages, "lr_staged_control", "stages")
+    nt = _validate_int(nt, "lr_staged_control", "nt")
     if stages < 2:
         raise ArgumentError(f"lr_staged_control: need at least 2 stages, got {stages}")
     T = _validate_time(T, "lr_staged_control")
     u0 = np.atleast_1d(np.asarray(u0, dtype=float))
+    if not np.all(np.isfinite(u0)):
+        raise ArgumentError("lr_staged_control: u0 must be finite")
+    if not np.isfinite(r0):
+        raise ArgumentError(f"lr_staged_control: r0 must be finite, got {r0}")
     lam1 = (np.pi / domain.length) ** 2
     if r0 < lam1:
         raise ArgumentError(
@@ -310,7 +316,7 @@ def lr_staged_control(domain, kernel, u0, T, stages, r0, n_modes=None, margin=8,
     if T - t_cursor > 0:
         u = propagate(dec, u, T - t_cursor)
     final_residual = float(np.linalg.norm(u)) / u0_norm if u0_norm > 0 else 0.0
-    return ControlResult(T=float(T), nt=int(nt), multiplier=multipliers,
+    return ControlResult(T=float(T), nt=nt, multiplier=multipliers,
                          control_coeffs=coeffs, cost_sq=total_cost,
                          terminal_residual=final_residual, stage_log=log)
 

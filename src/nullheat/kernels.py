@@ -34,6 +34,7 @@ the kernel is rejected by project_kernel, not silently symmetrized.
 """
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -150,10 +151,14 @@ class GaussianKernel(KernelSpec):
 
     def evaluate(self, x, xi, length):
         # peak * exp(-(x - xi)^2 / (2 width^2)), each step in the one output array
+        try:
+            two_w2 = 2.0 * self.width ** 2
+        except OverflowError:  # w^2 past the float range: the exponent is -0.0
+            two_w2 = math.inf
         out = np.asarray(np.subtract(x, xi, dtype=float))
         np.square(out, out=out)
         np.negative(out, out=out)
-        out /= 2.0 * self.width ** 2
+        out /= two_w2
         np.exp(out, out=out)
         out *= self.amplitude / (self.width * np.sqrt(2.0 * np.pi))
         return out if out.ndim else out[()]
@@ -191,13 +196,24 @@ class GaussianKernel(KernelSpec):
         # K[m, n] = (2c / pi) [(S_n - S_m) / (m - n) + (S_m + S_n) / (m + n)]
         # for m + n even, K[m, m] = (2c / pi) [S_m / m + (pi / ell) C_m], and
         # 0.0 for m + n odd, never formed; ||k||^2 = 2 c^2 int_0^ell (ell - s)
-        # g(s)^2 ds = 2 c^2 [(ell w sqrt(pi) / 2) erf(ell / w) - (w^2 / 2)
-        # (1 - exp(-ell^2 / w^2))]
-        n, ell, w = basis.n_modes, basis.domain.length, self.width
+        # g(s)^2 ds = 2 c^2 [(ell w sqrt(pi) / 2) erf(u) - (w^2 / 2)
+        # (1 - exp(-u^2))] with u = ell / w
+        n, ell, w = basis.n_modes, basis.domain.length, float(self.width)
         c = self.amplitude / (w * np.sqrt(2.0 * np.pi))
         u = ell / w
-        sq = 2.0 * (ell * w * math.sqrt(math.pi) / 2.0 * math.erf(u)
-                    - w * w / 2.0 * -math.expm1(-u * u))
+        if w * w < math.inf and u * u >= sys.float_info.min:
+            sq = 2.0 * (ell * w * math.sqrt(math.pi) / 2.0 * math.erf(u)
+                        - w * w / 2.0 * -math.expm1(-u * u))
+            hs = abs(c) * math.sqrt(max(sq, 0.0))
+        else:
+            # w^2 overflows or u^2 underflows: with ell^2 factored out the
+            # bracket is ell^2 [(sqrt(pi) / 2) erf(u) / u - (1 - exp(-u^2)) /
+            # (2 u^2)] = ell^2 (1/2 - u^2 / 12 + ...), exactly ell^2 / 2 in
+            # float64 once u^2 leaves the normal range
+            v = u * u
+            half = (math.sqrt(math.pi) / 2.0 * math.erf(u) / u + math.expm1(-v) / (2.0 * v)
+                    if v >= sys.float_info.min else 0.5)
+            hs = abs(c) * ell * math.sqrt(2.0 * half)
         scale = self.amplitude / (w * _PI_ROOT_2PI_HALF)  # 2c / pi in two roundings
         S, C = self._transforms(ell, n)
         K = np.zeros((n, n))
@@ -210,7 +226,7 @@ class GaussianKernel(KernelSpec):
             Q += np.add.outer(s, s) / np.add.outer(m, m)
             np.fill_diagonal(Q, s / m + C[a::2] * (np.pi / ell))
             K[a::2, a::2] = Q * scale
-        return K, abs(c) * math.sqrt(max(sq, 0.0))
+        return K, hs
 
 
 @dataclass(frozen=True, eq=False)

@@ -243,15 +243,20 @@ _STATE_CONSUMERS = {
 
 
 class TestValidateState:
-    """Every consumer of a caller's u0 refuses one that is not an N-vector, word for word."""
+    """Every consumer of a caller's u0 refuses one that is not a finite N-vector, word for word."""
 
-    @pytest.mark.parametrize("u0", [np.ones(3), np.ones((8, 1)), 1.0], ids=["short", "2d", "0d"])
+    @pytest.mark.parametrize("u0, rule", [
+        (np.ones(3), "u0 has shape (3,), expected (8,)"),
+        (np.ones((8, 1)), "u0 has shape (8, 1), expected (8,)"),
+        (1.0, "u0 has shape (), expected (8,)"),
+        (np.r_[np.ones(7), np.nan], "u0 must be finite"),
+    ], ids=["short", "2d", "0d", "nan"])
     @pytest.mark.parametrize("op", list(_STATE_CONSUMERS))
-    def test_bad_state_refused(self, domain, op, u0):
+    def test_bad_state_refused(self, domain, op, u0, rule):
         _, _, dec, m_omega = build_model(domain, GaussianKernel(5.0, 0.2), 8)
         with pytest.raises(ArgumentError) as err:
             _STATE_CONSUMERS[op](dec, m_omega, u0)
-        assert str(err.value) == f"{op}: u0 has shape {np.shape(u0)}, expected (8,)"
+        assert str(err.value) == f"{op}: {rule}"
 
     def test_simulate_checks_control_before_state(self, domain):
         _, _, dec, m_omega = build_model(domain, GaussianKernel(5.0, 0.2), 8)
@@ -288,6 +293,35 @@ _TIME_CONSUMERS = {
 }
 
 
+def _staged(**changed):
+    args = dict(domain=Domain(1.0, 0.3, 0.8), kernel=GaussianKernel(5.0, 0.2), u0=np.ones(4),
+                T=1.0, stages=2, r0=np.pi ** 2, n_modes=8, nt=65)
+    return lambda dec, m: lr_staged_control(**{**args, **changed})
+
+
+# entry point and argument -> (call with that argument malformed, the message)
+_MALFORMED_ARGUMENTS = {
+    "simulate_controlled-nt_fine": (lambda dec, m: simulate_controlled(
+        dec, m, np.ones(8), np.zeros((5, 8)), 0.1, 9.0),
+        "simulate_controlled: nt_fine must be an integer, got 9.0"),
+    "simulate_controlled-control": (lambda dec, m: simulate_controlled(
+        dec, m, np.ones(8), np.r_[np.zeros((4, 8)), np.full((1, 8), np.nan)], 0.1, 9),
+        "simulate_controlled: control samples must be finite"),
+    "hum_control-nt": (lambda dec, m: hum_control(dec, m, np.ones(8), 0.1, nt=64.0),
+                       "hum_control: nt must be an integer, got 64.0"),
+    "lr_staged_control-nt": (_staged(nt=65.0),
+                             "lr_staged_control: nt must be an integer, got 65.0"),
+    "lr_staged_control-stages": (_staged(stages=2.5),
+                                 "lr_staged_control: stages must be an integer, got 2.5"),
+    "lr_staged_control-r0-nan": (_staged(r0=np.nan),
+                                 "lr_staged_control: r0 must be finite, got nan"),
+    "lr_staged_control-r0-inf": (_staged(r0=np.inf),
+                                 "lr_staged_control: r0 must be finite, got inf"),
+    "lr_staged_control-u0": (_staged(u0=np.r_[np.ones(3), np.nan]),
+                             "lr_staged_control: u0 must be finite"),
+}
+
+
 class TestValidateTime:
     """Every entry point taking a time or horizon refuses a non-finite one, word for word."""
 
@@ -300,11 +334,13 @@ class TestValidateTime:
             call(dec, m_omega, t)
         assert str(err.value) == f"{op}: {rule} and finite, got {t}"
 
-    def test_non_integer_fine_grid_refused(self, domain):
+    @pytest.mark.parametrize("case", list(_MALFORMED_ARGUMENTS))
+    def test_malformed_argument_refused(self, domain, case):
         _, _, dec, m_omega = build_model(domain, GaussianKernel(5.0, 0.2), 8)
+        call, message = _MALFORMED_ARGUMENTS[case]
         with pytest.raises(ArgumentError) as err:
-            simulate_controlled(dec, m_omega, np.ones(8), np.zeros((5, 8)), 0.1, 9.0)
-        assert str(err.value) == "simulate_controlled: nt_fine must be an integer, got 9.0"
+            call(dec, m_omega)
+        assert str(err.value) == message
 
 
 class TestPositiveSign:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -169,7 +171,7 @@ class TestSimulateControlled:
         T = 0.4
         zero_ctrl = np.zeros((65, 16))
         sim = simulate_controlled(dec, m_omega, u0, zero_ctrl, T, nt_fine=257)
-        for idx in (0, 64, 128, 256):
+        for idx in (0, 16, 32, 64):
             t = sim.times[idx]
             assert np.allclose(sim.states[idx], propagate(dec, u0, t), atol=1e-10)
         assert sim.terminal_norm == pytest.approx(
@@ -202,8 +204,9 @@ class TestSimulateControlled:
         u0 = rng.standard_normal(16)
         coeffs = rng.standard_normal((nt, 16))
         sim = simulate_controlled(dec, m_omega, u0, coeffs, 0.5, nt_fine=nt_fine)
-        ref = _per_step_reference(dec, m_omega, u0, coeffs, 0.5, nt_fine)
-        assert sim.states.shape == ref.shape == (nt_fine, 16)
+        r = (nt_fine - 1) // (nt - 1)
+        ref = _per_step_reference(dec, m_omega, u0, coeffs, 0.5, nt_fine)[::r]
+        assert sim.states.shape == ref.shape == (nt, 16)
         assert np.max(np.abs(sim.states - ref)) <= 1e-12 * np.max(np.abs(ref))
         assert sim.terminal_norm == pytest.approx(np.linalg.norm(ref[-1]), rel=1e-12)
 
@@ -219,10 +222,25 @@ class TestSimulateControlled:
         u0 = rng.standard_normal(n)
         coeffs = rng.standard_normal((4097, n))
         sim = simulate_controlled(dec, m_omega, u0, coeffs, 0.5, nt_fine=16385)
-        ref = _per_step_reference(dec, m_omega, u0, coeffs, 0.5, 16385, dtype=np.longdouble)
+        ref = _per_step_reference(dec, m_omega, u0, coeffs, 0.5, 16385, dtype=np.longdouble)[::4]
         scale = float(np.max(np.abs(ref)))
         assert float(np.max(np.abs(sim.states - ref))) <= 1e-14 * scale
         assert abs(sim.terminal_norm - float(np.sqrt(np.sum(ref[-1] ** 2)))) <= 1e-14 * scale
+
+    def test_holds_no_fine_grid_array(self, domain, rng):
+        # the audit's size: states at the 4097 control times only, no 16385 x N array
+        _, _, dec, m_omega = build_model(domain, GaussianKernel(20.0, 0.15), 32)
+        u0 = rng.standard_normal(32)
+        coeffs = rng.standard_normal((4097, 32))
+        tracemalloc.start()
+        try:
+            sim = simulate_controlled(dec, m_omega, u0, coeffs, 0.5, nt_fine=16385)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 16385 * 32 * 8   # a 16385 x 32 float64 array is 4 MiB
+        assert sim.states.shape == (4097, 32)
+        assert np.array_equal(sim.times, np.linspace(0.0, 0.5, 4097))
 
     def test_grid_refinement_contract(self, stable_pipeline):
         _, _, dec, m_omega = stable_pipeline

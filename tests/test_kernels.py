@@ -544,6 +544,24 @@ class TestGaussianClosedForm:
         assert np.max(np.abs(km.matrix - K)) <= 4 * eps * np.max(np.abs(km.matrix))
         assert abs(km.hs_of_k - hs) <= 2 * eps * hs
 
+    @pytest.mark.parametrize("width, length", [(1e155, 1.0), (1e200, 1.0), (1e155, 1e150)])
+    def test_wide_kernel_approaches_the_constant(self, width, length):
+        # w^2 overflows, and at length 1 (ell / w)^2 underflows too: ||k|| =
+        # |c| ell sqrt(1 - u^2 / 6 + O(u^4)) with u = ell / w, which is |c| ell,
+        # the norm of the constant kernel c, until ell nears w (u = 1e-5 here)
+        eps = np.finfo(float).eps
+        kernel = GaussianKernel(5.0, width)
+        c = 5.0 / (width * np.sqrt(2.0 * np.pi))
+        basis = build_basis(Domain(length, 0.3 * length, 0.8 * length), 16)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            km = project_kernel(kernel, basis)
+            values = kernel.evaluate(np.linspace(0.0, length, 5), 0.3 * length, length)
+        limit = abs(c) * length * np.sqrt(1.0 - (length / width) ** 2 / 6.0)
+        assert abs(km.hs_of_k - limit) <= 8 * eps * limit
+        assert km.hs_of_k >= km.frobenius
+        assert np.all(values == c)
+
     @pytest.mark.parametrize("amplitude, width, length", _GAUSSIAN_CASES, ids=_GAUSSIAN_IDS)
     def test_difference_quotient_adds_no_cancellation(self, amplitude, width, length):
         # the stated bound: m - n is even and at least 2, so the computed
