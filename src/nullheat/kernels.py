@@ -50,10 +50,15 @@ _PI_ROOT_2PI_HALF = 3.9374024864306048  # pi sqrt(2 pi) / 2, correctly rounded
 class KernelSpec:
     """Base class of the kernels; each variant supplies its own closed form.
 
-    evaluate(x, xi, length) returns k on np.broadcast_shapes(x.shape, xi.shape).
-    Inputs are taken as given, never broadcast against each other first, so a
-    tensor grid passes its open axes x[:, None], xi[None, :]: per-axis work
-    then costs O(n), and no intermediate is larger than the output.
+    evaluate(x, xi, length, out=None) returns k on np.broadcast_shapes(x.shape,
+    xi.shape).  Inputs are taken as given, never broadcast against each other
+    first, so a tensor grid passes its open axes x[:, None], xi[None, :]:
+    per-axis work then costs O(n), and no intermediate is larger than the
+    output.  With out, a float64 array of exactly that shape, the values are
+    written into out and out itself is returned, bit for bit the values a
+    call without out returns; any other out is refused with ArgumentError.
+    A caller that evaluates many blocks, as the midpoint oracles do, then
+    reuses one buffer instead of a fresh output per block.
 
     project_kernel takes the Galerkin matrix on basis.n_modes modes and ||k||
     from closed_form(basis), which every kernel class supplies; here it
@@ -61,7 +66,7 @@ class KernelSpec:
     a structurally symmetric kernel that fits every basis.
     """
 
-    def evaluate(self, x, xi, length):
+    def evaluate(self, x, xi, length, out=None):
         raise NotImplementedError
 
     def closed_form(self, basis):
@@ -76,8 +81,10 @@ class KernelSpec:
 
 @dataclass(frozen=True)
 class ZeroKernel(KernelSpec):
-    def evaluate(self, x, xi, length):
-        return np.zeros(np.broadcast_shapes(np.shape(x), np.shape(xi)))
+    def evaluate(self, x, xi, length, out=None):
+        vals = _output(x, xi, out)
+        vals.fill(0.0)
+        return _returned(vals, out)
 
     def closed_form(self, basis):
         return np.zeros((basis.n_modes, basis.n_modes)), 0.0
@@ -110,16 +117,23 @@ class SeparableKernel(KernelSpec):
         modes = np.sqrt(2.0 / length) * np.sin(np.multiply.outer(x.ravel(), m) * np.pi / length)
         return (modes @ coeffs).reshape(x.shape)
 
-    def evaluate(self, x, xi, length):
+    def evaluate(self, x, xi, length, out=None):
+        vals = _output(x, xi, out)
         g_x = self._factor(self.g_coeffs, x, length)
         g_xi = self._factor(self.g_coeffs, xi, length)
         h_x = self._factor(self.h_coeffs, x, length)
         h_xi = self._factor(self.h_coeffs, xi, length)
-        # 0.5 * (g_x * h_xi + h_x * g_xi), accumulated in one output array
-        out = g_x * h_xi
-        out += h_x * g_xi
-        out *= 0.5
-        return out
+        # 0.5 * (g_x * h_xi + h_x * g_xi), accumulated in the output array; the
+        # second product goes one leading-axis row at a time through a one-row
+        # scratch, so no other output-sized array is allocated
+        np.multiply(g_x, h_xi, out=vals)
+        rows = np.atleast_2d(vals)
+        h_rows, g_rows = (np.atleast_2d(np.broadcast_to(f, vals.shape)) for f in (h_x, g_xi))
+        scratch = np.empty(rows.shape[1:])
+        for r in range(rows.shape[0]):
+            rows[r] += np.multiply(h_rows[r], g_rows[r], out=scratch)
+        vals *= 0.5
+        return _returned(vals, out)
 
     def closed_form(self, basis):
         # K = (g h^T + h g^T) / 2 on the first n coefficients; the norm takes
@@ -149,36 +163,49 @@ class GaussianKernel(KernelSpec):
         if not (np.isfinite(self.width) and self.width > 0):
             raise ArgumentError(f"GaussianKernel: width must be positive, got {self.width}")
 
-    def evaluate(self, x, xi, length):
-        # peak * exp(-(x - xi)^2 / (2 width^2)), each step in the one output array
+    def evaluate(self, x, xi, length, out=None):
+        # peak * exp(-(x - xi)^2 / (2 width^2)), each step in the one output
+        # array; dividing by -2 width^2 negates exactly, as IEEE division is
+        # symmetric in sign
         try:
             two_w2 = 2.0 * self.width ** 2
         except OverflowError:  # w^2 past the float range: the exponent is -0.0
             two_w2 = math.inf
-        out = np.asarray(np.subtract(x, xi, dtype=float))
-        np.square(out, out=out)
-        np.negative(out, out=out)
-        out /= two_w2
-        np.exp(out, out=out)
-        out *= self.amplitude / (self.width * np.sqrt(2.0 * np.pi))
-        return out if out.ndim else out[()]
+        vals = _output(x, xi, out)
+        np.subtract(x, xi, out=vals, dtype=float)
+        np.square(vals, out=vals)
+        vals /= -two_w2
+        np.exp(vals, out=vals)
+        vals *= self.amplitude / (self.width * np.sqrt(2.0 * np.pi))
+        return _returned(vals, out)
 
     def _transforms(self, ell, n):
         """S[m - 1] = int_0^ell g(s) sin(a_m s) ds and C[m - 1] =
-        int_0^ell (ell - s) g(s) cos(a_m s) ds for m = 1..n, with a_m =
-        m pi / ell and g(s) = exp(-s^2 / (2 width^2)), by P = ceil(ell /
-        min(width / 2, ell / n)) uniform panels of QUADRATURE_ORDER Gauss
-        points.  Node s = c_p + d_j sits at its panel's centre plus one of the
-        shared offsets, so sin(a_m s) = sin(a_m c_p) cos(a_m d_j) +
-        cos(a_m c_p) sin(a_m d_j): a_m c_p = pi m (2p + 1) / (2P) is an exact
-        multiple of a half turn, gathered from one table of sines, and only
-        the small phases a_m d_j, at most pi / 2, are rounded.  O(n P) work
-        and memory, and no n x nodes table."""
+        2^-e int_0^ell (ell - s) g(s) cos(a_m s) ds for m = 1..n, with a_m =
+        m pi / ell, g(s) = exp(-s^2 / (2 width^2)) and ell = f 2^e, 1/2 <= f
+        < 1 (an exact scaling, which keeps C finite past ell width = inf), by
+        P = ceil(ell / min(width / 2, ell / n)) uniform panels of
+        QUADRATURE_ORDER Gauss points.  Node s = c_p + d_j sits at its
+        panel's centre plus one of the shared offsets, so sin(a_m s) =
+        sin(a_m c_p) cos(a_m d_j) + cos(a_m c_p) sin(a_m d_j): a_m c_p =
+        pi m (2p + 1) / (2P) is an exact multiple of a half turn, gathered
+        from one table of sines, and only the small phases a_m d_j, at most
+        pi / 2, are rounded.  O(n P) work and memory, and no n x nodes
+        table."""
         panels = max(1, int(np.ceil(ell / min(self.width / 2.0, ell / n))))
         h = ell / (2 * panels)
         x, wq = gauss_rule(np.array([-1.0, 1.0]), QUADRATURE_ORDER)
         s = (2 * np.arange(panels) + 1)[:, None] * h + h * x
-        gw = np.exp(-(s * s) / (2.0 * self.width * self.width)) * (h * wq)
+        with np.errstate(over="ignore", invalid="ignore"):
+            sq, two_w2 = s * s, 2.0 * self.width * self.width
+            expo = -sq / two_w2
+        # where s^2 or 2 w^2 overflows, the quotient above reads -inf, -0.0 or
+        # inf / inf = NaN: there the exponent is -(s / w)^2 / 2, s / w first
+        wide = np.isinf(sq) | math.isinf(two_w2)
+        if np.any(wide):
+            z = s[wide] / self.width
+            expo[wide] = -(z * z) / 2.0
+        gw = np.exp(expo) * (h * wq)
         m = np.arange(1, n + 1)
         # sin(pi r / (2P)) for r = 0..5P - 1: cos(pi r / (2P)) is entry r + P
         turns = _sin_half_turns(np.arange(5 * panels), 2 * panels)
@@ -187,7 +214,7 @@ class GaussianKernel(KernelSpec):
         phase = np.multiply.outer(m, x) * (np.pi / (2 * panels))
         sin_d, cos_d = np.sin(phase), np.cos(phase)
         S = np.sum(cos_d * (sin_c @ gw) + sin_d * (cos_c @ gw), axis=1)
-        gw *= ell - s
+        gw *= np.ldexp(ell - s, -math.frexp(ell)[1])
         C = np.sum(cos_d * (cos_c @ gw) - sin_d * (sin_c @ gw), axis=1)
         return S, C
 
@@ -197,16 +224,17 @@ class GaussianKernel(KernelSpec):
         # for m + n even, K[m, m] = (2c / pi) [S_m / m + (pi / ell) C_m], and
         # 0.0 for m + n odd, never formed; ||k||^2 = 2 c^2 int_0^ell (ell - s)
         # g(s)^2 ds = 2 c^2 [(ell w sqrt(pi) / 2) erf(u) - (w^2 / 2)
-        # (1 - exp(-u^2))] with u = ell / w
+        # (1 - exp(-u^2))] with u = ell / w.  (pi / ell) C_m is taken as
+        # (pi / f) 2^-e C_m, ell = f 2^e: the same bits, finite past ell w = inf
         n, ell, w = basis.n_modes, basis.domain.length, float(self.width)
         c = self.amplitude / (w * np.sqrt(2.0 * np.pi))
         u = ell / w
-        if w * w < math.inf and u * u >= sys.float_info.min:
+        if w * w < math.inf and 2.0 * ell * w < math.inf and u * u >= sys.float_info.min:
             sq = 2.0 * (ell * w * math.sqrt(math.pi) / 2.0 * math.erf(u)
                         - w * w / 2.0 * -math.expm1(-u * u))
             hs = abs(c) * math.sqrt(max(sq, 0.0))
         else:
-            # w^2 overflows or u^2 underflows: with ell^2 factored out the
+            # w^2 or ell w overflows, or u^2 underflows: with ell^2 factored out the
             # bracket is ell^2 [(sqrt(pi) / 2) erf(u) / u - (1 - exp(-u^2)) /
             # (2 u^2)] = ell^2 (1/2 - u^2 / 12 + ...), exactly ell^2 / 2 in
             # float64 once u^2 leaves the normal range
@@ -224,7 +252,7 @@ class GaussianKernel(KernelSpec):
             Q = np.subtract.outer(s, s)
             Q /= -diff  # (S_m - S_n) / (n - m)
             Q += np.add.outer(s, s) / np.add.outer(m, m)
-            np.fill_diagonal(Q, s / m + C[a::2] * (np.pi / ell))
+            np.fill_diagonal(Q, s / m + C[a::2] * (np.pi / math.frexp(ell)[0]))
             K[a::2, a::2] = Q * scale
         return K, hs
 
@@ -268,7 +296,8 @@ class GridKernel(KernelSpec):
         frac = (zc - mids[idx]) / h
         return idx, np.clip(frac, 0.0, 1.0)
 
-    def evaluate(self, x, xi, length=None):
+    def evaluate(self, x, xi, length=None, out=None):
+        vals = _output(x, xi, out)
         ix, fx = self._locate(x)
         iy, fy = self._locate(xi)
         gx, gy = 1 - fx, 1 - fy
@@ -276,14 +305,21 @@ class GridKernel(KernelSpec):
         # are the same gather from the flat table shifted by n + 1, n and 1.
         # Single-multiply weights and cross terms grouped first keep the
         # evaluation bitwise invariant under (x, xi) swap for symmetric tables;
-        # the in-place sums keep that order with two output-sized arrays
+        # the in-place sums keep that order in the output and a cross array,
+        # with every gather and weight in one of two scratch arrays (k is in
+        # range: mode="clip" only spares numpy a buffered copy of the gather)
         k, s, n = ix * self.n + iy, self.samples.ravel(), self.n
-        diag = s.take(k) * (gx * gy)
-        diag += s[n + 1:].take(k) * (fx * fy)
-        cross = s[n:].take(k) * (fx * gy)
-        cross += s[1:].take(k) * (gx * fy)
-        diag += cross
-        return diag
+        cross, t, w = (np.empty_like(vals) for _ in range(3))
+        s.take(k, out=vals, mode="clip")
+        vals *= np.multiply(gx, gy, out=w)
+        s[n + 1:].take(k, out=t, mode="clip")
+        vals += np.multiply(t, np.multiply(fx, fy, out=w), out=t)
+        s[n:].take(k, out=cross, mode="clip")
+        cross *= np.multiply(fx, gy, out=w)
+        s[1:].take(k, out=t, mode="clip")
+        cross += np.multiply(t, np.multiply(gx, fy, out=w), out=t)
+        vals += cross
+        return _returned(vals, out)
 
     def _hat_integrals(self, n):
         """P[m - 1, a] = int psi_m phi_a exactly, phi_a the hat of midpoint a,
@@ -447,6 +483,26 @@ def write_grid_kernel(path, kernel_fn, n, length, comment=None):
         for row in samples:
             fh.write(" ".join(repr(float(v)) for v in row) + "\n")
     return GridKernel(n=n, length=length, samples=samples)
+
+
+# ---------------------------------------------------------------------------
+# evaluation output
+
+def _output(x, xi, out):
+    # the array evaluate writes: out, checked, or a new one of the broadcast shape
+    shape = np.broadcast_shapes(np.shape(x), np.shape(xi))
+    if out is None:
+        return np.empty(shape)
+    if not isinstance(out, np.ndarray) or out.dtype != np.float64 or out.shape != shape:
+        got = (f"{out.dtype} array of shape {out.shape}" if isinstance(out, np.ndarray)
+               else type(out).__name__)
+        raise ArgumentError(f"evaluate: out must be a float64 array of shape {shape}, got {got}")
+    return out
+
+
+def _returned(vals, out):
+    # out itself when given; a 0-d result of scalar inputs as a numpy scalar
+    return vals if out is not None or vals.ndim else vals[()]
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,11 @@ Crank-Nicolson powers its step matrix by repeated squaring.  They are
 slower and cruder by design.  A midpoint oracle streams its n_points^2
 kernel values through one block of _ROW_BLOCK rows and reads both the
 Galerkin matrix and the kernel norm from each block, so no n_points^2 table
-is ever held.  The time quadrature's Gauss-Legendre rule comes from basis,
-like every other, and is applied as one product over its nodes.
+is ever held.  The block is allocated once per call and KernelSpec.evaluate
+writes every block of rows into it (out=), so no block-sized array is
+allocated, faulted in and freed again per block.  The time quadrature's
+Gauss-Legendre rule comes from basis, like every other, and is applied as
+one product over its nodes.
 """
 
 import numpy as np
@@ -41,9 +44,11 @@ def _midpoint_sums(spec, basis, n_points, norm=True):
     m = np.arange(1, basis.n_modes + 1)
     psi_h = np.sqrt(2.0 / ell) * np.sin(np.outer(m, x) * np.pi / ell) * h
     Y = np.empty((n_points, basis.n_modes), order="F")
+    buf = np.empty((min(_ROW_BLOCK, n_points), n_points))
     sq = 0.0
     for i in range(0, n_points, _ROW_BLOCK):
-        block = spec.evaluate(x[i:i + _ROW_BLOCK, None], x[None, :], ell)
+        rows = x[i:i + _ROW_BLOCK]  # the last block is short unless _ROW_BLOCK divides n_points
+        block = spec.evaluate(rows[:, None], x[None, :], ell, out=buf[:rows.size])
         np.matmul(block, psi_h.T, out=Y[i:i + _ROW_BLOCK])
         if norm:
             np.square(block, out=block)
@@ -54,11 +59,12 @@ def _midpoint_sums(spec, basis, n_points, norm=True):
 def midpoint_projection(spec, basis, n_points=512):
     """Galerkin matrix and kernel L^2 norm by a dense 2-d midpoint rule.
 
-    The kernel is evaluated _ROW_BLOCK rows at a time; each block adds its
-    rows of k (psi h)^T and, squared in place, its share of h^2 sum k^2.
-    The matrix is (psi h) k (psi h)^T and the norm sqrt(h^2 sum k^2), to
-    rounding, with no n_points^2 table: memory is one block and an
-    n_points x n_modes array.
+    The kernel is evaluated _ROW_BLOCK rows at a time into one reused block;
+    each block adds its rows of k (psi h)^T and, squared in place, its share
+    of h^2 sum k^2.  The matrix is (psi h) k (psi h)^T and the norm
+    sqrt(h^2 sum k^2), to rounding, with no n_points^2 table: memory is one
+    block, the kernel's own per-block scratch and an n_points x n_modes
+    array.
     """
     matrix, sq = _midpoint_sums(spec, basis, n_points)
     return KernelMatrix(n_modes=basis.n_modes, matrix=matrix, hs_of_k=float(np.sqrt(sq)))

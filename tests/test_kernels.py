@@ -521,6 +521,7 @@ class TestGaussianClosedForm:
         assert np.max(np.abs(err)) <= 4 * eps * np.max(np.abs(km.matrix))
         assert abs(float((km.hs_of_k - hs_ref) / hs_ref)) <= 2 * eps
         S, C = kernel._transforms(length, n)
+        C = np.ldexp(C, np.frexp(length)[1])  # C comes scaled to the binade of length
         G = width * np.sqrt(np.pi / 2)
         assert max(abs(float(S[i] - S_ref[i])) for i in range(n)) <= 10 * eps * G
         assert max(abs(float(C[i] - C_ref[i])) for i in range(n)) <= 3 * eps * G * length
@@ -561,6 +562,21 @@ class TestGaussianClosedForm:
         assert abs(km.hs_of_k - limit) <= 8 * eps * limit
         assert km.hs_of_k >= km.frobenius
         assert np.all(values == c)
+
+    @pytest.mark.parametrize("amplitude, width, length", [
+        (5.0, 1e155, 1e160),    # s^2 and 2 w^2 overflow: inf / inf in g at every node
+        (5.0, 5e153, 1.5e154),  # s^2 overflows on the far nodes, where g is not small
+        (5.0, 5e153, 1e155),    # and ell w, in C and in ||k||
+    ])
+    def test_unchanged_by_a_power_of_two_rescaling(self, amplitude, width, length):
+        # x -> x / 2^520 takes ell and w to 2^-520 times themselves and leaves
+        # K and ||k|| as they are, so the same kernel in the ordinary range is
+        # the reference: within 4 eps max|K| and 2 eps relative
+        eps, lam = np.finfo(float).eps, 2.0 ** -520
+        got, ref = (project_kernel(GaussianKernel(amplitude, width * f), build_basis(
+            Domain(length * f, 0.3 * length * f, 0.8 * length * f), 8)) for f in (1.0, lam))
+        assert np.max(np.abs(got.matrix - ref.matrix)) <= 4 * eps * np.max(np.abs(ref.matrix))
+        assert abs(got.hs_of_k - ref.hs_of_k) <= 2 * eps * ref.hs_of_k
 
     @pytest.mark.parametrize("amplitude, width, length", _GAUSSIAN_CASES, ids=_GAUSSIAN_IDS)
     def test_difference_quotient_adds_no_cancellation(self, amplitude, width, length):
@@ -813,10 +829,58 @@ class TestOpenAxes:
         assert k.evaluate(0.3, 0.7) == k.evaluate(np.array([[0.3]]), np.array([[0.7]]))[0, 0]
 
 
+def _kernel_of_class(name):
+    return {"zero": ZeroKernel(),
+            "separable": SeparableKernel(np.array([1.0, 0.0, -0.5]), np.array([0.25, 1.5])),
+            "gaussian": GaussianKernel(5.0, 0.2),
+            "grid": grid_demo_kernel()}[name]
+
+
+class TestEvaluateOut:
+    """evaluate(..., out=) writes the values evaluate returns into the caller's array."""
+
+    n = 300  # not a multiple of the 64-row blocks below: the last one is short
+
+    def _axes(self):
+        # both margins of the grid kernel's half cells, and an uneven xi
+        x = np.linspace(-0.05, 1.05, self.n)
+        return x, x[::-1] ** 2
+
+    def _blocks(self):
+        x, xi = self._axes()
+        X, Y = np.meshgrid(x, xi, indexing="ij")
+        rows = [(x[i:i + 64, None], xi[None, :]) for i in range(0, self.n, 64)]
+        cols = [(x[:, None], xi[None, j:j + 64]) for j in range(0, self.n, 64)]
+        return rows + cols + [(x[:, None], xi[None, :]), (X, Y), (x, xi), (x, 0.5)]
+
+    @pytest.mark.parametrize("name", ["zero", "separable", "gaussian", "grid"])
+    def test_values_equal_a_call_without_out(self, name):
+        kernel = _kernel_of_class(name)
+        # one buffer reused by every block, filled with NaN first so that an
+        # entry the kernel skips would show; a column block's out is a strided view
+        buf = np.empty((self.n, self.n))
+        for x, xi in self._blocks():
+            shape = np.broadcast_shapes(np.shape(x), np.shape(xi))
+            out = buf[:shape[0], :shape[1]] if len(shape) == 2 else buf[0]
+            out.fill(np.nan)
+            got = kernel.evaluate(x, xi, 1.0, out=out)
+            assert got is out, name
+            assert np.array_equal(out, kernel.evaluate(x, xi, 1.0)), (name, shape)
+
+    @pytest.mark.parametrize("name", ["zero", "separable", "gaussian", "grid"])
+    def test_malformed_out_refused(self, name):
+        kernel, (x, xi) = _kernel_of_class(name), self._axes()
+        for out in (np.empty((self.n, self.n + 1)), np.empty(self.n * self.n),
+                    np.empty((self.n, self.n), dtype=np.float32),
+                    np.empty((self.n, self.n), dtype=int), np.empty((self.n, self.n)).tolist()):
+            with pytest.raises(ArgumentError, match="out must be a float64 array of shape"):
+                kernel.evaluate(x[:, None], xi[None, :], 1.0, out=out)
+
+
 class TestMidpointProjection:
     """Kernel rows streamed in blocks give both oracle values, with no n_points^2 table."""
 
-    @pytest.mark.parametrize("n_points", [300, 1024])
+    @pytest.mark.parametrize("n_points", [300, 1000, 1024])
     def test_within_rounding_of_a_long_double_sum(self, domain, n_points):
         # the same float64 table and psi h, multiplied and summed in long
         # double: the matrix keeps a dense product's entrywise bound,
@@ -855,6 +919,22 @@ class TestMidpointProjection:
         finally:
             tracemalloc.stop()
         assert peak <= 8e6
+
+    @pytest.mark.parametrize("name, cap_mib", [("separable", 1.5 * 2.0), ("grid", 12.7)])
+    def test_peak_memory_is_one_reused_block(self, domain, name, cap_mib):
+        # the 8-mode, 4096-point call of the separable-exact certificate: one
+        # 64 x 4096 block of 2 MiB is allocated once and every block of rows is
+        # written into it.  The separable kernel adds one scratch row per
+        # block; the grid kernel's corner gathers and weights still take a few
+        # block-sized arrays of their own, and are held to that
+        kernel, basis = _kernel_of_class(name), build_basis(domain, 8)
+        tracemalloc.start()
+        try:
+            oracles.midpoint_project_kernel(kernel, basis, 4096)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < cap_mib * 2 ** 20
 
     @pytest.mark.parametrize("n_points", [-5, 0, 512.0, None])
     def test_n_points_must_be_a_positive_integer(self, basis, n_points):
