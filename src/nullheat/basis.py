@@ -119,7 +119,20 @@ def restricted_mass_matrix(basis, lo, hi):
 def _validate_mass(m_omega, n, op):
     """m_omega as a float array, refused unless it is an n x n finite,
     symmetric (to 1e-13) and positive semidefinite (to _PSD_TOL relative)
-    matrix: the one check of every consumer of a caller's M_omega."""
+    matrix: the one check of every consumer of a caller's M_omega.
+
+    The rule is lambda_min >= -_PSD_TOL max(1, lambda_max).  The fast path
+    factors M + delta I by Cholesky (LAPACK potrf on the lower triangle, the
+    one eigvalsh reads), delta = _PSD_TOL max(1, max diag M) / 2 (Higham,
+    "Analysis of the Cholesky decomposition of a semi-definite matrix",
+    1990).  If it succeeds, lambda_min > -delta up to the factorization's
+    backward error; since max diag M <= lambda_max, the matrix then meets the
+    rule with a margin of _PSD_TOL max(1, max diag M) / 2 left for that error,
+    whose elementwise bound (n + 1) u max diag M (u = 2^-53) stays below the
+    margin for n up to about 4500.  If it fails, eigvalsh decides as before,
+    so eigenvalues are computed only for refusals and borderline matrices,
+    and a refusal reports the same lambda_min.
+    """
     m_omega = np.asarray(m_omega, dtype=float)
     if m_omega.shape != (n, n):
         raise ArgumentError(f"{op}: mass matrix shape {m_omega.shape} does not match {n} modes")
@@ -128,6 +141,11 @@ def _validate_mass(m_omega, n, op):
     asym = float(np.max(np.abs(m_omega - m_omega.T)))
     if asym > 1e-13:
         raise ArgumentError(f"{op}: mass matrix asymmetric (defect {asym:.3e})")
+    shifted = np.array(m_omega, order="F")  # always a copy: potrf overwrites it
+    diag = shifted.reshape(-1, order="F")[:: n + 1]  # a view of the diagonal
+    diag += 0.5 * _PSD_TOL * max(1.0, float(diag.max()))
+    if sla.lapack.dpotrf(shifted, lower=1, clean=0, overwrite_a=1)[1] == 0:
+        return m_omega
     w = np.linalg.eigvalsh(m_omega)
     if w[0] < -_PSD_TOL * max(1.0, float(w[-1])):
         raise IllConditionedError(

@@ -42,7 +42,8 @@ from .basis import (_gauss_legendre, _graded_time_nodes, _validate_int, _validat
                     _validate_state, _validate_time)
 from .errors import ArgumentError, IllConditionedError, NumericError
 from .evolution import propagate
-from .observability import _count_modes, _gramian_eigencoords, _phi, build_model
+from .observability import (_count_modes, _eigen_model, _gramian_eigencoords,
+                            _mass_eigencoords, _phi)
 
 
 @dataclass(frozen=True, eq=False)
@@ -116,7 +117,7 @@ def hum_control(dec, m_omega, u0, T, nt=64, ridge=0.0):
         raise ArgumentError(f"hum_control: nt must be >= 16, got {nt}")
     m_omega = _validate_mass(m_omega, dec.n_modes, "hum_control")
     u0 = _validate_state(u0, dec.n_modes, "hum_control")
-    G = _gramian_eigencoords(dec, m_omega, T)
+    G = _gramian_eigencoords(dec, _mass_eigencoords(dec, m_omega), T)
     u0_e = dec.modes.T @ u0
     decay = np.exp(dec.mus * T)
     rhs = -(decay * u0_e)
@@ -148,7 +149,7 @@ def controlled_state_norms(dec, m_omega, u0, result):
     p_e = dec.modes.T @ p
     u0_e = dec.modes.T @ u0
     mus = dec.mus
-    Wq = dec.modes.T @ m_omega @ dec.modes
+    Wq = _mass_eigencoords(dec, m_omega)
     u0_norm = max(float(np.linalg.norm(u0)), 1e-300)
     norms = []
     for t in np.linspace(0.0, T, result.nt):
@@ -207,7 +208,7 @@ def simulate_controlled(dec, m_omega, u0, control_coeffs, T, nt_fine):
             f"the {nt}-point control grid")
     mus = dec.mus
     Q = dec.modes
-    W = Q.T @ m_omega @ Q
+    W = _mass_eigencoords(dec, m_omega)
     g = W @ (Q.T @ coeffs.T)              # source samples W f in eigencoords, N x nt
     dt = T / (nt_fine - 1)
     r = (nt_fine - 1) // (nt - 1)         # fine steps per control interval
@@ -261,7 +262,7 @@ def lr_staged_control(domain, kernel, u0, T, stages, r0, n_modes=None, margin=8,
     if n < u0.size:
         raise ArgumentError(
             f"lr_staged_control: truncation {n} cannot hold a {u0.size}-mode state")
-    _, _, dec, m_omega = build_model(domain, kernel, n)
+    dec, W = _eigen_model(domain, kernel, n)  # one W for every stage's Gramian
     state = np.zeros(n)
     state[: u0.size] = u0
     u0_norm = float(np.linalg.norm(state))
@@ -281,7 +282,7 @@ def lr_staged_control(domain, kernel, u0, T, stages, r0, n_modes=None, margin=8,
         tau = slot / 2.0
         t_mid = t_cursor + tau
         t_end = t_cursor + slot
-        G = Q @ _gramian_eigencoords(dec, m_omega, tau) @ Q.T
+        G = Q @ _gramian_eigencoords(dec, W, tau) @ Q.T
         b = propagate(dec, u, tau)
         try:
             p_low = sla.solve(G[:n_low, :n_low], -b[:n_low], assume_a="pos")
@@ -330,7 +331,7 @@ def control_cost(result, m_omega, dec):
     was applied.
     """
     m_omega = _validate_mass(m_omega, dec.n_modes, "control_cost")
-    W = dec.modes.T @ m_omega @ dec.modes
+    W = _mass_eigencoords(dec, m_omega)
     mus = dec.mus
     rate = float(mus[0] - 2.0 * mus[-1])
 

@@ -109,20 +109,20 @@ class SeparableKernel(KernelSpec):
         object.__setattr__(self, "g_coeffs", g)
         object.__setattr__(self, "h_coeffs", h)
 
-    def _factor(self, coeffs, x, length):
+    def _factors(self, x, length):
+        # g(x) and h(x) from one sine table of max(len g, len h) columns, each
         # one matrix-vector product over the flattened points, so a value
         # does not depend on the shape of the array it sits in
         x = np.asarray(x, float)
-        m = np.arange(1, coeffs.size + 1)
+        m = np.arange(1, max(self.g_coeffs.size, self.h_coeffs.size) + 1)
         modes = np.sqrt(2.0 / length) * np.sin(np.multiply.outer(x.ravel(), m) * np.pi / length)
-        return (modes @ coeffs).reshape(x.shape)
+        return tuple((modes[:, :c.size] @ c).reshape(x.shape)
+                     for c in (self.g_coeffs, self.h_coeffs))
 
     def evaluate(self, x, xi, length, out=None):
         vals = _output(x, xi, out)
-        g_x = self._factor(self.g_coeffs, x, length)
-        g_xi = self._factor(self.g_coeffs, xi, length)
-        h_x = self._factor(self.h_coeffs, x, length)
-        h_xi = self._factor(self.h_coeffs, xi, length)
+        g_x, h_x = self._factors(x, length)
+        g_xi, h_xi = self._factors(xi, length)
         # 0.5 * (g_x * h_xi + h_x * g_xi), accumulated in the output array; the
         # second product goes one leading-axis row at a time through a one-row
         # scratch, so no other output-sized array is allocated

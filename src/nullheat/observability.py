@@ -14,7 +14,8 @@ its slack measured):
   form through the eigendecomposition: with W = Q^T M_omega Q,
       G_T = Q (W o Phi) Q^T,   Phi[a, b] = phi(mu_a + mu_b, T),
       phi(s, T) = (e^{sT} - 1) / s = expm1(sT) / s,
-  which expm1 keeps accurate for tiny |sT|, and phi(0, T) = T.
+  which expm1 keeps accurate for tiny |sT|, and phi(0, T) = T.  W does not
+  depend on T: a sweep over horizons forms it once per truncation.
 
 * cost of control  kappa_T = largest generalized eigenvalue of
       e^{2LT} w = kappa G_T w,
@@ -214,8 +215,20 @@ def build_model(domain, kernel, n_modes):
     return basis, kmat, dec, _validate_mass(m_omega, basis.n_modes, "build_model")
 
 
-def _gramian_eigencoords(dec, m_omega, T):
-    W = dec.modes.T @ m_omega @ dec.modes
+def _mass_eigencoords(dec, m_omega):
+    """W = Q^T M_omega Q, the mass matrix in the generator's eigencoordinates:
+    the part of G_T that does not depend on T."""
+    return dec.modes.T @ m_omega @ dec.modes
+
+
+def _eigen_model(domain, kernel, n_modes):
+    """(dec, W) of build_model's n_modes-mode model: W is formed once per
+    truncation, and no reference to M_omega outlives the call."""
+    _, _, dec, m_omega = build_model(domain, kernel, n_modes)
+    return dec, _mass_eigencoords(dec, m_omega)
+
+
+def _gramian_eigencoords(dec, W, T):
     G = W * _phi(dec.mus[:, None] + dec.mus[None, :], T)
     return (G + G.T) / 2
 
@@ -224,7 +237,7 @@ def observability_gramian(dec, m_omega, T):
     """Closed-form G_T = int_0^T e^{Lt} M_omega e^{Lt} dt (symmetric PSD)."""
     T = _validate_time(T, "observability_gramian")
     m_omega = _validate_mass(m_omega, dec.n_modes, "observability_gramian")
-    G = dec.modes @ _gramian_eigencoords(dec, m_omega, T) @ dec.modes.T
+    G = dec.modes @ _gramian_eigencoords(dec, _mass_eigencoords(dec, m_omega), T) @ dec.modes.T
     return (G + G.T) / 2
 
 
@@ -237,13 +250,15 @@ def observability_cost(dec, m_omega, T):
     solve, a reported ridge of 1e-12 trace(G)/N is added to G once.
     """
     T = _validate_time(T, "observability_cost")
-    return _cost(dec, _validate_mass(m_omega, dec.n_modes, "observability_cost"), T)
+    m_omega = _validate_mass(m_omega, dec.n_modes, "observability_cost")
+    return _cost(dec, _mass_eigencoords(dec, m_omega), T)
 
 
-def _cost(dec, m_omega, T):
-    # observability_cost on a mass matrix that _validate_mass has accepted;
-    # the ridge warning names the line that called observability_cost
-    G = _gramian_eigencoords(dec, m_omega, T)
+def _cost(dec, W, T):
+    # observability_cost on W = Q^T M_omega Q of a mass matrix that
+    # _validate_mass has accepted; the ridge warning names the line that
+    # called observability_cost
+    G = _gramian_eigencoords(dec, W, T)
     A = np.diag(np.exp(2.0 * dec.mus * T))
     if not (np.all(np.isfinite(G)) and np.all(np.isfinite(A))):
         raise NumericError(f"observability_cost: Gramian or e^(2LT) overflows float64 at T={T:g}")
@@ -435,11 +450,11 @@ def cost_sweep(domain, kernel, T_list, coupling=COUPLING_FIXED, n_fixed=None, ma
             f"(expected {COUPLING_FIXED!r} or {COUPLING_RESOLVENT!r})"
         )
 
-    # one model per distinct truncation, or the error string that stopped its build
+    # one (dec, W) per distinct truncation, or the error string that stopped its build
     models = {}
     for n in dict.fromkeys(n_of_T.values()):
         try:
-            models[n] = build_model(domain, kernel, n)[2:]
+            models[n] = _eigen_model(domain, kernel, n)
         except (ArgumentError, NumericError) as exc:
             models[n] = f"{type(exc).__name__}: {exc}"
 

@@ -10,7 +10,9 @@ from nullheat import (ArgumentError, Domain, GaussianKernel, IllConditionedError
                       propagate_backward, restricted_mass_matrix, semigroup_norm,
                       simulate_controlled, truncation_for_horizon)
 from nullheat import _highprec, certify, oracles
-from nullheat.basis import _gauss_legendre, gauss_rule, positive_sign
+from nullheat import basis as basis_module
+from nullheat.basis import _PSD_TOL, _gauss_legendre, _validate_mass, gauss_rule, positive_sign
+from nullheat.bundled import bundled_kernels
 
 
 def _gram_double_loop(n, lo, hi, ell, sin=np.sin, pi=np.pi):
@@ -231,6 +233,99 @@ class TestValidateMass:
         with pytest.raises(error) as err:
             _CONSUMERS[op](dec, _bad_mass(kind, m_omega), u0, m_omega)
         assert str(err.value).startswith(f"{op}: ")
+
+
+def _counted_eigvalsh(monkeypatch, calls, raises=False):
+    # basis's own numpy, whose linalg.eigvalsh is counted (and raises, if
+    # asked); every other module keeps the real one
+    def eigvalsh(a):
+        calls.append(np.shape(a))
+        if raises:
+            raise AssertionError("eigvalsh called by _validate_mass")
+        return np.linalg.eigvalsh(a)
+
+    class Numpy:
+        linalg = type("linalg", (), {"eigvalsh": staticmethod(eigvalsh)})
+
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+    monkeypatch.setattr(basis_module, "np", Numpy())
+
+
+# the consumers on a mass matrix the check accepts; hum_control takes a ridge,
+# as its Gramian does not factorize in float64 from N ~ 80 on
+_ACCEPTING_CONSUMERS = dict(
+    _CONSUMERS,
+    hum_control=lambda dec, m, u0, ok: hum_control(dec, m, u0, 0.1, ridge=1e-9),
+    controlled_state_norms=lambda dec, m, u0, ok: controlled_state_norms(
+        dec, m, u0, hum_control(dec, ok, u0, 0.1, ridge=1e-9)),
+    control_cost=lambda dec, m, u0, ok: control_cost(
+        hum_control(dec, ok, u0, 0.1, ridge=1e-9), m, dec),
+)
+
+
+def _with_spectrum(eigenvalues, rng):
+    # Q diag(eigenvalues) Q^T for a random orthogonal Q, exactly symmetric
+    q = np.linalg.qr(rng.standard_normal((eigenvalues.size,) * 2))[0]
+    m = (q * eigenvalues) @ q.T
+    return (m + m.T) / 2
+
+
+class TestValidateMassCholesky:
+    """The Cholesky test accepts what the eigenvalue rule accepts and hands every
+    other matrix to that rule, which refuses it as before."""
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # ridge fallbacks at N = 256
+    @pytest.mark.parametrize("n", [8, 64, 256])
+    def test_bundled_mass_matrices_need_no_eigenvalues(self, domain, monkeypatch, n):
+        calls = []
+        _counted_eigvalsh(monkeypatch, calls, raises=True)
+        u0 = np.linspace(1.0, 0.3, n)
+        for _, kernel in bundled_kernels():
+            _, _, dec, m_omega = build_model(domain, kernel, n)
+            for op, consume in _ACCEPTING_CONSUMERS.items():
+                if op == "left_inverse_constant" and n > 8:
+                    # validated, then refused by its own conditioning gate
+                    with pytest.raises(IllConditionedError, match="conditioning gate"):
+                        consume(dec, m_omega, u0, m_omega)
+                else:
+                    consume(dec, m_omega, u0, m_omega)
+        assert calls == []
+
+    @pytest.mark.parametrize("lam_max", [1.0, 50.0])
+    def test_boundary_of_the_rule(self, rng, lam_max):
+        tol = _PSD_TOL * max(1.0, lam_max)
+        spectrum = np.linspace(0.0, lam_max, 8)
+        spectrum[0] = -0.25 * tol
+        accepted = _with_spectrum(spectrum, rng)
+        assert _validate_mass(accepted, 8, "op") is accepted
+        spectrum[0] = -4.0 * tol
+        refused = _with_spectrum(spectrum, rng)
+        with pytest.raises(IllConditionedError, match="^op: subdomain mass matrix is not "
+                                                      "positive semidefinite") as err:
+            _validate_mass(refused, 8, "op")
+        assert err.value.eigenvalue == float(np.linalg.eigvalsh(refused)[0])
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_caller_matrix_unchanged(self, domain, order):
+        # the factorization overwrites a copy, never the caller's array
+        m = np.array(restricted_mass_matrix(build_basis(domain, 16), 0.3, 0.8), order=order)
+        before = m.copy(order="K")
+        assert _validate_mass(m, 16, "op") is m
+        assert m.tobytes(order="A") == before.tobytes(order="A")
+
+    def test_off_diagonal_mass_is_accepted_through_the_eigenvalues(self, monkeypatch):
+        # ones(n, n) has max diag 1 but lambda_max = n: lambda_min = -1e-11 fails
+        # the Cholesky test's shift of 0.5e-12 yet meets the rule's -n 1e-12
+        n = 64
+        v = np.zeros(n)
+        v[0], v[1] = np.sqrt(0.5), -np.sqrt(0.5)  # orthogonal to the ones vector
+        m = np.ones((n, n)) - 1e-11 * np.outer(v, v)
+        calls = []
+        _counted_eigvalsh(monkeypatch, calls)
+        assert _validate_mass(m, n, "op") is m
+        assert calls == [(n, n)]
 
 
 _STATE_CONSUMERS = {

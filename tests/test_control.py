@@ -7,8 +7,11 @@ from nullheat import (ArgumentError, Domain, GaussianKernel, IllConditionedError
                       ZeroKernel, assemble_generator, build_basis, build_model, control_cost,
                       controlled_state_norms, decompose, hum_control,
                       lr_staged_control, observability_cost, observability_gramian,
-                      project_kernel, propagate, restricted_mass_matrix,
+                      parse_config, project_kernel, propagate, restricted_mass_matrix,
                       simulate_controlled)
+from nullheat import control
+from nullheat.bundled import default_config_path
+from nullheat.observability import _gramian_eigencoords
 
 
 def _dec(domain, kernel, n):
@@ -306,6 +309,36 @@ class TestStagedControl:
         m_omega = restricted_mass_matrix(basis, 0.3, 0.8)
         one_shot = hum_control(dec, m_omega, u0, 1.0, nt=257)
         assert one_shot.cost_sq <= staged.cost_sq  # minimal-energy is minimal
+
+    def test_one_mass_in_eigencoords_for_every_stage_bitwise(self, monkeypatch):
+        # default.cfg's control-lr run against a reference that forms each
+        # stage's Gramian from M_omega, W = Q^T M_omega Q included
+        cfg = parse_config(default_config_path())
+        domain = cfg.domain()
+
+        def run():
+            return lr_staged_control(domain, cfg.kernel(), np.asarray(cfg.u0, dtype=float),
+                                     cfg.horizon, stages=cfg.stages,
+                                     r0=float((np.pi / domain.length) ** 2),
+                                     margin=cfg.margin, nt=cfg.nt)
+
+        res = run()
+        stages = []
+
+        def per_stage(dec, W, tau):
+            m_omega = restricted_mass_matrix(build_basis(domain, dec.n_modes),
+                                             domain.omega_lo, domain.omega_hi)
+            stages.append(tau)
+            return _gramian_eigencoords(dec, dec.modes.T @ m_omega @ dec.modes, tau)
+
+        monkeypatch.setattr(control, "_gramian_eigencoords", per_stage)
+        ref = run()
+        assert len(stages) == cfg.stages
+        assert len(res.multiplier) == len(ref.multiplier) == cfg.stages
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(res.multiplier, ref.multiplier))
+        assert res.control_coeffs.tobytes() == ref.control_coeffs.tobytes()
+        assert [vars(s) for s in res.stage_log] == [vars(s) for s in ref.stage_log]
+        assert (res.cost_sq, res.terminal_residual) == (ref.cost_sq, ref.terminal_residual)
 
     def test_argument_validation(self, domain):
         with pytest.raises(ArgumentError):

@@ -756,12 +756,29 @@ class TestOpenAxes:
         x = np.linspace(0.0, 1.0, self.n)
         xi = (np.arange(self.n) + 0.5) / self.n
         vals = k.evaluate(x[:, None], xi[None, :], 1.0)
-        gx, hx = k._factor(k.g_coeffs, x, 1.0), k._factor(k.h_coeffs, x, 1.0)
-        gxi, hxi = k._factor(k.g_coeffs, xi, 1.0), k._factor(k.h_coeffs, xi, 1.0)
+        gx, hx = k._factors(x, 1.0)
+        gxi, hxi = k._factors(xi, 1.0)
         expected = 0.5 * (gx[:, None] * hxi[None, :] + hx[:, None] * gxi[None, :])
         assert np.array_equal(vals, expected)
         X, Y = np.meshgrid(x, xi, indexing="ij")
         assert np.max(np.abs(vals - k.evaluate(X, Y, 1.0))) <= 1e-15
+
+    def test_separable_factors_equal_one_table_per_factor(self, rng):
+        # the shared sine table, sliced to each factor's length, gives the bits
+        # of a table built for that factor alone
+        def alone(coeffs, x, length):
+            m = np.arange(1, coeffs.size + 1)
+            modes = np.sqrt(2.0 / length) * np.sin(np.multiply.outer(x.ravel(), m) * np.pi / length)
+            return (modes @ coeffs).reshape(x.shape)
+
+        for _ in range(50):
+            g, h = (rng.standard_normal(rng.integers(1, 12)) for _ in range(2))
+            k = SeparableKernel(g, h)
+            length = float(rng.uniform(0.1, 10.0))
+            shape = [(), (7,), (33, 1), (1, 65), (5, 9)][rng.integers(5)]
+            x = rng.uniform(0.0, length, shape)
+            for got, coeffs in zip(k._factors(x, length), (g, h)):
+                assert got.tobytes() == alone(coeffs, x, length).tobytes()
 
     def test_grid_open_axes_equal_meshgrid(self):
         k = grid_demo_kernel()

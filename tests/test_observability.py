@@ -1,3 +1,5 @@
+import warnings
+
 import mpmath as mp
 import numpy as np
 import pytest
@@ -496,7 +498,7 @@ class TestCostSweep:
         assert sweep.rows[0].error.startswith("NumericError: observability_cost:")
 
     def test_unexpected_error_propagates(self, domain, monkeypatch):
-        def broken(dec, m_omega, T):
+        def broken(dec, W, T):
             raise TypeError("not a numeric failure")
 
         monkeypatch.setattr(observability, "_cost", broken)
@@ -642,6 +644,31 @@ class TestSweepSharesModels:
             basis, dec = _dec(domain, kernel, row.n_used)
             ref = observability_cost(
                 dec, restricted_mass_matrix(basis, domain.omega_lo, domain.omega_hi), row.T)
+            assert row.report.kappa == ref.kappa
+            assert row.report.gramian_min_eig == ref.gramian_min_eig
+            assert row.report.witness.tobytes() == ref.witness.tobytes()
+
+    @pytest.mark.parametrize("n", [16, 64, 128])
+    @pytest.mark.parametrize("kernel", [ZeroKernel(), GaussianKernel(5.0, 0.2),
+                                        GaussianKernel(20.0, 0.15)],
+                             ids=["zero", "stable", "unstable"])
+    def test_fixed_rows_equal_per_row_models_bitwise(self, domain, kernel, n):
+        # one W per truncation gives each row the bits of observability_cost on
+        # M_omega, the ridge rows and their warnings included
+        Ts = [0.5, 0.1, 0.02]
+        with warnings.catch_warnings(record=True) as swept:
+            warnings.simplefilter("always", RuntimeWarning)
+            sweep = cost_sweep(domain, kernel, Ts, coupling=COUPLING_FIXED, n_fixed=n)
+        basis, dec = _dec(domain, kernel, n)
+        m_omega = restricted_mass_matrix(basis, domain.omega_lo, domain.omega_hi)
+        with warnings.catch_warnings(record=True) as per_row:
+            warnings.simplefilter("always", RuntimeWarning)
+            refs = [observability_cost(dec, m_omega, T) for T in Ts]
+        assert [str(w.message) for w in swept] == [str(w.message) for w in per_row]
+        if n == 128 and isinstance(kernel, ZeroKernel):  # the known ridge rows
+            assert swept and all("retrying with ridge" in str(w.message) for w in swept)
+        for row, ref in zip(sweep.rows, refs):
+            assert row.T == ref.T and row.n_used == n
             assert row.report.kappa == ref.kappa
             assert row.report.gramian_min_eig == ref.gramian_min_eig
             assert row.report.witness.tobytes() == ref.witness.tobytes()
