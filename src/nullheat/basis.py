@@ -62,11 +62,10 @@ class SpectralBasis:
 def build_basis(domain, n_modes):
     """Return the basis of the first n_modes (truncation level N >= 1) analytic
     Dirichlet eigenpairs on domain."""
-    if not isinstance(n_modes, (int, np.integer)) or n_modes < 1:
-        raise ArgumentError(f"build_basis: n_modes must be a positive integer, got {n_modes!r}")
-    j = np.arange(1, int(n_modes) + 1, dtype=float)
+    n_modes = _validate_int(n_modes, "build_basis", "n_modes", positive=True)
+    j = np.arange(1, n_modes + 1, dtype=float)
     lambdas = (j * np.pi / domain.length) ** 2
-    return SpectralBasis(domain=domain, n_modes=int(n_modes), lambdas=lambdas)
+    return SpectralBasis(domain=domain, n_modes=n_modes, lambdas=lambdas)
 
 
 def eval_mode(basis, j, x):
@@ -165,11 +164,13 @@ def _validate_state(u0, n, op):
     return u0
 
 
-def _validate_int(value, op, name):
-    """value as an int, refused unless it is an integer; a float that holds
-    one, such as 64.0, is refused too."""
-    if not isinstance(value, (int, np.integer)):
-        raise ArgumentError(f"{op}: {name} must be an integer, got {value!r}")
+def _validate_int(value, op, name, positive=False):
+    """value as an int, refused unless it is an integer (>= 1 with positive);
+    a float that holds one, such as 64.0, is refused, and so is a bool."""
+    if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
+            or (positive and value < 1)):
+        rule = "a positive integer" if positive else "an integer"
+        raise ArgumentError(f"{op}: {name} must be {rule}, got {value!r}")
     return int(value)
 
 

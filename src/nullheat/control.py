@@ -19,7 +19,10 @@ r_k = r0 4^k (so sqrt(r_k) doubles per stage, matching the exp(C sqrt(r))
 constant growth against exp(-r tau) free decay), and whose second half is
 free decay that crushes what the active half excited.  Stage controls are
 designed on the full coupled truncation with a low-mode terminal constraint,
-because the integral coupling does not block-diagonalize.
+because the integral coupling does not block-diagonalize.  Both routes
+solve through _solve_gramian, the one Gramian solve: a non-finite Gramian
+is a NumericError, and one that Cholesky cannot factor an
+IllConditionedError naming HUM's ridge or the staged route's stage.
 
 simulate_controlled is the independent audit: it integrates the controlled
 equation by exponential stepping with per-step source quadrature from the
@@ -33,6 +36,7 @@ simulator does not audit it.  Both time rules here, its own and
 control_cost's, are Gauss-Legendre rules of basis.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -83,22 +87,21 @@ class SimulationResult:
 
 
 def _solve_gramian(G, rhs, ridge, op):
-    """Cholesky solve of (G + ridge I) x = rhs; ridge = 0 factorizes G itself.
-
-    A Gramian that does not factorize is refused, never regularized here."""
+    """Cholesky solve of (G + ridge I) x = rhs; ridge = 0, or None where no
+    penalty can be set (the staged blocks), factorizes G itself.  A Gramian
+    that does not factorize is refused, never regularized here."""
     if not np.all(np.isfinite(G)):
         raise NumericError(f"{op}: Gramian contains non-finite entries")
-    if ridge < 0:
-        raise ArgumentError(f"{op}: ridge must be >= 0, got {ridge}")
-    A = G + ridge * np.eye(G.shape[0]) if ridge > 0 else G
+    if ridge is not None and not 0 <= ridge < np.inf:
+        raise ArgumentError(f"{op}: ridge must be >= 0 and finite, got {ridge}")
+    A = G + ridge * np.eye(G.shape[0]) if ridge else G
     try:
         return sla.cho_solve(sla.cho_factor(A), rhs)
     except np.linalg.LinAlgError as exc:
-        raise IllConditionedError(
-            f"{op}: Gramian not factorizable at ridge {ridge:g}; "
-            f"set tolerances.ridge > {ridge:g}",
-            eigenvalue=float(np.linalg.eigvalsh(A)[0]),
-        ) from exc
+        advice = "" if ridge is None else (
+            f" at ridge {ridge:g}; set tolerances.ridge > {ridge:g}")
+        raise IllConditionedError(f"{op}: Gramian not factorizable{advice}",
+                                  eigenvalue=float(np.linalg.eigvalsh(A)[0])) from exc
 
 
 def hum_control(dec, m_omega, u0, T, nt=64, ridge=0.0):
@@ -119,8 +122,9 @@ def hum_control(dec, m_omega, u0, T, nt=64, ridge=0.0):
     u0 = _validate_state(u0, dec.n_modes, "hum_control")
     G = _gramian_eigencoords(dec, _mass_eigencoords(dec, m_omega), T)
     u0_e = dec.modes.T @ u0
-    decay = np.exp(dec.mus * T)
-    rhs = -(decay * u0_e)
+    with np.errstate(over="ignore", invalid="ignore"):  # where e^{mu T} overflows, so does G
+        decay = np.exp(dec.mus * T)
+        rhs = -(decay * u0_e)
     p_e = _solve_gramian(G, rhs, ridge, "hum_control")
     terminal_e = decay * u0_e + G @ p_e
     u0_norm = float(np.linalg.norm(u0))
@@ -244,21 +248,22 @@ def lr_staged_control(domain, kernel, u0, T, stages, r0, n_modes=None, margin=8,
     """
     stages = _validate_int(stages, "lr_staged_control", "stages")
     nt = _validate_int(nt, "lr_staged_control", "nt")
+    margin = _validate_int(margin, "lr_staged_control", "margin")
     if stages < 2:
         raise ArgumentError(f"lr_staged_control: need at least 2 stages, got {stages}")
     T = _validate_time(T, "lr_staged_control")
     u0 = np.atleast_1d(np.asarray(u0, dtype=float))
-    if not np.all(np.isfinite(u0)):
-        raise ArgumentError("lr_staged_control: u0 must be finite")
-    if not np.isfinite(r0):
-        raise ArgumentError(f"lr_staged_control: r0 must be finite, got {r0}")
-    lam1 = (np.pi / domain.length) ** 2
-    if r0 < lam1:
-        raise ArgumentError(
-            f"lr_staged_control: r0 = {r0:g} is below the first eigenvalue {lam1:g}")
-    r_last = r0 * 4.0 ** (stages - 1)
-    n_needed = int(np.floor(np.sqrt(r_last) * domain.length / np.pi)) + margin
-    n = max(n_needed, u0.size) if n_modes is None else int(n_modes)
+    u0 = _validate_state(u0, u0.size, "lr_staged_control")  # any length: padded below
+    if _count_modes(domain, r0, "lr_staged_control", "r0") < 1:
+        raise ArgumentError(f"lr_staged_control: r0 = {r0:g} is below the first "
+                            f"eigenvalue {(np.pi / domain.length) ** 2:g}")
+    try:
+        r_last = math.ldexp(r0, 2 * (stages - 1))  # r0 4^(stages - 1), exactly
+    except OverflowError:  # past float64: refused by the mode count
+        r_last = math.inf
+    n = _count_modes(domain, r_last, "lr_staged_control", "the last cutoff r0 4^(stages - 1)")
+    n = max(n + margin, u0.size) if n_modes is None else _validate_int(
+        n_modes, "lr_staged_control", "n_modes")
     if n < u0.size:
         raise ArgumentError(
             f"lr_staged_control: truncation {n} cannot hold a {u0.size}-mode state")
@@ -277,22 +282,17 @@ def lr_staged_control(domain, kernel, u0, T, stages, r0, n_modes=None, margin=8,
     u = state.copy()
     for k in range(stages):
         r_k = r0 * 4.0 ** k
-        n_low = min(n, _count_modes(domain, r_k))
+        n_low = min(n, _count_modes(domain, r_k, "lr_staged_control"))
         slot = T * 2.0 ** (-(k + 1))
         tau = slot / 2.0
         t_mid = t_cursor + tau
         t_end = t_cursor + slot
-        G = Q @ _gramian_eigencoords(dec, W, tau) @ Q.T
-        b = propagate(dec, u, tau)
-        try:
-            p_low = sla.solve(G[:n_low, :n_low], -b[:n_low], assume_a="pos")
-        except np.linalg.LinAlgError as exc:
-            raise IllConditionedError(
-                f"lr_staged_control: low-mode Gramian block singular at stage {k}",
-                eigenvalue=float(np.linalg.eigvalsh(G[:n_low, :n_low])[0]),
-            ) from exc
+        with np.errstate(over="ignore", invalid="ignore"):  # where b overflows, so does G
+            G = Q @ _gramian_eigencoords(dec, W, tau) @ Q.T
+            b = propagate(dec, u, tau)
         p = np.zeros(n)
-        p[:n_low] = p_low
+        p[:n_low] = _solve_gramian(G[:n_low, :n_low], -b[:n_low], None,
+                                   f"lr_staged_control: stage {k} low-mode block")
         multipliers.append(p)
         cost_k = float(p @ G @ p)
         total_cost += cost_k

@@ -9,24 +9,22 @@ class ArgumentError(ValueError):
     """Invalid argument to a library operation."""
 
 
-class KernelFormatError(ValueError):
+class _LineNumberedError(ValueError):
+    """A malformed input file; carries the offending line number as .line."""
+
+    def __init__(self, message, line=None):
+        if line is not None:
+            message = f"{message} (line {line})"
+        super().__init__(message)
+        self.line = line
+
+
+class KernelFormatError(_LineNumberedError):
     """Malformed grid-kernel file; carries the offending line number."""
 
-    def __init__(self, message, line=None):
-        if line is not None:
-            message = f"{message} (line {line})"
-        super().__init__(message)
-        self.line = line
 
-
-class ConfigError(ValueError):
+class ConfigError(_LineNumberedError):
     """Malformed experiment config; carries the offending line number."""
-
-    def __init__(self, message, line=None):
-        if line is not None:
-            message = f"{message} (line {line})"
-        super().__init__(message)
-        self.line = line
 
 
 class NumericError(RuntimeError):

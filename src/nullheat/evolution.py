@@ -143,9 +143,7 @@ def left_inverse_constant(dec, m_omega, t, method="auto"):
     if bound < _LOG_UNDERFLOW - 1.0:  # the e-fold covers the float Q taken as exact
         _refuse_underflow(f"log zeta <= mu_N t = {bound:.1f}")
     if method == "auto":
-        et = dec.semigroup(t)
-        a = et @ m_omega @ et
-        a = (a + a.T) / 2
+        a = _zeta_pencil(dec, m_omega, t)
         try:
             # not eigvals_only=True: its LAPACK route moves zeta by ~1e-6 near the floor
             theta = sla.eigh(a, m_omega)[0]
@@ -158,6 +156,13 @@ def left_inverse_constant(dec, m_omega, t, method="auto"):
     if log_zeta < _LOG_UNDERFLOW:
         _refuse_underflow(f"log zeta = {log_zeta:.1f}")
     return math.exp(log_zeta)
+
+
+def _zeta_pencil(dec, m_omega, t):
+    """A = e^{Lt} M_omega e^{Lt} as (A + A^T) / 2: zeta's pencil's left side."""
+    et = dec.semigroup(t)
+    a = et @ m_omega @ et
+    return (a + a.T) / 2
 
 
 def _refuse_underflow(detail):

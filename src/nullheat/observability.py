@@ -22,8 +22,10 @@ its slack measured):
   the smallest constant with ||e^{LT} u||^2 <= kappa_T u^T G_T u.
 
 The sweep over horizons reproduces the blow-up of kappa_T as T -> 0 under
-the frequency-coupled truncation N(T) = floor(sqrt(1/T) ell / pi) + margin,
+the frequency-coupled truncation N(T) = #{j : lambda_j <= 1/T} + margin,
 and fits log kappa_T against both 1/sqrt(T) and 1/T.
+Every "modes with lambda <= r" of the library, here and in the staged
+control, is _count_modes: inclusive, on the eigenvalue table's formula.
 """
 
 import math
@@ -34,10 +36,10 @@ import numpy as np
 import scipy.linalg as sla
 
 from . import _highprec
-from .basis import (_validate_mass, _validate_time, build_basis, positive_sign,
-                    restricted_mass_matrix)
+from .basis import (_validate_int, _validate_mass, _validate_time, build_basis,
+                    positive_sign, restricted_mass_matrix)
 from .errors import ArgumentError, IllConditionedError, NumericError
-from .evolution import assemble_generator, decompose, left_inverse_constant
+from .evolution import _zeta_pencil, assemble_generator, decompose, left_inverse_constant
 from .kernels import project_kernel
 
 COUPLING_FIXED = "fixed"
@@ -76,12 +78,14 @@ def _phi(s, T):
     return out
 
 
-def _count_modes(domain, r):
-    # count j >= 1 with ((j pi / ell))^2 <= r using the same float formula
-    # as the eigenvalue table, so boundary cutoffs r = lambda_k stay inclusive
-    j_hi = int(np.ceil(np.sqrt(max(r, 0.0)) * domain.length / np.pi)) + 2
-    j = np.arange(1, j_hi + 1, dtype=float)
-    return int(np.count_nonzero((j * np.pi / domain.length) ** 2 <= r))
+def _count_modes(domain, r, op, name="cutoff r"):
+    """#{j >= 1 : (j pi / ell)^2 <= r} on build_basis's float formula, so r =
+    lambda_k counts mode k, read at the j within two of sqrt(r) ell / pi."""
+    if not np.isfinite(r):
+        raise ArgumentError(f"{op}: {name} must be finite, got {r}")
+    ell = domain.length
+    j = max(np.floor(np.sqrt(max(r, 0.0)) * ell / np.pi), 2.0) + np.arange(-1.0, 3.0)
+    return int(j[0]) - 1 + int(np.count_nonzero((j * np.pi / ell) ** 2 <= r))
 
 
 def spectral_obs_constant(basis, omega, r):
@@ -102,26 +106,21 @@ def spectral_obs_constants(basis, omega, r_list):
     return _packet_reports(basis, omega, r_list)
 
 
-def _packet_reports(basis, omega, r_list):
+def _packet_reports(basis, omega, r_list, op="spectral_obs_constant"):
+    counts = [_count_modes(basis.domain, r, op) for r in r_list]
     lo, hi = omega
     M = restricted_mass_matrix(basis, lo, hi)
     # one mp Gram matrix for the largest cutoff serves every leading block
     solve = _highprec.gram_block_solver(
-        min(basis.n_modes, max((_count_modes(basis.domain, q) for q in r_list), default=0)),
-        lo, hi, basis.domain.length)
+        min(basis.n_modes, max(counts, default=0)), lo, hi, basis.domain.length)
     reports = []
-    for r in r_list:
-        if r < basis.lambdas[0]:
-            raise ArgumentError(
-                f"spectral_obs_constant: cutoff r = {r:g} is below the first eigenvalue "
-                f"{basis.lambdas[0]:g}; the packet is empty"
-            )
-        n = _count_modes(basis.domain, r)
+    for r, n in zip(r_list, counts):
+        if n == 0:
+            raise ArgumentError(f"{op}: cutoff r = {r:g} is below the first eigenvalue "
+                                f"{basis.lambdas[0]:g}; the packet is empty")
         if n > basis.n_modes:
-            raise ArgumentError(
-                f"spectral_obs_constant: cutoff r = {r:g} needs {n} modes but the basis "
-                f"holds {basis.n_modes}"
-            )
+            raise ArgumentError(f"{op}: cutoff r = {r:g} needs {n} modes but the basis "
+                                f"holds {basis.n_modes}")
         w, vecs = np.linalg.eigh(M[:n, :n])
         c_min = float(w[0])
         witness = vecs[:, 0]
@@ -181,7 +180,7 @@ def specobs_sweep_and_fit(basis, omega, r_list):
         raise ArgumentError(
             "specobs_sweep_and_fit: cutoffs must span a factor of at least 16"
         )
-    return fit_specobs_sweep(spectral_obs_constants(basis, omega, r_list))
+    return fit_specobs_sweep(_packet_reports(basis, omega, r_list, "specobs_sweep_and_fit"))
 
 
 def fit_specobs_sweep(reports):
@@ -422,7 +421,8 @@ def _free_power_fit(Ts, ys):
 def truncation_for_horizon(domain, T, margin=8):
     """Frequency-coupled truncation: modes with lambda <= 1/T, plus margin."""
     T = _validate_time(T, "truncation_for_horizon")
-    return int(np.floor(np.sqrt(1.0 / T) * domain.length / np.pi)) + margin
+    margin = _validate_int(margin, "truncation_for_horizon", "margin")
+    return _count_modes(domain, 1.0 / T, "truncation_for_horizon", "cutoff 1/T") + margin
 
 
 def cost_sweep(domain, kernel, T_list, coupling=COUPLING_FIXED, n_fixed=None, margin=8):
@@ -430,7 +430,7 @@ def cost_sweep(domain, kernel, T_list, coupling=COUPLING_FIXED, n_fixed=None, ma
 
     coupling "fixed" uses n_fixed modes everywhere; coupling
     "r-equals-1-over-T" grows the truncation as the horizon shrinks,
-    N(T) = floor(sqrt(1/T) ell / pi) + margin, which is what lets the
+    N(T) = truncation_for_horizon(domain, T, margin), which is what lets the
     small-T blow-up exceed the ~1/T rate a fixed truncation is capped at.
 
     Returns per-horizon rows (argument and numeric failures are recorded per
@@ -438,10 +438,11 @@ def cost_sweep(domain, kernel, T_list, coupling=COUPLING_FIXED, n_fixed=None, ma
     and the profiled free exponent over the blow-up regime (_free_power_fit).
     """
     T_list = [_validate_time(float(T), "cost_sweep", "horizons") for T in T_list]
+    margin = _validate_int(margin, "cost_sweep", "margin")
     if coupling == COUPLING_FIXED:
         if n_fixed is None:
             raise ArgumentError("cost_sweep: fixed coupling needs n_fixed")
-        n_of_T = {T: int(n_fixed) for T in T_list}
+        n_of_T = dict.fromkeys(T_list, _validate_int(n_fixed, "cost_sweep", "n_fixed"))
     elif coupling == COUPLING_RESOLVENT:
         n_of_T = {T: truncation_for_horizon(domain, T, margin) for T in T_list}
     else:
@@ -504,7 +505,8 @@ def proof_chain_report(basis, dec, m_omega, r, T):
     quotient (a generalized eigenvalue on the packet block); the chain must
     dominate at every t.  No single t is selected: the full grid is returned.
     """
-    obs = spectral_obs_constant(basis, basis.domain.omega, r)
+    T = _validate_time(T, "proof_chain_report")
+    obs = _packet_reports(basis, basis.domain.omega, [r], "proof_chain_report")[0]
     n_r = obs.n_modes
     log_prefix = 2.0 * dec.mus[0] * T + np.log(obs.specobs_constant)
     e2 = dec.semigroup(2.0 * T)
@@ -513,9 +515,7 @@ def proof_chain_report(basis, dec, m_omega, r, T):
     for i in range(1, CHAIN_GRID_POINTS + 1):
         t = T * i / CHAIN_GRID_POINTS
         zeta = left_inverse_constant(dec, m_omega, t)
-        et = dec.semigroup(t)
-        emet = et @ m_omega @ et
-        R = (emet + emet.T)[:n_r, :n_r] / 2
+        R = _zeta_pencil(dec, m_omega, t)[:n_r, :n_r]
         theta = sla.eigh(S, R, eigvals_only=True)
         log_q = float(np.log(theta[-1]))
         rows.append(ChainRow(t=t, zeta=zeta,

@@ -2,13 +2,15 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from nullheat import (ArgumentError, Domain, GaussianKernel, IllConditionedError,
-                      NumericError, build_basis, build_model, control_cost,
-                      controlled_state_norms, cost_sweep, eval_mode, gauss_quadrature,
-                      hum_control, left_inverse_constant, lr_staged_control,
-                      observability_cost, observability_gramian, propagate,
-                      propagate_backward, restricted_mass_matrix, semigroup_norm,
-                      simulate_controlled, truncation_for_horizon)
+from nullheat import (COUPLING_RESOLVENT, ArgumentError, Domain, GaussianKernel,
+                      IllConditionedError, NumericError, build_basis, build_model,
+                      control_cost, controlled_state_norms, cost_sweep, eval_mode,
+                      gauss_quadrature, hum_control, left_inverse_constant,
+                      lr_staged_control, observability_cost, observability_gramian,
+                      proof_chain_report, propagate, propagate_backward,
+                      restricted_mass_matrix, semigroup_norm, simulate_controlled,
+                      spectral_obs_constant, spectral_obs_constants,
+                      specobs_sweep_and_fit, truncation_for_horizon)
 from nullheat import _highprec, certify, oracles
 from nullheat import basis as basis_module
 from nullheat.basis import _PSD_TOL, _gauss_legendre, _validate_mass, gauss_rule, positive_sign
@@ -385,6 +387,8 @@ _TIME_CONSUMERS = {
         -np.eye(8), np.ones(8), t), "t must be >= 0"),
     "truncation_for_horizon": (lambda dec, m, t: truncation_for_horizon(Domain(1.0, 0.3, 0.8), t),
                                "T must be positive"),
+    "proof_chain_report": (lambda dec, m, t: proof_chain_report(
+        build_basis(Domain(1.0, 0.3, 0.8), 8), dec, m, 4 * np.pi ** 2, t), "T must be positive"),
 }
 
 
@@ -414,6 +418,48 @@ _MALFORMED_ARGUMENTS = {
                                  "lr_staged_control: r0 must be finite, got inf"),
     "lr_staged_control-u0": (_staged(u0=np.r_[np.ones(3), np.nan]),
                              "lr_staged_control: u0 must be finite"),
+    # integers: one check (basis._validate_int), no silent int() truncation, no bool
+    "lr_staged_control-n_modes": (_staged(n_modes=12.9),
+                                  "lr_staged_control: n_modes must be an integer, got 12.9"),
+    "lr_staged_control-margin": (_staged(n_modes=None, margin=2.5),
+                                 "lr_staged_control: margin must be an integer, got 2.5"),
+    "cost_sweep-n_fixed": (lambda dec, m: cost_sweep(
+        Domain(1.0, 0.3, 0.8), GaussianKernel(5.0, 0.2), [0.5, 0.1], n_fixed=16.7),
+        "cost_sweep: n_fixed must be an integer, got 16.7"),
+    "cost_sweep-margin": (lambda dec, m: cost_sweep(
+        Domain(1.0, 0.3, 0.8), GaussianKernel(5.0, 0.2), [0.5, 0.1],
+        coupling=COUPLING_RESOLVENT, margin=2.5),
+        "cost_sweep: margin must be an integer, got 2.5"),
+    "truncation_for_horizon-margin": (lambda dec, m: truncation_for_horizon(
+        Domain(1.0, 0.3, 0.8), 0.1, margin=2.5),
+        "truncation_for_horizon: margin must be an integer, got 2.5"),
+    "build_basis-bool": (lambda dec, m: build_basis(Domain(1.0, 0.3, 0.8), True),
+                         "build_basis: n_modes must be a positive integer, got True"),
+    "midpoint_projection-bool": (lambda dec, m: oracles.midpoint_projection(
+        GaussianKernel(5.0, 0.2), build_basis(Domain(1.0, 0.3, 0.8), 8), n_points=True),
+        "midpoint_projection: n_points must be a positive integer, got True"),
+    # cutoffs: one mode count (observability._count_modes), which refuses NaN and inf
+    "spectral_obs_constant-nan": (lambda dec, m: spectral_obs_constant(
+        build_basis(Domain(1.0, 0.3, 0.8), 8), (0.3, 0.8), np.nan),
+        "spectral_obs_constant: cutoff r must be finite, got nan"),
+    "spectral_obs_constants-inf": (lambda dec, m: spectral_obs_constants(
+        build_basis(Domain(1.0, 0.3, 0.8), 8), (0.3, 0.8), [np.pi ** 2, np.inf]),
+        "spectral_obs_constant: cutoff r must be finite, got inf"),
+    "specobs_sweep_and_fit-inf": (lambda dec, m: specobs_sweep_and_fit(
+        build_basis(Domain(1.0, 0.3, 0.8), 8), (0.3, 0.8),
+        [np.pi ** 2 * k for k in (1, 2, 4, 8, 16)] + [np.inf]),
+        "specobs_sweep_and_fit: cutoff r must be finite, got inf"),
+    "lr_staged_control-r_last": (_staged(n_modes=None, stages=600),
+                                 "lr_staged_control: the last cutoff r0 4^(stages - 1) "
+                                 "must be finite, got inf"),
+    "proof_chain_report-T": (lambda dec, m: proof_chain_report(
+        build_basis(Domain(1.0, 0.3, 0.8), 8), dec, m, 4 * np.pi ** 2, -0.1),
+        "proof_chain_report: T must be positive and finite, got -0.1"),
+    "proof_chain_report-r": (lambda dec, m: proof_chain_report(
+        build_basis(Domain(1.0, 0.3, 0.8), 8), dec, m, np.nan, 0.1),
+        "proof_chain_report: cutoff r must be finite, got nan"),
+    "hum_control-ridge": (lambda dec, m: hum_control(dec, m, np.ones(8), 0.1, ridge=np.nan),
+                          "hum_control: ridge must be >= 0 and finite, got nan"),
 }
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from nullheat import (ArgumentError, Domain, GaussianKernel, IllConditionedError,
-                      ZeroKernel, assemble_generator, build_basis, build_model, control_cost,
+                      NumericError, ZeroKernel, assemble_generator, build_basis, build_model, control_cost,
                       controlled_state_norms, decompose, hum_control,
                       lr_staged_control, observability_cost, observability_gramian,
                       parse_config, project_kernel, propagate, restricted_mass_matrix,
@@ -353,6 +353,21 @@ class TestStagedControl:
         with pytest.raises(ArgumentError):
             lr_staged_control(domain, ZeroKernel(), np.ones(8), T=1.0, stages=2,
                               r0=np.pi ** 2, n_modes=4)
+
+
+class TestStagedRefusals:
+    def test_overflowing_stage_gramian_is_a_numeric_error(self, domain):
+        # e^{mu tau} overflows at amplitude 1e4: refused like HUM, not a scipy ValueError
+        with pytest.raises(NumericError, match="stage 0 low-mode block: Gramian contains"):
+            lr_staged_control(domain, GaussianKernel(1e4, 0.2), np.ones(4), T=1.0,
+                              stages=2, r0=np.pi ** 2, n_modes=8, nt=65)
+
+    def test_staged_refusal_names_no_ridge(self):
+        # control-lr reads no tolerances.ridge, so its refusal does not ask for one
+        with pytest.raises(IllConditionedError) as err:
+            control._solve_gramian(np.zeros((2, 2)), np.ones(2), None, "lr_staged_control: stage 3")
+        assert str(err.value).startswith("lr_staged_control: stage 3: Gramian not factorizable")
+        assert "ridge" not in str(err.value)
 
 
 class TestControlCost:

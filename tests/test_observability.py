@@ -14,7 +14,7 @@ from nullheat import (ArgumentError, COUPLING_FIXED, COUPLING_RESOLVENT, Domain,
                       propagate, restricted_mass_matrix, spectral_obs_constant,
                       spectral_obs_constants, specobs_sweep_and_fit, truncation_for_horizon,
                       witness_identity_residual)
-from nullheat import _highprec, cli, observability, oracles, parse_config
+from nullheat import _highprec, cli, evolution, observability, oracles, parse_config
 from nullheat import basis as basis_module
 from nullheat.bundled import bundled_kernels, default_config_path
 from nullheat.basis import _validate_mass
@@ -462,10 +462,22 @@ class TestCostSweep:
         kappas = [row.report.kappa for row in sweep.rows]
         assert all(b > a for a, b in zip(kappas, kappas[1:]))
 
+    def test_mode_count_is_the_eigenvalue_table(self):
+        # lambda_k counts mode k, the next float below it does not, on the
+        # table build_basis computes
+        for ell in (1.0, 0.7, 2.5):
+            lambdas = build_basis(Domain(ell, 0.0, ell), 199).lambdas
+            for k, lam in enumerate(lambdas, start=1):
+                assert observability._count_modes(Domain(ell, 0.0, ell), lam, "op") == k
+                assert observability._count_modes(
+                    Domain(ell, 0.0, ell), np.nextafter(lam, 0.0), "op") == k - 1
+
     def test_frequency_coupled_truncation(self, domain):
         assert truncation_for_horizon(domain, 0.4) == 8
         assert truncation_for_horizon(domain, 0.1) == 9
         assert truncation_for_horizon(domain, 0.025) == 10
+        # T = 1 / lambda_11: lambda_11 <= 1/T, so mode 11 is in
+        assert truncation_for_horizon(domain, 1 / (11 * np.pi) ** 2, margin=0) == 11
         sweep = cost_sweep(domain, ZeroKernel(), [0.4, 0.2, 0.1, 0.05, 0.025],
                            coupling=COUPLING_RESOLVENT)
         assert [row.n_used for row in sweep.rows] == [8, 8, 9, 9, 10]
@@ -700,6 +712,17 @@ class TestProofChain:
         for row in rows:
             assert row.zeta > 0
             assert row.log_chain_bound >= row.log_extremal_quotient - 1e-9
+
+    def test_packet_pencil_is_the_leading_block_of_zetas(self, domain, rng):
+        # (A + A^T) / 2 and its leading block agree with ((A + A^T)[:n, :n]) / 2 bit for bit
+        basis, dec = _dec(domain, GaussianKernel(5.0, 0.2), 16)
+        m_omega = restricted_mass_matrix(basis, 0.3, 0.8)
+        for t in rng.uniform(0.0, 0.2, 8):
+            et = dec.semigroup(t)
+            emet = et @ m_omega @ et
+            for n in (1, 7, 16):
+                assert np.array_equal(evolution._zeta_pencil(dec, m_omega, t)[:n, :n],
+                                      (emet + emet.T)[:n, :n] / 2)
 
 
 def _forms_and_bounds(V, G):
