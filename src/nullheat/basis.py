@@ -22,6 +22,7 @@ from numpy.polynomial.legendre import legder, legval
 from .errors import ArgumentError, IllConditionedError, NumericError
 
 QUADRATURE_ORDER = 8  # Gauss-Legendre points per panel of the library's rules
+MAX_MODES = 2048  # the largest truncation N of any model (a dense build: ~2 s, ~192 MiB)
 
 _PSD_TOL = 1e-12
 
@@ -60,9 +61,9 @@ class SpectralBasis:
 
 
 def build_basis(domain, n_modes):
-    """Return the basis of the first n_modes (truncation level N >= 1) analytic
-    Dirichlet eigenpairs on domain."""
-    n_modes = _validate_int(n_modes, "build_basis", "n_modes", positive=True)
+    """Return the basis of the first n_modes (truncation level 1 <= N <=
+    MAX_MODES) analytic Dirichlet eigenpairs on domain."""
+    n_modes = _validate_int(n_modes, "build_basis", "n_modes", 1, MAX_MODES)
     j = np.arange(1, n_modes + 1, dtype=float)
     lambdas = (j * np.pi / domain.length) ** 2
     return SpectralBasis(domain=domain, n_modes=n_modes, lambdas=lambdas)
@@ -164,14 +165,20 @@ def _validate_state(u0, n, op):
     return u0
 
 
-def _validate_int(value, op, name, positive=False):
-    """value as an int, refused unless it is an integer (>= 1 with positive);
-    a float that holds one, such as 64.0, is refused, and so is a bool."""
-    if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
-            or (positive and value < 1)):
-        rule = "a positive integer" if positive else "an integer"
-        raise ArgumentError(f"{op}: {name} must be {rule}, got {value!r}")
-    return int(value)
+def _validate_int(value, op, name, minimum=None, maximum=None):
+    """value as an int, refused unless it is an integer in [minimum, maximum]
+    (None leaves that end open): the one range rule of every integer argument.
+    A float that holds one, such as 64.0, is refused, and so is a bool."""
+    positive = "a positive integer" if minimum == 1 else None
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        rule = positive or "an integer"
+    elif minimum is not None and value < minimum:
+        rule = positive or f">= {minimum}"
+    elif maximum is not None and value > maximum:
+        rule = f"<= {maximum}"
+    else:
+        return int(value)
+    raise ArgumentError(f"{op}: {name} must be {rule}, got {value!r}")
 
 
 def _validate_time(t, op, name="T", allow_zero=False):
@@ -235,8 +242,7 @@ def gauss_quadrature(f, lo, hi, panels):
     """
     if not lo < hi:
         raise ArgumentError(f"gauss_quadrature: need lo < hi, got ({lo}, {hi})")
-    if panels < 1:
-        raise ArgumentError(f"gauss_quadrature: panels must be >= 1, got {panels}")
+    panels = _validate_int(panels, "gauss_quadrature", "panels", 1)
     weights = _gauss_legendre(QUADRATURE_ORDER)[1]
     edges = np.linspace(lo, hi, panels + 1)
     nodes = gauss_rule(edges, QUADRATURE_ORDER)[0].reshape(panels, QUADRATURE_ORDER)

@@ -42,8 +42,8 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg as sla
 
-from .basis import (_gauss_legendre, _graded_time_nodes, _validate_int, _validate_mass,
-                    _validate_state, _validate_time)
+from .basis import (MAX_MODES, _gauss_legendre, _graded_time_nodes, _validate_int,
+                    _validate_mass, _validate_state, _validate_time)
 from .errors import ArgumentError, IllConditionedError, NumericError
 from .evolution import propagate
 from .observability import (_count_modes, _eigen_model, _gramian_eigencoords,
@@ -115,9 +115,7 @@ def hum_control(dec, m_omega, u0, T, nt=64, ridge=0.0):
     elementwise tiny instead of being drowned by norm-level roundoff.
     """
     T = _validate_time(T, "hum_control")
-    nt = _validate_int(nt, "hum_control", "nt")
-    if nt < 16:
-        raise ArgumentError(f"hum_control: nt must be >= 16, got {nt}")
+    nt = _validate_int(nt, "hum_control", "nt", 16)
     m_omega = _validate_mass(m_omega, dec.n_modes, "hum_control")
     u0 = _validate_state(u0, dec.n_modes, "hum_control")
     G = _gramian_eigencoords(dec, _mass_eigencoords(dec, m_omega), T)
@@ -246,11 +244,9 @@ def lr_staged_control(domain, kernel, u0, T, stages, r0, n_modes=None, margin=8,
     the remainder up to T is additional free decay, and the reported final
     residual is taken at t = T exactly.
     """
-    stages = _validate_int(stages, "lr_staged_control", "stages")
-    nt = _validate_int(nt, "lr_staged_control", "nt")
-    margin = _validate_int(margin, "lr_staged_control", "margin")
-    if stages < 2:
-        raise ArgumentError(f"lr_staged_control: need at least 2 stages, got {stages}")
+    stages = _validate_int(stages, "lr_staged_control", "stages", 2)
+    nt = _validate_int(nt, "lr_staged_control", "nt", 2)
+    margin = _validate_int(margin, "lr_staged_control", "margin", 0)
     T = _validate_time(T, "lr_staged_control")
     u0 = np.atleast_1d(np.asarray(u0, dtype=float))
     u0 = _validate_state(u0, u0.size, "lr_staged_control")  # any length: padded below
@@ -262,8 +258,9 @@ def lr_staged_control(domain, kernel, u0, T, stages, r0, n_modes=None, margin=8,
     except OverflowError:  # past float64: refused by the mode count
         r_last = math.inf
     n = _count_modes(domain, r_last, "lr_staged_control", "the last cutoff r0 4^(stages - 1)")
-    n = max(n + margin, u0.size) if n_modes is None else _validate_int(
-        n_modes, "lr_staged_control", "n_modes")
+    n, name = ((n_modes, "n_modes") if n_modes is not None else
+               (max(n + margin, u0.size), f"N for the last cutoff r0 4^(stages - 1) = {r_last:g}"))
+    n = _validate_int(n, "lr_staged_control", name, maximum=MAX_MODES)  # before any model
     if n < u0.size:
         raise ArgumentError(
             f"lr_staged_control: truncation {n} cannot hold a {u0.size}-mode state")

@@ -36,7 +36,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from . import _highprec
-from .basis import (_validate_int, _validate_mass, _validate_time, build_basis,
+from .basis import (MAX_MODES, _validate_int, _validate_mass, _validate_time, build_basis,
                     positive_sign, restricted_mass_matrix)
 from .errors import ArgumentError, IllConditionedError, NumericError
 from .evolution import _zeta_pencil, assemble_generator, decompose, left_inverse_constant
@@ -421,7 +421,7 @@ def _free_power_fit(Ts, ys):
 def truncation_for_horizon(domain, T, margin=8):
     """Frequency-coupled truncation: modes with lambda <= 1/T, plus margin."""
     T = _validate_time(T, "truncation_for_horizon")
-    margin = _validate_int(margin, "truncation_for_horizon", "margin")
+    margin = _validate_int(margin, "truncation_for_horizon", "margin", 0)
     return _count_modes(domain, 1.0 / T, "truncation_for_horizon", "cutoff 1/T") + margin
 
 
@@ -438,11 +438,10 @@ def cost_sweep(domain, kernel, T_list, coupling=COUPLING_FIXED, n_fixed=None, ma
     and the profiled free exponent over the blow-up regime (_free_power_fit).
     """
     T_list = [_validate_time(float(T), "cost_sweep", "horizons") for T in T_list]
-    margin = _validate_int(margin, "cost_sweep", "margin")
+    margin = _validate_int(margin, "cost_sweep", "margin", 0)
     if coupling == COUPLING_FIXED:
-        if n_fixed is None:
-            raise ArgumentError("cost_sweep: fixed coupling needs n_fixed")
-        n_of_T = dict.fromkeys(T_list, _validate_int(n_fixed, "cost_sweep", "n_fixed"))
+        n_fixed = _validate_int(n_fixed, "cost_sweep", "n_fixed", 1, MAX_MODES)  # and a missing one
+        n_of_T = dict.fromkeys(T_list, n_fixed)
     elif coupling == COUPLING_RESOLVENT:
         n_of_T = {T: truncation_for_horizon(domain, T, margin) for T in T_list}
     else:

@@ -31,7 +31,7 @@ def _midpoint_sums(spec, basis, n_points, norm=True):
     # Y is column-major: BLAS then forms (psi h) Y from contiguous columns,
     # within 1.2 eps |psi h| |k| |psi h|^T of the exact sums on the bundled
     # kernels, as the whole-table product is; a row-major Y loses up to 7 eps
-    n_points = _validate_int(n_points, "midpoint_projection", "n_points", positive=True)
+    n_points = _validate_int(n_points, "midpoint_projection", "n_points", 1)
     ell = basis.domain.length
     h = ell / n_points
     x = (np.arange(n_points) + 0.5) * h
@@ -84,7 +84,7 @@ def crank_nicolson_propagate(lmat, u0, t, steps=10_000):
     steps triangular solves.
     """
     t = _validate_time(t, "crank_nicolson_propagate", "t", allow_zero=True)
-    steps = _validate_int(steps, "crank_nicolson_propagate", "steps", positive=True)
+    steps = _validate_int(steps, "crank_nicolson_propagate", "steps", 1)
     lmat = np.asarray(lmat, dtype=float)
     n = lmat.shape[0]
     dt = t / steps
@@ -107,7 +107,7 @@ def gramian_time_quadrature(dec, m_omega, T, n_nodes=2000):
     over the nodes in place of a sum of n_nodes rank-one updates.
     """
     T = _validate_time(T, "gramian_time_quadrature")
-    n_nodes = _validate_int(n_nodes, "gramian_time_quadrature", "n_nodes", positive=True)
+    n_nodes = _validate_int(n_nodes, "gramian_time_quadrature", "n_nodes", 1)
     nodes, weights = _gauss_legendre(n_nodes)
     ts = 0.5 * T * (nodes + 1.0)
     ws = 0.5 * T * weights

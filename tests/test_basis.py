@@ -1,3 +1,5 @@
+import tracemalloc
+
 import mpmath as mp
 import numpy as np
 import pytest
@@ -425,7 +427,7 @@ _MALFORMED_ARGUMENTS = {
                                  "lr_staged_control: margin must be an integer, got 2.5"),
     "cost_sweep-n_fixed": (lambda dec, m: cost_sweep(
         Domain(1.0, 0.3, 0.8), GaussianKernel(5.0, 0.2), [0.5, 0.1], n_fixed=16.7),
-        "cost_sweep: n_fixed must be an integer, got 16.7"),
+        "cost_sweep: n_fixed must be a positive integer, got 16.7"),
     "cost_sweep-margin": (lambda dec, m: cost_sweep(
         Domain(1.0, 0.3, 0.8), GaussianKernel(5.0, 0.2), [0.5, 0.1],
         coupling=COUPLING_RESOLVENT, margin=2.5),
@@ -460,6 +462,35 @@ _MALFORMED_ARGUMENTS = {
         "proof_chain_report: cutoff r must be finite, got nan"),
     "hum_control-ridge": (lambda dec, m: hum_control(dec, m, np.ones(8), 0.1, ridge=np.nan),
                           "hum_control: ridge must be >= 0 and finite, got nan"),
+    # ranges: one rule (basis._validate_int) and one cap on a truncation (basis.MAX_MODES)
+    "lr_staged_control-margin-negative": (_staged(n_modes=None, margin=-1),
+                                          "lr_staged_control: margin must be >= 0, got -1"),
+    "cost_sweep-margin-negative": (lambda dec, m: cost_sweep(
+        Domain(1.0, 0.3, 0.8), GaussianKernel(5.0, 0.2), [0.5, 0.1],
+        coupling=COUPLING_RESOLVENT, margin=-1),
+        "cost_sweep: margin must be >= 0, got -1"),
+    "truncation_for_horizon-margin-negative": (lambda dec, m: truncation_for_horizon(
+        Domain(1.0, 0.3, 0.8), 0.5, margin=-1),
+        "truncation_for_horizon: margin must be >= 0, got -1"),
+    "cost_sweep-n_fixed-0": (lambda dec, m: cost_sweep(
+        Domain(1.0, 0.3, 0.8), GaussianKernel(5.0, 0.2), [0.5, 0.1], n_fixed=0),
+        "cost_sweep: n_fixed must be a positive integer, got 0"),
+    "cost_sweep-n_fixed-above-cap": (lambda dec, m: cost_sweep(
+        Domain(1.0, 0.3, 0.8), GaussianKernel(5.0, 0.2), [0.5, 0.1], n_fixed=2049),
+        "cost_sweep: n_fixed must be <= 2048, got 2049"),
+    "lr_staged_control-nt-1": (_staged(nt=1), "lr_staged_control: nt must be >= 2, got 1"),
+    "lr_staged_control-stages-1": (_staged(stages=1),
+                                   "lr_staged_control: stages must be >= 2, got 1"),
+    "gauss_quadrature-panels-float": (lambda dec, m: gauss_quadrature(np.sin, 0.0, 1.0, 2.5),
+                                      "gauss_quadrature: panels must be a positive integer, "
+                                      "got 2.5"),
+    "gauss_quadrature-panels-bool": (lambda dec, m: gauss_quadrature(np.sin, 0.0, 1.0, True),
+                                     "gauss_quadrature: panels must be a positive integer, "
+                                     "got True"),
+    "build_basis-above-cap": (lambda dec, m: build_basis(Domain(1.0, 0.3, 0.8), 2049),
+                              "build_basis: n_modes must be <= 2048, got 2049"),
+    "run_all-seed": (lambda dec, m: certify.run_all(seed=-1),
+                     "run_all: seed must be >= 0, got -1"),
 }
 
 
@@ -482,6 +513,46 @@ class TestValidateTime:
         with pytest.raises(ArgumentError) as err:
             call(dec, m_omega)
         assert str(err.value) == message
+
+
+class TestTruncationCap:
+    """A truncation derived from a cutoff is refused above basis.MAX_MODES
+    before anything of its size is allocated."""
+
+    @staticmethod
+    def _traced(call):
+        """call()'s result, or the ArgumentError it raised, and its traced peak."""
+        tracemalloc.start()
+        try:
+            try:
+                result = call()
+            except ArgumentError as exc:
+                result = exc
+            return result, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_cap_admits_the_largest_truncation(self):
+        assert basis_module.MAX_MODES == 2048
+        assert build_basis(Domain(1.0, 0.3, 0.8), 2048).n_modes == 2048
+
+    def test_resolvent_row_above_cap_is_recorded(self):
+        domain = Domain(1.0, 0.3, 0.8)
+        sweep, peak = self._traced(lambda: cost_sweep(
+            domain, GaussianKernel(5.0, 0.2), [0.5, 0.1, 1e-12], coupling=COUPLING_RESOLVENT))
+        assert peak < 2 ** 20
+        n = truncation_for_horizon(domain, 1e-12)
+        assert n == 318317
+        assert [row.error for row in sweep.rows] == [
+            None, None, f"ArgumentError: build_basis: n_modes must be <= 2048, got {n}"]
+
+    def test_staged_truncation_above_cap_names_the_cutoff(self):
+        r_last = np.pi ** 2 * 4.0 ** 29
+        err, peak = self._traced(lambda: _staged(n_modes=None, stages=30, nt=257)(None, None))
+        assert peak < 2 ** 20 and isinstance(err, ArgumentError)
+        assert str(err) == (
+            f"lr_staged_control: N for the last cutoff r0 4^(stages - 1) = {r_last:g} "
+            f"must be <= 2048, got 536870920")
 
 
 class TestPositiveSign:

@@ -295,6 +295,13 @@ class TestRunCommand:
         assert rc == 1
         assert "hum_control: nt must be >= 16, got 4" in capsys.readouterr().err
 
+    def test_control_lr_negative_margin_refused(self, tmp_path, capsys):
+        # a negative margin once built a 1-mode model where the last cutoff needs 8 modes
+        rc = cli.main(["control-lr", str(default_config_path()), "--set", "truncation.margin=-1",
+                       "--output", str(tmp_path / "out")])
+        assert rc == 1
+        assert "lr_staged_control: margin must be >= 0, got -1" in capsys.readouterr().err
+
     def test_exit_code_missing_file(self, tmp_path):
         assert cli.main(["basis", str(tmp_path / "absent.cfg")]) == 1
 
