@@ -60,6 +60,14 @@ class KernelSpec:
     A caller that evaluates many blocks, as the midpoint oracles do, then
     reuses one buffer instead of a fresh output per block.
 
+    The midpoint oracles also rely on swap invariance: when symmetry_defect()
+    is 0, k(x, xi) and k(xi, x) are the same float, bit for bit, whatever the
+    shapes of the blocks they are evaluated in, so an oracle evaluates only
+    the lower half of its table and counts each value for its mirror image
+    too.  Each kernel here keeps it: the Gaussian squares x - xi, whose sign
+    alone flips; the separable kernel adds the same two products in either
+    order; the grid kernel groups its weights and cross terms to that end.
+
     project_kernel takes the Galerkin matrix on basis.n_modes modes and ||k||
     from closed_form(basis), which every kernel class supplies; here it
     refuses the kernel.  symmetry_defect() and check_basis(basis) default to

@@ -894,6 +894,12 @@ class TestEvaluateOut:
                 kernel.evaluate(x[:, None], xi[None, :], 1.0, out=out)
 
 
+def _oracle_kernels():
+    # the bundled kernels and the separable-exact certificate's kernel
+    return bundled_kernels() + [("separable-exact", SeparableKernel(
+        np.array([1.0, 0.0, -0.5]), np.array([0.25, 1.5])))]
+
+
 class TestMidpointProjection:
     """Kernel rows streamed in blocks give both oracle values, with no n_points^2 table."""
 
@@ -903,11 +909,9 @@ class TestMidpointProjection:
         # double: the matrix keeps a dense product's entrywise bound,
         # 4 eps (|psi h| |k| |psi h|^T), and the norm 2 eps relative
         eps = np.finfo(float).eps
-        kernels = bundled_kernels() + [("separable-exact", SeparableKernel(
-            np.array([1.0, 0.0, -0.5]), np.array([0.25, 1.5])))]
         h = 1.0 / n_points
         x = (np.arange(n_points) + 0.5) * h
-        for name, kernel in kernels:
+        for name, kernel in _oracle_kernels():
             vals = kernel.evaluate(x[:, None], x[None, :], 1.0)
             vals_ld = vals.astype(np.longdouble)
             hs = np.sqrt(np.sum(vals_ld ** 2) * h * h)
@@ -957,8 +961,66 @@ class TestMidpointProjection:
     def test_n_points_must_be_a_positive_integer(self, basis, n_points):
         for oracle in (oracles.midpoint_projection, oracles.midpoint_project_kernel,
                        oracles.midpoint_hs_norm):
-            with pytest.raises(ArgumentError, match="n_points must be a positive integer"):
+            with pytest.raises(ArgumentError,
+                               match=f"^{oracle.__name__}: n_points must be a positive integer"):
                 oracle(GaussianKernel(5.0, 0.2), basis, n_points)
+
+    @pytest.mark.parametrize("n_points", [300, 4096])
+    def test_evaluate_is_swap_invariant_bitwise(self, n_points):
+        # what the half table rests on: on the oracle's midpoints k(x_a, x_b)
+        # and k(x_b, x_a) are the same float, so the rows below the diagonal
+        # stand for the columns above it.  The table is compared with its
+        # transpose one band of 512 rows at a time (the whole table at 300
+        # points), never held whole at 4096.  The bundled grid table is
+        # symmetric only to its defect: 802 of its 4096 samples differ from
+        # their mirror images, by at most 4.4e-16, so the grid interpolant is
+        # checked on the table's symmetric part (s + s^T) / 2
+        x = (np.arange(n_points) + 0.5) / n_points
+        for name, kernel in _oracle_kernels():
+            if isinstance(kernel, GridKernel):
+                assert 0.0 < kernel.symmetry_defect() <= 4.5e-16
+                kernel = GridKernel(kernel.n, kernel.length, (kernel.samples + kernel.samples.T) / 2)
+            for i in range(0, n_points, 512):
+                band = kernel.evaluate(x[i:i + 512, None], x[None, :], 1.0)
+                mirror = kernel.evaluate(x[:, None], x[None, i:i + 512], 1.0)
+                assert np.array_equal(band, mirror.T), (name, i)
+
+    @pytest.mark.parametrize("n_points", [300, 4096])
+    def test_evaluates_the_lower_half_of_the_table(self, basis, n_points):
+        # each block of 64 rows [i, j) against the columns [0, j): sum rows j
+        # values, n (n + 64) / 2 at 4096 points where the whole table is n^2
+        shapes, gaussian = [], GaussianKernel(5.0, 0.2)
+
+        class Counted(KernelSpec):
+            def evaluate(self, x, xi, length, out=None):
+                shapes.append(np.broadcast_shapes(np.shape(x), np.shape(xi)))
+                return gaussian.evaluate(x, xi, length, out=out)
+
+        oracles.midpoint_projection(Counted(), basis, n_points)
+        starts = range(0, n_points, 64)
+        assert shapes == [(min(i + 64, n_points) - i, min(i + 64, n_points)) for i in starts]
+        if n_points == 4096:
+            assert sum(r * j for r, j in shapes) == n_points * (n_points + 64) // 2
+
+    def test_refuses_what_project_kernel_refuses(self, basis, monkeypatch):
+        # the half table stands for the whole only for a symmetric kernel on
+        # the basis's own domain: a grid table whose asymmetry exceeds
+        # DEFAULT_SYMMETRY_TOL and a grid of another length are refused with
+        # project_kernel's own ArgumentError, before any block is evaluated
+        def unreachable(*args, **kwargs):
+            raise AssertionError("evaluated a refused kernel")
+
+        anti = GridKernel(16, 1.0, np.subtract.outer(np.arange(16.0), 2 * np.arange(16.0)))
+        long = GridKernel(8, 2.0, np.add.outer(np.arange(8.0), np.arange(8.0)))
+        monkeypatch.setattr(GridKernel, "evaluate", unreachable)
+        for kernel, match in ((anti, "symmetry check"), (long, "declares length 2.0")):
+            with pytest.raises(ArgumentError, match=match) as want:
+                project_kernel(kernel, basis)
+            for oracle in (oracles.midpoint_projection, oracles.midpoint_project_kernel,
+                           oracles.midpoint_hs_norm):
+                with pytest.raises(ArgumentError) as got:
+                    oracle(kernel, basis, 64)
+                assert str(got.value) == str(want.value), oracle.__name__
 
 
 class TestHsNorm:
