@@ -25,8 +25,8 @@ from .control import (ControlResult, SimulationResult, StageLog, control_cost,
 from .errors import (ArgumentError, ConfigError, IllConditionedError,
                      KernelFormatError, NumericError, OverflowRefusalError)
 from .evolution import (SpectralDecomposition, assemble_generator, decompose,
-                        left_inverse_constant, propagate, propagate_backward,
-                        semigroup_norm)
+                        left_inverse_constant, left_inverse_constants, propagate,
+                        propagate_backward, semigroup_norm)
 from .kernels import (GaussianKernel, GridKernel, KernelMatrix, KernelSpec,
                       SeparableKernel, ZeroKernel, project_kernel,
                       read_grid_kernel, write_grid_kernel)
@@ -49,8 +49,8 @@ __all__ = [
     "assemble_generator", "build_basis", "build_model", "control_cost",
     "controlled_state_norms", "cost_sweep", "decompose", "eval_mode",
     "format_config", "gauss_quadrature", "hum_control",
-    "left_inverse_constant", "lr_staged_control", "observability_cost",
-    "observability_gramian",
+    "left_inverse_constant", "left_inverse_constants", "lr_staged_control",
+    "observability_cost", "observability_gramian",
     "parse_config", "proof_chain_report", "project_kernel", "propagate",
     "propagate_backward", "read_grid_kernel", "restricted_mass_matrix",
     "semigroup_norm", "simulate_controlled", "spectral_obs_constant",

@@ -4,32 +4,42 @@ The packet constant and the left-inverse constant zeta(t) rest on eigenvalues
 that decay like exp(-c n) and exp(-lambda_N t), below double precision's
 eps * ||A|| cancellation floor.  Each is the smallest eigenvalue of an SPD
 pencil A v = theta B v, found by one primitive, _min_pencil_eigpair: inverse
-iteration v <- A^{-1} B v with triangular solves on Cholesky (and LU)
-factors.  Its eigenvalue estimate v^T B v / x^T B v reuses the products of
-the step x = A^{-1} B v, so no step forms A v; the estimate lags the
-iterate by one step.  The pencils:
+iteration v <- A^{-1} B v.  Its eigenvalue estimate v^T B v / x^T B v reuses
+the products of the step x = A^{-1} B v, so no step forms A v; the estimate
+lags the iterate by one step.  A step solves no triangular system: A^{-1} B
+is applied as dense products with inverses formed once, from the inverses of
+triangular factors (explicit triangular inverses are backward stable:
+Higham, Accuracy and Stability of Numerical Algorithms, ch. 14).  The
+pencils:
 
-* packet constant: (M, I), M a leading block of the restricted Gram matrix.
-  A Cholesky factor's leading rows factor its leading blocks, so one factor
-  serves a sweep of cutoffs (gram_block_solver).
-* zeta(t)^2: (E M E, M), E = Q diag(e^{mu t}) Q^T from the float64
-  eigendecomposition taken as exact; A^{-1} B = E^{-1} M^{-1} E^{-1} M with
-  E^{-1} = Q^{-T} diag(e^{-mu t}) Q^{-1} from an LU of Q.  Not
-  Q diag(e^{-mu t}) Q^T: the float Q is orthogonal only to rounding, which
-  e^{-mu_N t} magnifies past theta itself.
+* packet constant: (M, I), M a leading block of the restricted Gram matrix,
+  M = C C^T.  A step is X^T (X v) with X = C^{-1}: two triangular products.
+  The leading rows of C factor M's leading blocks, and the leading block of
+  X inverts C's, so one factor and one inverse serve a sweep of cutoffs
+  (gram_block_solver).
+* zeta(t)^2: (E M E, M), E = Q D Q^T, D = diag(e^{mu t}), from the float64
+  eigendecomposition taken as exact.  A^{-1} B = E^{-1} M^{-1} E^{-1} M =
+  Q^{-T} D^{-1} K^T K D^{-1} Q^{-1} M, K = C^{-1} Q^{-T} with M = C C^T:
+  five matrix-vector products and 2n divisions by e^{mu t} a step.  Q^{-1}
+  comes from an LU of Q, as U^{-1} L^{-1}, not as Q^T: the float Q is
+  orthogonal only to rounding, which e^{-mu_N t} magnifies past theta itself.  M, Q^{-1} and K
+  do not depend on t; zeta_solver builds them once for a list of horizons.
 * kappa_T, later: 1 / theta_min of (G_T, e^{2LT}).
 
 Digits.  Packet blocks are solved at DPS = 50, on the leading rows of one
-shared 50-digit Cholesky factor.  That factor stops at the first pivot below
-the working epsilon (after 66 rows on (0.3, 0.8)), so a longer block is
-solved at twice the digits, doubled again while the factor is still short,
-on the leading rows of one Gram matrix and factor shared at those digits (a
-Gram entry does not depend on the matrix size).  Entries good to ~10^-dps
-leave fewer than 16 digits of an eigenvalue below 10^(16 - dps) times M's
-largest diagonal entry, so smallest_eigenpair_mp refuses one
-(IllConditionedError, .eigenvalue the estimate) and gram_block_solver
-re-solves it at int(30 - log10(estimate)) digits.  zeta(t) takes
-max(40, spread / ln 10 + 30) digits, spread = 2 t (mu_max - mu_min).
+shared 50-digit Cholesky factor and its inverse.  That factor stops at the
+first pivot below the working epsilon (after 66 rows on (0.3, 0.8)), so a
+longer block is solved at twice the digits, doubled again while the factor
+is still short, on the leading rows of one Gram matrix, factor and inverse
+shared at those digits (a Gram entry does not depend on the matrix size).
+Entries good to ~10^-dps leave fewer than 16 digits of an eigenvalue below
+10^(16 - dps) times M's largest diagonal entry, so smallest_eigenpair_mp
+refuses one (IllConditionedError, .eigenvalue the estimate) and
+gram_block_solver re-solves it at int(30 - log10(estimate)) digits, on its
+own matrix, factor and inverse.  zeta(t) iterates at max(40, spread / ln 10
++ 30) digits, spread = 2 t (mu_max - mu_min), on operators built at the
+digits of the largest t of their list; extra bits in an operator are
+harmless, since each dot below rounds its exact sum once.
 
 Arithmetic.  mpmath builds the inputs (the Gram matrix, e^{mu t}) and takes
 the outputs; in between a number is a pair (m, e) = m 2^e of Python ints, m
@@ -247,18 +257,6 @@ def _solve_lower(T, b, prec):
     return x
 
 
-def _flip(rows):
-    # J T^T J (J reverses the order) by rows: lower triangular again
-    n = len(rows)
-    return [[rows[r][c] for r in range(n - 1, c - 1, -1)] for c in range(n - 1, -1, -1)]
-
-
-def _solve_pair(A, B_flip, b, prec):
-    # (A B^T) x = b for lower-triangular A and B, B given as _tri(_flip(B));
-    # x as a list of pairs
-    return _solve_lower(B_flip, _solve_lower(A, b, prec).pairs[::-1], prec).pairs[::-1]
-
-
 def _cholesky(A, prec):
     # rows of pairs of the factor of A's longest leading block whose pivots
     # are at least mp.eps = 2^(1 - prec)
@@ -299,6 +297,23 @@ def _lu(A, prec):
     return L, [u.pairs for u in Ut]
 
 
+def _lower_inverse(L, prec):
+    # (rows, columns) of X = L^{-1}, L lower triangular as rows of pairs, by
+    # rows: X[i][j] = -(L[i, :i] . X[:i, j]) / L[i][i] and X[i][i] = 1 / L[i][i],
+    # the column solves L x = e_j without their zero rows.  X's leading k x k
+    # block inverts L's, so X's first k rows, and its columns read on their
+    # first k entries, serve L's leading k rows; a row stops at the diagonal,
+    # a column keeps its zeros above it
+    cols = []
+    for row in L:
+        off, d = _Vec(row[:-1]), row[-1]
+        for c in cols:
+            m, e = _dot(off, c, prec)
+            c.append(_div((-m, e), d, prec))
+        cols.append(_Vec([_ZERO] * len(cols) + [_div(_ONE, d, prec)]))
+    return [_Vec(c.pairs[i] for c in cols[:i + 1]) for i in range(len(L))], cols
+
+
 # -- the eigen-primitive ------------------------------------------------------------
 
 def _min_pencil_eigpair(step, start, dps, max_iter=200):
@@ -336,28 +351,34 @@ def _unit_start(start, n, prec):
     return _Vec([_div(p, nrm, prec) for p in v.pairs])
 
 
-def smallest_eigenpair_mp(M, max_iter=200, start=None, factor=None, dps=DPS):
+def smallest_eigenpair_mp(M, max_iter=200, start=None, factor=None, dps=DPS, inverse=None):
     """Smallest eigenpair (mpf, unit float64 array) of an SPD mp matrix.
 
-    The pencil (M, I) at dps digits; factor may pass the rows of M's
-    Cholesky factor, e.g. the leading rows of a larger matrix's.  Converges
-    at the ratio of the two smallest eigenvalues, ~0.13 per sweep for the
-    restricted Gram blocks.  Refuses what M's digits cannot resolve.
+    The pencil (M, I) at dps digits, stepped by products with X = C^{-1},
+    M = C C^T: X^T (X v).  factor may pass the rows of M's Cholesky factor,
+    e.g. the leading rows of a larger matrix's, and inverse X in
+    _lower_inverse's form, of M's factor or of a larger matrix's (then
+    factor is not read).  Converges at the ratio of the two smallest
+    eigenvalues, ~0.13 per sweep for the restricted Gram blocks.  Refuses
+    what M's digits cannot resolve.
     """
     with mp.workdps(dps):
         prec = mp.mp.prec
         rows = _rows(M)
         n = len(rows)
-        if factor is None:
-            L = _cholesky([[_pair(x) for x in row] for row in rows], prec)
-        else:
-            L = [[_pair(x) for x in row] for row in factor]
-        if len(L) < n:
+        if inverse is None:
+            if factor is None:
+                L = _cholesky([[_pair(x) for x in row] for row in rows], prec)
+            else:
+                L = [[_pair(x) for x in row] for row in factor]
+            inverse = _lower_inverse(L[:n], prec)
+        x_rows, x_cols = inverse[0][:n], inverse[1][:n]
+        if len(x_rows) < n:
             raise NumericError(
                 "smallest_eigenpair_mp: Cholesky failed (matrix is not positive-definite)")
-        T, T_flip = _tri(L), _tri(_flip(L))
-        lam, v = _min_pencil_eigpair(lambda u: (_Vec(_solve_pair(T, T_flip, u.pairs, prec)), u),
-                                     _unit_start(start, n, prec), dps, max_iter)
+        lam, v = _min_pencil_eigpair(
+            lambda u: (_Vec(_matvec(x_cols, _Vec(_matvec(x_rows, u, prec)), prec)), u),
+            _unit_start(start, n, prec), dps, max_iter)
         lam = _mpf(lam)
         if not lam >= mp.mpf(10) ** (16 - dps) * max(row[i] for i, row in enumerate(rows)):
             raise IllConditionedError(
@@ -368,11 +389,12 @@ def smallest_eigenpair_mp(M, max_iter=200, start=None, factor=None, dps=DPS):
 def gram_block_solver(n, lo, hi, ell):
     """solve(k, start) -> smallest_eigenpair_mp of the leading k x k block of
     the n x n restricted Gram matrix.  The first call builds the DPS-digit
-    matrix and Cholesky factor; a block within the factor's rows reads their
-    leading rows, a longer one those of the n x n matrix and factor at twice
-    the digits, doubled again while that factor is still short.  Each of
-    these is built once, at its first use."""
+    matrix, its Cholesky factor C and the inverse C^{-1}; a block within the
+    factor's rows reads their leading rows, a longer one those of the n x n
+    matrix, factor and inverse at twice the digits, doubled again while that
+    factor is still short.  Each of these is built once, at its first use."""
     shared = {}  # dps -> (n x n Gram matrix, rows of its Cholesky factor)
+    inverses = {}  # dps -> the factor's inverse, once a block is solved at dps
 
     def solve(k, start=None):
         dps = DPS
@@ -384,8 +406,12 @@ def gram_block_solver(n, lo, hi, ell):
             if len(factor) >= k:
                 break
             dps *= 2
+        if dps not in inverses:
+            with mp.workdps(dps):
+                inverses[dps] = _lower_inverse([[_pair(x) for x in row] for row in factor],
+                                               mp.mp.prec)
         try:
-            return smallest_eigenpair_mp(M[:k, :k], start=start, factor=factor[:k], dps=dps)
+            return smallest_eigenpair_mp(M[:k, :k], start=start, dps=dps, inverse=inverses[dps])
         except IllConditionedError as err:
             dps = int(30 - np.log10(err.eigenvalue))
             return smallest_eigenpair_mp(mass_matrix_mp(k, lo, hi, ell, dps),
@@ -407,16 +433,20 @@ def rayleigh_quotient_mp(n, lo, hi, ell, coeffs):
         return _mpf(_div(_dot(c, _Vec(_matvec(rows, c, prec)), prec), _dot(c, c, prec), prec))
 
 
-def generalized_min_eig_mp(mus, modes, m_omega, t):
-    """Smallest generalized eigenvalue of (E M E) v = theta M v, E = exp(L t).
-
-    mus and modes are the float64 eigendecomposition of the generator,
-    treated as exact; m_omega must be SPD at float64 entry precision.
-    Working precision adapts to the dynamic range 2 t (mu_max - mu_min).
-    Returns log(theta)/2 as a float.
-    """
+def _zeta_dps(mus, t):
     spread = 2.0 * t * float(mus[0] - mus[-1])
-    dps = int(max(40, spread / np.log(10.0) + 30))
+    return int(max(40, spread / np.log(10.0) + 30))
+
+
+def zeta_solver(mus, modes, m_omega, t_max):
+    """solve(t) -> generalized_min_eig_mp(mus, modes, m_omega, t), 0 < t <= t_max.
+
+    The operators that do not depend on t -- M_omega, Q^{-1}, Q^{-T} and
+    K = C^{-1} Q^{-T} with M_omega = C C^T -- are built once, at t_max's
+    digits (and M_omega refused there if its factor stops short); each t
+    iterates and stops at its own.
+    """
+    dps = _zeta_dps(mus, t_max)
     n = len(mus)
     modes = np.asarray(modes, dtype=float)
     perm = np.arange(n)  # row order of float64 partial pivoting
@@ -430,26 +460,48 @@ def generalized_min_eig_mp(mus, modes, m_omega, t):
             raise NumericError(
                 "generalized_min_eig_mp: subdomain mass matrix not positive-definite "
                 f"at working precision (dps={dps})")
-        L, Ut = _lu([Q[p] for p in perm], prec)  # Q[perm] = L U
-        C, C_flip = _tri(C), _tri(_flip(C))
-        L, L_flip, Ut, Ut_flip = _tri(L), _tri(_flip(L)), _tri(Ut), _tri(_flip(Ut))
+        # Q[perm] = L U, so Q^{-1} = U^{-1} L^{-1} P: row i of U^{-1} is column
+        # i of (U^T)^{-1}, and column j of Q^{-1} is column perm^{-1}[j] of U^{-1} L^{-1}
+        l_cols, ut_cols = (_lower_inverse(F, prec)[1] for F in _lu([Q[p] for p in perm], prec))
+        l_cols = [l_cols[c] for c in np.argsort(perm)]
+        q_inv = [_Vec(_dot(u, c, prec) for c in l_cols) for u in ut_cols]
+        q_inv_t = [_Vec(r.pairs[j] for r in q_inv) for j in range(n)]
+        k = [_Vec(_dot(r, q, prec) for q in q_inv) for r in _lower_inverse(C, prec)[0]]
+        k_t = [_Vec(r.pairs[j] for r in k) for j in range(n)]  # K = C^{-1} Q^{-T}
         M = [_Vec(row) for row in M]
-        e = [_pair(mp.e ** (mp.mpf(float(mu)) * mp.mpf(t))) for mu in mus]
-        inv_perm = np.argsort(perm)
 
-        def apply_e_inv(v):
-            y = _solve_pair(L, Ut_flip, [v[p] for p in perm], prec)  # Q^{-1} v
-            z = _solve_pair(Ut, L_flip, [_div(yi, ei, prec) for ei, yi in zip(e, y)], prec)
-            return [z[p] for p in inv_perm]  # Q^{-T} z
+    def solve(t):
+        dps = _zeta_dps(mus, t)
+        with mp.workdps(dps):
+            prec = mp.mp.prec
+            e = [_pair(mp.e ** (mp.mpf(float(mu)) * mp.mpf(t))) for mu in mus]
 
-        def step(v):
-            mv = _matvec(M, v, prec)
-            x = apply_e_inv(_solve_pair(C, C_flip, apply_e_inv(mv), prec))
-            return _Vec(x), _Vec(mv)
+            def scaled(rows, v):
+                # D^{-1} (rows v), D = diag(e^{mu t})
+                return _Vec([_div(p, ei, prec) for p, ei in zip(_matvec(rows, v, prec), e)])
 
-        theta, _ = _min_pencil_eigpair(step, _Vec([_ONE] * n), dps)
-        if theta[0] <= 0:
-            raise NumericError(
-                "generalized_min_eig_mp: nonpositive eigenvalue at working precision; "
-                f"increase dps (got {float(_mpf(theta)):.3e} at dps={dps})")
-        return float(mp.log(_mpf(theta)) / 2)
+            def step(v):
+                # A^{-1} B v = Q^{-T} D^{-1} K^T K D^{-1} Q^{-1} M v
+                mv = _Vec(_matvec(M, v, prec))
+                y = scaled(k_t, _Vec(_matvec(k, scaled(q_inv, mv), prec)))
+                return _Vec(_matvec(q_inv_t, y, prec)), mv
+
+            theta, _ = _min_pencil_eigpair(step, _Vec([_ONE] * n), dps)
+            if theta[0] <= 0:
+                raise NumericError(
+                    "generalized_min_eig_mp: nonpositive eigenvalue at working precision; "
+                    f"increase dps (got {float(_mpf(theta)):.3e} at dps={dps})")
+            return float(mp.log(_mpf(theta)) / 2)
+
+    return solve
+
+
+def generalized_min_eig_mp(mus, modes, m_omega, t):
+    """Smallest generalized eigenvalue of (E M E) v = theta M v, E = exp(L t).
+
+    mus and modes are the float64 eigendecomposition of the generator,
+    treated as exact; m_omega must be SPD at float64 entry precision.
+    Working precision adapts to the dynamic range 2 t (mu_max - mu_min).
+    Returns log(theta)/2 as a float.
+    """
+    return zeta_solver(mus, modes, m_omega, t)(t)

@@ -24,7 +24,7 @@ from .bundled import bundled_kernels
 from .control import control_cost, hum_control, lr_staged_control, simulate_controlled
 from .errors import (ArgumentError, ConfigError, KernelFormatError, NumericError,
                      OverflowRefusalError)
-from .evolution import (assemble_generator, left_inverse_constant, propagate,
+from .evolution import (assemble_generator, left_inverse_constants, propagate,
                         propagate_backward, semigroup_norm)
 from .kernels import GaussianKernel, SeparableKernel, ZeroKernel, project_kernel
 from . import oracles
@@ -269,10 +269,9 @@ def check_left_inverse(rng):
     for kernel in (ZeroKernel(), GaussianKernel(5.0, 0.2)):
         for n, ts in ((8, (0.01, 0.05, 0.1)), (16, (0.005, 0.02))):
             _, _, dec, m_omega = _model(DEFAULT_DOMAIN, kernel, n)
-            z0 = left_inverse_constant(dec, m_omega, 0.0)
+            z0, *zetas = left_inverse_constants(dec, m_omega, (0.0,) + ts)
             ok = ok and z0 == 1.0
-            for t in ts:
-                zeta = left_inverse_constant(dec, m_omega, t)
+            for t, zeta in zip(ts, zetas):
                 ok = ok and zeta > 0.0
                 V = rng.standard_normal((100, n))
                 et = dec.semigroup(t)

@@ -19,7 +19,7 @@ from .basis import build_basis
 from .config import format_config, parse_config
 from .control import controlled_state_norms, hum_control, lr_staged_control
 from .errors import ArgumentError, ConfigError, KernelFormatError, NumericError
-from .evolution import left_inverse_constant, propagate
+from .evolution import left_inverse_constants, propagate
 from .observability import (build_model, cost_sweep, observability_cost,
                             observability_gramian, spectral_obs_constant,
                             spectral_obs_constants)
@@ -114,8 +114,7 @@ def run_command(verb, cfg):
     elif verb == "zeta":
         _, _, dec, m_omega = model()
         ts = cfg.horizon_list or (_require(cfg, "horizon", "time.horizon", verb),)
-        emit("zeta.csv", ["t", "zeta"],
-             [(t, left_inverse_constant(dec, m_omega, t)) for t in ts])
+        emit("zeta.csv", ["t", "zeta"], zip(ts, left_inverse_constants(dec, m_omega, ts)))
 
     elif verb == "obs-constant":
         basis = model()[0]

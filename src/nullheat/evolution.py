@@ -14,7 +14,10 @@ cannot resolve theta_min (it sinks below the eps * ||A|| cancellation floor
 once t * (lambda_N - lambda_1) is large), the computation escalates to an
 adaptive-precision path instead of returning noise.  The fastest mode q_N
 gives zeta(t) <= e^{mu_N t}, so a zeta below float64's range is refused from
-that bound before any eigensolve.
+that bound before any generalized eigensolve (the conditioning gate's
+eigvalsh of M_omega runs first).  left_inverse_constants takes a list of
+horizons: the mass matrix is validated and gated once per list, and one
+extended-precision solver serves every horizon that escalates.
 """
 
 import math
@@ -124,9 +127,45 @@ def left_inverse_constant(dec, m_omega, t, method="auto"):
     (e^{Lt})^T M_omega (e^{Lt}) v = theta M_omega v.  method is "auto" (the
     float64 eigenvalue where it clears the trust floor, extended precision
     otherwise) or "mp" (always extended precision).  Refused before any
-    eigensolve once the bound log zeta <= mu_N t is an e-fold past underflow.
+    generalized eigensolve once the bound log zeta <= mu_N t is an e-fold
+    past underflow.
     """
-    t = _validate_time(t, "left_inverse_constant", "t", allow_zero=True)
+    return left_inverse_constants(dec, m_omega, [t], method)[0]
+
+
+def left_inverse_constants(dec, m_omega, ts, method="auto"):
+    """[left_inverse_constant(dec, m_omega, t, method) for t in ts], bit for
+    bit and refusal for refusal: the first t refused raises, after the t
+    before it.  M_omega is validated and gated once, and every t that
+    escalates shares one extended-precision solver, built at the largest
+    such t's digits (_highprec.zeta_solver)."""
+    zetas, escalated, refusal = [], [], None
+    try:
+        for t in ts:
+            t = _validate_time(t, "left_inverse_constant", "t", allow_zero=True)
+            if not zetas:
+                m_omega = _gated_mass(dec, m_omega, method)
+            zeta = _float_zeta(dec, m_omega, t, method)
+            if zeta is None:
+                escalated.append(len(zetas))
+            zetas.append((t, zeta))
+    except (ArgumentError, NumericError) as exc:  # raised once the t before it are done
+        refusal = exc
+    if escalated:
+        solve = _highprec.zeta_solver(dec.mus, dec.modes, m_omega,
+                                      max(zetas[i][0] for i in escalated))
+        for i in escalated:
+            t = zetas[i][0]
+            log_zeta = solve(t)
+            if log_zeta < _LOG_UNDERFLOW:
+                _refuse_underflow(f"log zeta = {log_zeta:.1f}")
+            zetas[i] = t, math.exp(log_zeta)
+    if refusal is not None:
+        raise refusal
+    return [zeta for _, zeta in zetas]
+
+
+def _gated_mass(dec, m_omega, method):
     if method not in ("auto", "mp"):
         raise ArgumentError(f"left_inverse_constant: unknown method {method!r}")
     m_omega = _validate_mass(m_omega, dec.n_modes, "left_inverse_constant")
@@ -137,6 +176,11 @@ def left_inverse_constant(dec, m_omega, t, method="auto"):
             f"gate {CONDITIONING_GATE:g}; shrink the truncation or enlarge omega",
             eigenvalue=float(w_m[0]),
         )
+    return m_omega
+
+
+def _float_zeta(dec, m_omega, t, method):
+    """zeta(t) where it needs no extended precision, else None."""
     if t == 0.0:
         return 1.0  # e^0 = I
     bound = float(dec.mus[-1]) * t
@@ -148,14 +192,11 @@ def left_inverse_constant(dec, m_omega, t, method="auto"):
             # not eigvals_only=True: its LAPACK route moves zeta by ~1e-6 near the floor
             theta = sla.eigh(a, m_omega)[0]
         except np.linalg.LinAlgError:
-            pass  # the extended-precision path below takes over
+            pass  # the extended-precision path takes over
         else:
             if theta[0] > _FLOAT_TRUST_FLOOR * max(theta[-1], 0.0):
                 return float(np.sqrt(theta[0]))
-    log_zeta = _highprec.generalized_min_eig_mp(dec.mus, dec.modes, m_omega, t)
-    if log_zeta < _LOG_UNDERFLOW:
-        _refuse_underflow(f"log zeta = {log_zeta:.1f}")
-    return math.exp(log_zeta)
+    return None
 
 
 def _zeta_pencil(dec, m_omega, t):

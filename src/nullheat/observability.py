@@ -39,7 +39,7 @@ from . import _highprec
 from .basis import (MAX_MODES, _validate_int, _validate_mass, _validate_time, build_basis,
                     positive_sign, restricted_mass_matrix)
 from .errors import ArgumentError, IllConditionedError, NumericError
-from .evolution import _zeta_pencil, assemble_generator, decompose, left_inverse_constant
+from .evolution import _zeta_pencil, assemble_generator, decompose, left_inverse_constants
 from .kernels import project_kernel
 
 COUPLING_FIXED = "fixed"
@@ -510,10 +510,9 @@ def proof_chain_report(basis, dec, m_omega, r, T):
     log_prefix = 2.0 * dec.mus[0] * T + np.log(obs.specobs_constant)
     e2 = dec.semigroup(2.0 * T)
     S = e2[:n_r, :n_r]
+    ts = [T * i / CHAIN_GRID_POINTS for i in range(1, CHAIN_GRID_POINTS + 1)]
     rows = []
-    for i in range(1, CHAIN_GRID_POINTS + 1):
-        t = T * i / CHAIN_GRID_POINTS
-        zeta = left_inverse_constant(dec, m_omega, t)
+    for t, zeta in zip(ts, left_inverse_constants(dec, m_omega, ts)):
         R = _zeta_pencil(dec, m_omega, t)[:n_r, :n_r]
         theta = sla.eigh(S, R, eigvals_only=True)
         log_q = float(np.log(theta[-1]))

@@ -2,8 +2,13 @@
 
 This is nullheat._highprec's arithmetic as it was written on mp.fdot,
 mp.fsum and mpf operators, kept as the oracle that the integer-mantissa
-implementation must match bit for bit.  Same pivot order, stop rule and
-working precisions; the public functions here return what _highprec's do.
+implementation must match: each primitive (dot, difference, quotient,
+square root, triangular solve, Cholesky rows, LU) bit for bit.  The two
+eigensolves keep the algorithm they had before _highprec formed its
+inverses once: every step solves on the triangular factors.  Same pivot
+order, start, stop rule and working precisions, so their float outputs
+(log zeta, c_min and the float witness) equal _highprec's, while the mpf
+values behind them may differ in their last bits.
 """
 
 import mpmath as mp

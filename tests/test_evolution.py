@@ -5,10 +5,10 @@ import pytest
 from nullheat import (ArgumentError, Domain, GaussianKernel, IllConditionedError,
                       KernelMatrix, NumericError, OverflowRefusalError, SeparableKernel,
                       ZeroKernel, assemble_generator, build_basis, decompose,
-                      left_inverse_constant, project_kernel, propagate,
-                      propagate_backward, restricted_mass_matrix, semigroup_norm,
-                      spectral_obs_constants)
-from nullheat import _highprec, oracles
+                      left_inverse_constant, left_inverse_constants, project_kernel,
+                      propagate, propagate_backward, restricted_mass_matrix,
+                      semigroup_norm, spectral_obs_constants)
+from nullheat import _highprec, evolution, oracles
 from nullheat.bundled import bundled_kernels
 import mp_reference
 
@@ -251,7 +251,7 @@ class TestLeftInverseConstant:
             raise AssertionError("method='auto' escalated to extended precision")
 
         with monkeypatch.context() as patch:
-            patch.setattr(_highprec, "generalized_min_eig_mp", escalated)
+            patch.setattr(_highprec, "zeta_solver", escalated)
             z_float = left_inverse_constant(dec, m_omega, t)
         z_mp = left_inverse_constant(dec, m_omega, t, method="mp")
         assert z_mp == pytest.approx(z_float, rel=1e-8)
@@ -275,7 +275,7 @@ class TestLeftInverseConstant:
         def escalated(*args):
             raise AssertionError("refusal ran the extended-precision eigensolve")
 
-        monkeypatch.setattr(_highprec, "generalized_min_eig_mp", escalated)
+        monkeypatch.setattr(_highprec, "zeta_solver", escalated)
         for method in ("auto", "mp"):
             with pytest.raises(NumericError, match=r"underflows float64 \(log zeta <= "
                                                    r"mu_N t = -1010\.6\)"):
@@ -288,6 +288,78 @@ class TestLeftInverseConstant:
             left_inverse_constant(dec, m_omega, 0.1)
         assert err.value.eigenvalue is not None
         assert err.value.eigenvalue < 1e-14
+
+
+def _each(dec, m_omega, ts, method):
+    # the per-t calls, or the exception the first refused t raises
+    try:
+        return [left_inverse_constant(dec, m_omega, t, method) for t in ts]
+    except Exception as exc:
+        return exc
+
+
+class TestLeftInverseConstants:
+    """One list, one validation and one mp solver: the per-t calls' values,
+    bit for bit, and their first refusal."""
+
+    # t = 5 is refused from the bound mu_N t at every N here, -0.1 as an
+    # argument; the lists are unsorted so that t_max is not the last t
+    LISTS = ((0.0, 0.001, 0.01, 0.05), (0.05, 0.002, 0.02, 0.005),
+             (0.01, 0.03, 5.0, 0.02), (0.02, -0.1, 0.01))
+
+    @pytest.mark.parametrize("kernel", [k for _, k in bundled_kernels()],
+                             ids=[name for name, _ in bundled_kernels()])
+    def test_equals_per_t_calls_bitwise(self, domain, kernel):
+        for n in (6, 8, 12, 16, 19):
+            _, _, dec = _dec(domain, kernel, n)
+            m_omega = restricted_mass_matrix(build_basis(domain, n), 0.3, 0.8)
+            for ts, method in [(ts, "auto") for ts in self.LISTS] + [(self.LISTS[0], "mp")]:
+                want = _each(dec, m_omega, ts, method)
+                if isinstance(want, list):
+                    got = left_inverse_constants(dec, m_omega, ts, method)
+                    assert [z.hex() for z in got] == [z.hex() for z in want], (n, ts)
+                    continue
+                with pytest.raises(type(want)) as err:
+                    left_inverse_constants(dec, m_omega, ts, method)
+                assert str(err.value) == str(want), (n, ts)
+
+    def test_refusal_waits_for_the_t_before_it(self, domain, monkeypatch):
+        # an mp failure at the first t surfaces before the second t's refusal
+        _, _, dec = _dec(domain, GaussianKernel(5.0, 0.2), 8)
+        m_omega = restricted_mass_matrix(build_basis(domain, 8), 0.3, 0.8)
+
+        def failing(mus, modes, m, t_max):
+            def solve(t):
+                raise NumericError(f"mp failure at t = {t}")
+            return solve
+
+        monkeypatch.setattr(_highprec, "zeta_solver", failing)
+        for ts in ((0.1, -0.1), (0.1, 5.0)):
+            with pytest.raises(NumericError, match=r"^mp failure at t = 0\.1$"):
+                left_inverse_constants(dec, m_omega, ts)
+        with pytest.raises(ArgumentError, match="t must be"):
+            left_inverse_constants(dec, m_omega, (-0.1, 0.1))
+
+    def test_one_validation_and_one_solver_per_list(self, domain, monkeypatch):
+        _, _, dec = _dec(domain, GaussianKernel(5.0, 0.2), 8)
+        m_omega = restricted_mass_matrix(build_basis(domain, 8), 0.3, 0.8)
+        ts = [0.1 * i / 20 for i in range(1, 21)]
+        want = [left_inverse_constant(dec, m_omega, t) for t in ts]
+        calls = []
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(evolution, "_validate_mass",
+                            counted("validate", evolution._validate_mass))
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted("eigvalsh", np.linalg.eigvalsh))
+        monkeypatch.setattr(_highprec, "zeta_solver", counted("solver", _highprec.zeta_solver))
+        assert left_inverse_constants(dec, m_omega, ts) == want
+        # the escalated horizons all share the one solver
+        assert calls == ["validate", "eigvalsh", "solver"]
 
 
 def _zeta_eigsy_reference(mus, modes, m_omega, t, dps):

@@ -2,8 +2,9 @@
 
 Every primitive of nullheat._highprec (dot, difference, quotient, square
 root, triangular solve, Cholesky rows, LU) is compared with == to the same
-operation on mpf at the same working precision, and the two eigensolves
-with == to the mpf-object implementation kept in mp_reference.
+operation on mpf at the same working precision, and the float outputs of
+the two eigensolves with == to the mpf-object implementation kept in
+mp_reference, which steps by triangular solves.
 """
 
 import mpmath as mp
@@ -188,7 +189,8 @@ class TestAgainstMpfObjects:
         got = spectral_obs_constants(basis, omega, rs)
         calls = []
 
-        def smallest(M, **kwargs):
+        def smallest(M, inverse=None, **kwargs):
+            # the reference factors each block itself and solves on the factor
             calls.append(len(hp._rows(M)))
             return ref.smallest_eigenpair(M, **kwargs)
 

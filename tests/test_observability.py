@@ -242,6 +242,24 @@ class TestPacketPrimitive:
             assert np.array_equal(rep.witness, vec), n
         assert [rep.n_modes for rep in reports] == list(range(67, 81))
 
+    @pytest.mark.parametrize("omega, ns, precisions", [
+        ((0.3, 0.8), range(2, 25), [50]),
+        ((0.1, 0.4), range(20, 25), [50, 66, 68, 70, 72, 74]),
+    ])
+    def test_one_inverse_per_precision(self, domain, omega, ns, precisions, monkeypatch):
+        # the shared factor's inverse serves every block at its digits; a
+        # refused block is re-solved on its own matrix, factor and inverse
+        formed, inverse = [], _highprec._lower_inverse
+
+        def counted(L, prec):
+            formed.append(mp.libmp.prec_to_dps(prec))
+            return inverse(L, prec)
+
+        monkeypatch.setattr(_highprec, "_lower_inverse", counted)
+        spectral_obs_constants(build_basis(domain, 26), omega,
+                               [((n + 0.5) * np.pi) ** 2 for n in ns])
+        assert formed == precisions
+
     @pytest.mark.parametrize("omega, ns, sizes", [
         ((0.3, 0.8), range(2, 25), [24]),
         ((0.1, 0.4), range(20, 25), [24, 20, 21, 22, 23, 24]),
@@ -712,6 +730,30 @@ class TestProofChain:
         for row in rows:
             assert row.zeta > 0
             assert row.log_chain_bound >= row.log_extremal_quotient - 1e-9
+
+    def test_zeta_operators_built_once(self, domain, monkeypatch):
+        # one solver, and so one LU of Q, for the grid's 18 escalated
+        # horizons, built at the largest one's digits
+        basis, dec = _dec(domain, GaussianKernel(5.0, 0.2), 8)
+        m_omega = restricted_mass_matrix(basis, 0.3, 0.8)
+        want = proof_chain_report(basis, dec, m_omega, r=9.5 * np.pi ** 2, T=0.1)
+        built, solves = [], []
+        solver, lu = _highprec.zeta_solver, _highprec._lu
+
+        def counted_solver(*args):
+            built.append(args[-1])
+            solve = solver(*args)
+            return lambda t: solves.append(t) or solve(t)
+
+        def counted_lu(*args):
+            built.append("lu")
+            return lu(*args)
+
+        monkeypatch.setattr(_highprec, "zeta_solver", counted_solver)
+        monkeypatch.setattr(_highprec, "_lu", counted_lu)
+        rows = proof_chain_report(basis, dec, m_omega, r=9.5 * np.pi ** 2, T=0.1)
+        assert rows == want
+        assert built == [max(solves), "lu"] and len(solves) == 18
 
     def test_packet_pencil_is_the_leading_block_of_zetas(self, domain, rng):
         # (A + A^T) / 2 and its leading block agree with ((A + A^T)[:n, :n]) / 2 bit for bit
