@@ -16,7 +16,7 @@ pencils:
   M = C C^T.  A step is X^T (X v) with X = C^{-1}: two triangular products.
   The leading rows of C factor M's leading blocks, and the leading block of
   X inverts C's, so one factor and one inverse serve a sweep of cutoffs
-  (gram_block_solver).
+  (gram_block_solver, which hands smallest_eigenpair_mp the inverse).
 * zeta(t)^2: (E M E, M), E = Q D Q^T, D = diag(e^{mu t}), from the float64
   eigendecomposition taken as exact.  A^{-1} B = E^{-1} M^{-1} E^{-1} M =
   Q^{-T} D^{-1} K^T K D^{-1} Q^{-1} M, K = C^{-1} Q^{-T} with M = C C^T:
@@ -229,20 +229,21 @@ def _rows(A):
     return A.tolist() if hasattr(A, "tolist") else A
 
 
+def _pair_rows(A):
+    # _rows(A) with each mpf as a pair
+    return [[_pair(x) for x in row] for row in _rows(A)]
+
+
 def _matvec(rows, v, prec):
     return [_dot(row, v, prec) for row in rows]
 
 
 # -- triangular factors -----------------------------------------------------------
-# a lower-triangular T is a list of rows (off-diagonal _Vec, diagonal pair)
-
-def _tri(rows):
-    return [(_Vec(row[:-1]), row[-1]) for row in rows]
-
 
 def _solve_lower(T, b, prec):
-    # T x = b by rows, b a list of pairs (only its first len(T) entries are
-    # read); row i pairs its off-diagonal entries with the x solved so far
+    # T x = b by rows, T lower triangular as rows (off-diagonal _Vec, diagonal
+    # pair), b a list of pairs (only its first len(T) entries are read); row i
+    # pairs its off-diagonal entries with the x solved so far
     x = _Vec()
     for (row, (dm, de)), bi in zip(T, b):
         # a power-of-two diagonal divides exactly, by a shift, so the
@@ -258,8 +259,10 @@ def _solve_lower(T, b, prec):
 
 
 def _cholesky(A, prec):
-    # rows of pairs of the factor of A's longest leading block whose pivots
-    # are at least mp.eps = 2^(1 - prec)
+    # rows of pairs of the factor of A's (rows of pairs) longest leading block
+    # whose pivots are at least mp.eps = 2^(1 - prec): mp.cholesky's arithmetic,
+    # by rows, and row j reads only A's entries of index <= j, so the first k
+    # rows factor A's leading k x k block
     L, T = [], []
     for j, a in enumerate(A):
         row = _solve_lower(T, a, prec)
@@ -270,20 +273,6 @@ def _cholesky(A, prec):
         L.append(row.pairs + [d])
         T.append((row, d))
     return L
-
-
-def cholesky_mp(A, dps=DPS):
-    """Rows of the Cholesky factor of A's longest positive-definite leading block.
-
-    mp.cholesky's arithmetic entry for entry, but row by row: row j reads
-    only entries of index <= j, so the first k rows factor A's leading k x k
-    block.  Stops before the first pivot below the working epsilon.  A is an
-    mp.matrix, an object array of mpf or a list of rows; the rows returned
-    hold mpf.
-    """
-    with mp.workdps(dps):
-        L = _cholesky([[_pair(x) for x in row] for row in _rows(A)], mp.mp.prec)
-    return [[_mpf(p) for p in row] for row in L]
 
 
 def _lu(A, prec):
@@ -351,27 +340,22 @@ def _unit_start(start, n, prec):
     return _Vec([_div(p, nrm, prec) for p in v.pairs])
 
 
-def smallest_eigenpair_mp(M, max_iter=200, start=None, factor=None, dps=DPS, inverse=None):
+def smallest_eigenpair_mp(M, max_iter=200, start=None, dps=DPS, inverse=None):
     """Smallest eigenpair (mpf, unit float64 array) of an SPD mp matrix.
 
     The pencil (M, I) at dps digits, stepped by products with X = C^{-1},
-    M = C C^T: X^T (X v).  factor may pass the rows of M's Cholesky factor,
-    e.g. the leading rows of a larger matrix's, and inverse X in
-    _lower_inverse's form, of M's factor or of a larger matrix's (then
-    factor is not read).  Converges at the ratio of the two smallest
-    eigenvalues, ~0.13 per sweep for the restricted Gram blocks.  Refuses
-    what M's digits cannot resolve.
+    M = C C^T: X^T (X v).  inverse, the one precomputed operator it takes,
+    passes X in _lower_inverse's form, of M's factor or of a larger matrix's
+    with M as leading block; without it M is factored and inverted here.
+    Converges at the ratio of the two smallest eigenvalues, ~0.13 per sweep
+    for the restricted Gram blocks.  Refuses what M's digits cannot resolve.
     """
     with mp.workdps(dps):
         prec = mp.mp.prec
         rows = _rows(M)
         n = len(rows)
         if inverse is None:
-            if factor is None:
-                L = _cholesky([[_pair(x) for x in row] for row in rows], prec)
-            else:
-                L = [[_pair(x) for x in row] for row in factor]
-            inverse = _lower_inverse(L[:n], prec)
+            inverse = _lower_inverse(_cholesky(_pair_rows(rows), prec), prec)
         x_rows, x_cols = inverse[0][:n], inverse[1][:n]
         if len(x_rows) < n:
             raise NumericError(
@@ -393,25 +377,22 @@ def gram_block_solver(n, lo, hi, ell):
     factor's rows reads their leading rows, a longer one those of the n x n
     matrix, factor and inverse at twice the digits, doubled again while that
     factor is still short.  Each of these is built once, at its first use."""
-    shared = {}  # dps -> (n x n Gram matrix, rows of its Cholesky factor)
-    inverses = {}  # dps -> the factor's inverse, once a block is solved at dps
+    shared = {}  # dps -> [n x n Gram matrix, rows of its factor, the factor's inverse]
 
     def solve(k, start=None):
         dps = DPS
         while True:
             if dps not in shared:
                 M = mass_matrix_mp(n, lo, hi, ell, dps)
-                shared[dps] = M, cholesky_mp(M, dps)
-            M, factor = shared[dps]
+                shared[dps] = [M, _cholesky(_pair_rows(M), libmp.dps_to_prec(dps)), None]
+            M, factor, inverse = entry = shared[dps]
             if len(factor) >= k:
                 break
             dps *= 2
-        if dps not in inverses:
-            with mp.workdps(dps):
-                inverses[dps] = _lower_inverse([[_pair(x) for x in row] for row in factor],
-                                               mp.mp.prec)
+        if inverse is None:  # formed at the first block solved at dps
+            inverse = entry[2] = _lower_inverse(factor, libmp.dps_to_prec(dps))
         try:
-            return smallest_eigenpair_mp(M[:k, :k], start=start, dps=dps, inverse=inverses[dps])
+            return smallest_eigenpair_mp(M[:k, :k], start=start, dps=dps, inverse=inverse)
         except IllConditionedError as err:
             dps = int(30 - np.log10(err.eigenvalue))
             return smallest_eigenpair_mp(mass_matrix_mp(k, lo, hi, ell, dps),
@@ -428,7 +409,7 @@ def rayleigh_quotient_mp(n, lo, hi, ell, coeffs):
     """
     with mp.workdps(DPS):
         prec = mp.mp.prec
-        rows = [_Vec(_pair(x) for x in row) for row in _rows(mass_matrix_mp(n, lo, hi, ell))]
+        rows = [_Vec(row) for row in _pair_rows(mass_matrix_mp(n, lo, hi, ell))]
         c = _Vec(_float_pair(x) for x in coeffs)
         return _mpf(_div(_dot(c, _Vec(_matvec(rows, c, prec)), prec), _dot(c, c, prec), prec))
 

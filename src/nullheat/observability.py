@@ -236,8 +236,12 @@ def observability_gramian(dec, m_omega, T):
     """Closed-form G_T = int_0^T e^{Lt} M_omega e^{Lt} dt (symmetric PSD)."""
     T = _validate_time(T, "observability_gramian")
     m_omega = _validate_mass(m_omega, dec.n_modes, "observability_gramian")
-    G = dec.modes @ _gramian_eigencoords(dec, _mass_eigencoords(dec, m_omega), T) @ dec.modes.T
-    return (G + G.T) / 2
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite G is refused below
+        G = dec.modes @ _gramian_eigencoords(dec, _mass_eigencoords(dec, m_omega), T) @ dec.modes.T
+        G = (G + G.T) / 2
+    if not np.all(np.isfinite(G)):
+        raise NumericError(f"observability_gramian: Gramian overflows float64 at T={T:g}")
+    return G
 
 
 def observability_cost(dec, m_omega, T):
@@ -257,8 +261,9 @@ def _cost(dec, W, T):
     # observability_cost on W = Q^T M_omega Q of a mass matrix that
     # _validate_mass has accepted; the ridge warning names the line that
     # called observability_cost
-    G = _gramian_eigencoords(dec, W, T)
-    A = np.diag(np.exp(2.0 * dec.mus * T))
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite values are refused below
+        G = _gramian_eigencoords(dec, W, T)
+        A = np.diag(np.exp(2.0 * dec.mus * T))
     if not (np.all(np.isfinite(G)) and np.all(np.isfinite(A))):
         raise NumericError(f"observability_cost: Gramian or e^(2LT) overflows float64 at T={T:g}")
     gram_min = float(np.linalg.eigvalsh(G)[0])
@@ -514,7 +519,13 @@ def proof_chain_report(basis, dec, m_omega, r, T):
     rows = []
     for t, zeta in zip(ts, left_inverse_constants(dec, m_omega, ts)):
         R = _zeta_pencil(dec, m_omega, t)[:n_r, :n_r]
-        theta = sla.eigh(S, R, eigvals_only=True)
+        try:
+            theta = sla.eigh(S, R, eigvals_only=True)
+        except np.linalg.LinAlgError as exc:
+            raise IllConditionedError(
+                f"proof_chain_report: packet block of the zeta pencil not positive "
+                f"definite in float64 at t={t:g}", eigenvalue=float(np.linalg.eigvalsh(R)[0])
+            ) from exc
         log_q = float(np.log(theta[-1]))
         rows.append(ChainRow(t=t, zeta=zeta,
                              log_chain_bound=log_prefix - 2.0 * np.log(zeta),

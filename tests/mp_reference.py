@@ -86,11 +86,11 @@ def min_pencil_eigpair(step, start, dps, max_iter=200):
     raise NumericError(f"inverse iteration: no convergence in {max_iter} steps at dps={dps}")
 
 
-def smallest_eigenpair(M, max_iter=200, start=None, factor=None, dps=DPS):
+def smallest_eigenpair(M, max_iter=200, start=None, dps=DPS):
     with mp.workdps(dps):
         rows_ = rows(M)
         n = len(rows_)
-        L = cholesky(M, dps) if factor is None else factor
+        L = cholesky(M, dps)
         if len(L) < n:
             raise NumericError(
                 "smallest_eigenpair_mp: Cholesky failed (matrix is not positive-definite)")

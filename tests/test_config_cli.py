@@ -316,12 +316,24 @@ class TestRunCommand:
         text = MINIMAL.replace("kernel.variant = zero",
                                "kernel.variant = gaussian\nkernel.amplitude = 20\nkernel.width = 0.15")
         path = write(tmp_path, text)
-        with np.errstate(over="ignore"):
-            rc = cli.main(["cost", str(path), "--set", "time.horizon=1000",
-                           "--output", str(tmp_path / "out")])
+        rc = cli.main(["cost", str(path), "--set", "time.horizon=1000",
+                       "--output", str(tmp_path / "out")])
         assert rc == 2
         assert "observability_cost: Gramian or e^(2LT) overflows float64 at T=1000" in (
             capsys.readouterr().err)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("verb, message", [
+        ("gramian", "observability_gramian: Gramian overflows float64 at T=0.5"),
+        ("cost", "observability_cost: Gramian or e^(2LT) overflows float64 at T=0.5"),
+    ])
+    def test_strong_kernel_overflow_refused(self, tmp_path, capsys, verb, message):
+        # amplitude 1e4 on default.cfg: e^(mu T) overflows, which is a numeric
+        # error (exit 2) raised without an overflow warning, not a traceback
+        rc = cli.main([verb, str(default_config_path()), "--set", "kernel.amplitude=1e4",
+                       "--output", str(tmp_path / "out")])
+        assert rc == 2
+        assert f"nullheat: numeric error: {message}" in capsys.readouterr().err
 
     def test_unknown_verb_rejected(self, tmp_path):
         path = write(tmp_path, MINIMAL)

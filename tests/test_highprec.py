@@ -54,6 +54,19 @@ def _pairs(xs):
     return [hp._pair(x) for x in xs]
 
 
+def _tri(rows):
+    # rows of pairs as _solve_lower reads a lower-triangular matrix: each row
+    # its off-diagonal entries as a _Vec and its diagonal pair
+    return [(hp._Vec(row[:-1]), row[-1]) for row in rows]
+
+
+def _cholesky(A, dps):
+    # hp._cholesky on the mpf rows A, its factor's rows as mpf
+    with mp.workdps(dps):
+        L = hp._cholesky([_pairs(r) for r in A], mp.mp.prec)
+    return [[hp._mpf(p) for p in row] for row in L]
+
+
 class TestPrimitives:
     """dot, sub, div and sqrt on pairs equal mp.fdot, -, / and mp.sqrt."""
 
@@ -106,7 +119,7 @@ class TestPrimitives:
             T = [[_exact(1, 0)], [_exact(0, 0), _exact(1, 0)],
                  [_exact(0, 0), _exact(0, 0), _exact(1, 0)], a + [_exact(1, 0)]]
             b = ones + [_exact(0, 0)]
-            got = hp._solve_lower(hp._tri([_pairs(r) for r in T]), _pairs(b), prec)
+            got = hp._solve_lower(_tri([_pairs(r) for r in T]), _pairs(b), prec)
             assert got.pairs == _pairs(ref.solve_lower(T, b))
             assert got.pairs[-1] == (-1, 0)
 
@@ -126,7 +139,7 @@ class TestFactors:
         b = data.draw(st.lists(_numbers(prec), min_size=n, max_size=n))
         with mp.workdps(dps):
             want = _pairs(ref.solve_lower(T, b))
-            got = hp._solve_lower(hp._tri([_pairs(r) for r in T]), _pairs(b), prec)
+            got = hp._solve_lower(_tri([_pairs(r) for r in T]), _pairs(b), prec)
         assert got.pairs == want
 
     @_examples
@@ -145,7 +158,7 @@ class TestFactors:
                                scale[i] + scale[j]) for j in range(n)] for i in range(n)]
             else:
                 A = [[B[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
-        assert hp.cholesky_mp(A, dps) == ref.cholesky(A, dps)
+        assert _cholesky(A, dps) == ref.cholesky(A, dps)
 
     @_examples
     @given(data=st.data(), dps=_DPS, n=st.integers(1, 6))
@@ -194,10 +207,8 @@ class TestAgainstMpfObjects:
             calls.append(len(hp._rows(M)))
             return ref.smallest_eigenpair(M, **kwargs)
 
-        with monkeypatch.context() as patch:
-            patch.setattr(hp, "cholesky_mp", ref.cholesky)
-            patch.setattr(hp, "smallest_eigenpair_mp", smallest)
-            want = spectral_obs_constants(basis, omega, rs)
+        monkeypatch.setattr(hp, "smallest_eigenpair_mp", smallest)
+        want = spectral_obs_constants(basis, omega, rs)
         assert len(calls) >= 10
         for a, b in zip(got, want):
             assert (a.n_modes, a.c_min) == (b.n_modes, b.c_min)

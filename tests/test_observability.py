@@ -101,22 +101,36 @@ class TestSpectralObsConstant:
         assert np.all(lhs <= rhs * (1 + 1e-10))
 
 
+def _factor(M, dps=_highprec.DPS):
+    # rows of pairs of the Cholesky factor of M's longest positive-definite
+    # leading block, as gram_block_solver forms it
+    with mp.workdps(dps):
+        return _highprec._cholesky(_highprec._pair_rows(M), mp.mp.prec)
+
+
+def _inverse(factor, dps=_highprec.DPS):
+    # the factor's inverse in the form smallest_eigenpair_mp's inverse= takes
+    with mp.workdps(dps):
+        return _highprec._lower_inverse(factor, mp.mp.prec)
+
+
 class TestPacketPrimitive:
     """One mp Gram matrix and one Cholesky factor for a sweep of cutoffs."""
 
     def test_cholesky_matches_mpmath_bitwise(self):
         M = _highprec.mass_matrix_mp(18, 0.3, 0.8, 1.0)
-        factor = _highprec.cholesky_mp(M)
+        factor = _factor(M)
         with mp.workdps(50):
             ref = mp.cholesky(mp.matrix(M.tolist()))
         assert len(factor) == 18
-        assert all(factor[i][j] == ref[i, j] for i in range(18) for j in range(i + 1))
+        assert all(factor[i][j] == _highprec._pair(ref[i, j])
+                   for i in range(18) for j in range(i + 1))
 
     def test_leading_rows_factor_leading_blocks(self):
         M = _highprec.mass_matrix_mp(24, 0.3, 0.8, 1.0)
-        big = _highprec.cholesky_mp(M)
+        big = _factor(M)
         for n in (1, 5, 13, 24):
-            assert big[:n] == _highprec.cholesky_mp(M[:n, :n])
+            assert big[:n] == _factor(M[:n, :n])
 
     def test_sweep_equals_per_cutoff_bitwise(self, domain):
         basis = build_basis(domain, 26)
@@ -172,12 +186,13 @@ class TestPacketPrimitive:
         # still get their eigenpair from its leading rows, larger ones an error
         A = np.array([[mp.mpf(int(i == j)) for j in range(6)] for i in range(6)], dtype=object)
         A[3, 3] = mp.mpf(-1)
-        factor = _highprec.cholesky_mp(A)
+        factor = _factor(A)
         assert len(factor) == 3
-        lam, vec = _highprec.smallest_eigenpair_mp(A[:3, :3], factor=factor[:3])
+        inverse = _inverse(factor)
+        lam, vec = _highprec.smallest_eigenpair_mp(A[:3, :3], inverse=inverse)
         assert abs(lam - 1) < mp.mpf(10) ** -40 and np.linalg.norm(vec) == pytest.approx(1.0)
         with pytest.raises(NumericError):
-            _highprec.smallest_eigenpair_mp(A[:4, :4], factor=factor[:4])
+            _highprec.smallest_eigenpair_mp(A[:4, :4], inverse=inverse)
         with pytest.raises(NumericError):
             _highprec.smallest_eigenpair_mp(A)
 
@@ -202,7 +217,7 @@ class TestPacketPrimitive:
     def test_packets_past_the_shared_factor(self, tmp_path):
         # the 50-digit factor of the (0.3, 0.8) Gram matrix stops after 66
         # rows; a longer block is re-solved from its own, at 100 digits
-        assert len(_highprec.cholesky_mp(_highprec.mass_matrix_mp(80, 0.3, 0.8, 1.0))) == 66
+        assert len(_factor(_highprec.mass_matrix_mp(80, 0.3, 0.8, 1.0))) == 66
         out = tmp_path / "obs"
         assert cli.main(["obs-constant", str(default_config_path()), "--output", str(out),
                          "--set", "truncation.n=80"]) == 0
@@ -217,19 +232,27 @@ class TestPacketPrimitive:
 
     def test_escalated_blocks_share_one_factor_per_precision(self, monkeypatch):
         # the 50-digit factor stops after 66 rows, so cutoffs n = 67..80 all
-        # run at 100 digits: each on the leading rows of one 80-row matrix
-        # and factor, equal bit for bit to a block's own matrix and factor
+        # run at 100 digits: each on the leading rows of one 80-row matrix,
+        # factor and inverse, equal bit for bit to a block's own; the inverse
+        # is formed at 100 digits only, never of the short 50-digit factor
         basis = build_basis(Domain(1.0, 0.3, 0.8), 80)
         rs = [((n + 0.5) * np.pi) ** 2 for n in range(67, 81)]
         built, mass = [], _highprec.mass_matrix_mp
+        formed, inverse = [], _highprec._lower_inverse
 
         def counted(n, lo, hi, ell, dps=_highprec.DPS):
             built.append((n, dps))
             return mass(n, lo, hi, ell, dps)
 
+        def counted_inverse(L, prec):
+            formed.append(mp.libmp.prec_to_dps(prec))
+            return inverse(L, prec)
+
         monkeypatch.setattr(_highprec, "mass_matrix_mp", counted)
+        monkeypatch.setattr(_highprec, "_lower_inverse", counted_inverse)
         reports = spectral_obs_constants(basis, (0.3, 0.8), rs)
         assert built == [(80, 50), (80, 100)]
+        assert formed == [100]
         M = restricted_mass_matrix(basis, 0.3, 0.8)
         for rep in reports:
             n = rep.n_modes
@@ -237,7 +260,7 @@ class TestPacketPrimitive:
             Mn = mass(n, 0.3, 0.8, 1.0, 100)
             lam, vec = _highprec.smallest_eigenpair_mp(
                 Mn, start=vecs[:, 0] if w[0] > 0 else None,
-                factor=_highprec.cholesky_mp(Mn, 100), dps=100)
+                inverse=_inverse(_factor(Mn, 100), 100), dps=100)
             assert rep.c_min == float(lam), n
             assert np.array_equal(rep.witness, vec), n
         assert [rep.n_modes for rep in reports] == list(range(67, 81))
@@ -730,6 +753,18 @@ class TestProofChain:
         for row in rows:
             assert row.zeta > 0
             assert row.log_chain_bound >= row.log_extremal_quotient - 1e-9
+
+    @pytest.mark.parametrize("n, T", [(8, 0.5), (8, 0.2)] + [
+        (n, T) for n in (8, 12, 16) for T in (0.1, 0.05)])
+    def test_unfactorable_packet_pencil_is_refused(self, domain, n, T):
+        # a packet of the whole truncation: at some grid t the float64 packet
+        # block of the zeta pencil is not positive definite, which is refused
+        # with its smallest eigenvalue, not left to escape from scipy
+        basis, dec = _dec(domain, GaussianKernel(5.0, 0.2), n)
+        m_omega = restricted_mass_matrix(basis, 0.3, 0.8)
+        with pytest.raises(IllConditionedError,
+                           match=r"^proof_chain_report: .* at t=[0-9.]+ \(offending eigenvalue"):
+            proof_chain_report(basis, dec, m_omega, r=float(basis.lambdas[-1]), T=T)
 
     def test_zeta_operators_built_once(self, domain, monkeypatch):
         # one solver, and so one LU of Q, for the grid's 18 escalated
