@@ -286,7 +286,7 @@ def lr_staged_control(domain, kernel, u0, T, stages, r0, n_modes=None, margin=8,
         t_end = t_cursor + slot
         with np.errstate(over="ignore", invalid="ignore"):  # where b overflows, so does G
             G = Q @ _gramian_eigencoords(dec, W, tau) @ Q.T
-            b = propagate(dec, u, tau)
+            b = Q @ (np.exp(mus * tau) * (Q.T @ u))  # propagate's product, refused with G
         p = np.zeros(n)
         p[:n_low] = _solve_gramian(G[:n_low, :n_low], -b[:n_low], None,
                                    f"lr_staged_control: stage {k} low-mode block")

@@ -90,10 +90,15 @@ def decompose(lmat):
 
 
 def propagate(dec, state, t):
-    """Apply e^{Lt} to a coefficient vector; t = 0 is the identity."""
+    """Apply e^{Lt} to a coefficient vector; t = 0 is the identity.  A state
+    whose squared norm overflows float64 is refused."""
     t = _validate_time(t, "propagate", "t", allow_zero=True)
     state = np.asarray(state, dtype=float)
-    return dec.modes @ (np.exp(dec.mus * t) * (dec.modes.T @ state))
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
+        out = dec.modes @ (np.exp(dec.mus * t) * (dec.modes.T @ state))
+        if np.isfinite(out @ out):
+            return out
+    raise NumericError(f"propagate: state overflows float64 at t={t:g}")
 
 
 def propagate_backward(dec, state, t):

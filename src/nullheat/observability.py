@@ -19,7 +19,8 @@ its slack measured):
 
 * cost of control  kappa_T = largest generalized eigenvalue of
       e^{2LT} w = kappa G_T w,
-  the smallest constant with ||e^{LT} u||^2 <= kappa_T u^T G_T u.
+  the smallest constant with ||e^{LT} u||^2 <= kappa_T u^T G_T u.  Only that
+  top eigenpair is solved for (LAPACK's xSYGVX after the Cholesky reduction).
 
 The sweep over horizons reproduces the blow-up of kappa_T as T -> 0 under
 the frequency-coupled truncation N(T) = #{j : lambda_j <= 1/T} + margin,
@@ -28,6 +29,7 @@ Every "modes with lambda <= r" of the library, here and in the staged
 control, is _count_modes: inclusive, on the eigenvalue table's formula.
 """
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -39,7 +41,8 @@ from . import _highprec
 from .basis import (MAX_MODES, _validate_int, _validate_mass, _validate_time, build_basis,
                     positive_sign, restricted_mass_matrix)
 from .errors import ArgumentError, IllConditionedError, NumericError
-from .evolution import _zeta_pencil, assemble_generator, decompose, left_inverse_constants
+from .evolution import (SpectralDecomposition, _zeta_pencil, assemble_generator, decompose,
+                        left_inverse_constants)
 from .kernels import project_kernel
 
 COUPLING_FIXED = "fixed"
@@ -61,11 +64,18 @@ class ObsReport:
 
 @dataclass(frozen=True, eq=False)
 class CostReport:
+    """kappa_T and its witness; gramian_min_eig, the smallest eigenvalue of G_T in
+    the generator's eigencoordinates (W o Phi), is computed on first read."""
     T: float
     n_used: int
     kappa: float
-    gramian_min_eig: float
     witness: np.ndarray = field(repr=False)
+    dec: SpectralDecomposition = field(repr=False)
+    W: np.ndarray = field(repr=False)
+
+    @functools.cached_property
+    def gramian_min_eig(self):
+        return float(np.linalg.eigvalsh(_gramian_eigencoords(self.dec, self.W, self.T))[0])
 
 
 def _phi(s, T):
@@ -249,8 +259,8 @@ def observability_cost(dec, m_omega, T):
 
     The maximizing initial state is returned as witness (unit norm); kappa_T
     is the smallest constant for which the observability inequality holds on
-    the truncation.  If the Gramian's Cholesky fails inside the generalized
-    solve, a reported ridge of 1e-12 trace(G)/N is added to G once.
+    the truncation, and only its eigenpair is solved for.  A Gramian whose
+    Cholesky fails gets a reported ridge of 1e-12 trace(G)/N, added once.
     """
     T = _validate_time(T, "observability_cost")
     m_omega = _validate_mass(m_omega, dec.n_modes, "observability_cost")
@@ -266,9 +276,9 @@ def _cost(dec, W, T):
         A = np.diag(np.exp(2.0 * dec.mus * T))
     if not (np.all(np.isfinite(G)) and np.all(np.isfinite(A))):
         raise NumericError(f"observability_cost: Gramian or e^(2LT) overflows float64 at T={T:g}")
-    gram_min = float(np.linalg.eigvalsh(G)[0])
+    top = dict(subset_by_index=[dec.n_modes - 1] * 2, driver="gvx", check_finite=False)
     try:
-        theta, vecs = sla.eigh(A, G)
+        theta, vecs = sla.eigh(A, G, **top)
     except np.linalg.LinAlgError:
         ridge = _FALLBACK_RIDGE_SCALE * float(np.trace(G)) / dec.n_modes
         warnings.warn(
@@ -276,18 +286,16 @@ def _cost(dec, W, T):
             f"retrying with ridge {ridge:.3e}",
             RuntimeWarning, stacklevel=3)
         try:
-            theta, vecs = sla.eigh(A, G + ridge * np.eye(dec.n_modes))
+            theta, vecs = sla.eigh(A, G + ridge * np.eye(dec.n_modes), **top)
         except np.linalg.LinAlgError as exc:
             raise IllConditionedError(
                 f"observability_cost: Gramian singular even with ridge {ridge:.3e}",
-                eigenvalue=gram_min,
+                eigenvalue=float(np.linalg.eigvalsh(G)[0]),
             ) from exc
-    kappa = float(theta[-1])
-    w = vecs[:, -1]
-    witness = dec.modes @ w
+    witness = dec.modes @ vecs[:, 0]
     witness = positive_sign(witness / np.linalg.norm(witness))
-    return CostReport(T=float(T), n_used=dec.n_modes, kappa=kappa,
-                      gramian_min_eig=gram_min, witness=witness)
+    return CostReport(T=float(T), n_used=dec.n_modes, kappa=float(theta[0]),
+                      witness=witness, dec=dec, W=W)
 
 
 # ---------------------------------------------------------------------------

@@ -326,6 +326,7 @@ class TestRunCommand:
     @pytest.mark.parametrize("verb, message", [
         ("gramian", "observability_gramian: Gramian overflows float64 at T=0.5"),
         ("cost", "observability_cost: Gramian or e^(2LT) overflows float64 at T=0.5"),
+        ("evolve", "propagate: state overflows float64 at t=0.047619"),
     ])
     def test_strong_kernel_overflow_refused(self, tmp_path, capsys, verb, message):
         # amplitude 1e4 on default.cfg: e^(mu T) overflows, which is a numeric

@@ -144,6 +144,18 @@ class TestPropagate:
         with pytest.raises(ArgumentError):
             propagate(dec, np.ones(4), -0.1)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_state_refused(self, domain):
+        # amplitude 1e4 grows e1 like e^(8721 t): at t = 0.0476 the entries
+        # (~2e180) are finite but the squared norm is not, and past t = 0.0814
+        # the entries overflow too; both are refused without a warning
+        _, _, dec = _dec(domain, GaussianKernel(1e4, 0.2), 16)
+        e1 = np.eye(16)[0]
+        assert np.all(np.isfinite(propagate(dec, e1, 0.04)))
+        for t in (3.0 / 63, 0.1):
+            with pytest.raises(NumericError, match=f"state overflows float64 at t={t:g}"):
+                propagate(dec, e1, t)
+
     def test_dense_semigroup_applies_like_propagate(self, domain, rng):
         _, _, dec = _dec(domain, GaussianKernel(20.0, 0.15), 16)
         v = rng.standard_normal(16)

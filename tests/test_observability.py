@@ -3,6 +3,7 @@ import warnings
 import mpmath as mp
 import numpy as np
 import pytest
+import scipy.linalg as sla
 from hypothesis import given, strategies as st
 from numpy.polynomial.legendre import leggauss
 from scipy.optimize import minimize_scalar  # reference for _bounded_brent; src/ never imports it
@@ -482,6 +483,74 @@ class TestObservabilityCost:
             dec, restricted_mass_matrix(basis, lo, hi), 0.3).kappa
             for lo, hi in ((0.35, 0.65), (0.3, 0.8), (0.1, 0.9))]
         assert nested[0] >= nested[1] >= nested[2]
+
+
+class TestCostTopPair:
+    """_cost solves only for the top eigenpair of (e^{2LT}, G_T), and G_T's
+    smallest eigenvalue is computed only when a report's gramian_min_eig is read."""
+
+    @staticmethod
+    def _full_spectrum_reference(dec, W, T):
+        # the full generalized eigendecomposition, on the same ridge rule
+        G = observability._gramian_eigencoords(dec, W, T)
+        A = np.diag(np.exp(2.0 * dec.mus * T))
+        try:
+            theta, vecs = sla.eigh(A, G)
+        except np.linalg.LinAlgError:
+            ridge = observability._FALLBACK_RIDGE_SCALE * float(np.trace(G)) / dec.n_modes
+            theta, vecs = sla.eigh(A, G + ridge * np.eye(dec.n_modes))
+        witness = dec.modes @ vecs[:, -1]
+        return float(theta[-1]), witness / np.linalg.norm(witness)
+
+    @pytest.mark.parametrize("n", [1, 16, 64, 128, 256])
+    @pytest.mark.parametrize("kernel", [ZeroKernel(), GaussianKernel(5.0, 0.2),
+                                        GaussianKernel(20.0, 0.15)],
+                             ids=["zero", "stable", "unstable"])
+    def test_matches_full_spectrum_solve(self, domain, kernel, n):
+        dec, W = observability._eigen_model(domain, kernel, n)
+        for T in (0.5, 0.1, 0.02):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)  # the known ridge rows
+                rep = observability._cost(dec, W, T)
+            kappa, witness = self._full_spectrum_reference(dec, W, T)
+            assert abs(rep.kappa - kappa) <= 8 * np.finfo(float).eps * kappa
+            sign = 1.0 if rep.witness @ witness >= 0 else -1.0
+            assert np.max(np.abs(rep.witness - sign * witness)) <= 1e-8
+
+    def test_gramian_min_eig_computed_once_on_first_read(self, domain, monkeypatch):
+        kernel, Ts = GaussianKernel(5.0, 0.2), [0.4, 0.1, 0.025]
+        dec, W = observability._eigen_model(domain, kernel, 16)
+        # what the report stored before it was computed on first read
+        refs = [float(np.linalg.eigvalsh(observability._gramian_eigencoords(dec, W, T))[0])
+                for T in Ts]
+        calls = []
+
+        def eigvalsh(a, eigvalsh=np.linalg.eigvalsh):
+            calls.append(a.shape)
+            return eigvalsh(a)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
+        sweep = cost_sweep(domain, kernel, Ts, coupling=COUPLING_FIXED, n_fixed=16)
+        assert calls == []
+        for k, (row, ref) in enumerate(zip(sweep.rows, refs)):
+            assert row.report.gramian_min_eig == ref
+            assert calls == [(16, 16)] * (k + 1)
+            assert row.report.gramian_min_eig == ref
+            assert calls == [(16, 16)] * (k + 1)
+
+    def test_refusal_carries_the_smallest_eigenvalue(self, stable_pipeline, monkeypatch):
+        _, _, dec, m_omega = stable_pipeline
+        W = observability._mass_eigencoords(dec, m_omega)
+        G = observability._gramian_eigencoords(dec, W, 0.5)
+
+        def eigh(*args, **kwargs):
+            raise np.linalg.LinAlgError("forced")
+
+        monkeypatch.setattr(observability.sla, "eigh", eigh)
+        with pytest.warns(RuntimeWarning, match="retrying with ridge"):
+            with pytest.raises(IllConditionedError, match="singular even with ridge") as err:
+                observability_cost(dec, m_omega, 0.5)
+        assert err.value.eigenvalue == float(np.linalg.eigvalsh(G)[0])
 
 
 class TestCostSweep:
