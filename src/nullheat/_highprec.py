@@ -68,6 +68,7 @@ from .errors import IllConditionedError, NumericError
 
 _mp_sin = np.frompyfunc(mp.sin, 1, 1)
 DPS = 50  # working precision of the packet-constant routines
+MAX_ITER = 200  # inverse-iteration steps before _min_pencil_eigpair gives up
 _ZERO = (0, 0)
 _ONE = (1, 0)
 
@@ -305,7 +306,7 @@ def _lower_inverse(L, prec):
 
 # -- the eigen-primitive ------------------------------------------------------------
 
-def _min_pencil_eigpair(step, start, dps, max_iter=200):
+def _min_pencil_eigpair(step, start, dps):
     """Smallest eigenpair of an SPD pencil A v = theta B v by inverse iteration.
 
     step(v) returns (x, B v) with x = A^{-1} B v, all three as _Vec.  theta
@@ -320,7 +321,7 @@ def _min_pencil_eigpair(step, start, dps, max_iter=200):
     tol = _pair(mp.mpf(10) ** (-dps + 12))
     v = start
     lam_old = None
-    for _ in range(max_iter):
+    for _ in range(MAX_ITER):
         x, bv = step(v)
         lam = _div(_dot(v, bv, prec), _dot(x, bv, prec), prec)
         nrm = _sqrt(_dot(x, x, prec), prec)
@@ -329,7 +330,7 @@ def _min_pencil_eigpair(step, start, dps, max_iter=200):
                                        _mul(tol, _abs(lam), prec)):
             return lam, v
         lam_old = lam
-    raise NumericError(f"inverse iteration: no convergence in {max_iter} steps at dps={dps}")
+    raise NumericError(f"inverse iteration: no convergence in {MAX_ITER} steps at dps={dps}")
 
 
 def _unit_start(start, n, prec):
@@ -340,7 +341,7 @@ def _unit_start(start, n, prec):
     return _Vec([_div(p, nrm, prec) for p in v.pairs])
 
 
-def smallest_eigenpair_mp(M, max_iter=200, start=None, dps=DPS, inverse=None):
+def smallest_eigenpair_mp(M, start=None, dps=DPS, inverse=None):
     """Smallest eigenpair (mpf, unit float64 array) of an SPD mp matrix.
 
     The pencil (M, I) at dps digits, stepped by products with X = C^{-1},
@@ -362,7 +363,7 @@ def smallest_eigenpair_mp(M, max_iter=200, start=None, dps=DPS, inverse=None):
                 "smallest_eigenpair_mp: Cholesky failed (matrix is not positive-definite)")
         lam, v = _min_pencil_eigpair(
             lambda u: (_Vec(_matvec(x_cols, _Vec(_matvec(x_rows, u, prec)), prec)), u),
-            _unit_start(start, n, prec), dps, max_iter)
+            _unit_start(start, n, prec), dps)
         lam = _mpf(lam)
         if not lam >= mp.mpf(10) ** (16 - dps) * max(row[i] for i, row in enumerate(rows)):
             raise IllConditionedError(

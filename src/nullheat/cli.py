@@ -153,20 +153,13 @@ def run_command(verb, cfg):
         sweep = cost_sweep(cfg.domain(), cfg.kernel(), list(Ts),
                            coupling=cfg.coupling, n_fixed=cfg.n_modes,
                            margin=cfg.margin)
-        rows = []
-        for row in sweep.rows:
-            if row.report is None:
-                rows.append((row.T, row.n_used, "nan", "nan",
-                             "error", "", "", row.error))
-                continue
-            rows.append((row.T, row.n_used, row.report.kappa,
-                         row.report.gramian_min_eig, "free",
-                         sweep.fit_free.coeff, sweep.fit_free.alpha,
-                         sweep.fit_free.residual))
-        rows.append(("", "", "", "", "sqrt", sweep.fit_sqrt.coeff,
-                     sweep.fit_sqrt.alpha, sweep.fit_sqrt.residual))
-        rows.append(("", "", "", "", "inv", sweep.fit_inv.coeff,
-                     sweep.fit_inv.alpha, sweep.fit_inv.residual))
+        free = ("free", sweep.fit_free.coeff, sweep.fit_free.alpha, sweep.fit_free.residual)
+        rows = [(row.T, row.n_used, "nan", "nan", "error", "", "", row.error)
+                if row.report is None else
+                (row.T, row.n_used, row.report.kappa, row.report.gramian_min_eig) + free
+                for row in sweep.rows]
+        rows += [("", "", "", "", name, fit.coeff, fit.alpha, fit.residual)
+                 for name, fit in (("sqrt", sweep.fit_sqrt), ("inv", sweep.fit_inv))]
         emit("cost-sweep.csv", ["T", "N_used", "kappa_T", "gramian_min_eig",
                                 "fit_model", "fit_C", "fit_alpha", "fit_residual"], rows)
 

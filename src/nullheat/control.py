@@ -43,11 +43,10 @@ import numpy as np
 import scipy.linalg as sla
 
 from .basis import (MAX_MODES, _gauss_legendre, _graded_time_nodes, _validate_int,
-                    _validate_mass, _validate_state, _validate_time)
+                    _validate_state, _validate_time)
 from .errors import ArgumentError, IllConditionedError, NumericError
 from .evolution import propagate
-from .observability import (_count_modes, _eigen_model, _gramian_eigencoords,
-                            _mass_eigencoords, _phi)
+from .observability import _count_modes, _EigenGramian, _phi
 
 
 @dataclass(frozen=True, eq=False)
@@ -116,9 +115,9 @@ def hum_control(dec, m_omega, u0, T, nt=64, ridge=0.0):
     """
     T = _validate_time(T, "hum_control")
     nt = _validate_int(nt, "hum_control", "nt", 16)
-    m_omega = _validate_mass(m_omega, dec.n_modes, "hum_control")
+    gram = _EigenGramian.of(dec, m_omega, "hum_control")
     u0 = _validate_state(u0, dec.n_modes, "hum_control")
-    G = _gramian_eigencoords(dec, _mass_eigencoords(dec, m_omega), T)
+    G = gram.gramian(T)
     u0_e = dec.modes.T @ u0
     with np.errstate(over="ignore", invalid="ignore"):  # where e^{mu T} overflows, so does G
         decay = np.exp(dec.mus * T)
@@ -140,7 +139,7 @@ def controlled_state_norms(dec, m_omega, u0, result):
     """||u(t)|| / ||u0|| at the nt sample times of a hum_control result, in closed
     form: u(t) = e^{Lt} u0 + [W o D(t)] p in eigencoordinates, with W = Q^T M_omega Q,
     p the multiplier and D(t)[a, b] = e^{mu_b (T - t)} phi(mu_a + mu_b, t)."""
-    m_omega = _validate_mass(m_omega, dec.n_modes, "controlled_state_norms")
+    W = _EigenGramian.of(dec, m_omega, "controlled_state_norms").W
     u0 = _validate_state(u0, dec.n_modes, "controlled_state_norms")
     p = np.asarray(result.multiplier, dtype=float)   # a staged list stacks to 2-D
     if p.shape != (dec.n_modes,):
@@ -151,12 +150,11 @@ def controlled_state_norms(dec, m_omega, u0, result):
     p_e = dec.modes.T @ p
     u0_e = dec.modes.T @ u0
     mus = dec.mus
-    Wq = _mass_eigencoords(dec, m_omega)
     u0_norm = max(float(np.linalg.norm(u0)), 1e-300)
     norms = []
     for t in np.linspace(0.0, T, result.nt):
-        drive = Wq * (np.exp(mus[None, :] * (T - t))
-                      * _phi(mus[:, None] + mus[None, :], t))
+        drive = W * (np.exp(mus[None, :] * (T - t))
+                     * _phi(mus[:, None] + mus[None, :], t))
         ut = np.exp(mus * t) * u0_e + drive @ p_e
         norms.append(float(np.linalg.norm(ut)) / u0_norm)
     return norms
@@ -194,7 +192,7 @@ def simulate_controlled(dec, m_omega, u0, control_coeffs, T, nt_fine):
     """
     T = _validate_time(T, "simulate_controlled")
     nt_fine = _validate_int(nt_fine, "simulate_controlled", "nt_fine")
-    m_omega = _validate_mass(m_omega, dec.n_modes, "simulate_controlled")
+    W = _EigenGramian.of(dec, m_omega, "simulate_controlled").W
     coeffs = np.asarray(control_coeffs, dtype=float)
     if coeffs.ndim != 2 or coeffs.shape[1] != dec.n_modes:
         raise ArgumentError(
@@ -210,7 +208,6 @@ def simulate_controlled(dec, m_omega, u0, control_coeffs, T, nt_fine):
             f"the {nt}-point control grid")
     mus = dec.mus
     Q = dec.modes
-    W = _mass_eigencoords(dec, m_omega)
     g = W @ (Q.T @ coeffs.T)              # source samples W f in eigencoords, N x nt
     dt = T / (nt_fine - 1)
     r = (nt_fine - 1) // (nt - 1)         # fine steps per control interval
@@ -264,12 +261,12 @@ def lr_staged_control(domain, kernel, u0, T, stages, r0, n_modes=None, margin=8,
     if n < u0.size:
         raise ArgumentError(
             f"lr_staged_control: truncation {n} cannot hold a {u0.size}-mode state")
-    dec, W = _eigen_model(domain, kernel, n)  # one W for every stage's Gramian
+    gram = _EigenGramian.build(domain, kernel, n)  # one W for every stage's Gramian
+    dec = gram.dec
     state = np.zeros(n)
     state[: u0.size] = u0
     u0_norm = float(np.linalg.norm(state))
-    Q = dec.modes
-    mus = dec.mus
+    Q, mus = dec.modes, dec.mus
     ts = np.linspace(0.0, T, nt)
     coeffs = np.zeros((nt, n))
     log = []
@@ -285,7 +282,7 @@ def lr_staged_control(domain, kernel, u0, T, stages, r0, n_modes=None, margin=8,
         t_mid = t_cursor + tau
         t_end = t_cursor + slot
         with np.errstate(over="ignore", invalid="ignore"):  # where b overflows, so does G
-            G = Q @ _gramian_eigencoords(dec, W, tau) @ Q.T
+            G = Q @ gram.gramian(tau) @ Q.T
             b = Q @ (np.exp(mus * tau) * (Q.T @ u))  # propagate's product, refused with G
         p = np.zeros(n)
         p[:n_low] = _solve_gramian(G[:n_low, :n_low], -b[:n_low], None,
@@ -327,8 +324,7 @@ def control_cost(result, m_omega, dec):
     value must match result.cost_sq to quadrature accuracy when no ridge
     was applied.
     """
-    m_omega = _validate_mass(m_omega, dec.n_modes, "control_cost")
-    W = _mass_eigencoords(dec, m_omega)
+    W = _EigenGramian.of(dec, m_omega, "control_cost").W
     mus = dec.mus
     rate = float(mus[0] - 2.0 * mus[-1])
 

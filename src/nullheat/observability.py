@@ -70,12 +70,11 @@ class CostReport:
     n_used: int
     kappa: float
     witness: np.ndarray = field(repr=False)
-    dec: SpectralDecomposition = field(repr=False)
-    W: np.ndarray = field(repr=False)
+    gram: "_EigenGramian" = field(repr=False)
 
     @functools.cached_property
     def gramian_min_eig(self):
-        return float(np.linalg.eigvalsh(_gramian_eigencoords(self.dec, self.W, self.T))[0])
+        return float(np.linalg.eigvalsh(self.gram.gramian(self.T))[0])
 
 
 def _phi(s, T):
@@ -224,30 +223,37 @@ def build_model(domain, kernel, n_modes):
     return basis, kmat, dec, _validate_mass(m_omega, basis.n_modes, "build_model")
 
 
-def _mass_eigencoords(dec, m_omega):
-    """W = Q^T M_omega Q, the mass matrix in the generator's eigencoordinates:
-    the part of G_T that does not depend on T."""
-    return dec.modes.T @ m_omega @ dec.modes
+@dataclass(frozen=True, eq=False)
+class _EigenGramian:
+    """A truncation's Gramians in the eigencoordinates of L = Q diag(mu) Q^T:
+    dec and W = Q^T M_omega Q, the part of G_T that does not depend on T,
+    formed once from a validated M_omega that is not kept."""
+    dec: SpectralDecomposition
+    W: np.ndarray
 
+    @classmethod
+    def of(cls, dec, m_omega, op):
+        """From a caller's M_omega: the one _validate_mass call of entry point op."""
+        return cls(dec, dec.modes.T @ _validate_mass(m_omega, dec.n_modes, op) @ dec.modes)
 
-def _eigen_model(domain, kernel, n_modes):
-    """(dec, W) of build_model's n_modes-mode model: W is formed once per
-    truncation, and no reference to M_omega outlives the call."""
-    _, _, dec, m_omega = build_model(domain, kernel, n_modes)
-    return dec, _mass_eigencoords(dec, m_omega)
+    @classmethod
+    def build(cls, domain, kernel, n_modes):
+        """build_model's n_modes-mode truncation; its K and M_omega are dropped."""
+        _, _, dec, m_omega = build_model(domain, kernel, n_modes)
+        return cls(dec, dec.modes.T @ m_omega @ dec.modes)
 
-
-def _gramian_eigencoords(dec, W, T):
-    G = W * _phi(dec.mus[:, None] + dec.mus[None, :], T)
-    return (G + G.T) / 2
+    def gramian(self, T):
+        """Q^T G_T Q = W o Phi, symmetrized."""
+        G = self.W * _phi(self.dec.mus[:, None] + self.dec.mus[None, :], T)
+        return (G + G.T) / 2
 
 
 def observability_gramian(dec, m_omega, T):
     """Closed-form G_T = int_0^T e^{Lt} M_omega e^{Lt} dt (symmetric PSD)."""
     T = _validate_time(T, "observability_gramian")
-    m_omega = _validate_mass(m_omega, dec.n_modes, "observability_gramian")
+    gram = _EigenGramian.of(dec, m_omega, "observability_gramian")
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite G is refused below
-        G = dec.modes @ _gramian_eigencoords(dec, _mass_eigencoords(dec, m_omega), T) @ dec.modes.T
+        G = dec.modes @ gram.gramian(T) @ dec.modes.T
         G = (G + G.T) / 2
     if not np.all(np.isfinite(G)):
         raise NumericError(f"observability_gramian: Gramian overflows float64 at T={T:g}")
@@ -260,19 +266,19 @@ def observability_cost(dec, m_omega, T):
     The maximizing initial state is returned as witness (unit norm); kappa_T
     is the smallest constant for which the observability inequality holds on
     the truncation, and only its eigenpair is solved for.  A Gramian whose
-    Cholesky fails gets a reported ridge of 1e-12 trace(G)/N, added once.
+    Cholesky fails gets a ridge of 1e-12 trace(G)/N, added once and
+    announced only by a RuntimeWarning; such a kappa_T is not a bound.
     """
     T = _validate_time(T, "observability_cost")
-    m_omega = _validate_mass(m_omega, dec.n_modes, "observability_cost")
-    return _cost(dec, _mass_eigencoords(dec, m_omega), T)
+    return _cost(_EigenGramian.of(dec, m_omega, "observability_cost"), T)
 
 
-def _cost(dec, W, T):
-    # observability_cost on W = Q^T M_omega Q of a mass matrix that
-    # _validate_mass has accepted; the ridge warning names the line that
-    # called observability_cost
+def _cost(gram, T):
+    # observability_cost on an _EigenGramian; the ridge warning names the
+    # line that called observability_cost
+    dec = gram.dec
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite values are refused below
-        G = _gramian_eigencoords(dec, W, T)
+        G = gram.gramian(T)
         A = np.diag(np.exp(2.0 * dec.mus * T))
     if not (np.all(np.isfinite(G)) and np.all(np.isfinite(A))):
         raise NumericError(f"observability_cost: Gramian or e^(2LT) overflows float64 at T={T:g}")
@@ -295,7 +301,7 @@ def _cost(dec, W, T):
     witness = dec.modes @ vecs[:, 0]
     witness = positive_sign(witness / np.linalg.norm(witness))
     return CostReport(T=float(T), n_used=dec.n_modes, kappa=float(theta[0]),
-                      witness=witness, dec=dec, W=W)
+                      witness=witness, gram=gram)
 
 
 # ---------------------------------------------------------------------------
@@ -451,6 +457,8 @@ def cost_sweep(domain, kernel, T_list, coupling=COUPLING_FIXED, n_fixed=None, ma
     and the profiled free exponent over the blow-up regime (_free_power_fit).
     """
     T_list = [_validate_time(float(T), "cost_sweep", "horizons") for T in T_list]
+    if len(set(T_list)) < 2:
+        raise ArgumentError("cost_sweep: need at least 2 distinct horizons to fit")
     margin = _validate_int(margin, "cost_sweep", "margin", 0)
     if coupling == COUPLING_FIXED:
         n_fixed = _validate_int(n_fixed, "cost_sweep", "n_fixed", 1, MAX_MODES)  # and a missing one
@@ -463,11 +471,11 @@ def cost_sweep(domain, kernel, T_list, coupling=COUPLING_FIXED, n_fixed=None, ma
             f"(expected {COUPLING_FIXED!r} or {COUPLING_RESOLVENT!r})"
         )
 
-    # one (dec, W) per distinct truncation, or the error string that stopped its build
+    # one _EigenGramian per distinct truncation, or the error string that stopped its build
     models = {}
     for n in dict.fromkeys(n_of_T.values()):
         try:
-            models[n] = _eigen_model(domain, kernel, n)
+            models[n] = _EigenGramian.build(domain, kernel, n)
         except (ArgumentError, NumericError) as exc:
             models[n] = f"{type(exc).__name__}: {exc}"
 
@@ -478,13 +486,13 @@ def cost_sweep(domain, kernel, T_list, coupling=COUPLING_FIXED, n_fixed=None, ma
             rows.append(SweepRow(T=T, n_used=n, error=models[n]))
             continue
         try:
-            rows.append(SweepRow(T=T, n_used=n, report=_cost(*models[n], T)))
+            rows.append(SweepRow(T=T, n_used=n, report=_cost(models[n], T)))
         except (ArgumentError, NumericError) as exc:  # recorded per row, never fatal
             rows.append(SweepRow(T=T, n_used=n, error=f"{type(exc).__name__}: {exc}"))
 
     good = [row for row in rows if row.report is not None]
-    if len(good) < 2:
-        raise NumericError("cost_sweep: fewer than 2 successful rows; cannot fit")
+    if len({row.T for row in good}) < 2:
+        raise NumericError("cost_sweep: fewer than 2 successful horizons; cannot fit")
     Ts = np.array([row.T for row in good])
     ys = np.log(np.array([row.report.kappa for row in good]))
     fit_sqrt = _power_fit(Ts, ys, 0.5)

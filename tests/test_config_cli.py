@@ -352,12 +352,34 @@ class TestRunCommand:
         assert cli.main(["--help"]) == 0
         assert "usage: nullheat" in capsys.readouterr().out
 
+    def test_cost_sweep_on_one_distinct_horizon_refused(self, tmp_path, capsys):
+        rc = cli.main(["cost-sweep", str(default_config_path()), "--output",
+                       str(tmp_path / "out"), "--set", "time.horizon_list=0.5,0.5"])
+        assert rc == 1
+        assert "cost_sweep: need at least 2 distinct horizons" in capsys.readouterr().err
+
     def test_negative_oracle_seed_refused_before_echo(self, tmp_path, capsys):
         out = tmp_path / "out"
         rc = cli.main(["certify-all", str(write(tmp_path, MINIMAL)),
                        "--set", "seeds.oracle=-1", "--output", str(out)])
         assert rc == 1 and not out.exists()
         assert "parse_config: seeds.oracle must be >= 0, got -1" in capsys.readouterr().err
+
+
+def test_readme_quickstart_runs_clean():
+    """README's library quickstart (build_model's 4-tuple and the (dec, m_omega)
+    entry points) runs as written in a fresh interpreter, with a RuntimeWarning,
+    a ridge fallback or an overflow, an error."""
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    block = re.search(r"## Library quickstart\s+```python\n(.*?)```", readme.read_text(),
+                      re.S).group(1)
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(nullheat.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-c", block],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    residual, cost_sq, kappa, terminal = (float(v) for v in proc.stdout.split())
+    assert residual < 1e-10 and 0 < cost_sq <= kappa * (1 + 1e-6)
+    assert terminal < 1e-4
 
 
 def _readme_csv_schema():

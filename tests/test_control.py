@@ -9,9 +9,8 @@ from nullheat import (ArgumentError, Domain, GaussianKernel, IllConditionedError
                       lr_staged_control, observability_cost, observability_gramian,
                       parse_config, project_kernel, propagate, restricted_mass_matrix,
                       simulate_controlled)
-from nullheat import control
+from nullheat import control, observability
 from nullheat.bundled import default_config_path
-from nullheat.observability import _gramian_eigencoords
 
 
 def _dec(domain, kernel, n):
@@ -325,13 +324,16 @@ class TestStagedControl:
         res = run()
         stages = []
 
-        def per_stage(dec, W, tau):
+        gramian = observability._EigenGramian.gramian
+
+        def per_stage(gram, tau):
+            dec = gram.dec
             m_omega = restricted_mass_matrix(build_basis(domain, dec.n_modes),
                                              domain.omega_lo, domain.omega_hi)
             stages.append(tau)
-            return _gramian_eigencoords(dec, dec.modes.T @ m_omega @ dec.modes, tau)
+            return gramian(type(gram)(dec, dec.modes.T @ m_omega @ dec.modes), tau)
 
-        monkeypatch.setattr(control, "_gramian_eigencoords", per_stage)
+        monkeypatch.setattr(observability._EigenGramian, "gramian", per_stage)
         ref = run()
         assert len(stages) == cfg.stages
         assert len(res.multiplier) == len(ref.multiplier) == cfg.stages

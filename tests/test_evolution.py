@@ -268,6 +268,17 @@ class TestLeftInverseConstant:
         z_mp = left_inverse_constant(dec, m_omega, t, method="mp")
         assert z_mp == pytest.approx(z_float, rel=1e-8)
 
+    def test_float_factorization_failure_hands_off_to_mp(self, domain, monkeypatch):
+        _, _, dec = _dec(domain, GaussianKernel(5.0, 0.2), 6)
+        m_omega = restricted_mass_matrix(build_basis(domain, 6), 0.3, 0.8)
+        z_mp = left_inverse_constant(dec, m_omega, 0.005, method="mp")
+
+        def eigh(*args, **kwargs):
+            raise np.linalg.LinAlgError("forced")
+
+        monkeypatch.setattr(evolution.sla, "eigh", eigh)
+        assert left_inverse_constant(dec, m_omega, 0.005) == z_mp
+
     def test_float_method_refused(self, domain):
         _, _, dec = _dec(domain, GaussianKernel(5.0, 0.2), 6)
         m_omega = restricted_mass_matrix(build_basis(domain, 6), 0.3, 0.8)

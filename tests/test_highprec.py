@@ -222,7 +222,8 @@ class TestAgainstMpfObjects:
             want = mp.fdot(x, ref.matvec(ref.rows(M), x)) / mp.fdot(x, x)
         assert hp.rayleigh_quotient_mp(12, 0.3, 0.8, 1.0, c) == want
 
-    def test_nonconvergence_message_names_dps(self):
+    def test_nonconvergence_message_names_dps(self, monkeypatch):
         M = hp.mass_matrix_mp(8, 0.3, 0.8, 1.0)
+        monkeypatch.setattr(hp, "MAX_ITER", 2)
         with pytest.raises(NumericError, match=r"no convergence in 2 steps at dps=50"):
-            hp.smallest_eigenpair_mp(M, max_iter=2)
+            hp.smallest_eigenpair_mp(M)

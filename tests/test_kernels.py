@@ -178,6 +178,16 @@ class TestCheckSymmetry:
 
 
 class TestProjectKernel:
+    def test_non_finite_entry_refused(self, basis):
+        class NaNEntry(KernelSpec):
+            def closed_form(self, basis):
+                K = np.zeros((basis.n_modes, basis.n_modes))
+                K[2, 1] = np.nan
+                return K, 1.0
+
+        with pytest.raises(NumericError, match=r"non-finite entry at \(2, 1\)"):
+            project_kernel(NaNEntry(), basis)
+
     def test_zero(self, basis):
         kmat = project_kernel(ZeroKernel(), basis)
         assert np.array_equal(kmat.matrix, np.zeros((16, 16)))

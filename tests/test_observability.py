@@ -1,4 +1,7 @@
+import dataclasses
+import gc
 import warnings
+import weakref
 
 import mpmath as mp
 import numpy as np
@@ -10,12 +13,13 @@ from scipy.optimize import minimize_scalar  # reference for _bounded_brent; src/
 
 from nullheat import (ArgumentError, COUPLING_FIXED, COUPLING_RESOLVENT, Domain,
                       GaussianKernel, NumericError, ZeroKernel, assemble_generator, build_basis,
-                      build_model, cost_sweep, decompose, observability_cost,
+                      build_model, control_cost, controlled_state_norms, cost_sweep, decompose,
+                      hum_control, lr_staged_control, observability_cost,
                       observability_gramian, project_kernel, proof_chain_report,
-                      propagate, restricted_mass_matrix, spectral_obs_constant,
-                      spectral_obs_constants, specobs_sweep_and_fit, truncation_for_horizon,
-                      witness_identity_residual)
-from nullheat import _highprec, cli, evolution, observability, oracles, parse_config
+                      propagate, restricted_mass_matrix, simulate_controlled,
+                      spectral_obs_constant, spectral_obs_constants, specobs_sweep_and_fit,
+                      truncation_for_horizon, witness_identity_residual)
+from nullheat import _highprec, cli, control, evolution, observability, oracles, parse_config
 from nullheat import basis as basis_module
 from nullheat.bundled import bundled_kernels, default_config_path
 from nullheat.basis import _validate_mass
@@ -197,10 +201,11 @@ class TestPacketPrimitive:
         with pytest.raises(NumericError):
             _highprec.smallest_eigenpair_mp(A)
 
-    def test_nonconvergence_is_an_error(self):
+    def test_nonconvergence_is_an_error(self, monkeypatch):
         M = _highprec.mass_matrix_mp(8, 0.3, 0.8, 1.0)
-        with pytest.raises(NumericError):
-            _highprec.smallest_eigenpair_mp(M, max_iter=2)
+        monkeypatch.setattr(_highprec, "MAX_ITER", 2)
+        with pytest.raises(NumericError, match=r"no convergence in 2 steps"):
+            _highprec.smallest_eigenpair_mp(M)
 
     def test_unresolved_eigenvalue_is_refused(self):
         # 50 digits give 1.66e-51; the 64-mode truth is 2.84e-54
@@ -304,6 +309,12 @@ class TestPacketPrimitive:
 
 
 class TestSpecObsSweep:
+    def test_one_mode_count_refused(self, domain):
+        # both cutoffs sit below lambda_2 = 4 pi^2: one mode each, one point to fit
+        reports = spectral_obs_constants(build_basis(domain, 4), (0.3, 0.8), [12.0, 30.0])
+        with pytest.raises(ArgumentError, match="fewer than 2 distinct mode counts"):
+            observability.fit_specobs_sweep(reports)
+
     def test_flat_on_full_window(self):
         domain = Domain(1.0, 0.0, 1.0)
         basis = build_basis(domain, 16)
@@ -490,9 +501,9 @@ class TestCostTopPair:
     smallest eigenvalue is computed only when a report's gramian_min_eig is read."""
 
     @staticmethod
-    def _full_spectrum_reference(dec, W, T):
+    def _full_spectrum_reference(gram, T):
         # the full generalized eigendecomposition, on the same ridge rule
-        G = observability._gramian_eigencoords(dec, W, T)
+        dec, G = gram.dec, gram.gramian(T)
         A = np.diag(np.exp(2.0 * dec.mus * T))
         try:
             theta, vecs = sla.eigh(A, G)
@@ -507,22 +518,21 @@ class TestCostTopPair:
                                         GaussianKernel(20.0, 0.15)],
                              ids=["zero", "stable", "unstable"])
     def test_matches_full_spectrum_solve(self, domain, kernel, n):
-        dec, W = observability._eigen_model(domain, kernel, n)
+        gram = observability._EigenGramian.build(domain, kernel, n)
         for T in (0.5, 0.1, 0.02):
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", RuntimeWarning)  # the known ridge rows
-                rep = observability._cost(dec, W, T)
-            kappa, witness = self._full_spectrum_reference(dec, W, T)
+                rep = observability._cost(gram, T)
+            kappa, witness = self._full_spectrum_reference(gram, T)
             assert abs(rep.kappa - kappa) <= 8 * np.finfo(float).eps * kappa
             sign = 1.0 if rep.witness @ witness >= 0 else -1.0
             assert np.max(np.abs(rep.witness - sign * witness)) <= 1e-8
 
     def test_gramian_min_eig_computed_once_on_first_read(self, domain, monkeypatch):
         kernel, Ts = GaussianKernel(5.0, 0.2), [0.4, 0.1, 0.025]
-        dec, W = observability._eigen_model(domain, kernel, 16)
+        gram = observability._EigenGramian.build(domain, kernel, 16)
         # what the report stored before it was computed on first read
-        refs = [float(np.linalg.eigvalsh(observability._gramian_eigencoords(dec, W, T))[0])
-                for T in Ts]
+        refs = [float(np.linalg.eigvalsh(gram.gramian(T))[0]) for T in Ts]
         calls = []
 
         def eigvalsh(a, eigvalsh=np.linalg.eigvalsh):
@@ -540,8 +550,7 @@ class TestCostTopPair:
 
     def test_refusal_carries_the_smallest_eigenvalue(self, stable_pipeline, monkeypatch):
         _, _, dec, m_omega = stable_pipeline
-        W = observability._mass_eigencoords(dec, m_omega)
-        G = observability._gramian_eigencoords(dec, W, 0.5)
+        G = observability._EigenGramian.of(dec, m_omega, "observability_cost").gramian(0.5)
 
         def eigh(*args, **kwargs):
             raise np.linalg.LinAlgError("forced")
@@ -620,13 +629,39 @@ class TestCostSweep:
         assert sweep.rows[0].error.startswith("NumericError: observability_cost:")
 
     def test_unexpected_error_propagates(self, domain, monkeypatch):
-        def broken(dec, W, T):
+        def broken(gram, T):
             raise TypeError("not a numeric failure")
 
         monkeypatch.setattr(observability, "_cost", broken)
         with pytest.raises(TypeError, match="not a numeric failure"):
             cost_sweep(domain, ZeroKernel(), [0.4, 0.2], coupling=COUPLING_FIXED,
                        n_fixed=4)
+
+    def test_fewer_than_two_distinct_horizons_refused_before_any_model(self, domain,
+                                                                      monkeypatch):
+        def built(*args):
+            raise AssertionError("a model was built")
+
+        monkeypatch.setattr(observability, "build_model", built)
+        for Ts in ([0.5, 0.5], [0.5], []):
+            with pytest.raises(ArgumentError, match="need at least 2 distinct horizons"):
+                cost_sweep(domain, ZeroKernel(), Ts, coupling=COUPLING_FIXED, n_fixed=16)
+
+    def test_unknown_coupling_refused(self, domain):
+        with pytest.raises(ArgumentError, match="unknown coupling 'free'"):
+            cost_sweep(domain, ZeroKernel(), [0.5, 0.25], coupling="free", n_fixed=4)
+
+    def test_fewer_than_two_successful_rows_refused(self, domain):
+        # amplitude 1e4 overflows e^(2LT) at both horizons
+        with pytest.raises(NumericError, match="fewer than 2 successful horizons"):
+            cost_sweep(domain, GaussianKernel(1e4, 0.15), [0.5, 0.25],
+                       coupling=COUPLING_FIXED, n_fixed=16)
+
+    def test_successful_rows_at_one_horizon_refused(self, domain):
+        # T = 1000 overflows; the two rows left share T = 0.25, one point to fit
+        with pytest.raises(NumericError, match="fewer than 2 successful horizons"):
+            cost_sweep(domain, GaussianKernel(20.0, 0.15), [1000.0, 0.25, 0.25],
+                       coupling=COUPLING_FIXED, n_fixed=8)
 
     def test_nonpositive_horizon_rejected(self, domain):
         with pytest.raises(ArgumentError):
@@ -690,6 +725,56 @@ class TestFreeFitOnBound:
         assert not sweep.fit_free.on_bound
         assert 0.05 < sweep.fit_free.alpha < 2.0
         assert not sweep.fit_sqrt.on_bound and not sweep.fit_inv.on_bound
+
+
+class TestEigenGramian:
+    """_EigenGramian owns a truncation's dec and W and nothing else."""
+
+    def test_fields_are_dec_and_W(self):
+        assert [f.name for f in dataclasses.fields(observability._EigenGramian)] == ["dec", "W"]
+
+    def test_each_entry_point_validates_its_mass_once(self, stable_pipeline, monkeypatch):
+        _, _, dec, m_omega = stable_pipeline
+        u0, T = np.eye(dec.n_modes)[0], 0.5
+        result = hum_control(dec, m_omega, u0, T)
+        validated = []
+
+        def counted(m, n, op):
+            validated.append(op)
+            return _validate_mass(m, n, op)
+
+        for module in (observability, control):  # wherever a direct call could hide
+            if hasattr(module, "_validate_mass"):
+                monkeypatch.setattr(module, "_validate_mass", counted)
+        calls = {
+            "observability_gramian": lambda: observability_gramian(dec, m_omega, T),
+            "observability_cost": lambda: observability_cost(dec, m_omega, T),
+            "hum_control": lambda: hum_control(dec, m_omega, u0, T),
+            "controlled_state_norms": lambda: controlled_state_norms(dec, m_omega, u0, result),
+            "simulate_controlled": lambda: simulate_controlled(
+                dec, m_omega, u0, result.control_coeffs, T, 127),
+            "control_cost": lambda: control_cost(result, m_omega, dec),
+        }
+        for op, call in calls.items():
+            validated.clear()
+            call()
+            assert validated == [op]
+
+    def test_sweep_and_staged_control_keep_no_kernel_or_mass(self, domain, monkeypatch):
+        refs = []
+
+        def recorded(*args):
+            model = build_model(*args)
+            refs.extend(weakref.ref(part) for part in (model[1], model[3]))  # K, M_omega
+            return model
+
+        monkeypatch.setattr(observability, "build_model", recorded)
+        kernel = GaussianKernel(5.0, 0.2)
+        sweep = cost_sweep(domain, kernel, [0.4, 0.2], coupling=COUPLING_FIXED, n_fixed=8)
+        staged = lr_staged_control(domain, kernel, np.ones(4), 1.0, stages=2, r0=np.pi ** 2)
+        gc.collect()
+        assert len(refs) == 4 and all(ref() is None for ref in refs)
+        assert sweep.rows[0].report.gram.W.shape == (8, 8) and staged.stage_log
 
 
 class TestBuildModel:
