@@ -407,8 +407,8 @@ def check_cost_monotonicity(rng):
 
 
 def check_chain_dominance(rng):
-    basis, _, dec, m_omega = _model(DEFAULT_DOMAIN, GaussianKernel(5.0, 0.2), 8)
-    rows = proof_chain_report(basis, dec, m_omega, r=9.5 * np.pi ** 2, T=0.1)
+    basis, _, dec, _ = _model(DEFAULT_DOMAIN, GaussianKernel(5.0, 0.2), 8)
+    rows = proof_chain_report(basis, dec, r=9.5 * np.pi ** 2, T=0.1)
     margins = [row.log_chain_bound - row.log_extremal_quotient for row in rows]
     ok = all(m >= -1e-9 for m in margins)
     return ok, f"min log margin {min(margins):.3f} over {len(rows)} grid points"
@@ -485,19 +485,19 @@ def check_staged_control(rng):
     u0 = np.ones(16) / 4.0
     for name, kernel in (("zero", ZeroKernel()), ("gaussian", GaussianKernel(5.0, 0.2))):
         result = lr_staged_control(DEFAULT_DOMAIN, kernel, u0, T=1.0, stages=4,
-                                   r0=np.pi ** 2, n_modes=16, nt=1025)
+                                   r0=np.pi ** 2, nt=1025)
         res = [stage.residual_after_passive for stage in result.stage_log]
         ok = ok and all(b < a for a, b in zip([1.0] + res[:-1], res))
         ok = ok and all(s.lowmode_after_active <= 1e-8 for s in result.stage_log)
         ok = ok and result.terminal_residual <= 1e-3
         details.append(f"{name}: final {result.terminal_residual:.2e}")
         if isinstance(kernel, ZeroKernel):
-            basis, _, dec, _ = _model(DEFAULT_DOMAIN, kernel, 16)
+            basis, _, dec, _ = _model(DEFAULT_DOMAIN, kernel, result.control_coeffs.shape[1])
             stage = result.stage_log[1]
             half = stage.t_end - stage.t_mid
             lam = basis.lambdas
             # passive halves decay every mode exactly when K = 0
-            v = rng.standard_normal(16)
+            v = rng.standard_normal(basis.n_modes)
             w = propagate(dec, v, half)
             defect = float(np.max(np.abs(w - v * np.exp(-lam * half))))
             ok = ok and defect <= 1e-10

@@ -55,6 +55,9 @@ def _require(cfg, field, key, verb):
 def _default_r_list(cfg):
     if cfg.r_list:
         return list(cfg.r_list)
+    if cfg.n_modes < 2:
+        raise ConfigError("run_command[obs-sweep]: the default cutoff ladder starts at "
+                          f"n = 2 but truncation.n = {cfg.n_modes}; set sweep.r_list")
     ell = cfg.length
     top = min(24, cfg.n_modes)
     return [(((n + 0.5) * np.pi / ell) ** 2) for n in range(2, top + 1)]
@@ -184,10 +187,8 @@ def run_command(verb, cfg):
     elif verb == "control-lr":
         T = _require(cfg, "horizon", "time.horizon", verb)
         domain = cfg.domain()
-        r0 = cfg.r0 if cfg.r0 > 0 else float((np.pi / domain.length) ** 2)
-        u0 = np.asarray(cfg.u0, dtype=float)
-        result = lr_staged_control(domain, cfg.kernel(), u0, T,
-                                   stages=cfg.stages, r0=r0,
+        r0 = cfg.r0 or float((np.pi / domain.length) ** 2)  # 0 selects lambda_1
+        result = lr_staged_control(domain, cfg.kernel(), cfg.u0, T, stages=cfg.stages, r0=r0,
                                    margin=cfg.margin, nt=cfg.nt)
         emit("lr.csv", ["k", "r_k", "t_start", "t_mid", "t_end",
                         "residual_after_active", "residual_after_passive"],

@@ -230,7 +230,7 @@ def simulate_controlled(dec, m_omega, u0, control_coeffs, T, nt_fine):
                             terminal_norm=float(np.linalg.norm(coarse[:, -1])))
 
 
-def lr_staged_control(domain, kernel, u0, T, stages, r0, n_modes=None, margin=8, nt=257):
+def lr_staged_control(domain, kernel, u0, T, stages, r0, margin=8, nt=257):
     """Staged low-frequency null control with dyadic free-decay phases.
 
     Stage k = 0..stages-1 occupies [T(1 - 2^{-k}), T(1 - 2^{-(k+1)})]; in the
@@ -239,7 +239,8 @@ def lr_staged_control(domain, kernel, u0, T, stages, r0, n_modes=None, margin=8,
     block of the stage Gramian on the full coupled truncation), and the
     second half is free decay.  The slot lengths sum to T(1 - 2^{-stages});
     the remainder up to T is additional free decay, and the reported final
-    residual is taken at t = T exactly.
+    residual is taken at t = T exactly.  The truncation is N = #{lambda_j <=
+    r0 4^(stages - 1)} + margin, or len(u0) if that is larger.
     """
     stages = _validate_int(stages, "lr_staged_control", "stages", 2)
     nt = _validate_int(nt, "lr_staged_control", "nt", 2)
@@ -255,17 +256,13 @@ def lr_staged_control(domain, kernel, u0, T, stages, r0, n_modes=None, margin=8,
     except OverflowError:  # past float64: refused by the mode count
         r_last = math.inf
     n = _count_modes(domain, r_last, "lr_staged_control", "the last cutoff r0 4^(stages - 1)")
-    n, name = ((n_modes, "n_modes") if n_modes is not None else
-               (max(n + margin, u0.size), f"N for the last cutoff r0 4^(stages - 1) = {r_last:g}"))
-    n = _validate_int(n, "lr_staged_control", name, maximum=MAX_MODES)  # before any model
-    if n < u0.size:
-        raise ArgumentError(
-            f"lr_staged_control: truncation {n} cannot hold a {u0.size}-mode state")
+    n = _validate_int(max(n + margin, u0.size), "lr_staged_control",  # before any model
+                      f"N for the last cutoff r0 4^(stages - 1) = {r_last:g}", maximum=MAX_MODES)
     gram = _EigenGramian.build(domain, kernel, n)  # one W for every stage's Gramian
     dec = gram.dec
-    state = np.zeros(n)
-    state[: u0.size] = u0
-    u0_norm = float(np.linalg.norm(state))
+    u = np.zeros(n)
+    u[: u0.size] = u0
+    u0_norm = float(np.linalg.norm(u))
     Q, mus = dec.modes, dec.mus
     ts = np.linspace(0.0, T, nt)
     coeffs = np.zeros((nt, n))
@@ -273,10 +270,9 @@ def lr_staged_control(domain, kernel, u0, T, stages, r0, n_modes=None, margin=8,
     multipliers = []
     total_cost = 0.0
     t_cursor = 0.0
-    u = state.copy()
     for k in range(stages):
         r_k = r0 * 4.0 ** k
-        n_low = min(n, _count_modes(domain, r_k, "lr_staged_control"))
+        n_low = _count_modes(domain, r_k, "lr_staged_control")
         slot = T * 2.0 ** (-(k + 1))
         tau = slot / 2.0
         t_mid = t_cursor + tau

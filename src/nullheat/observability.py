@@ -514,7 +514,7 @@ class ChainRow:
     log_extremal_quotient: float
 
 
-def proof_chain_report(basis, dec, m_omega, r, T):
+def proof_chain_report(basis, dec, r, T):
     """Audit the estimate chain pointwise in t on (0, T].
 
     For packets supported on modes with lambda_j <= r, chaining the three
@@ -524,9 +524,11 @@ def proof_chain_report(basis, dec, m_omega, r, T):
     the log of that chained bound next to the log of the true extremal
     quotient (a generalized eigenvalue on the packet block); the chain must
     dominate at every t.  No single t is selected: the full grid is returned.
+    C_r, zeta and the quotient all read the one window basis.domain.omega.
     """
     T = _validate_time(T, "proof_chain_report")
     obs = _packet_reports(basis, basis.domain.omega, [r], "proof_chain_report")[0]
+    m_omega = restricted_mass_matrix(basis, *basis.domain.omega)
     n_r = obs.n_modes
     log_prefix = 2.0 * dec.mus[0] * T + np.log(obs.specobs_constant)
     e2 = dec.semigroup(2.0 * T)

@@ -165,7 +165,7 @@ def test_criterion_09_staged_construction():
     ok = True
     for name, kernel in (("zero", ZeroKernel()), ("gaussian", GaussianKernel(5.0, 0.2))):
         result = lr_staged_control(DOMAIN, kernel, u0, T=1.0, stages=4,
-                                   r0=np.pi ** 2, n_modes=16, nt=1025)
+                                   r0=np.pi ** 2, nt=1025)
         residuals = [s.residual_after_passive for s in result.stage_log]
         ok = ok and all(b < a for a, b in zip([1.0] + residuals[:-1], residuals))
         ok = ok and all(s.lowmode_after_active <= 1e-8 for s in result.stage_log)

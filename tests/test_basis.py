@@ -56,6 +56,11 @@ class TestDomain:
         with pytest.raises(ArgumentError):
             Domain(*args)
 
+    @pytest.mark.parametrize("lo, hi", [(np.nan, 0.5), (0.3, np.inf), (-np.inf, 0.5)])
+    def test_non_finite_omega_endpoint_refused(self, lo, hi):
+        with pytest.raises(ArgumentError, match="^Domain: omega endpoints must be finite$"):
+            Domain(1.0, lo, hi)
+
 
 class TestBuildBasis:
     def test_eigenvalues_unit_pi_domain(self):
@@ -370,7 +375,7 @@ _TIME_CONSUMERS = {
         dec, m, np.ones(8), np.zeros((5, 8)), t, 9), "T must be positive"),
     "lr_staged_control": (lambda dec, m, t: lr_staged_control(
         Domain(1.0, 0.3, 0.8), GaussianKernel(5.0, 0.2), np.ones(4), t, stages=2,
-        r0=np.pi ** 2, n_modes=8, nt=65), "T must be positive"),
+        r0=np.pi ** 2, margin=6, nt=65), "T must be positive"),
     "observability_gramian": (lambda dec, m, t: observability_gramian(dec, m, t),
                               "T must be positive"),
     "observability_cost": (lambda dec, m, t: observability_cost(dec, m, t), "T must be positive"),
@@ -390,13 +395,13 @@ _TIME_CONSUMERS = {
     "truncation_for_horizon": (lambda dec, m, t: truncation_for_horizon(Domain(1.0, 0.3, 0.8), t),
                                "T must be positive"),
     "proof_chain_report": (lambda dec, m, t: proof_chain_report(
-        build_basis(Domain(1.0, 0.3, 0.8), 8), dec, m, 4 * np.pi ** 2, t), "T must be positive"),
+        build_basis(Domain(1.0, 0.3, 0.8), 8), dec, 4 * np.pi ** 2, t), "T must be positive"),
 }
 
 
 def _staged(**changed):
     args = dict(domain=Domain(1.0, 0.3, 0.8), kernel=GaussianKernel(5.0, 0.2), u0=np.ones(4),
-                T=1.0, stages=2, r0=np.pi ** 2, n_modes=8, nt=65)
+                T=1.0, stages=2, r0=np.pi ** 2, margin=6, nt=65)
     return lambda dec, m: lr_staged_control(**{**args, **changed})
 
 
@@ -421,9 +426,7 @@ _MALFORMED_ARGUMENTS = {
     "lr_staged_control-u0": (_staged(u0=np.r_[np.ones(3), np.nan]),
                              "lr_staged_control: u0 must be finite"),
     # integers: one check (basis._validate_int), no silent int() truncation, no bool
-    "lr_staged_control-n_modes": (_staged(n_modes=12.9),
-                                  "lr_staged_control: n_modes must be an integer, got 12.9"),
-    "lr_staged_control-margin": (_staged(n_modes=None, margin=2.5),
+    "lr_staged_control-margin": (_staged(margin=2.5),
                                  "lr_staged_control: margin must be an integer, got 2.5"),
     "cost_sweep-n_fixed": (lambda dec, m: cost_sweep(
         Domain(1.0, 0.3, 0.8), GaussianKernel(5.0, 0.2), [0.5, 0.1], n_fixed=16.7),
@@ -451,19 +454,19 @@ _MALFORMED_ARGUMENTS = {
         build_basis(Domain(1.0, 0.3, 0.8), 8), (0.3, 0.8),
         [np.pi ** 2 * k for k in (1, 2, 4, 8, 16)] + [np.inf]),
         "specobs_sweep_and_fit: cutoff r must be finite, got inf"),
-    "lr_staged_control-r_last": (_staged(n_modes=None, stages=600),
+    "lr_staged_control-r_last": (_staged(stages=600),
                                  "lr_staged_control: the last cutoff r0 4^(stages - 1) "
                                  "must be finite, got inf"),
     "proof_chain_report-T": (lambda dec, m: proof_chain_report(
-        build_basis(Domain(1.0, 0.3, 0.8), 8), dec, m, 4 * np.pi ** 2, -0.1),
+        build_basis(Domain(1.0, 0.3, 0.8), 8), dec, 4 * np.pi ** 2, -0.1),
         "proof_chain_report: T must be positive and finite, got -0.1"),
     "proof_chain_report-r": (lambda dec, m: proof_chain_report(
-        build_basis(Domain(1.0, 0.3, 0.8), 8), dec, m, np.nan, 0.1),
+        build_basis(Domain(1.0, 0.3, 0.8), 8), dec, np.nan, 0.1),
         "proof_chain_report: cutoff r must be finite, got nan"),
     "hum_control-ridge": (lambda dec, m: hum_control(dec, m, np.ones(8), 0.1, ridge=np.nan),
                           "hum_control: ridge must be >= 0 and finite, got nan"),
     # ranges: one rule (basis._validate_int) and one cap on a truncation (basis.MAX_MODES)
-    "lr_staged_control-margin-negative": (_staged(n_modes=None, margin=-1),
+    "lr_staged_control-margin-negative": (_staged(margin=-1),
                                           "lr_staged_control: margin must be >= 0, got -1"),
     "cost_sweep-margin-negative": (lambda dec, m: cost_sweep(
         Domain(1.0, 0.3, 0.8), GaussianKernel(5.0, 0.2), [0.5, 0.1],
@@ -548,7 +551,7 @@ class TestTruncationCap:
 
     def test_staged_truncation_above_cap_names_the_cutoff(self):
         r_last = np.pi ** 2 * 4.0 ** 29
-        err, peak = self._traced(lambda: _staged(n_modes=None, stages=30, nt=257)(None, None))
+        err, peak = self._traced(lambda: _staged(stages=30, margin=8, nt=257)(None, None))
         assert peak < 2 ** 20 and isinstance(err, ArgumentError)
         assert str(err) == (
             f"lr_staged_control: N for the last cutoff r0 4^(stages - 1) = {r_last:g} "

@@ -124,6 +124,32 @@ class TestParseConfig:
         assert "unknown key 'time.nt_fine'" in str(err.value)
         assert err.value.line == 7
 
+    @pytest.mark.parametrize("text, message, line", [
+        (MINIMAL + "truncation.margin 4\n", "expected `key = value`, got 'truncation.margin 4'", 7),
+        (MINIMAL.replace("truncation.n = 4", "truncation.n = 0"),
+         "truncation.n must be >= 1, got 0", None),
+        (MINIMAL + "truncation.coupling = adaptive\n",
+         "truncation.coupling must be one of ['fixed', 'r-equals-1-over-T'], got 'adaptive'",
+         None),
+        (MINIMAL.replace("time.horizon = 0.5", "time.horizon = inf"),
+         "key time.horizon expects float, got 'inf'", 6),
+        (MINIMAL + "time.horizon_list = 0.4,nan\n",
+         "key time.horizon_list expects float_list, got '0.4,nan'", 7),
+        (MINIMAL.replace("domain.omega_hi = 0.8", "domain.omega_hi = 1.5"),
+         "Domain: need 0 <= omega_lo < omega_hi <= length", None),
+    ], ids=["no-equals", "n-0", "unknown-coupling", "non-finite-float", "non-finite-list",
+            "domain"])
+    def test_malformed_line_or_value(self, tmp_path, text, message, line):
+        with pytest.raises(ConfigError) as err:
+            parse_config(write(tmp_path, text))
+        assert str(err.value).startswith(f"parse_config: {message}")
+        assert err.value.line == line
+
+    def test_unknown_override_key(self, tmp_path):
+        with pytest.raises(ConfigError) as err:
+            parse_config(write(tmp_path, MINIMAL), overrides={"physics.viscosity": "2"})
+        assert str(err.value) == "parse_config: unknown override key 'physics.viscosity'"
+
     @pytest.mark.parametrize("key", ["tolerances.gate", "tolerances.symmetry"])
     def test_fixed_tolerances_are_not_keys(self, tmp_path, key):
         path = write(tmp_path, MINIMAL + f"{key} = 1e-10\n")
@@ -267,9 +293,10 @@ class TestRunCommand:
         assert errors == ["ArgumentError: build_basis: n_modes must be a positive integer; "
                           "got 0"] * 2
 
-    def test_exit_code_domain_error(self, tmp_path):
-        path = write(tmp_path, MINIMAL + "nonsense.key = 1\n")
-        assert cli.main(["basis", str(path)]) == 1
+    def test_exit_code_domain_error(self, tmp_path, capsys):
+        path = write(tmp_path, MINIMAL.replace("domain.omega_hi = 0.8", "domain.omega_hi = 1.5"))
+        assert cli.main(["basis", str(path), "--output", str(tmp_path / "out")]) == 1
+        assert "parse_config: Domain: need 0 <= omega_lo < omega_hi" in capsys.readouterr().err
 
     def test_invalid_kernel_refused_before_echo(self, tmp_path, capsys):
         text = MINIMAL.replace("kernel.variant = zero",
@@ -301,6 +328,65 @@ class TestRunCommand:
                        "--output", str(tmp_path / "out")])
         assert rc == 1
         assert "lr_staged_control: margin must be >= 0, got -1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("r0", ["-5", "-1e-300"])
+    def test_control_lr_negative_r0_refused(self, tmp_path, capsys, r0):
+        # only 0 selects lambda_1; a negative r0 once ran as lambda_1 with -5 in the echo
+        rc = cli.main(["control-lr", str(default_config_path()), "--set", f"control.r0={r0}",
+                       "--output", str(tmp_path / "out")])
+        assert rc == 1
+        assert (f"lr_staged_control: r0 = {float(r0):g} is below the first eigenvalue 9.8696"
+                in capsys.readouterr().err)
+
+    def test_obs_sweep_on_one_mode_refused(self, tmp_path, capsys):
+        # the default cutoff ladder starts at n = 2: one mode once wrote a header-only table
+        rc = cli.main(["obs-sweep", str(default_config_path()), "--set", "truncation.n=1",
+                       "--output", str(tmp_path / "out")])
+        assert rc == 1
+        assert not (tmp_path / "out" / "obs-sweep.csv").exists()
+        assert ("run_command[obs-sweep]: the default cutoff ladder starts at n = 2 but "
+                "truncation.n = 1; set sweep.r_list") in capsys.readouterr().err
+        rc = cli.main(["obs-sweep", str(default_config_path()), "--set", "truncation.n=1",
+                       "--set", "sweep.r_list=12.0", "--output", str(tmp_path / "out")])
+        assert rc == 0
+        assert len((tmp_path / "out" / "obs-sweep.csv").read_text().splitlines()) == 2
+
+    def test_missing_horizon_refused(self, tmp_path, capsys):
+        path = write(tmp_path, MINIMAL.replace("time.horizon = 0.5\n", ""))
+        assert cli.main(["evolve", str(path), "--output", str(tmp_path / "out")]) == 1
+        assert ("run_command[evolve]: missing required key time.horizon"
+                in capsys.readouterr().err)
+
+    def test_u0_longer_than_truncation_refused(self, tmp_path, capsys):
+        rc = cli.main(["control-hum", str(write(tmp_path, MINIMAL)), "--set",
+                       "control.u0=1,1,1,1,1", "--output", str(tmp_path / "out")])
+        assert rc == 1
+        assert ("run_command: control.u0 has 5 entries but the truncation is 4"
+                in capsys.readouterr().err)
+
+    def test_run_command_unknown_verb(self, tmp_path):
+        cfg = parse_config(write(tmp_path, MINIMAL),
+                           overrides={"output.dir": str(tmp_path / "out")})
+        with pytest.raises(nullheat.ArgumentError, match="^run_command: unknown verb 'plot'"):
+            cli.run_command("plot", cfg)
+        assert not (tmp_path / "out").exists()
+
+    def test_set_without_equals_refused(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        rc = cli.main(["basis", str(write(tmp_path, MINIMAL)), "--set", "truncation.n",
+                       "--output", str(out)])
+        assert rc == 1 and not out.exists()
+        assert "--set expects KEY=VALUE, got 'truncation.n'" in capsys.readouterr().err
+
+    def test_certify_all_failing_check_exits_two(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(nullheat.certify, "CHECKS", [
+            ("holds", lambda rng: (True, "fine")), ("breaks", lambda rng: (False, "forced"))])
+        out = tmp_path / "out"
+        rc = cli.main(["certify-all", str(write(tmp_path, MINIMAL)), "--output", str(out)])
+        assert rc == 2
+        assert (out / "certify.csv").read_text() == (
+            "check,status,detail\nholds,pass,fine\nbreaks,FAIL,forced\n")
+        assert "certify-all: failing checks: breaks" in capsys.readouterr().err
 
     def test_exit_code_missing_file(self, tmp_path):
         assert cli.main(["basis", str(tmp_path / "absent.cfg")]) == 1

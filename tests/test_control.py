@@ -161,7 +161,7 @@ class TestControlledStateNorms:
         kernel = GaussianKernel(5.0, 0.2)
         _, _, dec, m_omega = build_model(domain, kernel, 8)
         staged = lr_staged_control(domain, kernel, np.ones(8) / 8, T=1.0, stages=2,
-                                   r0=np.pi ** 2, n_modes=8, nt=65)
+                                   r0=np.pi ** 2, margin=6, nt=65)
         with pytest.raises(ArgumentError, match=r"^controlled_state_norms: multiplier"):
             controlled_state_norms(dec, m_omega, np.ones(8) / 8, staged)
 
@@ -256,7 +256,7 @@ class TestStagedControl:
         # initial state inside the first cutoff: stage 0 finishes the job
         u0 = np.array([1.0])
         res = lr_staged_control(domain, ZeroKernel(), u0, T=1.0, stages=2,
-                                r0=np.pi ** 2, n_modes=8, nt=65)
+                                r0=np.pi ** 2, margin=6, nt=65)
         assert res.stage_log[0].lowmode_after_active <= 1e-10
         assert res.terminal_residual <= 1e-8
 
@@ -265,7 +265,7 @@ class TestStagedControl:
     def test_staged_sixteen_modes(self, domain, kernel):
         u0 = np.ones(16) / 4.0
         res = lr_staged_control(domain, kernel, u0, T=1.0, stages=4,
-                                r0=np.pi ** 2, n_modes=16, nt=1025)
+                                r0=np.pi ** 2, nt=1025)
         residuals = [s.residual_after_passive for s in res.stage_log]
         assert all(b < a for a, b in zip([1.0] + residuals[:-1], residuals))
         assert all(s.lowmode_after_active <= 1e-8 for s in res.stage_log)
@@ -274,7 +274,7 @@ class TestStagedControl:
 
     def test_schedule_geometry(self, domain):
         res = lr_staged_control(domain, ZeroKernel(), np.ones(8) / 8, T=1.0,
-                                stages=3, r0=np.pi ** 2, n_modes=8, nt=65)
+                                stages=3, r0=np.pi ** 2, margin=4, nt=65)
         for k, stage in enumerate(res.stage_log):
             assert stage.t_end - stage.t_start == pytest.approx(2.0 ** -(k + 1))
             assert stage.t_mid == pytest.approx((stage.t_start + stage.t_end) / 2)
@@ -286,12 +286,27 @@ class TestStagedControl:
         # r0 = lambda_2 controls modes 1 and 2; one float below it only mode 1
         domain = Domain(length, 0.3 * length, 0.8 * length)
         lambdas = build_basis(domain, 16).lambdas
-        for r0, first in ((lambdas[1], 2), (np.nextafter(lambdas[1], 0.0), 1)):
+        # the last cutoff 16 r0 holds 8 modes, or 7 one float below: N = 16 either way
+        for r0, first, margin in ((lambdas[1], 2, 8), (np.nextafter(lambdas[1], 0.0), 1, 9)):
             res = lr_staged_control(domain, ZeroKernel(), np.ones(4) / 2, T=1.0,
-                                    stages=3, r0=r0, n_modes=16, nt=65)
+                                    stages=3, r0=r0, margin=margin, nt=65)
             assert res.stage_log[0].n_low == first
             assert [s.n_low for s in res.stage_log] == [
                 int(np.count_nonzero(lambdas <= s.r_k)) for s in res.stage_log]
+
+    @pytest.mark.parametrize("u0_size", [2, 30])
+    @pytest.mark.parametrize("margin", [0, 8])
+    @pytest.mark.parametrize("length", [1.0, 3.0])
+    def test_truncation_is_the_last_cutoffs_count_plus_margin(self, length, margin, u0_size):
+        # N = max(#{lambda_j <= r0 4^(stages - 1)} + margin, len(u0)): 4 modes
+        # below 16 pi^2 at length 1, 12 at length 3; 30 entries outgrow both
+        domain = Domain(length, 0.3 * length, 0.8 * length)
+        count = int(np.count_nonzero(build_basis(domain, 64).lambdas <= 16 * np.pi ** 2))
+        assert count == 4 * length
+        res = lr_staged_control(domain, ZeroKernel(), np.ones(u0_size), T=1.0, stages=3,
+                                r0=np.pi ** 2, margin=margin, nt=65)
+        assert res.control_coeffs.shape == (65, max(count + margin, u0_size))
+        assert res.stage_log[-1].n_low == count
 
     def test_passive_half_exact_decay_zero_kernel(self, domain, rng):
         basis, dec = _dec(domain, ZeroKernel(), 12)
@@ -303,7 +318,7 @@ class TestStagedControl:
     def test_cost_comparable_to_one_shot(self, domain):
         u0 = np.ones(16) / 4.0
         staged = lr_staged_control(domain, GaussianKernel(5.0, 0.2), u0, T=1.0,
-                                   stages=4, r0=np.pi ** 2, n_modes=16, nt=257)
+                                   stages=4, r0=np.pi ** 2, nt=257)
         basis, dec = _dec(domain, GaussianKernel(5.0, 0.2), 16)
         m_omega = restricted_mass_matrix(basis, 0.3, 0.8)
         one_shot = hum_control(dec, m_omega, u0, 1.0, nt=257)
@@ -352,9 +367,6 @@ class TestStagedControl:
         with pytest.raises(ArgumentError):  # one float below lambda_1: no mode to control
             lr_staged_control(domain, ZeroKernel(), np.ones(4), T=1.0, stages=2,
                               r0=np.nextafter(build_basis(domain, 1).lambdas[0], 0.0))
-        with pytest.raises(ArgumentError):
-            lr_staged_control(domain, ZeroKernel(), np.ones(8), T=1.0, stages=2,
-                              r0=np.pi ** 2, n_modes=4)
 
 
 class TestStagedRefusals:
@@ -362,7 +374,7 @@ class TestStagedRefusals:
         # e^{mu tau} overflows at amplitude 1e4: refused like HUM, not a scipy ValueError
         with pytest.raises(NumericError, match="stage 0 low-mode block: Gramian contains"):
             lr_staged_control(domain, GaussianKernel(1e4, 0.2), np.ones(4), T=1.0,
-                              stages=2, r0=np.pi ** 2, n_modes=8, nt=65)
+                              stages=2, r0=np.pi ** 2, margin=6, nt=65)
 
     def test_staged_refusal_names_no_ridge(self):
         # control-lr reads no tolerances.ridge, so its refusal does not ask for one
@@ -388,7 +400,7 @@ class TestControlCost:
     def test_staged_cost_requadrature(self, domain):
         u0 = np.ones(12) / np.sqrt(12)
         res = lr_staged_control(domain, GaussianKernel(5.0, 0.2), u0, T=1.0,
-                                stages=3, r0=np.pi ** 2, n_modes=12, nt=257)
+                                stages=3, r0=np.pi ** 2, nt=257)
         basis, dec = _dec(domain, GaussianKernel(5.0, 0.2), 12)
         m_omega = restricted_mass_matrix(basis, 0.3, 0.8)
         requad = control_cost(res, m_omega, dec)

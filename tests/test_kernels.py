@@ -92,6 +92,19 @@ class TestGridFile:
         with pytest.raises(KernelFormatError):
             read_grid_kernel(path)
 
+    @pytest.mark.parametrize("text, message, line", [
+        ("two 1.0\n1 2\n2 1\n", "unparsable header 'two 1.0'", 1),
+        ("# n ell\n2 1.0 3\n1 2\n2 1\n", "header must be 'n ell', got '2 1.0 3'", 2),
+        ("2 1.0\n1 2\n2 x\n", "unparsable sample row", 3),
+        ("# only a comment\n\n", "empty file", 1),
+    ], ids=["unparsable-header", "header-length", "unparsable-row", "no-content"])
+    def test_malformed_file_names_its_line(self, tmp_path, text, message, line):
+        path = tmp_path / "k.txt"
+        path.write_text(text)
+        with pytest.raises(KernelFormatError, match=f"^read_grid_kernel: .*{message}") as err:
+            read_grid_kernel(path)
+        assert err.value.line == line
+
     @settings(derandomize=True, max_examples=40, deadline=None)
     @given(data=st.data(), n=st.integers(2, 6),
            length=st.floats(1e-3, 1e3, allow_nan=False, allow_infinity=False))
@@ -113,6 +126,15 @@ class TestGridConstruction:
         # read_grid_kernel's rule for files, applied to every construction
         with pytest.raises(ArgumentError, match="bad domain length"):
             GridKernel(4, length, np.ones((4, 4)))
+
+    @pytest.mark.parametrize("n, samples, message", [
+        (1, np.ones((1, 1)), "need n >= 2, got 1"),
+        (4, np.ones((4, 3)), r"samples must be 4x4, got \(4, 3\)"),
+        (2, np.array([[1.0, np.inf], [0.0, 1.0]]), "samples contain non-finite values"),
+    ], ids=["n-1", "shape", "non-finite"])
+    def test_malformed_table_refused(self, n, samples, message):
+        with pytest.raises(ArgumentError, match=f"^GridKernel: {message}$"):
+            GridKernel(n, 1.0, samples)
 
     def test_samples_are_a_private_read_only_copy(self):
         table = np.ones((4, 4))
@@ -147,6 +169,19 @@ class TestSeparableConstruction:
             k.g_coeffs[0] = 3.0
         with pytest.raises(ValueError, match="read-only"):
             k.h_coeffs[1] = 3.0
+
+    @pytest.mark.parametrize("g, h", [([1.0, np.nan], [1.0]), ([1.0], [np.inf, 0.0])],
+                             ids=["g-nan", "h-inf"])
+    def test_non_finite_coefficients_refused(self, g, h):
+        with pytest.raises(ArgumentError, match="^SeparableKernel: coefficients must be finite$"):
+            SeparableKernel(g_coeffs=g, h_coeffs=h)
+
+
+class TestGaussianConstruction:
+    @pytest.mark.parametrize("amplitude", [np.nan, np.inf, -np.inf])
+    def test_non_finite_amplitude_refused(self, amplitude):
+        with pytest.raises(ArgumentError, match="^GaussianKernel: amplitude must be finite$"):
+            GaussianKernel(amplitude, 0.2)
 
 
 class TestCheckSymmetry:

@@ -14,7 +14,7 @@ from scipy.optimize import minimize_scalar  # reference for _bounded_brent; src/
 from nullheat import (ArgumentError, COUPLING_FIXED, COUPLING_RESOLVENT, Domain,
                       GaussianKernel, NumericError, ZeroKernel, assemble_generator, build_basis,
                       build_model, control_cost, controlled_state_norms, cost_sweep, decompose,
-                      hum_control, lr_staged_control, observability_cost,
+                      hum_control, left_inverse_constants, lr_staged_control, observability_cost,
                       observability_gramian, project_kernel, proof_chain_report,
                       propagate, restricted_mass_matrix, simulate_controlled,
                       spectral_obs_constant, spectral_obs_constants, specobs_sweep_and_fit,
@@ -901,12 +901,21 @@ class TestSweepSharesModels:
 class TestProofChain:
     def test_chain_dominates_extremal_quotient(self, domain):
         basis, dec = _dec(domain, GaussianKernel(5.0, 0.2), 8)
-        m_omega = restricted_mass_matrix(basis, 0.3, 0.8)
-        rows = proof_chain_report(basis, dec, m_omega, r=9.5 * np.pi ** 2, T=0.1)
+        rows = proof_chain_report(basis, dec, r=9.5 * np.pi ** 2, T=0.1)
         assert len(rows) == 20
         for row in rows:
             assert row.zeta > 0
             assert row.log_chain_bound >= row.log_extremal_quotient - 1e-9
+
+    def test_zeta_is_on_the_basis_window(self):
+        # the one window: zeta reads the M_omega of basis.domain.omega, bit for bit
+        domain = Domain(1.0, 0.1, 0.9)
+        basis, dec = _dec(domain, GaussianKernel(5.0, 0.2), 8)
+        rows = proof_chain_report(basis, dec, r=9.5 * np.pi ** 2, T=0.1)
+        grid = [0.1 * i / 20 for i in range(1, 21)]
+        assert [row.t for row in rows] == grid
+        want = left_inverse_constants(dec, restricted_mass_matrix(basis, 0.1, 0.9), grid)
+        assert np.array([row.zeta for row in rows]).tobytes() == np.asarray(want).tobytes()
 
     @pytest.mark.parametrize("n, T", [(8, 0.5), (8, 0.2)] + [
         (n, T) for n in (8, 12, 16) for T in (0.1, 0.05)])
@@ -915,17 +924,15 @@ class TestProofChain:
         # block of the zeta pencil is not positive definite, which is refused
         # with its smallest eigenvalue, not left to escape from scipy
         basis, dec = _dec(domain, GaussianKernel(5.0, 0.2), n)
-        m_omega = restricted_mass_matrix(basis, 0.3, 0.8)
         with pytest.raises(IllConditionedError,
                            match=r"^proof_chain_report: .* at t=[0-9.]+ \(offending eigenvalue"):
-            proof_chain_report(basis, dec, m_omega, r=float(basis.lambdas[-1]), T=T)
+            proof_chain_report(basis, dec, r=float(basis.lambdas[-1]), T=T)
 
     def test_zeta_operators_built_once(self, domain, monkeypatch):
         # one solver, and so one LU of Q, for the grid's 18 escalated
         # horizons, built at the largest one's digits
         basis, dec = _dec(domain, GaussianKernel(5.0, 0.2), 8)
-        m_omega = restricted_mass_matrix(basis, 0.3, 0.8)
-        want = proof_chain_report(basis, dec, m_omega, r=9.5 * np.pi ** 2, T=0.1)
+        want = proof_chain_report(basis, dec, r=9.5 * np.pi ** 2, T=0.1)
         built, solves = [], []
         solver, lu = _highprec.zeta_solver, _highprec._lu
 
@@ -940,7 +947,7 @@ class TestProofChain:
 
         monkeypatch.setattr(_highprec, "zeta_solver", counted_solver)
         monkeypatch.setattr(_highprec, "_lu", counted_lu)
-        rows = proof_chain_report(basis, dec, m_omega, r=9.5 * np.pi ** 2, T=0.1)
+        rows = proof_chain_report(basis, dec, r=9.5 * np.pi ** 2, T=0.1)
         assert rows == want
         assert built == [max(solves), "lu"] and len(solves) == 18
 
