@@ -9,22 +9,20 @@ closed-form observability Gramians, and the left-inverse constant
 on the truncated span.  zeta is the square root of the smallest generalized
 eigenvalue of (e^{Lt})^T M_omega (e^{Lt}) v = theta M_omega v; the subdomain
 mass matrix must be safely positive definite for that problem to mean
-anything, hence the conditioning gate.  When the float64 generalized solve
-cannot resolve theta_min (it sinks below the eps * ||A|| cancellation floor
-once t * (lambda_N - lambda_1) is large), the computation escalates to an
-adaptive-precision path instead of returning noise.  The fastest mode q_N
-gives zeta(t) <= e^{mu_N t}, so a zeta below float64's range is refused from
-that bound before any generalized eigensolve (the conditioning gate's
-eigvalsh of M_omega runs first).  left_inverse_constants takes a list of
-horizons: the mass matrix is validated and gated once per list, and one
-extended-precision solver serves every horizon that escalates.
+anything, hence the conditioning gate.  theta_min sinks below the float64
+cancellation floor eps * ||A|| once t * (lambda_N - lambda_1) is large, and
+no float64 ratio test bounds the error of a float solve above that floor, so
+every t > 0 is solved at adaptive extended precision (_highprec.zeta_solver).
+The fastest mode q_N gives zeta(t) <= e^{mu_N t}, so a zeta below float64's
+range is refused from that bound before any eigensolve (the conditioning
+gate's eigvalsh of M_omega runs first).  left_inverse_constants takes a list
+of horizons: the mass matrix is validated and gated once per list, and one
+extended-precision solver serves every t > 0 of it.
 """
-
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg as sla
 
 from . import _highprec
 from .basis import _validate_mass, _validate_time, positive_sign
@@ -32,9 +30,6 @@ from .errors import ArgumentError, IllConditionedError, NumericError, OverflowRe
 
 CONDITIONING_GATE = 1e-14
 BACKWARD_EXP_GUARD = 700.0
-# float64 generalized eigenvalues below this (relative to the largest) are
-# cancellation noise, not data
-_FLOAT_TRUST_FLOOR = 1e-12
 # exp() below this is at most the smallest subnormal float64
 _LOG_UNDERFLOW = -745.0
 
@@ -102,7 +97,9 @@ def propagate(dec, state, t):
 
 
 def propagate_backward(dec, state, t):
-    """Apply e^{-Lt}; refuses once t * spread(mu) would overflow exp().
+    """Apply e^{-Lt}; refuses once t * spread(mu) would overflow exp(), and
+    any result that is not finite (e^{-mu_N t} overflows past -mu_N t = 709.8
+    whatever the spread).
 
     The left inverse is unbounded in the continuum limit, so an explicit
     refusal beats silently propagating infinities.
@@ -116,7 +113,11 @@ def propagate_backward(dec, state, t):
             "representable at this precision"
         )
     state = np.asarray(state, dtype=float)
-    return dec.modes @ (np.exp(-dec.mus * t) * (dec.modes.T @ state))
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
+        out = dec.modes @ (np.exp(-dec.mus * t) * (dec.modes.T @ state))
+    if np.all(np.isfinite(out)):
+        return out
+    raise OverflowRefusalError(f"propagate_backward: state overflows float64 at t={t:g}")
 
 
 def semigroup_norm(dec, t):
@@ -129,50 +130,52 @@ def left_inverse_constant(dec, m_omega, t, method="auto"):
     """Largest zeta with zeta ||v||_omega <= ||e^{Lt} v||_omega on the span.
 
     Computed as sqrt of the smallest generalized eigenvalue of
-    (e^{Lt})^T M_omega (e^{Lt}) v = theta M_omega v.  method is "auto" (the
-    float64 eigenvalue where it clears the trust floor, extended precision
-    otherwise) or "mp" (always extended precision).  Refused before any
-    generalized eigensolve once the bound log zeta <= mu_N t is an e-fold
-    past underflow.
+    (e^{Lt})^T M_omega (e^{Lt}) v = theta M_omega v, at extended precision
+    for every t > 0.  Refused before any eigensolve once the bound
+    log zeta <= mu_N t is an e-fold past underflow.  method survives from
+    the removed float64 route for callers that still pass it: "auto" and
+    "mp" both name the one route, any other value is refused.
     """
-    return left_inverse_constants(dec, m_omega, [t], method)[0]
+    if method not in ("auto", "mp"):
+        raise ArgumentError(f"left_inverse_constant: unknown method {method!r}")
+    return left_inverse_constants(dec, m_omega, [t])[0]
 
 
-def left_inverse_constants(dec, m_omega, ts, method="auto"):
-    """[left_inverse_constant(dec, m_omega, t, method) for t in ts], bit for
-    bit and refusal for refusal: the first t refused raises, after the t
-    before it.  M_omega is validated and gated once, and every t that
-    escalates shares one extended-precision solver, built at the largest
-    such t's digits (_highprec.zeta_solver)."""
-    zetas, escalated, refusal = [], [], None
+def left_inverse_constants(dec, m_omega, ts):
+    """[left_inverse_constant(dec, m_omega, t) for t in ts], bit for bit and
+    refusal for refusal: the first t refused raises, after the t before it.
+    M_omega is validated and gated once, and every t > 0 shares one
+    extended-precision solver, built at the largest t's digits
+    (_highprec.zeta_solver); t = 0 gives 1.0 (e^0 = I)."""
+    checked, refusal = [], None
     try:
         for t in ts:
             t = _validate_time(t, "left_inverse_constant", "t", allow_zero=True)
-            if not zetas:
-                m_omega = _gated_mass(dec, m_omega, method)
-            zeta = _float_zeta(dec, m_omega, t, method)
-            if zeta is None:
-                escalated.append(len(zetas))
-            zetas.append((t, zeta))
+            if not checked:
+                m_omega = _gated_mass(dec, m_omega)
+            bound = float(dec.mus[-1]) * t
+            if bound < _LOG_UNDERFLOW - 1.0:  # the e-fold covers the float Q taken as exact
+                _refuse_underflow(f"log zeta <= mu_N t = {bound:.1f}")
+            checked.append(t)
     except (ArgumentError, NumericError) as exc:  # raised once the t before it are done
         refusal = exc
-    if escalated:
-        solve = _highprec.zeta_solver(dec.mus, dec.modes, m_omega,
-                                      max(zetas[i][0] for i in escalated))
-        for i in escalated:
-            t = zetas[i][0]
-            log_zeta = solve(t)
-            if log_zeta < _LOG_UNDERFLOW:
-                _refuse_underflow(f"log zeta = {log_zeta:.1f}")
-            zetas[i] = t, math.exp(log_zeta)
+    zetas = []
+    if any(checked):
+        solve = _highprec.zeta_solver(dec.mus, dec.modes, m_omega, max(checked))
+    for t in checked:
+        if t == 0.0:
+            zetas.append(1.0)
+            continue
+        log_zeta = solve(t)
+        if log_zeta < _LOG_UNDERFLOW:
+            _refuse_underflow(f"log zeta = {log_zeta:.1f}")
+        zetas.append(math.exp(log_zeta))
     if refusal is not None:
         raise refusal
-    return [zeta for _, zeta in zetas]
+    return zetas
 
 
-def _gated_mass(dec, m_omega, method):
-    if method not in ("auto", "mp"):
-        raise ArgumentError(f"left_inverse_constant: unknown method {method!r}")
+def _gated_mass(dec, m_omega):
     m_omega = _validate_mass(m_omega, dec.n_modes, "left_inverse_constant")
     w_m = np.linalg.eigvalsh(m_omega)
     if w_m[0] < CONDITIONING_GATE:
@@ -182,33 +185,6 @@ def _gated_mass(dec, m_omega, method):
             eigenvalue=float(w_m[0]),
         )
     return m_omega
-
-
-def _float_zeta(dec, m_omega, t, method):
-    """zeta(t) where it needs no extended precision, else None."""
-    if t == 0.0:
-        return 1.0  # e^0 = I
-    bound = float(dec.mus[-1]) * t
-    if bound < _LOG_UNDERFLOW - 1.0:  # the e-fold covers the float Q taken as exact
-        _refuse_underflow(f"log zeta <= mu_N t = {bound:.1f}")
-    if method == "auto":
-        a = _zeta_pencil(dec, m_omega, t)
-        try:
-            # not eigvals_only=True: its LAPACK route moves zeta by ~1e-6 near the floor
-            theta = sla.eigh(a, m_omega)[0]
-        except np.linalg.LinAlgError:
-            pass  # the extended-precision path takes over
-        else:
-            if theta[0] > _FLOAT_TRUST_FLOOR * max(theta[-1], 0.0):
-                return float(np.sqrt(theta[0]))
-    return None
-
-
-def _zeta_pencil(dec, m_omega, t):
-    """A = e^{Lt} M_omega e^{Lt} as (A + A^T) / 2: zeta's pencil's left side."""
-    et = dec.semigroup(t)
-    a = et @ m_omega @ et
-    return (a + a.T) / 2
 
 
 def _refuse_underflow(detail):

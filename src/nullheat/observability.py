@@ -41,8 +41,7 @@ from . import _highprec
 from .basis import (MAX_MODES, _validate_int, _validate_mass, _validate_time, build_basis,
                     positive_sign, restricted_mass_matrix)
 from .errors import ArgumentError, IllConditionedError, NumericError
-from .evolution import (SpectralDecomposition, _zeta_pencil, assemble_generator, decompose,
-                        left_inverse_constants)
+from .evolution import SpectralDecomposition, assemble_generator, decompose, left_inverse_constants
 from .kernels import project_kernel
 
 COUPLING_FIXED = "fixed"
@@ -115,10 +114,12 @@ def spectral_obs_constants(basis, omega, r_list):
     return _packet_reports(basis, omega, r_list)
 
 
-def _packet_reports(basis, omega, r_list, op="spectral_obs_constant"):
+def _packet_reports(basis, omega, r_list, op="spectral_obs_constant", M=None):
+    # M, if given, must be restricted_mass_matrix(basis, *omega)
     counts = [_count_modes(basis.domain, r, op) for r in r_list]
     lo, hi = omega
-    M = restricted_mass_matrix(basis, lo, hi)
+    if M is None:
+        M = restricted_mass_matrix(basis, lo, hi)
     # one mp Gram matrix for the largest cutoff serves every leading block
     solve = _highprec.gram_block_solver(
         min(basis.n_modes, max(counts, default=0)), lo, hi, basis.domain.length)
@@ -527,8 +528,8 @@ def proof_chain_report(basis, dec, r, T):
     C_r, zeta and the quotient all read the one window basis.domain.omega.
     """
     T = _validate_time(T, "proof_chain_report")
-    obs = _packet_reports(basis, basis.domain.omega, [r], "proof_chain_report")[0]
     m_omega = restricted_mass_matrix(basis, *basis.domain.omega)
+    obs = _packet_reports(basis, basis.domain.omega, [r], "proof_chain_report", m_omega)[0]
     n_r = obs.n_modes
     log_prefix = 2.0 * dec.mus[0] * T + np.log(obs.specobs_constant)
     e2 = dec.semigroup(2.0 * T)
@@ -549,3 +550,10 @@ def proof_chain_report(basis, dec, r, T):
                              log_chain_bound=log_prefix - 2.0 * np.log(zeta),
                              log_extremal_quotient=log_q))
     return rows
+
+
+def _zeta_pencil(dec, m_omega, t):
+    """A = e^{Lt} M_omega e^{Lt} as (A + A^T) / 2: zeta's pencil's left side."""
+    et = dec.semigroup(t)
+    a = et @ m_omega @ et
+    return (a + a.T) / 2

@@ -188,6 +188,19 @@ class TestPropagateBackward:
         with pytest.raises(OverflowRefusalError):
             propagate_backward(dec, np.ones(16), 1.0)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("kernel, t", [(ZeroKernel(), 2.0), (GaussianKernel(-80.0, 0.15), 2.5)],
+                             ids=["zero", "gaussian"])
+    def test_overflow_inside_the_spread_guard_refused(self, domain, kernel, t):
+        # t * spread(mu) stays below the guard's 700 while -mu_N t passes
+        # exp()'s 709.8: e^{-mu_N t} is inf, and the state would hold inf or
+        # nan; refused without a warning
+        _, _, dec = _dec(domain, kernel, 6)
+        assert t * (dec.mus[0] - dec.mus[-1]) <= evolution.BACKWARD_EXP_GUARD
+        assert -dec.mus[-1] * t > np.log(np.finfo(float).max)
+        with pytest.raises(OverflowRefusalError, match=f"state overflows float64 at t={t:g}"):
+            propagate_backward(dec, np.ones(6), t)
+
 
 class TestSemigroupNorm:
     def test_t_zero_is_one(self, domain):
@@ -253,31 +266,24 @@ class TestLeftInverseConstant:
         sampled = oracles.sampled_min_quotient(dec, m_omega, 0.1, 100_000, rng)
         assert zeta <= sampled * (1 + 1e-10)
 
-    def test_extended_precision_matches_float_region(self, domain, monkeypatch):
-        # where float64 is trustworthy "auto" takes it, and the mp path agrees
+    @pytest.mark.parametrize("kernel, n, t", [(ZeroKernel(), 19, 5e-4),
+                                              (GaussianKernel(5.0, 0.2), 16, 1e-3),
+                                              (GaussianKernel(5.0, 0.2), 8, 0.01)],
+                             ids=["zero-19", "gaussian-16", "gaussian-8"])
+    def test_matches_eigsy_reference(self, domain, kernel, n, t):
+        # points where a float64 generalized eigensolve of the same pencil,
+        # above its 1e-12 ratio floor, was -1.1e-3, +6.7e-6 and +5.9e-8 off
+        _, _, dec = _dec(domain, kernel, n)
+        m_omega = restricted_mass_matrix(build_basis(domain, n), 0.3, 0.8)
+        ref = np.exp(_zeta_eigsy_reference(dec.mus, dec.modes, m_omega, t, 60))
+        assert left_inverse_constant(dec, m_omega, t) == pytest.approx(ref, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("method", ["auto", "mp"])
+    def test_methods_name_the_one_route(self, domain, method):
         _, _, dec = _dec(domain, GaussianKernel(5.0, 0.2), 6)
         m_omega = restricted_mass_matrix(build_basis(domain, 6), 0.3, 0.8)
-        t = 0.005
-
-        def escalated(*args):
-            raise AssertionError("method='auto' escalated to extended precision")
-
-        with monkeypatch.context() as patch:
-            patch.setattr(_highprec, "zeta_solver", escalated)
-            z_float = left_inverse_constant(dec, m_omega, t)
-        z_mp = left_inverse_constant(dec, m_omega, t, method="mp")
-        assert z_mp == pytest.approx(z_float, rel=1e-8)
-
-    def test_float_factorization_failure_hands_off_to_mp(self, domain, monkeypatch):
-        _, _, dec = _dec(domain, GaussianKernel(5.0, 0.2), 6)
-        m_omega = restricted_mass_matrix(build_basis(domain, 6), 0.3, 0.8)
-        z_mp = left_inverse_constant(dec, m_omega, 0.005, method="mp")
-
-        def eigh(*args, **kwargs):
-            raise np.linalg.LinAlgError("forced")
-
-        monkeypatch.setattr(evolution.sla, "eigh", eigh)
-        assert left_inverse_constant(dec, m_omega, 0.005) == z_mp
+        assert (left_inverse_constant(dec, m_omega, 0.005, method)
+                == left_inverse_constants(dec, m_omega, [0.005])[0])
 
     def test_float_method_refused(self, domain):
         _, _, dec = _dec(domain, GaussianKernel(5.0, 0.2), 6)
@@ -313,10 +319,10 @@ class TestLeftInverseConstant:
         assert err.value.eigenvalue < 1e-14
 
 
-def _each(dec, m_omega, ts, method):
+def _each(dec, m_omega, ts):
     # the per-t calls, or the exception the first refused t raises
     try:
-        return [left_inverse_constant(dec, m_omega, t, method) for t in ts]
+        return [left_inverse_constant(dec, m_omega, t) for t in ts]
     except Exception as exc:
         return exc
 
@@ -336,14 +342,14 @@ class TestLeftInverseConstants:
         for n in (6, 8, 12, 16, 19):
             _, _, dec = _dec(domain, kernel, n)
             m_omega = restricted_mass_matrix(build_basis(domain, n), 0.3, 0.8)
-            for ts, method in [(ts, "auto") for ts in self.LISTS] + [(self.LISTS[0], "mp")]:
-                want = _each(dec, m_omega, ts, method)
+            for ts in self.LISTS:
+                want = _each(dec, m_omega, ts)
                 if isinstance(want, list):
-                    got = left_inverse_constants(dec, m_omega, ts, method)
+                    got = left_inverse_constants(dec, m_omega, ts)
                     assert [z.hex() for z in got] == [z.hex() for z in want], (n, ts)
                     continue
                 with pytest.raises(type(want)) as err:
-                    left_inverse_constants(dec, m_omega, ts, method)
+                    left_inverse_constants(dec, m_omega, ts)
                 assert str(err.value) == str(want), (n, ts)
 
     def test_refusal_waits_for_the_t_before_it(self, domain, monkeypatch):
@@ -366,9 +372,9 @@ class TestLeftInverseConstants:
     def test_one_validation_and_one_solver_per_list(self, domain, monkeypatch):
         _, _, dec = _dec(domain, GaussianKernel(5.0, 0.2), 8)
         m_omega = restricted_mass_matrix(build_basis(domain, 8), 0.3, 0.8)
-        ts = [0.1 * i / 20 for i in range(1, 21)]
+        ts = [0.0] + [0.1 * i / 20 for i in range(1, 21)]
         want = [left_inverse_constant(dec, m_omega, t) for t in ts]
-        calls = []
+        calls, solver = [], _highprec.zeta_solver
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -376,13 +382,18 @@ class TestLeftInverseConstants:
                 return fn(*args, **kwargs)
             return wrapper
 
+        def counted_solver(*args):
+            calls.append(("solver", args[-1]))
+            solve = solver(*args)
+            return lambda t: calls.append(t) or solve(t)
+
         monkeypatch.setattr(evolution, "_validate_mass",
                             counted("validate", evolution._validate_mass))
         monkeypatch.setattr(np.linalg, "eigvalsh", counted("eigvalsh", np.linalg.eigvalsh))
-        monkeypatch.setattr(_highprec, "zeta_solver", counted("solver", _highprec.zeta_solver))
+        monkeypatch.setattr(_highprec, "zeta_solver", counted_solver)
         assert left_inverse_constants(dec, m_omega, ts) == want
-        # the escalated horizons all share the one solver
-        assert calls == ["validate", "eigvalsh", "solver"]
+        # every t > 0, in order, on the one solver built for the largest; t = 0 needs none
+        assert calls == ["validate", "eigvalsh", ("solver", 0.1)] + ts[1:]
 
 
 def _zeta_eigsy_reference(mus, modes, m_omega, t, dps):

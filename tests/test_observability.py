@@ -19,7 +19,7 @@ from nullheat import (ArgumentError, COUPLING_FIXED, COUPLING_RESOLVENT, Domain,
                       propagate, restricted_mass_matrix, simulate_controlled,
                       spectral_obs_constant, spectral_obs_constants, specobs_sweep_and_fit,
                       truncation_for_horizon, witness_identity_residual)
-from nullheat import _highprec, cli, control, evolution, observability, oracles, parse_config
+from nullheat import _highprec, cli, control, observability, oracles, parse_config
 from nullheat import basis as basis_module
 from nullheat.bundled import bundled_kernels, default_config_path
 from nullheat.basis import _validate_mass
@@ -928,9 +928,25 @@ class TestProofChain:
                            match=r"^proof_chain_report: .* at t=[0-9.]+ \(offending eigenvalue"):
             proof_chain_report(basis, dec, r=float(basis.lambdas[-1]), T=T)
 
+    def test_one_mass_matrix(self, domain, monkeypatch):
+        # one M_omega serves C_r, zeta and the extremal quotient
+        basis, dec = _dec(domain, GaussianKernel(5.0, 0.2), 8)
+        want = proof_chain_report(basis, dec, r=9.5 * np.pi ** 2, T=0.1)
+        calls, mass = [], observability.restricted_mass_matrix
+
+        def counted(*args):
+            calls.append(args[1:])
+            return mass(*args)
+
+        monkeypatch.setattr(observability, "restricted_mass_matrix", counted)
+        rows = proof_chain_report(basis, dec, r=9.5 * np.pi ** 2, T=0.1)
+        assert calls == [basis.domain.omega]
+        assert [np.array(dataclasses.astuple(row)).tobytes() for row in rows] == \
+            [np.array(dataclasses.astuple(row)).tobytes() for row in want]
+
     def test_zeta_operators_built_once(self, domain, monkeypatch):
-        # one solver, and so one LU of Q, for the grid's 18 escalated
-        # horizons, built at the largest one's digits
+        # one solver, and so one LU of Q, for the grid's 20 horizons, built
+        # at the largest one's digits
         basis, dec = _dec(domain, GaussianKernel(5.0, 0.2), 8)
         want = proof_chain_report(basis, dec, r=9.5 * np.pi ** 2, T=0.1)
         built, solves = [], []
@@ -949,7 +965,7 @@ class TestProofChain:
         monkeypatch.setattr(_highprec, "_lu", counted_lu)
         rows = proof_chain_report(basis, dec, r=9.5 * np.pi ** 2, T=0.1)
         assert rows == want
-        assert built == [max(solves), "lu"] and len(solves) == 18
+        assert built == [max(solves), "lu"] and len(solves) == 20
 
     def test_packet_pencil_is_the_leading_block_of_zetas(self, domain, rng):
         # (A + A^T) / 2 and its leading block agree with ((A + A^T)[:n, :n]) / 2 bit for bit
@@ -959,7 +975,7 @@ class TestProofChain:
             et = dec.semigroup(t)
             emet = et @ m_omega @ et
             for n in (1, 7, 16):
-                assert np.array_equal(evolution._zeta_pencil(dec, m_omega, t)[:n, :n],
+                assert np.array_equal(observability._zeta_pencil(dec, m_omega, t)[:n, :n],
                                       (emet + emet.T)[:n, :n] / 2)
 
 
