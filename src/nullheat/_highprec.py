@@ -24,6 +24,14 @@ pencils:
   comes from an LU of Q, as U^{-1} L^{-1}, not as Q^T: the float Q is
   orthogonal only to rounding, which e^{-mu_N t} magnifies past theta itself.  M, Q^{-1} and K
   do not depend on t; zeta_solver builds them once for a list of horizons.
+  That iteration converges at theta_1 / theta_2, which tends to 1 as t -> 0.
+  Where a float64 solve puts the ratio above 1/9 (and theta_1 above its
+  rounding noise), the step is (H - s I)^{-1} instead, H = C^{-1} (A - tau M)
+  C^{-T} formed per t, tau the float theta_1, and s from H's float64
+  eigenvalues (which resolve the gaps at any t) at tau + s = theta_1 -
+  (theta_2 - theta_1) / 8.  H - s I has a Cholesky factor only while
+  tau + s < theta_min, so the shifted iteration converges to theta_min, at
+  about 1/9 a step; where the factor stops short the step is unshifted.
 * kappa_T, later: 1 / theta_min of (G_T, e^{2LT}).
 
 Digits.  Packet blocks are solved at DPS = 50, on the leading rows of one
@@ -426,7 +434,7 @@ def zeta_solver(mus, modes, m_omega, t_max):
     The operators that do not depend on t -- M_omega, Q^{-1}, Q^{-T} and
     K = C^{-1} Q^{-T} with M_omega = C C^T -- are built once, at t_max's
     digits (and M_omega refused there if its factor stops short); each t
-    iterates and stops at its own.
+    iterates, shifted where that pays, and stops at its own.
     """
     dps = _zeta_dps(mus, t_max)
     n = len(mus)
@@ -448,9 +456,43 @@ def zeta_solver(mus, modes, m_omega, t_max):
         l_cols = [l_cols[c] for c in np.argsort(perm)]
         q_inv = [_Vec(_dot(u, c, prec) for c in l_cols) for u in ut_cols]
         q_inv_t = [_Vec(r.pairs[j] for r in q_inv) for j in range(n)]
-        k = [_Vec(_dot(r, q, prec) for q in q_inv) for r in _lower_inverse(C, prec)[0]]
+        c_inv = _lower_inverse(C, prec)[0]
+        k = [_Vec(_dot(r, q, prec) for q in q_inv) for r in c_inv]
         k_t = [_Vec(r.pairs[j] for r in k) for j in range(n)]  # K = C^{-1} Q^{-T}
         M = [_Vec(row) for row in M]
+        Q = [_Vec(row) for row in Q]
+
+    def shifted(t, e, prec):
+        # (step, sigma) on H - s I, sigma = tau + s (module docstring), with
+        # H = C^{-1} (A - tau M) C^{-T} = G M G^T - tau I, G = C^{-1} E; None
+        # where theta_1 / theta_2 <= 1/9 (unshifted is as fast) or R R^T =
+        # H - s I stops short
+        with np.errstate(over="ignore", invalid="ignore"):
+            et = (modes * np.exp(mus * t)) @ modes.T
+            a = et @ m_omega @ et
+        try:
+            th = sla.eigh((a + a.T) / 2, m_omega, eigvals_only=True)
+        except (ValueError, np.linalg.LinAlgError):  # a not finite, ...
+            return None
+        # a float theta_1 below 1e-12 theta_n is rounding noise (~1e-16 theta_n)
+        if n < 2 or not (1e-12 * th[-1] < th[0] and th[1] < 9 * th[0]):
+            return None
+        tau = _float_pair(th[0])
+        E = [_Vec(_dot(d, q, prec) for q in Q) for d in
+             (_Vec(map(_mul, q.pairs, e, [prec] * n)) for q in Q)]
+        G = [_Vec(_dot(c, r, prec) for r in E) for c in c_inv]
+        H = [[_dot(gm, g, prec) for g in G[:i]] + [_sub(_dot(gm, G[i], prec), tau, prec)]
+             for i, gm in enumerate(_Vec(_matvec(M, g, prec)) for g in G)]
+        w = sla.eigh(np.array([[float(_mpf(H[max(i, j)][min(i, j)])) for j in range(n)]
+                               for i in range(n)]), eigvals_only=True, subset_by_index=[0, 1])
+        s = _float_pair(w[0] - (w[1] - w[0]) / 8)
+        sigma = _sub(tau, (-s[0], s[1]), prec)
+        R = _cholesky([row[:-1] + [_sub(row[-1], s, prec)] for row in H], prec)
+        if sigma[0] <= 0 or len(R) < n:
+            return None
+        y_rows, y_cols = _lower_inverse(R, prec)
+        # (H - s I)^{-1} v = Y^T Y v, Y = R^{-1}
+        return lambda v: (_Vec(_matvec(y_cols, _Vec(_matvec(y_rows, v, prec)), prec)), v), sigma
 
     def solve(t):
         dps = _zeta_dps(mus, t)
@@ -468,7 +510,9 @@ def zeta_solver(mus, modes, m_omega, t_max):
                 y = scaled(k_t, _Vec(_matvec(k, scaled(q_inv, mv), prec)))
                 return _Vec(_matvec(q_inv_t, y, prec)), mv
 
+            step, sigma = shifted(t, e, prec) or (step, _ZERO)
             theta, _ = _min_pencil_eigpair(step, _Vec([_ONE] * n), dps)
+            theta = _sub(theta, (-sigma[0], sigma[1]), prec)  # the estimate is theta - sigma
             if theta[0] <= 0:
                 raise NumericError(
                     "generalized_min_eig_mp: nonpositive eigenvalue at working precision; "

@@ -105,21 +105,20 @@ def spectral_obs_constant(basis, omega, r):
     in the mode count and is recomputed at extended precision once it drops
     below the float64-trustable range (_highprec.gram_block_solver).
     """
-    return _packet_reports(basis, omega, [r])[0]
+    return _packet_reports(basis, omega, [r])[1][0]
 
 
 def spectral_obs_constants(basis, omega, r_list):
     """spectral_obs_constant at every cutoff of r_list, in order, bit for bit,
     from one float64 Gram matrix and one extended-precision block solver."""
-    return _packet_reports(basis, omega, r_list)
+    return _packet_reports(basis, omega, r_list)[1]
 
 
-def _packet_reports(basis, omega, r_list, op="spectral_obs_constant", M=None):
-    # M, if given, must be restricted_mass_matrix(basis, *omega)
+def _packet_reports(basis, omega, r_list, op="spectral_obs_constant"):
+    # (M, reports): the float64 Gram matrix on omega that the reports read
     counts = [_count_modes(basis.domain, r, op) for r in r_list]
     lo, hi = omega
-    if M is None:
-        M = restricted_mass_matrix(basis, lo, hi)
+    M = restricted_mass_matrix(basis, lo, hi)
     # one mp Gram matrix for the largest cutoff serves every leading block
     solve = _highprec.gram_block_solver(
         min(basis.n_modes, max(counts, default=0)), lo, hi, basis.domain.length)
@@ -141,7 +140,7 @@ def _packet_reports(basis, omega, r_list, op="spectral_obs_constant", M=None):
             witness = positive_sign(witness)
         reports.append(ObsReport(r=float(r), n_modes=n, c_min=c_min,
                                  specobs_constant=1.0 / c_min, witness=witness))
-    return reports
+    return M, reports
 
 
 def witness_identity_residual(basis, omega, report):
@@ -190,7 +189,7 @@ def specobs_sweep_and_fit(basis, omega, r_list):
         raise ArgumentError(
             "specobs_sweep_and_fit: cutoffs must span a factor of at least 16"
         )
-    return fit_specobs_sweep(_packet_reports(basis, omega, r_list, "specobs_sweep_and_fit"))
+    return fit_specobs_sweep(_packet_reports(basis, omega, r_list, "specobs_sweep_and_fit")[1])
 
 
 def fit_specobs_sweep(reports):
@@ -528,8 +527,7 @@ def proof_chain_report(basis, dec, r, T):
     C_r, zeta and the quotient all read the one window basis.domain.omega.
     """
     T = _validate_time(T, "proof_chain_report")
-    m_omega = restricted_mass_matrix(basis, *basis.domain.omega)
-    obs = _packet_reports(basis, basis.domain.omega, [r], "proof_chain_report", m_omega)[0]
+    m_omega, (obs,) = _packet_reports(basis, basis.domain.omega, [r], "proof_chain_report")
     n_r = obs.n_modes
     log_prefix = 2.0 * dec.mus[0] * T + np.log(obs.specobs_constant)
     e2 = dec.semigroup(2.0 * T)

@@ -278,6 +278,18 @@ class TestLeftInverseConstant:
         ref = np.exp(_zeta_eigsy_reference(dec.mus, dec.modes, m_omega, t, 60))
         assert left_inverse_constant(dec, m_omega, t) == pytest.approx(ref, rel=1e-12, abs=0)
 
+    @pytest.mark.parametrize("kernel, n", [(GaussianKernel(5.0, 0.2), 16),
+                                           (GaussianKernel(5.0, 0.2), 8), (ZeroKernel(), 19)],
+                             ids=["gaussian-16", "gaussian-8", "zero-19"])
+    @pytest.mark.parametrize("t", [1e-4, 1e-5, 1e-6])
+    def test_short_horizons_match_eigsy_reference(self, domain, kernel, n, t):
+        # theta_1 / theta_2 -> 1 as t -> 0: an unshifted inverse iteration
+        # needs O(1/t) steps here, more than 200 at (gaussian-8, 1e-5)
+        _, _, dec = _dec(domain, kernel, n)
+        m_omega = restricted_mass_matrix(build_basis(domain, n), 0.3, 0.8)
+        ref = np.exp(_zeta_eigsy_reference(dec.mus, dec.modes, m_omega, t, 60))
+        assert left_inverse_constant(dec, m_omega, t) == pytest.approx(ref, rel=1e-12, abs=0)
+
     @pytest.mark.parametrize("method", ["auto", "mp"])
     def test_methods_name_the_one_route(self, domain, method):
         _, _, dec = _dec(domain, GaussianKernel(5.0, 0.2), 6)
@@ -413,6 +425,55 @@ def _zeta_eigsy_reference(mus, modes, m_omega, t, dps):
 class TestExtendedPrecisionZeta:
     """The mp pencil iteration for zeta against the full mp eigensolve."""
 
+    @pytest.mark.parametrize("kernel, n", [(GaussianKernel(5.0, 0.2), 16),
+                                           (GaussianKernel(5.0, 0.2), 8), (ZeroKernel(), 19)],
+                             ids=["gaussian-16", "gaussian-8", "zero-19"])
+    def test_shifted_steps_do_not_grow_as_t_shrinks(self, domain, kernel, n, monkeypatch):
+        # the shift keeps the iteration at about 1/9 a step down to t = 1e-12
+        _, _, dec = _dec(domain, kernel, n)
+        m_omega = restricted_mass_matrix(build_basis(domain, n), 0.3, 0.8)
+        steps, pencil_eigpair = [], _highprec._min_pencil_eigpair
+
+        def counted(step, start, dps):
+            def counted_step(v):
+                steps[-1] += 1
+                return step(v)
+            steps.append(0)
+            return pencil_eigpair(counted_step, start, dps)
+
+        monkeypatch.setattr(_highprec, "_min_pencil_eigpair", counted)
+        for t in (1e-4, 1e-6, 1e-8, 1e-10, 1e-12):
+            log_zeta = _highprec.generalized_min_eig_mp(dec.mus, dec.modes, m_omega, t)
+            ref_log = _zeta_eigsy_reference(dec.mus, dec.modes, m_omega, t, 60)
+            assert log_zeta == pytest.approx(ref_log, rel=1e-12, abs=0)
+        assert max(steps) <= 30, steps
+
+    def test_shift_at_or_above_theta_min_is_refused(self, domain, monkeypatch):
+        # float64 eigenvalues of H moved up past theta_1 leave H - s I indefinite:
+        # its Cholesky factor stops short, and the unshifted iteration, which
+        # converges at theta_1 / theta_2 = 0.54 here, gives zeta
+        _, _, dec = _dec(domain, GaussianKernel(5.0, 0.2), 6)
+        m_omega = restricted_mass_matrix(build_basis(domain, 6), 0.3, 0.8)
+        t = 1e-3
+        want = _highprec.generalized_min_eig_mp(dec.mus, dec.modes, m_omega, t)
+        eigh, cholesky, factors = _highprec.sla.eigh, _highprec._cholesky, []
+
+        def moved(a, b=None, **kwargs):
+            w = eigh(a, b, **kwargs)
+            return w if b is not None else w + 2.0 * (w[1] - w[0])
+
+        def counted(A, prec):
+            factors.append(len(cholesky(A, prec)))
+            return cholesky(A, prec)
+
+        monkeypatch.setattr(_highprec.sla, "eigh", moved)
+        monkeypatch.setattr(_highprec, "_cholesky", counted)
+        log_zeta = _highprec.generalized_min_eig_mp(dec.mus, dec.modes, m_omega, t)
+        assert factors[0] == 6 and factors[-1] < 6  # M_omega's, then H - s I's
+        ref_log = _zeta_eigsy_reference(dec.mus, dec.modes, m_omega, t, 60)
+        assert log_zeta == pytest.approx(ref_log, rel=1e-12, abs=0)
+        assert log_zeta == pytest.approx(want, rel=1e-14, abs=0)
+
     @pytest.mark.parametrize("kernel", [ZeroKernel(), GaussianKernel(5.0, 0.2)],
                              ids=["zero", "gaussian"])
     @pytest.mark.parametrize("n, t", [(8, 0.01), (8, 0.1), (16, 0.005), (16, 0.02),
@@ -462,7 +523,9 @@ class TestPencilStopRule:
         for n in (6, 12, 19):
             _, _, dec = _dec(domain, kernel, n)
             m_omega = restricted_mass_matrix(build_basis(domain, n), 0.3, 0.8)
-            for t in (0.001, 0.01, 0.05):
+            # horizons at which theta_1 / theta_2 <= 1/9, so the iteration runs
+            # unshifted, on (A, M) itself
+            for t in (0.01, 0.02, 0.05):
                 log_zeta = _highprec.generalized_min_eig_mp(dec.mus, dec.modes, m_omega, t)
                 pencil = []
 
